@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import FormSyntaxError
 from .forms import Chart, Form, VectorField, sort_indices
-from .scalars import Polynomial, Scalar
+from .scalars import MAX_EXPONENT, Polynomial, Scalar
 
 _OPS = "+-*/^()"
 
@@ -251,6 +251,8 @@ class _Parser:
             tok = self.next()
             if tok.kind != "INT":
                 self.fail("expected integer exponent", tok)
+            if tok.value > MAX_EXPONENT:
+                self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
             a = a ** tok.value
         return a
 
@@ -374,8 +376,7 @@ def poly_str(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     bits = []
-    for exps in sorted(p.terms, reverse=True):
-        coeff = p.terms[exps]
+    for exps, coeff in sorted(p.terms.items(), reverse=True):
         neg = _scalar_is_negative(coeff)
         if neg:
             coeff = -coeff

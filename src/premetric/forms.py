@@ -282,11 +282,11 @@ def wedge(a, b):
                 continue
             merged, sign = _merge_sign(ia, ib)
             term = pa * pb
-            if sign < 0:
-                term = -term
             cur = comps.get(merged)
             if cur is not None:
-                term = cur + term
+                term = cur - term if sign < 0 else cur + term
+            elif sign < 0:
+                term = -term
             if term.is_zero():
                 comps.pop(merged, None)
             else:
@@ -308,13 +308,13 @@ def ext_d(a):
             dp = poly.partial(k)
             if dp.is_zero():
                 continue
-            pos = sum(1 for i in idx if i < k)
-            if pos % 2:
-                dp = -dp
+            odd = sum(1 for i in idx if i < k) % 2
             new_idx = tuple(sorted(idx + (k,)))
             cur = comps.get(new_idx)
             if cur is not None:
-                dp = cur + dp
+                dp = cur - dp if odd else cur + dp
+            elif odd:
+                dp = -dp
             if dp.is_zero():
                 comps.pop(new_idx, None)
             else:
@@ -341,12 +341,12 @@ def contract(u, a):
             if comp.is_zero():
                 continue
             term = comp * poly
-            if j % 2:
-                term = -term
             new_idx = idx[:j] + idx[j + 1:]
             cur = comps.get(new_idx)
             if cur is not None:
-                term = cur + term
+                term = cur - term if j % 2 else cur + term
+            elif j % 2:
+                term = -term
             if term.is_zero():
                 comps.pop(new_idx, None)
             else:

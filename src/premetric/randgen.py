@@ -11,14 +11,18 @@ num/den with num in [-9, 9] without 0 and den in [1, 9].
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .forms import Form, VectorField
 from .scalars import Polynomial, Scalar
 
 
+@lru_cache(maxsize=None)
 def exponent_tuples(n, degree_bound):
-    """All exponent tuples of length n with total degree <= degree_bound."""
+    """All exponent tuples of length n with total degree <= degree_bound,
+    in lexicographic order; cached, so the pool is built once per
+    (n, degree_bound)."""
     out = []
 
     def rec(prefix, remaining):
@@ -29,7 +33,7 @@ def exponent_tuples(n, degree_bound):
             rec(prefix + [e], remaining - e)
 
     rec([], degree_bound)
-    return out
+    return tuple(out)
 
 
 def _draw_coefficient(rng, complex_mode):

@@ -1,13 +1,24 @@
 """Exact scalars and sparse multivariate polynomials.
 
-All arithmetic is over exact rationals (`fractions.Fraction`) or Gaussian
-rationals (re + im*i with rational parts), so equality is decidable and
-every identity in the test suites is checked with zero tolerance.
+All arithmetic is over exact rationals or Gaussian rationals (re + im*i
+with rational parts), so equality is decidable and every identity in the
+test suites is checked with zero tolerance.
+
+`Scalar` wraps `fractions.Fraction` values and carries the pseudoscalar
+bit; it is used for law parameters and form scaling.  `Polynomial` keeps
+its coefficients as integer numerators over one shared denominator (the
+content/primitive split of FLINT's fmpq_poly) and keys its monomials by
+packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
+arithmetic is integer work plus one gcd normalisation per result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import StructuralError
 
@@ -149,6 +160,10 @@ class Scalar:
                 and self.pseudo == other.pseudo)
 
     def __hash__(self):
+        # agrees with __eq__ against int and Fraction, which equal the
+        # non-pseudo scalar with a zero (or absent) imaginary part
+        if not self.pseudo and not self.im:
+            return hash(self.re)
         return hash((self.re, self.im, self.pseudo))
 
     def __repr__(self):
@@ -158,36 +173,115 @@ class Scalar:
         return f"Scalar({self.re}, {self.im}{tag})"
 
 
+# -- packed exponent keys ------------------------------------------------------
+#
+# A monomial x0^e0 * ... * x(n-1)^e(n-1) is keyed by one integer holding each
+# exponent in a FIELD_BITS-wide field, variable 0 in the most significant
+# one, so numeric key order is lexicographic exponent-tuple order and the
+# product of two monomials is the sum of their keys.  The top bit of every
+# field is a guard: exponents stay at or below MAX_EXPONENT, so a sum of two
+# keys never carries between fields, and a set guard bit after the sum
+# flags an exponent that left the representable range.
+
+FIELD_BITS = 8
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _guard_mask(n):
+    """The guard bit of every one of the n fields."""
+    return sum(1 << (FIELD_BITS * j + FIELD_BITS - 1) for j in range(n))
+
+
+def _shift(n, i):
+    return FIELD_BITS * (n - 1 - i)
+
+
+def _pack(exps):
+    key = 0
+    for e in exps:
+        if e > MAX_EXPONENT:
+            raise StructuralError(
+                f"exponent {e} exceeds the limit {MAX_EXPONENT} in {tuple(exps)}")
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key, n):
+    return tuple((key >> _shift(n, i)) & _FIELD_MASK for i in range(n))
+
+
+def _check_guard(keys, n):
+    guard = _guard_mask(n)
+    if any(map(guard.__and__, keys)):
+        raise StructuralError(
+            f"product exponent exceeds the limit {MAX_EXPONENT}")
+
+
 class Polynomial:
     """Sparse exact polynomial in n variables x0 .. x(n-1).
 
-    ``terms`` maps exponent tuples (length n, nonnegative ints) to nonzero
-    Scalar coefficients, e.g. {(2, 0, 1): 3/4} is (3/4)*x0^2*x2.  Zero
-    coefficients are never stored, so equality of term maps is equality of
-    polynomials.  Coefficients never carry the pseudoscalar bit; parity
-    bookkeeping happens one level up, on forms.
+    The value is (1/den) * sum over ``nums`` of numerator * monomial.
+    ``nums`` maps packed exponent keys (see FIELD_BITS) to nonzero integer
+    numerators in real mode and to (re, im) integer pairs, not both zero,
+    in complex mode.  The form is canonical: den > 0 and gcd(den, every
+    numerator part) == 1, so equal polynomials have equal (den, nums).
+    Coefficients never carry the pseudoscalar bit; parity bookkeeping
+    happens one level up, on forms.
+
+    ``terms`` is a derived read-only view, exponent tuple -> Scalar, for
+    printing and inspection; arithmetic never builds it.
     """
 
-    __slots__ = ("n", "complex_mode", "terms")
+    __slots__ = ("n", "complex_mode", "den", "nums")
 
     def __init__(self, n, terms=None, complex_mode=False):
+        """Checked constructor from {exponent tuple: coefficient}, e.g.
+        {(2, 0, 1): Fraction(3, 4)} is (3/4)*x0^2*x2."""
         if n < 1:
             raise StructuralError(f"polynomial dimension must be >= 1, got {n}")
-        self.n = n
-        self.complex_mode = bool(complex_mode)
-        clean = {}
+        complex_mode = bool(complex_mode)
+        coeffs = {}
         for exps, coeff in (terms or {}).items():
             if not isinstance(coeff, Scalar):
                 coeff = Scalar(coeff, Fraction(0) if complex_mode else None)
-            if len(exps) != n or any(e < 0 for e in exps):
+            if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent tuple {exps} for n={n}")
-            if coeff.complex_mode != self.complex_mode:
+            if coeff.complex_mode != complex_mode:
                 raise StructuralError("coefficient mode does not match polynomial mode")
             if coeff.pseudo:
                 raise StructuralError("polynomial coefficients must not be pseudo-tagged")
             if not coeff.is_zero():
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+                coeffs[_pack(exps)] = coeff
+        # over the lcm of the reduced denominators the numerators already
+        # have no common factor with den
+        den = lcm(1, *(q.denominator for c in coeffs.values()
+                       for q in (c.re, c.im) if q is not None))
+
+        def num(q):
+            return q.numerator * (den // q.denominator)
+
+        self.n = n
+        self.complex_mode = complex_mode
+        self.den = den
+        self.nums = ({k: (num(c.re), num(c.im)) for k, c in coeffs.items()}
+                     if complex_mode else
+                     {k: num(c.re) for k, c in coeffs.items()})
+
+    def _reduced(self, den, nums):
+        """Canonical polynomial nums/den: nums has no zero entries, den > 0."""
+        if den != 1:
+            if self.complex_mode:
+                g = gcd(den, *chain.from_iterable(nums.values()))
+                if g != 1:
+                    nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
+            else:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    nums = {k: v // g for k, v in nums.items()}
+            den //= g
+        return _make(self.n, self.complex_mode, den, nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -197,27 +291,38 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n, value, complex_mode=False):
-        if not isinstance(value, Scalar):
-            value = Scalar(value, Fraction(0) if complex_mode else None)
         return cls(n, {(0,) * n: value}, complex_mode)
 
     @classmethod
     def variable(cls, n, i, complex_mode=False):
         if not 0 <= i < n:
             raise StructuralError(f"variable index {i} out of range for n={n}")
-        exps = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {exps: Scalar.one(complex_mode)}, complex_mode)
+        complex_mode = bool(complex_mode)
+        return _make(n, complex_mode, 1,
+                     {1 << _shift(n, i): (1, 0) if complex_mode else 1})
 
-    # -- predicates --------------------------------------------------------
+    # -- views and predicates ----------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only map exponent tuple -> nonzero Scalar coefficient."""
+        n, den = self.n, self.den
+        if self.complex_mode:
+            view = {_unpack(k, n): Scalar(Fraction(r, den), Fraction(i, den))
+                    for k, (r, i) in self.nums.items()}
+        else:
+            view = {_unpack(k, n): Scalar(Fraction(v, den))
+                    for k, v in self.nums.items()}
+        return MappingProxyType(view)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(_unpack(k, self.n)) for k in self.nums)
 
     def _check_compatible(self, other):
         if not isinstance(other, Polynomial):
@@ -229,42 +334,80 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other for sign in (1, -1); __sub__ passes -1."""
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = terms.get(exps)
-            if cur is None:
-                terms[exps] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-        return self._raw(terms)
-
-    def __neg__(self):
-        return self._raw({e: -c for e, c in self.terms.items()})
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign > 0 else -other
+        da, db = self.den, other.den
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g * sign
+            den = da * ma
+        if self.complex_mode:
+            out = (dict(self.nums) if ma == 1 else
+                   {k: (r * ma, i * ma) for k, (r, i) in self.nums.items()})
+            get = out.get
+            for k, (r, i) in other.nums.items():
+                cur = get(k)
+                out[k] = ((r * mb, i * mb) if cur is None
+                          else (cur[0] + r * mb, cur[1] + i * mb))
+            if (0, 0) in out.values():
+                out = {k: v for k, v in out.items() if v != (0, 0)}
+        else:
+            out = (dict(self.nums) if ma == 1 else
+                   {k: v * ma for k, v in self.nums.items()})
+            get = out.get
+            for k, v in other.nums.items():
+                out[k] = get(k, 0) + v * mb
+            if 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+        return self._reduced(den, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        if self.complex_mode:
+            nums = {k: (-r, -i) for k, (r, i) in self.nums.items()}
+        else:
+            nums = {k: -v for k, v in self.nums.items()}
+        return _make(self.n, self.complex_mode, self.den, nums)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                cur = terms.get(exps)
-                if cur is not None:
-                    c = cur + c
-                if c.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = c
-        return self._raw(terms)
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _make(self.n, self.complex_mode, 1, {})
+        out = {}
+        get = out.get
+        a_items = a.items()
+        if self.complex_mode:
+            for kb, (br, bi) in b.items():
+                for ka, (ar, ai) in a_items:
+                    k = ka + kb
+                    re = ar * br - ai * bi
+                    im = ar * bi + ai * br
+                    cur = get(k)
+                    out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            _check_guard(out, self.n)
+            if (0, 0) in out.values():
+                out = {k: v for k, v in out.items() if v != (0, 0)}
+        else:
+            for kb, vb in b.items():
+                for ka, va in a_items:
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+            _check_guard(out, self.n)
+            if 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+        return self._reduced(self.den * other.den, out)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -283,22 +426,39 @@ class Polynomial:
         if s.complex_mode != self.complex_mode:
             raise StructuralError("real/complex scalar mode mismatch")
         if s.is_zero():
-            return Polynomial.zero(self.n, self.complex_mode)
-        return self._raw({e: c * s for e, c in self.terms.items()})
+            return _make(self.n, self.complex_mode, 1, {})
+        if self.complex_mode:
+            re, im = s.re, s.im
+            d = lcm(re.denominator, im.denominator)
+            sr = re.numerator * (d // re.denominator)
+            si = im.numerator * (d // im.denominator)
+            out = {k: (r * sr - i * si, r * si + i * sr)
+                   for k, (r, i) in self.nums.items()}
+        else:
+            d, num = s.re.denominator, s.re.numerator
+            if d == 1 and num in (1, -1):
+                return self if num == 1 else -self
+            out = {k: v * num for k, v in self.nums.items()}
+        return self._reduced(self.den * d, out)
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
         if not 0 <= i < self.n:
             raise StructuralError(f"coordinate index {i} out of range for n={self.n}")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[i] = k - 1
-            terms[tuple(new)] = coeff * k
-        return self._raw(terms)
+        shift = _shift(self.n, i)
+        step = 1 << shift
+        out = {}
+        if self.complex_mode:
+            for k, (r, im) in self.nums.items():
+                e = (k >> shift) & _FIELD_MASK
+                if e:
+                    out[k - step] = (r * e, im * e)
+        else:
+            for k, v in self.nums.items():
+                e = (k >> shift) & _FIELD_MASK
+                if e:
+                    out[k - step] = v * e
+        return self._reduced(self.den, out)
 
     def substitute_linear(self, matrix):
         """Substitute x_i -> sum_j matrix[i][j] * x_j (linear change of variables)."""
@@ -308,9 +468,8 @@ class Polynomial:
             for j in range(self.n):
                 v = _as_fraction(matrix[i][j])
                 if v != 0:
-                    exps = tuple(1 if m == j else 0 for m in range(self.n))
-                    row[exps] = Scalar(v, Fraction(0) if self.complex_mode else None)
-            images.append(self._raw(row))
+                    row[tuple(1 if m == j else 0 for m in range(self.n))] = v
+            images.append(Polynomial(self.n, row, self.complex_mode))
         out = Polynomial.zero(self.n, self.complex_mode)
         for exps, coeff in self.terms.items():
             term = Polynomial.constant(self.n, coeff, self.complex_mode)
@@ -323,16 +482,8 @@ class Polynomial:
     def to_complex(self):
         if self.complex_mode:
             return self
-        return Polynomial(self.n, {e: c.to_complex() for e, c in self.terms.items()},
-                          complex_mode=True)
-
-    def _raw(self, terms):
-        # internal fast path: terms are already canonical (nonzero, right mode)
-        p = object.__new__(Polynomial)
-        p.n = self.n
-        p.complex_mode = self.complex_mode
-        p.terms = terms
-        return p
+        return _make(self.n, True, self.den,
+                     {k: (v, 0) for k, v in self.nums.items()})
 
     # -- identity ----------------------------------------------------------
 
@@ -340,17 +491,27 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.n, self.complex_mode, frozenset(self.terms.items())))
+        return hash((self.n, self.complex_mode, self.den,
+                     frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return f"Polynomial({self.n}, 0)"
         bits = []
-        for exps in sorted(self.terms):
+        for exps, c in sorted(self.terms.items()):
             mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e)
-            c = self.terms[exps]
             bits.append(f"{c!r}*{mono}" if mono else repr(c))
         return f"Polynomial({self.n}, {' + '.join(bits)})"
+
+
+def _make(n, complex_mode, den, nums):
+    # unchecked: (den, nums) is canonical already
+    p = object.__new__(Polynomial)
+    p.n = n
+    p.complex_mode = complex_mode
+    p.den = den
+    p.nums = nums
+    return p

@@ -144,3 +144,23 @@ def test_every_subcommand_is_wired(tmp_path, command):
     r = run_cli(command, "--config", cfg)
     assert r.returncode == 0
     assert f"report: {command}" in r.stdout
+
+
+def test_exponent_over_the_limit_exits_two_with_position(tmp_path):
+    cfg = write_config(tmp_path, "exp.json",
+                       dict(BASE, samples=1, F="(x0 + 1)^128*dx0^dx1"))
+    r = run_cli("check", "--config", cfg)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "1:10: exponent 128 exceeds the limit 127" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_product_exponent_overflow_exits_two(tmp_path):
+    cfg = write_config(tmp_path, "overflow.json",
+                       dict(BASE, samples=1, F="x0^100*x0^100*dx0^dx1"))
+    r = run_cli("check", "--config", cfg)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "exponent exceeds the limit 127" in r.stderr
+    assert "Traceback" not in r.stderr

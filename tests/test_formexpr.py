@@ -121,6 +121,16 @@ def test_error_positions():
         parse_form("x0^x1", CH4, 0)
 
 
+def test_exponent_limit_is_a_positioned_syntax_error():
+    from premetric.scalars import MAX_EXPONENT
+    p = parse_polynomial(f"x1^{MAX_EXPONENT}", CH4)
+    assert p.degree() == MAX_EXPONENT
+    with pytest.raises(FormSyntaxError) as e:
+        parse_form(f"dx0 +\n (x1 - 2)^{MAX_EXPONENT + 1}*dx2", CH4, 1)
+    assert (e.value.line, e.value.column) == (2, 11)
+    assert f"exceeds the limit {MAX_EXPONENT}" in e.value.message
+
+
 def test_degree_mismatch_reported_per_term():
     with pytest.raises(FormSyntaxError) as e:
         parse_form("dx0^dx1 + dx2", CH4, 2)

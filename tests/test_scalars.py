@@ -132,3 +132,50 @@ def test_substitute_linear_composes():
     b = random_polynomial(rng, 2, 2)
     assert (a * b).substitute_linear(mat) == a.substitute_linear(mat) * b.substitute_linear(mat)
     assert (a + b).substitute_linear(mat) == a.substitute_linear(mat) + b.substitute_linear(mat)
+
+
+def test_scalar_hash_agrees_with_equality():
+    assert {Scalar(1): "one"}.get(1) == "one"
+    assert {Scalar(Fraction(-2, 7)): "q"}.get(Fraction(-2, 7)) == "q"
+    assert {2: "two"}.get(Scalar(2)) == "two"
+    # complex mode with a zero imaginary part equals the plain rational
+    assert Scalar(2, 0) == 2 and hash(Scalar(2, 0)) == hash(2)
+    half = Scalar(Fraction(1, 2), 0)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    # every equal pair hashes equal, across modes, parities and plain numbers
+    values = [0, 1, -3, Fraction(1, 2), Fraction(-5, 3)]
+    pool = list(values)
+    for v in values:
+        pool += [Scalar(v), Scalar(v, 0), Scalar(v, Fraction(2, 3)),
+                 Scalar(v, pseudo=True), Scalar(v, 0, pseudo=True)]
+    for x in pool:
+        for y in pool:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_exponents_are_bounded_by_the_packing_limit():
+    from premetric.scalars import MAX_EXPONENT
+    x0 = Polynomial.variable(2, 0)
+    top = Polynomial(2, {(MAX_EXPONENT, 0): 1})
+    assert top.partial(0) == Polynomial(2, {(MAX_EXPONENT - 1, 0): MAX_EXPONENT})
+    assert top * Polynomial.variable(2, 1) == Polynomial(2, {(MAX_EXPONENT, 1): 1})
+    with pytest.raises(StructuralError):
+        Polynomial(2, {(MAX_EXPONENT + 1, 0): 1})
+    with pytest.raises(StructuralError):
+        top * x0
+    with pytest.raises(StructuralError):
+        (top + x0) * (x0 + Polynomial.constant(2, 1))
+    with pytest.raises(StructuralError):
+        top.to_complex() * x0.to_complex()
+
+
+def test_terms_view_is_canonical_and_read_only():
+    p = Polynomial(2, {(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 9)})
+    assert dict(p.terms) == {(1, 0): Scalar(Fraction(1, 2)),
+                             (0, 1): Scalar(Fraction(-1, 3))}
+    assert p.den == 6 and sorted(p.nums.values()) == [-2, 3]
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = Scalar(1)
+    q = Polynomial(2, {(0, 0): Scalar(Fraction(1, 4), Fraction(1, 6))}, True)
+    assert q.den == 12 and list(q.nums.values()) == [(3, 2)]
