@@ -18,13 +18,12 @@ from .randgen import random_form, random_polynomial, random_vector_field
 from .report import SCHEMA_VERSION, CheckResult, Report, nonzero_witness
 from .electrodynamics import (Axion, Custom, FieldConfig, LinearLocal,
                               MaxwellLorentz, SplitFields, apply_constitutive,
-                              conservation_residual, currents, force_u,
-                              force_u_4d, identity_suite, obstruction_phi_u,
-                              phi_u_4d, recompose, sigma_u, sigma_u_4d,
-                              split_3plus1)
+                              conservation_residual, currents, densities,
+                              force_u, force_u_4d, identity_suite,
+                              obstruction_phi_u, phi_u_4d, recompose, sigma_u,
+                              sigma_u_4d, split_3plus1)
 from .reciprocity import (FieldPairZ, PairTensor, check_factorization,
-                          hodge_complex, pair_tensor, self_reciprocal_pair,
-                          star_z)
+                          pair_tensor, self_reciprocal_pair, star_z)
 from .config import RunConfig, build_law, load_config, validate_config
 from .suites import SUITE_RUNNERS, run_suites
 
@@ -38,8 +37,8 @@ __all__ = [
     "SUITE_RUNNERS", "VectorField", "apply_constitutive", "basis_form",
     "build_law", "check_factorization", "components_equal",
     "conservation_residual", "contract", "coordinate_field", "currents",
-    "double_hodge_sign", "ext_d", "force_u", "force_u_4d", "hodge",
-    "hodge_complex", "identity_suite", "lie_derivative", "load_config",
+    "densities", "double_hodge_sign", "ext_d", "force_u", "force_u_4d",
+    "hodge", "identity_suite", "lie_derivative", "load_config",
     "nonzero_witness", "obstruction_phi_u", "pair_tensor", "parse_form",
     "parse_polynomial", "parse_vector_field", "phi_u_4d", "poly_str",
     "print_form", "pullback_linear", "random_form", "random_polynomial",

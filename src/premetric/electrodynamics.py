@@ -9,9 +9,12 @@ u three densities are built:
     phi_u   = (-1)^p (F ^ L_u G - L_u F ^ G) / 2           (degree n)
 
 and d(sigma_u) = force_u + phi_u holds identically, with no assumption
-about how G relates to F.  conservation_residual computes the difference
-rather than returning zero by construction, so a sign error anywhere in
-the exterior-calculus layer would surface as a nonzero residual.
+about how G relates to F.  densities() is the one route to all three: it
+computes u _| F, u _| G, L_u F, L_u G and their wedges once and builds
+the densities from them.  The balance residual is computed as a
+difference rather than returned as zero by construction, so a sign error
+anywhere in the exterior-calculus layer would surface as a nonzero
+residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -42,10 +45,11 @@ class FieldConfig:
     """An (F, G) pair: untwisted p-form plus twisted (n-p)-form, one chart.
 
     Degrees are restricted to 1 <= p <= n-1 so that every contraction in
-    the density formulas lands on a form of degree >= 0.
+    the density formulas lands on a form of degree >= 0.  The currents dF
+    and dG are computed once, here, and shared by every density.
     """
 
-    __slots__ = ("chart", "p", "F", "G")
+    __slots__ = ("chart", "p", "F", "G", "dF", "dG")
 
     def __init__(self, F, G):
         chart = F.chart
@@ -65,6 +69,8 @@ class FieldConfig:
         self.p = p
         self.F = F
         self.G = G
+        self.dF = ext_d(F)
+        self.dG = ext_d(G)
 
     def __repr__(self):
         return f"FieldConfig(n={self.chart.n}, p={self.p})"
@@ -79,37 +85,73 @@ def _sign(p):
     return -1 if p % 2 else 1
 
 
+@dataclass(frozen=True)
+class Densities:
+    """Sigma_u, f_u and phi_u of one (u, FieldConfig), plus the pieces
+    identity_suite reads again.
+
+    Piece names spell their factors: uF_dG is (u _| F) ^ dG, F_LuG is
+    F ^ L_u G, udG is u _| dG.
+    """
+
+    sigma: Form
+    force: Form
+    phi: Form
+    udG: Form
+    uF_dG: Form
+    F_uG: Form
+    uF_G: Form
+    F_LuG: Form
+    LuF_G: Form
+
+    def residual(self):
+        """d(sigma_u) - force_u - phi_u, computed term by term.
+
+        Identically the zero n-form for every (F, G, u); asserting that is
+        the core of the verification suites.
+        """
+        return ext_d(self.sigma) - self.force - self.phi
+
+
+def densities(u, cfg):
+    """The three densities along u, each shared piece computed once.
+
+    L_u F and L_u G come from Cartan's formula d(u _| A) + u _| dA, with
+    the dF and dG the FieldConfig already holds.
+    """
+    _check_u(u, cfg)
+    F, G, dF, dG, sgn = cfg.F, cfg.G, cfg.dF, cfg.dG, _sign(cfg.p)
+    uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
+    LuF = ext_d(uF) + contract(u, dF)
+    LuG = ext_d(uG) + udG
+    F_uG, uF_G = wedge(F, uG), wedge(uF, G)
+    uF_dG = wedge(uF, dG)
+    F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
+    return Densities(
+        sigma=(F_uG - uF_G.scale(sgn)).scale(Fraction(1, 2)),
+        force=wedge(dF, uG) + uF_dG,
+        phi=(F_LuG - LuF_G).scale(Fraction(sgn, 2)),
+        udG=udG, uF_dG=uF_dG, F_uG=F_uG, uF_G=uF_G, F_LuG=F_LuG, LuF_G=LuF_G)
+
+
 def sigma_u(u, cfg):
     """Energy-momentum density along u; twisted (n-1)-form."""
-    _check_u(u, cfg)
-    F, G, p = cfg.F, cfg.G, cfg.p
-    lhs = wedge(F, contract(u, G))
-    rhs = wedge(contract(u, F), G).scale(_sign(p))
-    return (lhs - rhs).scale(Fraction(1, 2))
+    return densities(u, cfg).sigma
 
 
 def force_u(u, cfg):
     """Force density along u; twisted n-form built from the currents dF, dG."""
-    _check_u(u, cfg)
-    F, G = cfg.F, cfg.G
-    return wedge(ext_d(F), contract(u, G)) + wedge(contract(u, F), ext_d(G))
+    return densities(u, cfg).force
 
 
 def obstruction_phi_u(u, cfg):
     """The twisted n-form standing between d(sigma_u) and force_u."""
-    _check_u(u, cfg)
-    F, G, p = cfg.F, cfg.G, cfg.p
-    inner = wedge(F, lie_derivative(u, G)) - wedge(lie_derivative(u, F), G)
-    return inner.scale(Fraction(_sign(p), 2))
+    return densities(u, cfg).phi
 
 
 def conservation_residual(u, cfg):
-    """d(sigma_u) - force_u - phi_u, computed term by term.
-
-    Identically the zero n-form for every (F, G, u); asserting that is the
-    core of the verification suites.
-    """
-    return ext_d(sigma_u(u, cfg)) - force_u(u, cfg) - obstruction_phi_u(u, cfg)
+    """d(sigma_u) - force_u - phi_u; see Densities.residual."""
+    return densities(u, cfg).residual()
 
 
 # -- n=4, p=2 closed forms ----------------------------------------------------
@@ -154,40 +196,32 @@ def identity_suite(u, cfg, id_prefix=""):
     b:   (-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u
     a+b: their sum collapses to d(u _| (F^G)) = L_u F ^ G + F ^ L_u G.
     """
-    _check_u(u, cfg)
-    F, G, p = cfg.F, cfg.G, cfg.p
-    sgn = _sign(p)
-    f = force_u(u, cfg)
+    d = densities(u, cfg)
+    F, G, sgn = cfg.F, cfg.G, _sign(cfg.p)
+    f = d.force
     checks = []
 
-    dG = ext_d(G)
-    expansion = wedge(contract(u, F), dG) + wedge(F, contract(u, dG)).scale(sgn)
-    routed = contract(u, wedge(F, dG))
+    expansion = d.uF_dG + wedge(F, d.udG).scale(sgn)
+    routed = contract(u, wedge(F, cfg.dG))
     ok = expansion == routed and expansion.is_zero()
     checks.append(CheckResult(
         id_prefix + "sym", "sym",
         "contraction of the vanishing (n+1)-form F^dG expands to zero",
         ok, "" if ok else nonzero_witness(expansion if not expansion.is_zero() else routed)))
 
-    lhs_a = ext_d(wedge(F, contract(u, G)))
-    rhs_a = wedge(F, lie_derivative(u, G)).scale(sgn) + f
-    diff_a = lhs_a - rhs_a
+    diff_a = ext_d(d.F_uG) - (d.F_LuG.scale(sgn) + f)
     checks.append(CheckResult(
         id_prefix + "a", "a",
         "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
         diff_a.is_zero(), nonzero_witness(diff_a)))
 
-    lhs_b = ext_d(wedge(contract(u, F), G)).scale(sgn)
-    rhs_b = wedge(lie_derivative(u, F), G).scale(sgn) - f
-    diff_b = lhs_b - rhs_b
+    diff_b = ext_d(d.uF_G).scale(sgn) - (d.LuF_G.scale(sgn) - f)
     checks.append(CheckResult(
         id_prefix + "b", "b",
         "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
         diff_b.is_zero(), nonzero_witness(diff_b)))
 
-    lhs_ab = ext_d(contract(u, wedge(F, G)))
-    rhs_ab = wedge(lie_derivative(u, F), G) + wedge(F, lie_derivative(u, G))
-    diff_ab = lhs_ab - rhs_ab
+    diff_ab = ext_d(contract(u, wedge(F, G))) - (d.LuF_G + d.F_LuG)
     checks.append(CheckResult(
         id_prefix + "a+b", "a+b",
         "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
@@ -201,7 +235,7 @@ def currents(cfg):
     Both are automatically closed, which is the exact-arithmetic version of
     charge conservation.
     """
-    return ext_d(cfg.G), ext_d(cfg.F)
+    return cfg.dG, cfg.dF
 
 
 # -- 3+1 split (n=4, p=2, time coordinate x0) ---------------------------------

@@ -29,12 +29,17 @@ printing after a parse canonicalizes the input.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormSyntaxError
 from .forms import Chart, Form, VectorField, sort_indices
-from .scalars import MAX_EXPONENT, Polynomial, Scalar
+from .scalars import MAX_EXPONENT, Polynomial, Scalar, _unpack
 
 _OPS = "+-*/^()"
+_DIGITS = frozenset("0123456789")
+# longest decimal digit run accepted; Python's int() refuses longer strings
+# by default
+MAX_LITERAL_DIGITS = 4300
 
 
 class _Token:
@@ -54,57 +59,44 @@ def _tokenize(text):
     tokens = []
     line, col = 1, 1
     i, n = 0, len(text)
+
+    def number(kind, start):
+        """Append a token for the ASCII digit run at text[start:]; return
+        the index after it."""
+        j = start
+        while j < n and text[j] in _DIGITS:
+            j += 1
+        if j - start > MAX_LITERAL_DIGITS:
+            raise FormSyntaxError(
+                f"integer literal of {j - start} digits exceeds the limit "
+                f"{MAX_LITERAL_DIGITS}", line, col)
+        tokens.append(_Token(kind, int(text[start:j]), line, col))
+        return j
+
     while i < n:
         c = text[i]
+        j = i + 1
         if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+            line, col, i = line + 1, 1, j
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "d":
-            if i + 1 < n and text[i + 1] == "x" and i + 2 < n and text[i + 2].isdigit():
-                j = i + 2
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(_Token("DX", int(text[i + 2:j]), line, start_col))
-                col += j - i
-                i = j
-                continue
-            raise FormSyntaxError("expected 'dx<index>'", line, start_col)
-        if c == "x":
-            if i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(_Token("VAR", int(text[i + 1:j]), line, start_col))
-                col += j - i
-                i = j
-                continue
-            raise FormSyntaxError("expected coordinate 'x<index>'", line, start_col)
-        if c == "i":
-            tokens.append(_Token("I", None, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _OPS:
-            tokens.append(_Token("OP", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise FormSyntaxError(f"unexpected character {c!r}", line, start_col)
+        if c in _DIGITS:
+            j = number("INT", i)
+        elif c == "d":
+            if text[i + 1:i + 2] != "x" or text[i + 2:i + 3] not in _DIGITS:
+                raise FormSyntaxError("expected 'dx<index>'", line, col)
+            j = number("DX", i + 2)
+        elif c == "x":
+            if text[i + 1:i + 2] not in _DIGITS:
+                raise FormSyntaxError("expected coordinate 'x<index>'", line, col)
+            j = number("VAR", i + 1)
+        elif c == "i":
+            tokens.append(_Token("I", None, line, col))
+        elif c in _OPS:
+            tokens.append(_Token("OP", c, line, col))
+        elif c not in " \t\r":
+            raise FormSyntaxError(f"unexpected character {c!r}", line, col)
+        col += j - i
+        i = j
     tokens.append(_Token("END", None, line, col))
     return tokens
 
@@ -332,59 +324,49 @@ def parse_polynomial(text, chart):
 # -- printing -----------------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms; the integer alone when den divides num."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _scalar_body(s: Scalar) -> str:
-    """Scalar rendered for use inside a polynomial sum (sign included)."""
-    if s.im is None or s.im == 0:
-        return _frac_str(s.re)
-    if s.re == 0:
-        if s.im == 1:
-            return "i"
-        if s.im == -1:
-            return "-i"
-        return f"{_frac_str(s.im)}*i"
-    im = f"i" if abs(s.im) == 1 else f"{_frac_str(abs(s.im))}*i"
-    op = "+" if s.im > 0 else "-"
-    return f"({_frac_str(s.re)} {op} {im})"
-
-
-def _scalar_is_negative(s: Scalar) -> bool:
-    # lexicographic sign used only to pull '-' out to the monomial join
-    if s.re != 0:
-        return s.re < 0
-    return s.im is not None and s.im < 0
-
-
-def _monomial_str(coeff: Scalar, exps) -> str:
-    vars_part = []
-    for k, e in enumerate(exps):
-        if e == 1:
-            vars_part.append(f"x{k}")
-        elif e > 1:
-            vars_part.append(f"x{k}^{e}")
-    body = _scalar_body(coeff)
-    if vars_part and body == "1":
-        return "*".join(vars_part)
-    return "*".join([body] + vars_part) if vars_part else body
+def _coeff_str(c, den, complex_mode):
+    """(negative, body) for the coefficient c/den, with the sign pulled out
+    to the monomial join; c is a numerator or an (re, im) numerator pair."""
+    if not complex_mode:
+        return c < 0, _ratio(abs(c), den)
+    re, im = c
+    neg = re < 0 if re else im < 0
+    if neg:
+        re, im = -re, -im
+    if not im:
+        return neg, _ratio(re, den)
+    unit = "i" if abs(im) == den else f"{_ratio(abs(im), den)}*i"
+    if not re:
+        return neg, unit
+    return neg, f"({_ratio(re, den)} {'+' if im > 0 else '-'} {unit})"
 
 
 def poly_str(p: Polynomial) -> str:
-    """Canonical polynomial rendering: monomials in descending exponent order."""
+    """Canonical polynomial rendering: monomials in descending exponent order.
+
+    Reads the packed keys directly: numeric key order is exponent-tuple
+    order.
+    """
     if p.is_zero():
         return "0"
     bits = []
-    for exps, coeff in sorted(p.terms.items(), reverse=True):
-        neg = _scalar_is_negative(coeff)
-        if neg:
-            coeff = -coeff
-        body = _monomial_str(coeff, exps)
-        if not bits:
-            bits.append(f"-{body}" if neg else body)
+    for key in sorted(p.nums, reverse=True):
+        neg, body = _coeff_str(p.nums[key], p.den, p.complex_mode)
+        vars_part = [f"x{k}" if e == 1 else f"x{k}^{e}"
+                     for k, e in enumerate(_unpack(key, p.n)) if e]
+        if body != "1" or not vars_part:
+            vars_part.insert(0, body)
+        mono = "*".join(vars_part)
+        if bits:
+            bits.append(f" - {mono}" if neg else f" + {mono}")
         else:
-            bits.append(f"{' - ' if neg else ' + '}{body}")
+            bits.append(f"-{mono}" if neg else mono)
     return "".join(bits)
 
 

@@ -247,19 +247,19 @@ def _merge_sign(a, b):
     return merged, -1 if inversions % 2 else 1
 
 
+def _perm_sign(seq):
+    """(-1)^inversions of a sequence of distinct indices."""
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
 def sort_indices(indices):
     """Sort an index tuple; returns (sorted tuple, permutation sign) or sign 0 on repeats."""
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         return indices, 0
-    sign = 1
-    lst = list(indices)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return tuple(lst), sign
+    return tuple(sorted(indices)), _perm_sign(indices)
 
 
 # -- core operations --------------------------------------------------------

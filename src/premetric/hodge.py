@@ -21,7 +21,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import Form
+from .forms import Form, _det, _perm_sign
 from .scalars import Scalar
 
 
@@ -52,26 +52,6 @@ def _inverse(mat):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def _det(mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def _signature(mat):
@@ -117,21 +97,18 @@ def _signature(mat):
     return plus, minus
 
 
-def _perm_sign(seq):
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                     if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
-
-
 class MetricSpec:
     """Constant symmetric nondegenerate metric on a chart.
 
     Derived data (inverse, sqrt|det|, signature) is computed exactly at
     construction; metrics whose |det g| is not a rational square are
-    rejected rather than approximated.
+    rejected rather than approximated.  The metric is rational data, so it
+    serves forms of either scalar mode on charts that differ from its own
+    only in complex_mode.
     """
 
-    __slots__ = ("chart", "g", "g_inv", "det", "sqrt_abs_det", "signature")
+    __slots__ = ("chart", "g", "g_inv", "det", "sqrt_abs_det", "signature",
+                 "_compounds")
 
     def __init__(self, chart, g):
         n = chart.n
@@ -154,6 +131,7 @@ class MetricSpec:
         self.g_inv = _inverse(rows)
         self.sqrt_abs_det = root
         self.signature = _signature(rows)
+        self._compounds = {}
 
     @classmethod
     def diagonal(cls, chart, entries):
@@ -176,9 +154,24 @@ class MetricSpec:
     def sign_det(self):
         return 1 if self.det > 0 else -1
 
-    def _minor(self, rows_idx, cols_idx):
-        sub = [[self.g_inv[r][c] for c in cols_idx] for r in rows_idx]
-        return _det(sub)
+    def compound(self, p):
+        """The p-th compound matrix of g_inv, built on first use.
+
+        Maps (K, I), both increasing p-tuples, to the minor
+        det(g_inv[K, I]); zero minors are left out.
+        """
+        table = self._compounds.get(p)
+        if table is None:
+            table = {}
+            tuples = list(combinations(range(self.chart.n), p))
+            for k_idx in tuples:
+                for i_idx in tuples:
+                    minor = _det([[self.g_inv[r][c] for c in i_idx]
+                                  for r in k_idx])
+                    if minor != 0:
+                        table[k_idx, i_idx] = minor
+            self._compounds[p] = table
+        return table
 
     def __repr__(self):
         return f"MetricSpec(n={self.chart.n}, g={self.g})"
@@ -193,38 +186,35 @@ def double_hodge_sign(metric, p):
 
 
 def hodge(metric, a):
-    """Hodge dual; degree p -> n-p, twist parity flipped."""
-    chart = metric.chart
-    if a.chart != chart:
+    """Hodge dual; degree p -> n-p, twist parity flipped.
+
+    The form's chart may differ from the metric's in complex_mode only;
+    the dual lives on the form's chart.
+    """
+    chart = a.chart
+    if (chart.n, chart.orientation) != (metric.chart.n, metric.chart.orientation):
         raise StructuralError("chart mismatch")
     n, p = chart.n, a.degree
     if p > n:
         raise StructuralError(f"cannot take the dual of a degree-{p} form on an n={n} chart")
+    minors = metric.compound(p)
+    im = Fraction(0) if chart.complex_mode else None
     all_indices = tuple(range(n))
-    scale = Scalar(metric.sqrt_abs_det * chart.orientation,
-                   Fraction(0) if chart.complex_mode else None)
+    scale = Scalar(metric.sqrt_abs_det * chart.orientation, im)
     comps = {}
     for k_idx in combinations(all_indices, p):
         # raise indices: a^K = sum_I det(g_inv[K, I]) a_I
         raised = None
         for i_idx, poly in a.components.items():
-            minor = metric._minor(k_idx, i_idx)
-            if minor == 0:
+            minor = minors.get((k_idx, i_idx))
+            if minor is None:
                 continue
-            term = poly.scale(Scalar(minor, Fraction(0) if chart.complex_mode else None))
+            term = poly.scale(Scalar(minor, im))
             raised = term if raised is None else raised + term
         if raised is None or raised.is_zero():
             continue
+        # each K has its own complement J, so no two terms share a slot
         j_idx = tuple(i for i in all_indices if i not in k_idx)
         sign = _perm_sign(k_idx + j_idx)
-        term = raised.scale(scale)
-        if sign < 0:
-            term = -term
-        cur = comps.get(j_idx)
-        if cur is not None:
-            term = cur + term
-        if term.is_zero():
-            comps.pop(j_idx, None)
-        else:
-            comps[j_idx] = term
+        comps[j_idx] = raised.scale(scale if sign > 0 else -scale)
     return Form(chart, n - p, not a.twist, comps)

@@ -177,15 +177,14 @@ def check_factorization(metric, Z0, F, id_prefix=""):
         diff_G.is_zero(), nonzero_witness(diff_G)))
 
     cpair = pair.to_complex()
-    cmetric_chart = cpair.chart
     for sign, name in ((1, "plus"), (-1, "minus")):
         eig = self_reciprocal_pair(cpair, sign)
-        dual = hodge_complex(metric, cmetric_chart, eig.F)
+        dual = hodge(metric, eig.F)
         target = eig.F.scale(Scalar.i() if sign > 0 else -Scalar.i())
         ok = components_equal(dual, target)
         witness = ""
         if not ok:
-            diff = Form(cmetric_chart, 2, False, dual.components) - target
+            diff = Form(cpair.chart, 2, False, dual.components) - target
             witness = nonzero_witness(diff)
         checks.append(CheckResult(
             id_prefix + f"selfdual-{name}", "factor",
@@ -194,16 +193,3 @@ def check_factorization(metric, Z0, F, id_prefix=""):
             ok, witness))
     return checks
 
-
-def hodge_complex(metric, complex_chart, a):
-    """Hodge dual of a complex-mode form using a real-mode metric.
-
-    The metric is rational data; only the form coefficients are complex,
-    so the dual is computed on a complex-mode copy of the chart.
-    """
-    from .hodge import MetricSpec
-
-    if metric.chart.n != complex_chart.n:
-        raise StructuralError("chart dimension mismatch")
-    cmetric = MetricSpec(complex_chart, metric.g)
-    return hodge(cmetric, a)

@@ -209,7 +209,8 @@ def _pack(exps):
 
 
 def _unpack(key, n):
-    return tuple((key >> _shift(n, i)) & _FIELD_MASK for i in range(n))
+    # FIELD_BITS is 8, so each field is one byte of the key
+    return tuple(key.to_bytes(n, "big"))
 
 
 def _check_guard(keys, n):

@@ -3,12 +3,15 @@
 Everything here works on dense, fully antisymmetric component arrays and
 permutation sums, deliberately avoiding the sparse increasing-tuple code
 paths of the package: the two sides share nothing but scalar arithmetic.
+The exceptions are the literal_* densities at the end, which are the
+module-docstring formulas of premetric.electrodynamics written out with
+the public form operations and no shared pieces.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from premetric.forms import Form
+from premetric.forms import Form, contract, ext_d, lie_derivative, wedge
 from premetric.scalars import Polynomial, Scalar
 
 
@@ -140,3 +143,45 @@ def _fact(k):
     for i in range(2, k + 1):
         out *= i
     return out
+
+
+# -- densities from the formulas, each piece recomputed where it is used -------
+
+
+def literal_sigma(u, F, G):
+    """Sigma_u = (F ^ (u _| G) - (-1)^p (u _| F) ^ G) / 2."""
+    out = wedge(F, contract(u, G)) - wedge(contract(u, F), G).scale((-1) ** F.degree)
+    return out.scale(Fraction(1, 2))
+
+
+def literal_force(u, F, G):
+    """f_u = dF ^ (u _| G) + (u _| F) ^ dG."""
+    return wedge(ext_d(F), contract(u, G)) + wedge(contract(u, F), ext_d(G))
+
+
+def literal_phi(u, F, G):
+    """phi_u = (-1)^p (F ^ L_u G - L_u F ^ G) / 2."""
+    out = wedge(F, lie_derivative(u, G)) - wedge(lie_derivative(u, F), G)
+    return out.scale(Fraction((-1) ** F.degree, 2))
+
+
+def literal_identity_residuals(u, F, G):
+    """The residuals behind identity_suite's checks, keyed by check id.
+
+    "sym" maps to the pair (expansion, routed) of the two routes for
+    u _| (F ^ dG); the others map to lhs - rhs.
+    """
+    sgn = (-1) ** F.degree
+    f = literal_force(u, F, G)
+    expansion = (wedge(contract(u, F), ext_d(G))
+                 + wedge(F, contract(u, ext_d(G))).scale(sgn))
+    routed = contract(u, wedge(F, ext_d(G)))
+    return {
+        "sym": (expansion, routed),
+        "a": ext_d(wedge(F, contract(u, G)))
+             - (wedge(F, lie_derivative(u, G)).scale(sgn) + f),
+        "b": ext_d(wedge(contract(u, F), G)).scale(sgn)
+             - (wedge(lie_derivative(u, F), G).scale(sgn) - f),
+        "a+b": ext_d(contract(u, wedge(F, G)))
+               - (wedge(lie_derivative(u, F), G) + wedge(F, lie_derivative(u, G))),
+    }

@@ -164,3 +164,13 @@ def test_product_exponent_overflow_exits_two(tmp_path):
     assert r.stdout == ""
     assert "exponent exceeds the limit 127" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_oversized_integer_literal_exits_two_with_position(tmp_path):
+    cfg = write_config(tmp_path, "literal.json",
+                       dict(BASE, samples=1, F="1" + "0" * 5000 + "*dx0^dx1"))
+    r = run_cli("check", "--config", cfg)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "1:1: integer literal of 5001 digits exceeds the limit 4300" in r.stderr
+    assert "Traceback" not in r.stderr

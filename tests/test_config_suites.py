@@ -129,3 +129,32 @@ def test_every_suite_passes_on_random_input():
         assert checks and all(c.passed for c in checks), name
         ids = [c.check_id for c in checks]
         assert len(ids) == len(set(ids))
+
+
+def test_reciprocity_square_witness_comes_from_the_failing_slot(monkeypatch):
+    # break only the G slot of the outer map in star_z(star_z(pair)): the
+    # F-slot residual is zero, so the witness must come from G
+    import premetric.suites as suites
+    from premetric.formexpr import parse_form
+    from premetric.forms import basis_form
+    from premetric.reciprocity import FieldPairZ, star_z
+
+    cfg = cfg_from({"samples": 1, "seed": 3})
+    chart = cfg.chart()
+    extra = basis_form(chart, (0, 1), twist=True, coefficient=chart.variable(2))
+    calls = []
+
+    def broken(pair):
+        calls.append(pair)
+        out = star_z(pair)
+        if len(calls) == 2:
+            out = FieldPairZ(out.F, out.G + extra, out.z)
+        return out
+
+    monkeypatch.setattr(suites, "star_z", broken)
+    checks = {c.check_id: c for c in SUITE_RUNNERS["reciprocity"](cfg)}
+    square = checks["recip-0000-square"]
+    assert not square.passed
+    assert square.witness == "(x2)*dx0^dx1"
+    assert parse_form(square.witness, chart, 2, twist=True) == extra
+    assert all(c.passed for k, c in checks.items() if k != "recip-0000-square")

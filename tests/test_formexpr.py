@@ -199,3 +199,26 @@ def test_random_roundtrip():
 
 def test_poly_str_zero():
     assert poly_str(Polynomial.zero(3)) == "0"
+
+
+def test_integer_literal_limit_is_a_positioned_syntax_error():
+    from premetric.formexpr import MAX_LITERAL_DIGITS
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert parse_polynomial(longest, CH4) == CH4.const_poly(int(longest))
+    over = "1" * (MAX_LITERAL_DIGITS + 1)
+    for text, column in ((f"{over}*dx0", 1), (f"dx0 + 1/{over}*dx1", 9),
+                         (f"dx0 + x{over}*dx1", 7), (f"dx{over}", 1)):
+        with pytest.raises(FormSyntaxError) as e:
+            parse_form(text, CH4, 1)
+        assert (e.value.line, e.value.column) == (1, column)
+        assert (f"integer literal of {MAX_LITERAL_DIGITS + 1} digits exceeds "
+                f"the limit {MAX_LITERAL_DIGITS}") in e.value.message
+
+
+def test_only_ascii_digits_form_numbers():
+    # str.isdigit() accepts superscripts and other scripts' digits, which
+    # int() then refuses or reads differently
+    for text in ("²*dx0", "x²*dx0", "dx٣", "٣*dx0"):
+        with pytest.raises(FormSyntaxError) as e:
+            parse_form(text, CH4, 1)
+        assert e.value.line == 1

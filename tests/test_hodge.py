@@ -6,7 +6,8 @@ import pytest
 
 from oracles import dense_inner_product, volume_form
 from premetric.errors import MetricError, StructuralError
-from premetric.forms import Chart, Form, VectorField, basis_form, lie_derivative, wedge
+from premetric.forms import (Chart, Form, VectorField, _det, basis_form,
+                             lie_derivative, wedge)
 from premetric.hodge import MetricSpec, double_hodge_sign, hodge
 from premetric.randgen import random_form
 
@@ -204,3 +205,51 @@ def test_orientation_reverses_dual_sign():
     out_plus = hodge(mplus, a_plus)
     out_minus = hodge(mminus, a_minus)
     assert out_plus.components[(2, 3)] == -out_minus.components[(2, 3)]
+
+
+# -- one metric for both scalar modes; compound table ----------------------------
+
+OFFDIAG = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+
+def test_complex_form_under_real_metric_matches_rebuilt_metric():
+    rng = random.Random(211)
+    for orientation in (1, -1):
+        real_chart = Chart(4, orientation=orientation)
+        cchart = real_chart.to_complex()
+        for g in (OFFDIAG, MetricSpec.minkowski(real_chart).g):
+            metric = MetricSpec(real_chart, g)
+            rebuilt = MetricSpec(cchart, metric.g)
+            for p in range(5):
+                for _ in range(3):
+                    a = random_form(rng, cchart, p, rng.randrange(2), 2)
+                    dual = hodge(metric, a)
+                    assert dual.chart == cchart
+                    assert dual == hodge(rebuilt, a)
+                    # and a real form under the complex-chart metric
+                    r = random_form(rng, real_chart, p, False, 2)
+                    assert hodge(rebuilt, r) == hodge(metric, r)
+
+
+def test_hodge_chart_mismatch_still_raises():
+    metric = MetricSpec.minkowski(Chart(4))
+    for chart in (Chart(3), Chart(3, complex_mode=True),
+                  Chart(4, orientation=-1), Chart(4, -1, True)):
+        with pytest.raises(StructuralError):
+            hodge(metric, basis_form(chart, (0, 1)))
+
+
+def test_compound_table_holds_the_nonzero_minors_once():
+    metric = MetricSpec(Chart(4), OFFDIAG)
+    for p in range(5):
+        table = metric.compound(p)
+        assert metric.compound(p) is table
+        tuples = list(combinations(range(4), p))
+        for k_idx in tuples:
+            for i_idx in tuples:
+                sub = [[metric.g_inv[r][c] for c in i_idx] for r in k_idx]
+                minor = _det(sub)
+                assert table.get((k_idx, i_idx), 0) == minor
+        assert 0 not in table.values()
+    assert MetricSpec.minkowski(Chart(4)).compound(2) == {
+        (k, k): (-1 if 0 in k else 1) for k in combinations(range(4), 2)}
