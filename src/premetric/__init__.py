@@ -17,11 +17,10 @@ from .formexpr import (parse_form, parse_polynomial, parse_vector_field,
 from .randgen import random_form, random_polynomial, random_vector_field
 from .report import SCHEMA_VERSION, CheckResult, Report, nonzero_witness
 from .electrodynamics import (Axion, Custom, FieldConfig, LinearLocal,
-                              MaxwellLorentz, SplitFields, apply_constitutive,
+                              MaxwellLorentz, SplitFields,
                               conservation_residual, currents, densities,
-                              force_u, force_u_4d, identity_suite,
-                              obstruction_phi_u, phi_u_4d, recompose, sigma_u,
-                              sigma_u_4d, split_3plus1)
+                              force_u, identity_suite, obstruction_phi_u,
+                              recompose, sigma_u, split_3plus1)
 from .reciprocity import (FieldPairZ, PairTensor, check_factorization,
                           pair_tensor, self_reciprocal_pair, star_z)
 from .config import RunConfig, build_law, load_config, validate_config
@@ -34,15 +33,14 @@ __all__ = [
     "FieldPairZ", "Form", "FormSyntaxError", "LinearLocal", "MaxwellLorentz",
     "MetricError", "MetricSpec", "PairTensor", "Polynomial", "Report",
     "RunConfig", "SCHEMA_VERSION", "Scalar", "SplitFields", "StructuralError",
-    "SUITE_RUNNERS", "VectorField", "apply_constitutive", "basis_form",
-    "build_law", "check_factorization", "components_equal",
-    "conservation_residual", "contract", "coordinate_field", "currents",
-    "densities", "double_hodge_sign", "ext_d", "force_u", "force_u_4d",
-    "hodge", "identity_suite", "lie_derivative", "load_config",
-    "nonzero_witness", "obstruction_phi_u", "pair_tensor", "parse_form",
-    "parse_polynomial", "parse_vector_field", "phi_u_4d", "poly_str",
-    "print_form", "pullback_linear", "random_form", "random_polynomial",
-    "random_vector_field", "recompose", "run_suites", "self_reciprocal_pair",
-    "sigma_u", "sigma_u_4d", "split_3plus1", "star_z", "validate_config",
-    "wedge",
+    "SUITE_RUNNERS", "VectorField", "basis_form", "build_law",
+    "check_factorization", "components_equal", "conservation_residual",
+    "contract", "coordinate_field", "currents", "densities",
+    "double_hodge_sign", "ext_d", "force_u", "hodge", "identity_suite",
+    "lie_derivative", "load_config", "nonzero_witness", "obstruction_phi_u",
+    "pair_tensor", "parse_form", "parse_polynomial", "parse_vector_field",
+    "poly_str", "print_form", "pullback_linear", "random_form",
+    "random_polynomial", "random_vector_field", "recompose", "run_suites",
+    "self_reciprocal_pair", "sigma_u", "split_3plus1", "star_z",
+    "validate_config", "wedge",
 ]

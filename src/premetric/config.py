@@ -11,10 +11,12 @@ is sound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .electrodynamics import Axion, Custom, LinearLocal, MaxwellLorentz
 from .errors import ConfigError, MetricError
+from .formexpr import parse_form, parse_polynomial
 from .forms import Chart
 from .hodge import MetricSpec
 
@@ -84,11 +86,7 @@ class RunConfig:
         return _DEFAULT_SUITES[command]
 
 
-_KNOWN_KEYS = {
-    "n", "p", "mode", "orientation", "metric", "Z0", "z", "alpha",
-    "constitutive", "F", "G", "J", "u", "seed", "degree_bound", "samples",
-    "suites", "out", "format",
-}
+_KNOWN_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 _CONSTITUTIVE_KINDS = ("maxwell-lorentz", "axion", "linear-local", "custom")
 
@@ -212,86 +210,32 @@ def _build_metric(metric_raw, chart):
 def _check_cross_constraints(cfg):
     kind = cfg.constitutive.get("kind") if cfg.constitutive else None
     if kind in ("maxwell-lorentz", "axion"):
-        z_raw = cfg.constitutive.get("Z0", cfg.Z0)
-        _expect(z_raw is not None, "constitutive: metric-based laws need Z0")
+        raw = cfg.constitutive
+        if raw.get("Z0") is not None:
+            raw["Z0"] = _fraction(raw["Z0"], "constitutive.Z0")
+            _expect(raw["Z0"] != 0, "constitutive.Z0: must be nonzero")
+        _expect(raw.get("Z0", cfg.Z0) is not None,
+                "constitutive: metric-based laws need Z0")
     if kind == "axion" and "alpha" not in cfg.constitutive and cfg.alpha is None:
         raise ConfigError("constitutive: axion law needs an alpha polynomial")
     if cfg.G is not None and cfg.constitutive is not None and kind != "custom":
         raise ConfigError("G: give either an explicit excitation or a constitutive law")
 
 
-def parse_field_inputs(cfg, rng, suite):
-    """Materialize (F, G, J, u) for one instance, honoring 'random' markers.
-
-    Draw order is fixed (F, then G, then J, then u) so reports are
-    reproducible byte for byte; see docs/conventions.md.
-    """
-    from .formexpr import parse_form, parse_vector_field
-    from .randgen import random_form, random_vector_field
-
-    chart = cfg.chart()
-    n, p = cfg.n, cfg.p
-    if cfg.F == "random":
-        F = random_form(rng, chart, p, False, cfg.degree_bound)
-    else:
-        F = parse_form(cfg.F, chart, p, twist=False)
-
-    law = build_law(cfg) if cfg.constitutive is not None else None
-    if law is not None:
-        G = law.apply(F)
-    elif cfg.G in (None, "random"):
-        G = random_form(rng, chart, n - p, True, cfg.degree_bound)
-    else:
-        G = parse_form(cfg.G, chart, n - p, twist=True)
-
-    if suite == "split":
-        if cfg.J == "random":
-            J = random_form(rng, chart, n - p + 1, True, cfg.degree_bound)
-        else:
-            J = parse_form(cfg.J, chart, n - p + 1, twist=True)
-    else:
-        J = None
-
-    if cfg.u == "random":
-        u = random_vector_field(rng, chart, cfg.degree_bound)
-    else:
-        u = parse_vector_field(cfg.u, chart)
-    return F, G, J, u
-
-
 def build_law(cfg):
     """Construct the configured constitutive law object."""
-    from .electrodynamics import Axion, Custom, LinearLocal, MaxwellLorentz
-    from .formexpr import parse_form, parse_polynomial
-    from .scalars import Scalar
-
     chart = cfg.chart()
     raw = cfg.constitutive
     kind = raw["kind"]
-    metric = cfg.metric_spec()
-
-    def impedance(key="Z0"):
-        value = raw.get(key, cfg.Z0)
-        if value is None:
-            raise ConfigError(f"constitutive: missing {key}")
-        if not isinstance(value, Fraction):
-            value = _fraction(value, f"constitutive.{key}")
-        if value == 0:
-            raise ConfigError(f"constitutive.{key}: must be nonzero")
-        return Scalar(value, Fraction(0) if chart.complex_mode else None,
-                      pseudo=True)
-
     if kind == "maxwell-lorentz":
-        return MaxwellLorentz(metric, impedance())
+        return MaxwellLorentz(cfg.metric_spec(), raw.get("Z0", cfg.Z0))
     if kind == "axion":
-        alpha_text = raw.get("alpha", cfg.alpha)
-        if alpha_text is None:
-            raise ConfigError("constitutive: axion law needs alpha")
-        if isinstance(alpha_text, str):
-            alpha = parse_polynomial(alpha_text, chart)
+        alpha = raw.get("alpha", cfg.alpha)
+        if isinstance(alpha, str):
+            alpha = parse_polynomial(alpha, chart)
         else:
-            alpha = chart.const_poly(_fraction(alpha_text, "constitutive.alpha"))
-        return Axion(metric, impedance(), alpha)
+            alpha = chart.const_poly(_fraction(alpha, "constitutive.alpha"))
+        return Axion(cfg.metric_spec(), raw.get("Z0", cfg.Z0), alpha)
     if kind == "linear-local":
         chi = []
         for r, row in enumerate(raw["chi"]):
@@ -307,8 +251,7 @@ def build_law(cfg):
             chi.append(entries)
         return LinearLocal(chart, cfg.p, chi)
     if kind == "custom":
-        fixed = parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True)
-        return Custom(fixed)
+        return Custom(parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True))
     raise ConfigError(f"constitutive.kind: unknown kind {kind!r}")
 
 

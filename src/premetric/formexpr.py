@@ -8,8 +8,7 @@ Grammar (whitespace-insensitive)::
     basis   := DX ('^' DX)*
     factor  := atom ('^' INT)?
     atom    := INT ('/' INT)? | VAR | 'i' | '(' poly ')'
-    poly    := '-'? pterm (('+' | '-') pterm)*
-    pterm   := factor ('*' factor)*
+    poly    := '-'? coeff (('+' | '-') coeff)*
 
 DX is ``dx<k>``, VAR is ``x<k>``, and ``i`` is the imaginary unit (accepted
 only on complex-mode charts).  At the top level '+' and '-' separate form
@@ -31,15 +30,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FormSyntaxError
+from .errors import FormSyntaxError, StructuralError
 from .forms import Chart, Form, VectorField, sort_indices
 from .scalars import MAX_EXPONENT, Polynomial, Scalar, _unpack
 
 _OPS = "+-*/^()"
 _DIGITS = frozenset("0123456789")
-# longest decimal digit run accepted; Python's int() refuses longer strings
-# by default
+# longest decimal digit run accepted, and printed; Python's int() and str()
+# refuse longer strings by default
 MAX_LITERAL_DIGITS = 4300
+_PRINT_LIMIT = 10 ** MAX_LITERAL_DIGITS
+# most term pairs one product (or one step of a power) may multiply out
+MAX_TERM_PAIRS = 100_000
 
 
 class _Token:
@@ -232,8 +234,8 @@ class _Parser:
     def factors(self):
         acc = self.factor()
         while self.at_op("*") and self.peek(1).kind != "DX":
-            self.next()
-            acc = acc * self.factor()
+            tok = self.next()
+            acc = self.product(acc, self.factor(), tok)
         return acc
 
     def factor(self):
@@ -245,8 +247,19 @@ class _Parser:
                 self.fail("expected integer exponent", tok)
             if tok.value > MAX_EXPONENT:
                 self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
-            a = a ** tok.value
+            base, a = a, self.chart.const_poly(1)
+            for _ in range(tok.value):
+                a = self.product(a, base, tok)
         return a
+
+    def product(self, a, b, tok):
+        """a * b, refused at tok when it would multiply out more than
+        MAX_TERM_PAIRS pairs of terms."""
+        pairs = len(a.nums) * len(b.nums)
+        if pairs > MAX_TERM_PAIRS:
+            self.fail(f"product of {len(a.nums)} by {len(b.nums)} terms exceeds "
+                      f"the limit of {MAX_TERM_PAIRS} term pairs", tok)
+        return a * b
 
     def atom(self):
         tok = self.next()
@@ -279,20 +292,13 @@ class _Parser:
         negate = self.at_op("-")
         if negate:
             self.next()
-        acc = self.pterm()
+        acc = self.factors()
         if negate:
             acc = -acc
         while self.at_op("+", "-"):
             op = self.next().value
-            t = self.pterm()
+            t = self.factors()
             acc = acc - t if op == "-" else acc + t
-        return acc
-
-    def pterm(self):
-        acc = self.factor()
-        while self.at_op("*") and self.peek(1).kind != "DX":
-            self.next()
-            acc = acc * self.factor()
         return acc
 
 
@@ -325,9 +331,18 @@ def parse_polynomial(text, chart):
 
 
 def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms; the integer alone when den divides num."""
+    """num/den in lowest terms; the integer alone when den divides num.
+
+    Either part longer than MAX_LITERAL_DIGITS is refused, so that every
+    printed form parses back.
+    """
     g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    num, den = num // g, den // g
+    if num >= _PRINT_LIMIT or den >= _PRINT_LIMIT:
+        raise StructuralError(
+            f"coefficient with more than {MAX_LITERAL_DIGITS} digits cannot "
+            "be printed")
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _coeff_str(c, den, complex_mode):

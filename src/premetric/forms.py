@@ -57,6 +57,23 @@ class Chart:
     def variable(self, i):
         return Polynomial.variable(self.n, i, self.complex_mode)
 
+    def pseudoscalar(self, value, name):
+        """value as a nonzero pseudoscalar in this chart's scalar mode.
+
+        A number is tagged and put in the chart's mode; a Scalar must
+        already be pseudo-tagged and in that mode.  name labels the errors.
+        """
+        if not isinstance(value, Scalar):
+            value = Scalar(value, Fraction(0) if self.complex_mode else None,
+                           pseudo=True)
+        if value.is_zero():
+            raise StructuralError(f"{name} must be nonzero")
+        if not value.pseudo:
+            raise StructuralError(f"{name} is a pseudoscalar; tag it as such")
+        if value.complex_mode != self.complex_mode:
+            raise StructuralError(f"{name} scalar mode must match the chart")
+        return value
+
 
 class Form:
     """Antisymmetric degree-p form; components keyed by increasing tuples."""
@@ -378,7 +395,7 @@ def pullback_linear(matrix, a):
     chart = a.chart
     n = chart.n
     mat = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    det = _det(mat)
+    det = _det_inverse(mat)[0]
     if det == 0:
         raise StructuralError("pullback matrix is singular")
     row_forms = []
@@ -411,21 +428,28 @@ def components_equal(a, b):
     return a.components == b.components
 
 
-def _det(mat):
+def _det_inverse(mat):
+    """(det, inverse) of a square rational matrix by Gauss-Jordan
+    elimination; the inverse is None when det is 0."""
     n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
+    work = [[Fraction(x) for x in row] + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(mat)]
+    det = one
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return zero, None
         if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            work[col], work[pivot] = work[pivot], work[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+        lead = work[col][col]
+        det *= lead
+        if lead != 1:
+            work[col] = [x / lead for x in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor != 0:
+                work[r] = [x - factor * y if y else x
+                           for x, y in zip(work[r], work[col])]
+    return det, [row[n:] for row in work]

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import Form, _det, _perm_sign
+from .forms import Form, _det_inverse, _perm_sign
 from .scalars import Scalar
 
 
@@ -34,24 +34,6 @@ def _rational_sqrt(x: Fraction):
     if rn * rn != num or rd * rd != den:
         return None
     return Fraction(rn, rd)
-
-
-def _inverse(mat):
-    n = len(mat)
-    work = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise MetricError("metric is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 def _signature(mat):
@@ -117,7 +99,7 @@ class MetricSpec:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise MetricError("metric must be symmetric")
-        det = _det(rows)
+        det, g_inv = _det_inverse(rows)
         if det == 0:
             raise MetricError("metric is singular")
         root = _rational_sqrt(abs(det))
@@ -128,7 +110,7 @@ class MetricSpec:
         self.chart = chart
         self.g = rows
         self.det = det
-        self.g_inv = _inverse(rows)
+        self.g_inv = g_inv
         self.sqrt_abs_det = root
         self.signature = _signature(rows)
         self._compounds = {}
@@ -166,8 +148,8 @@ class MetricSpec:
             tuples = list(combinations(range(self.chart.n), p))
             for k_idx in tuples:
                 for i_idx in tuples:
-                    minor = _det([[self.g_inv[r][c] for c in i_idx]
-                                  for r in k_idx])
+                    minor = _det_inverse([[self.g_inv[r][c] for c in i_idx]
+                                          for r in k_idx])[0]
                     if minor != 0:
                         table[k_idx, i_idx] = minor
             self._compounds[p] = table

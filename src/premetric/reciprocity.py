@@ -14,9 +14,9 @@ transforms along.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
+from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
 from .forms import Form, components_equal
 from .hodge import double_hodge_sign, hodge
@@ -39,18 +39,10 @@ class FieldPairZ:
             raise StructuralError("F must be an untwisted 2-form")
         if G.degree != 2 or not G.twist:
             raise StructuralError("G must be a twisted 2-form")
-        if not isinstance(z, Scalar):
-            z = Scalar(z, Fraction(0) if chart.complex_mode else None, pseudo=True)
-        if z.is_zero():
-            raise StructuralError("z must be nonzero")
-        if not z.pseudo:
-            raise StructuralError("z is a pseudoscalar; tag it as such")
-        if z.complex_mode != chart.complex_mode:
-            raise StructuralError("z scalar mode must match the chart")
         self.chart = chart
         self.F = F
         self.G = G
-        self.z = z
+        self.z = chart.pseudoscalar(z, "z")
 
     def to_complex(self):
         if self.chart.complex_mode:
@@ -156,12 +148,8 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     if double_hodge_sign(metric, 2) != -1:
         raise MetricError("factorization needs double-dual -1 on 2-forms "
                           "(Lorentzian-type signature)")
-    if not isinstance(Z0, Scalar):
-        Z0 = Scalar(Z0, pseudo=True)
-    if Z0.is_zero():
-        raise StructuralError("Z0 must be nonzero")
-    G = hodge(metric, F).scale(Z0.inverse().as_plain())
-    pair = FieldPairZ(F, G, Z0)
+    law = MaxwellLorentz(metric, Z0)
+    pair = FieldPairZ(F, law.apply(F), law.Z)
     starred = star_z(pair)
 
     checks = []
@@ -170,7 +158,7 @@ def check_factorization(metric, Z0, F, id_prefix=""):
         id_prefix + "factor-F", "factor",
         "first slot of the pair map equals hodge(F) componentwise",
         diff_F.is_zero(), nonzero_witness(diff_F)))
-    diff_G = starred.G - Form(chart, 2, True, hodge(metric, G).components)
+    diff_G = starred.G - Form(chart, 2, True, hodge(metric, pair.G).components)
     checks.append(CheckResult(
         id_prefix + "factor-G", "factor",
         "second slot of the pair map equals hodge(G) componentwise",

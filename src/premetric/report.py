@@ -41,9 +41,6 @@ class Report:
     seed: int
     checks: list = field(default_factory=list)
 
-    def add(self, check: CheckResult):
-        self.checks.append(check)
-
     def extend(self, checks):
         self.checks.extend(checks)
 

@@ -410,14 +410,6 @@ class Polynomial:
                 out = {k: v for k, v in out.items() if v}
         return self._reduced(self.den * other.den, out)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise StructuralError("polynomial powers must be nonnegative integers")
-        out = Polynomial.constant(self.n, 1, self.complex_mode)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale(self, s):
         """Multiply by a Scalar value.  The pseudo bit must be cleared first."""
         if not isinstance(s, Scalar):

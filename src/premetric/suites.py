@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .config import RunConfig, build_law, parse_field_inputs
+from .config import RunConfig, build_law
 from .electrodynamics import (FieldConfig, conservation_residual, densities,
                               identity_suite, recompose, split_3plus1)
 from .errors import ConfigError
 from .forms import coordinate_field
 from .formexpr import parse_form, parse_vector_field
-from .randgen import random_form
+from .randgen import random_form, random_vector_field
 from .reciprocity import (FieldPairZ, PairTensor, check_factorization,
                           pair_tensor, self_reciprocal_pair, star_z)
 from .report import CheckResult, nonzero_witness
@@ -39,6 +39,37 @@ def _instances(cfg, *fields):
     return 1
 
 
+def _form(cfg, rng, name, degree, twist):
+    """Input form `name` of one instance: drawn from rng when "random" (or,
+    for G, unset), else parsed from its text."""
+    text = getattr(cfg, name)
+    if text in (None, "random"):
+        return random_form(rng, cfg.chart(), degree, twist, cfg.degree_bound)
+    return parse_form(text, cfg.chart(), degree, twist=twist)
+
+
+def _vector_field(cfg, rng):
+    if cfg.u == "random":
+        return random_vector_field(rng, cfg.chart(), cfg.degree_bound)
+    return parse_vector_field(cfg.u, cfg.chart())
+
+
+def _law(cfg):
+    return build_law(cfg) if cfg.constitutive is not None else None
+
+
+def parse_field_inputs(cfg, rng, law):
+    """(F, G) of one instance: F, then G from the law, drawn or parsed.
+
+    Suites draw every input in the order F, G, J, u so reports are
+    reproducible byte for byte; see docs/conventions.md.
+    """
+    F = _form(cfg, rng, "F", cfg.p, False)
+    if law is not None:
+        return F, law.apply(F)
+    return F, _form(cfg, rng, "G", cfg.n - cfg.p, True)
+
+
 def _result(check_id, equation, description, residual):
     ok = residual.is_zero()
     return CheckResult(check_id, equation, description, ok,
@@ -51,10 +82,11 @@ def _first_nonzero(*residuals):
 
 
 def conservation_suite(cfg: RunConfig):
-    rng = _rng(cfg, "conservation")
+    rng, law = _rng(cfg, "conservation"), _law(cfg)
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G, _, u = parse_field_inputs(cfg, rng, "conservation")
+        F, G = parse_field_inputs(cfg, rng, law)
+        u = _vector_field(cfg, rng)
         r = conservation_residual(u, FieldConfig(F, G))
         checks.append(_result(
             f"conservation-{k:04d}", "en-mom",
@@ -63,10 +95,11 @@ def conservation_suite(cfg: RunConfig):
 
 
 def identities_suite(cfg: RunConfig):
-    rng = _rng(cfg, "identities")
+    rng, law = _rng(cfg, "identities"), _law(cfg)
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G, _, u = parse_field_inputs(cfg, rng, "identities")
+        F, G = parse_field_inputs(cfg, rng, law)
+        u = _vector_field(cfg, rng)
         checks.extend(identity_suite(u, FieldConfig(F, G),
                                      id_prefix=f"identity-{k:04d}-"))
     return checks
@@ -94,12 +127,8 @@ def phi_suite(cfg: RunConfig):
         us = [("u", parse_vector_field(cfg.u, chart))]
 
     checks = []
-    for k in range(cfg.samples if cfg.F == "random" else 1):
-        if cfg.F == "random":
-            F = random_form(rng, chart, cfg.p, False, cfg.degree_bound)
-        else:
-            F = parse_form(cfg.F, chart, cfg.p, twist=False)
-        fc = FieldConfig(F, law.apply(F))
+    for k in range(_instances(cfg, "F")):
+        fc = FieldConfig(*parse_field_inputs(cfg, rng, law))
         for label, u in us:
             d = densities(u, fc)
             checks.append(_result(
@@ -115,10 +144,12 @@ def phi_suite(cfg: RunConfig):
 def split_suite(cfg: RunConfig):
     if cfg.n != 4 or cfg.p != 2:
         raise ConfigError("split suite needs n=4, p=2")
-    rng = _rng(cfg, "split")
+    rng, law = _rng(cfg, "split"), _law(cfg)
     checks = []
     for k in range(_instances(cfg, "F", "G", "J")):
-        F, G, J, _ = parse_field_inputs(cfg, rng, "split")
+        F, G = parse_field_inputs(cfg, rng, law)
+        J = _form(cfg, rng, "J", cfg.n - cfg.p + 1, True)
+        _vector_field(cfg, rng)  # unused, drawn to keep the F, G, J, u order
         s = split_3plus1(F, G, J)
         F2, G2, J2 = recompose(s)
         rows = [("F", F2 - F, "F", "B + E^dx0 rebuilds F; E, B untwisted and spatial"),
@@ -129,19 +160,16 @@ def split_suite(cfg: RunConfig):
     return checks
 
 
-def _as_pseudo(value, chart):
-    return Scalar(value, Fraction(0) if chart.complex_mode else None, pseudo=True)
-
-
 def reciprocity_suite(cfg: RunConfig):
     if cfg.n != 4 or cfg.p != 2:
         raise ConfigError("reciprocity suite needs n=4, p=2")
-    rng = _rng(cfg, "reciprocity")
+    rng, law = _rng(cfg, "reciprocity"), _law(cfg)
     zs = cfg.z if cfg.z else _DEFAULT_Z
 
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G, _, u = parse_field_inputs(cfg, rng, "reciprocity")
+        F, G = parse_field_inputs(cfg, rng, law)
+        u = _vector_field(cfg, rng)
         z = zs[k % len(zs)]
         pair = FieldPairZ(F, G, z)
 
@@ -196,15 +224,11 @@ def factorization_suite(cfg: RunConfig):
         raise ConfigError("factorization suite needs n=4, p=2")
     metric = cfg.metric_spec()
     Z0 = cfg.Z0 if cfg.Z0 is not None else Fraction(1)
-    chart = cfg.chart()
     rng = _rng(cfg, "factorization")
     checks = []
     for k in range(_instances(cfg, "F")):
-        if cfg.F == "random":
-            F = random_form(rng, chart, 2, False, cfg.degree_bound)
-        else:
-            F = parse_form(cfg.F, chart, 2, twist=False)
-        checks.extend(check_factorization(metric, _as_pseudo(Z0, chart), F,
+        F = _form(cfg, rng, "F", 2, False)
+        checks.extend(check_factorization(metric, Z0, F,
                                           id_prefix=f"factor-{k:04d}-"))
     return checks
 

@@ -3,14 +3,16 @@
 Everything here works on dense, fully antisymmetric component arrays and
 permutation sums, deliberately avoiding the sparse increasing-tuple code
 paths of the package: the two sides share nothing but scalar arithmetic.
-The exceptions are the literal_* densities at the end, which are the
+The exceptions are the densities at the end: the literal_* ones are the
 module-docstring formulas of premetric.electrodynamics written out with
-the public form operations and no shared pieces.
+the public form operations and no shared pieces, and the *_4d ones are
+their closed forms for n=4, p=2.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from premetric.errors import StructuralError
 from premetric.forms import Form, contract, ext_d, lie_derivative, wedge
 from premetric.scalars import Polynomial, Scalar
 
@@ -185,3 +187,33 @@ def literal_identity_residuals(u, F, G):
         "a+b": ext_d(contract(u, wedge(F, G)))
                - (wedge(lie_derivative(u, F), G) + wedge(F, lie_derivative(u, G))),
     }
+
+
+# -- n=4, p=2 closed forms ----------------------------------------------------
+# Independent code paths for the physically central case; the tests check
+# they agree with the general signed formulas.
+
+
+def sigma_u_4d(u, cfg):
+    _require_4d(cfg)
+    F, G = cfg.F, cfg.G
+    out = wedge(F, contract(u, G)) - wedge(G, contract(u, F))
+    return out.scale(Fraction(1, 2))
+
+
+def force_u_4d(u, cfg):
+    _require_4d(cfg)
+    F, G = cfg.F, cfg.G
+    return wedge(contract(u, F), ext_d(G)) - wedge(contract(u, G), ext_d(F))
+
+
+def phi_u_4d(u, cfg):
+    _require_4d(cfg)
+    F, G = cfg.F, cfg.G
+    out = wedge(F, lie_derivative(u, G)) - wedge(G, lie_derivative(u, F))
+    return out.scale(Fraction(1, 2))
+
+
+def _require_4d(cfg):
+    if cfg.chart.n != 4 or cfg.p != 2:
+        raise StructuralError("specialized formulas need n=4, p=2")

@@ -14,13 +14,13 @@ from fractions import Fraction
 from premetric import (Axion, Chart, FieldConfig, FieldPairZ, MaxwellLorentz,
                        MetricSpec, PairTensor, Scalar, basis_form,
                        check_factorization, conservation_residual,
-                       coordinate_field, double_hodge_sign, force_u,
-                       force_u_4d, hodge, identity_suite, obstruction_phi_u,
-                       pair_tensor, parse_form, phi_u_4d, print_form,
-                       pullback_linear, random_form, random_vector_field,
-                       recompose, self_reciprocal_pair, sigma_u, sigma_u_4d,
-                       split_3plus1, star_z, wedge)
+                       coordinate_field, double_hodge_sign, force_u, hodge,
+                       identity_suite, obstruction_phi_u, pair_tensor,
+                       parse_form, print_form, pullback_linear, random_form,
+                       random_vector_field, recompose, self_reciprocal_pair,
+                       sigma_u, split_3plus1, star_z, wedge)
 
+from oracles import force_u_4d, phi_u_4d, sigma_u_4d
 from test_formexpr import CORPUS
 
 

@@ -3,8 +3,14 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
+
+from premetric import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -174,3 +180,28 @@ def test_oversized_integer_literal_exits_two_with_position(tmp_path):
     assert r.stdout == ""
     assert "1:1: integer literal of 5001 digits exceeds the limit 4300" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_unprintable_witness_coefficient_exits_two(tmp_path, capsys):
+    # the axion-witness config with a coefficient squared past the printable
+    # digit limit: the first FAIL witness cannot be printed as parseable text
+    payload = json.loads((ROOT / "configs" / "axion-witness.json").read_text())
+    payload["constitutive"]["alpha"] = "(" + "9" * 3000 + ")^2*x1"
+    cfg = write_config(tmp_path, "big-witness.json", payload)
+    assert cli.main(["constitutive", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("premetric: error: coefficient with more than 4300 digits")
+
+
+def test_term_pair_limit_exits_two_quickly(tmp_path, capsys):
+    cfg = write_config(tmp_path, "pairs.json", {
+        "n": 8, "p": 1, "samples": 1,
+        "F": "(x0+x1+x2+x3+x4+x5+x6+x7+1)^20*dx0"})
+    start = time.monotonic()
+    assert cli.main(["check", "--config", cfg]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("premetric: error: 1:29: product of ")
+    assert "term pairs" in err

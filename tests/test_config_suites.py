@@ -1,12 +1,16 @@
 """Config validation and suite-runner behavior (in-process)."""
 
+import dataclasses
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import premetric
 from premetric import ConfigError, load_config, run_suites, validate_config
-from premetric.config import build_law
+from premetric.config import RunConfig, build_law
 from premetric.suites import SUITE_RUNNERS
 
 
@@ -158,3 +162,20 @@ def test_reciprocity_square_witness_comes_from_the_failing_slot(monkeypatch):
     assert square.witness == "(x2)*dx0^dx1"
     assert parse_form(square.witness, chart, 2, twist=True) == extra
     assert all(c.passed for k, c in checks.items() if k != "recip-0000-square")
+
+
+# -- drift guards -------------------------------------------------------------
+
+
+def test_config_doc_lists_exactly_the_run_config_fields():
+    doc = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+    table = doc.read_text(encoding="utf-8").split("## Constitutive laws")[0]
+    documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert len(documented) == len(set(documented))
+
+
+def test_every_exported_name_resolves():
+    assert len(premetric.__all__) == len(set(premetric.__all__))
+    for name in premetric.__all__:
+        assert getattr(premetric, name) is not None, name

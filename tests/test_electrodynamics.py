@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import force_u_4d, phi_u_4d, sigma_u_4d
 from premetric.electrodynamics import (
     Axion,
     Custom,
@@ -10,22 +11,18 @@ from premetric.electrodynamics import (
     LinearLocal,
     MaxwellLorentz,
     SplitFields,
-    apply_constitutive,
     conservation_residual,
     currents,
     force_u,
-    force_u_4d,
     identity_suite,
     obstruction_phi_u,
-    phi_u_4d,
     recompose,
     sigma_u,
-    sigma_u_4d,
     split_3plus1,
 )
 from premetric.errors import StructuralError
 from premetric.forms import Chart, Form, basis_form, coordinate_field, ext_d
-from premetric.hodge import MetricSpec
+from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
 from premetric.scalars import Scalar
 
@@ -262,14 +259,14 @@ def test_split_validation():
 
 def test_maxwell_lorentz_example():
     law = MaxwellLorentz(MINK, Scalar(2, pseudo=True))
-    G = apply_constitutive(law, basis_form(CH4, (0, 1)))
+    G = law.apply(basis_form(CH4, (0, 1)))
     assert G == basis_form(CH4, (2, 3), twist=True).scale(Fraction(-1, 2))
     assert G.twist
 
 
 def test_axion_example():
     law = Axion(MINK, Scalar(1, pseudo=True), 1)
-    G = apply_constitutive(law, basis_form(CH4, (0, 1)))
+    G = law.apply(basis_form(CH4, (0, 1)))
     assert G == (basis_form(CH4, (0, 1), twist=True)
                  - basis_form(CH4, (2, 3), twist=True))
 
@@ -289,7 +286,7 @@ def test_phi_vanishes_for_maxwell_lorentz():
         law = MaxwellLorentz(MINK, Scalar(z0, pseudo=True))
         for _ in range(5):
             F = random_form(rng, CH4, 2, False)
-            cfg = _cfg(F, apply_constitutive(law, F))
+            cfg = _cfg(F, law.apply(F))
             for k in range(4):
                 assert obstruction_phi_u(coordinate_field(CH4, k), cfg).is_zero()
 
@@ -299,7 +296,7 @@ def test_phi_vanishes_for_constant_axion():
     law = Axion(MINK, Scalar(2, pseudo=True), Fraction(5, 3))
     for _ in range(5):
         F = random_form(rng, CH4, 2, False)
-        cfg = _cfg(F, apply_constitutive(law, F))
+        cfg = _cfg(F, law.apply(F))
         for k in range(4):
             assert obstruction_phi_u(coordinate_field(CH4, k), cfg).is_zero()
 
@@ -309,7 +306,7 @@ def test_axion_witness_nonzero_phi():
     # the obstruction itself does not vanish
     law = Axion(MINK, Scalar(1, pseudo=True), CH4.variable(1))
     F = basis_form(CH4, (0, 2)) + basis_form(CH4, (1, 3))
-    cfg = _cfg(F, apply_constitutive(law, F))
+    cfg = _cfg(F, law.apply(F))
     u = coordinate_field(CH4, 1)
     phi = obstruction_phi_u(u, cfg)
     assert phi == basis_form(CH4, (0, 1, 2, 3), twist=True).scale(-1)
@@ -322,7 +319,7 @@ def test_linear_local_matches_maxwell_lorentz():
     ll = LinearLocal.from_law(law, CH4, 2)
     for _ in range(10):
         F = random_form(rng, CH4, 2, False)
-        assert apply_constitutive(ll, F) == apply_constitutive(law, F)
+        assert ll.apply(F) == law.apply(F)
 
 
 def test_linear_local_shape_check():
@@ -336,14 +333,14 @@ def test_custom_law():
     fixed = basis_form(CH4, (2, 3), twist=True, coefficient=CH4.variable(0))
     law = Custom(fixed)
     F = basis_form(CH4, (0, 1))
-    assert apply_constitutive(law, F) == fixed
+    assert law.apply(F) == fixed
     # generic unrelated G gives a nonzero obstruction
     cfg = _cfg(F, fixed)
     phi = obstruction_phi_u(coordinate_field(CH4, 0), cfg)
     assert not phi.is_zero()
     assert conservation_residual(coordinate_field(CH4, 0), cfg).is_zero()
     with pytest.raises(StructuralError):
-        apply_constitutive(Custom(lambda F: basis_form(CH4, (2, 3))), F)
+        Custom(lambda F: basis_form(CH4, (2, 3))).apply(F)
 
 
 def test_axion_needs_middle_degree():
@@ -352,3 +349,43 @@ def test_axion_needs_middle_degree():
     law = Axion(m3, Scalar(1, pseudo=True), 1)
     with pytest.raises(StructuralError):
         law.apply(basis_form(ch3, (0,)))
+
+
+def test_impedance_follows_the_chart_scalar_mode():
+    # a plain number becomes a pseudoscalar of the metric chart's mode, so
+    # the metric laws work on complex charts as on real ones
+    real, cplx = Chart(4), Chart(4, complex_mode=True)
+    F = random_form(random.Random(315), real, 2, False)
+    F_c = Form(cplx, 2, False, {i: p.to_complex() for i, p in F.components.items()})
+    G = MaxwellLorentz(MetricSpec.minkowski(real), 2).apply(F)
+    G_c = Form(cplx, 2, True, {i: p.to_complex() for i, p in G.components.items()})
+    m_c = MetricSpec.minkowski(cplx)
+    assert MaxwellLorentz(m_c, 2).apply(F_c) == G_c
+    assert Axion(m_c, 2, 0).apply(F_c) == G_c
+    with pytest.raises(StructuralError):
+        MaxwellLorentz(m_c, Scalar(2, pseudo=True))   # real-mode impedance
+
+
+def test_vacuum_axion_works_off_the_middle_degree():
+    for n, p in ((4, 1), (3, 1), (5, 2)):
+        chart = Chart(n)
+        metric = MetricSpec.minkowski(chart)
+        F = random_form(random.Random(316 + n), chart, p, False)
+        G = Axion(metric, 3, 0).apply(F)
+        assert G == hodge(metric, F).scale(Scalar(Fraction(1, 3)))
+        assert G.twist and G.degree == n - p
+        with pytest.raises(StructuralError):
+            Axion(metric, 3, 1).apply(F)
+
+
+def test_maxwell_lorentz_is_the_vacuum_axion():
+    rng = random.Random(317)
+    for n in range(2, 7):
+        for complex_mode in (False, True):
+            chart = Chart(n, complex_mode=complex_mode)
+            metric = MetricSpec.minkowski(chart)
+            for p in range(n + 1):
+                F = random_form(rng, chart, p, False)
+                Z = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                assert (MaxwellLorentz(metric, Z).apply(F)
+                        == Axion(metric, Z, 0).apply(F)), (n, p, complex_mode)

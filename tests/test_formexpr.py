@@ -13,7 +13,7 @@ from premetric.formexpr import (
 )
 from premetric.forms import Chart, basis_form
 from premetric.randgen import random_form
-from premetric.scalars import Polynomial
+from premetric.scalars import Polynomial, Scalar
 
 CH4 = Chart(4)
 
@@ -222,3 +222,41 @@ def test_only_ascii_digits_form_numbers():
         with pytest.raises(FormSyntaxError) as e:
             parse_form(text, CH4, 1)
         assert e.value.line == 1
+
+
+def test_term_pair_limit_is_a_positioned_syntax_error():
+    import time
+    from premetric.formexpr import MAX_TERM_PAIRS
+    ch8 = Chart(8)
+    start = time.monotonic()
+    with pytest.raises(FormSyntaxError) as e:
+        parse_polynomial("(x0+x1+x2+x3+x4+x5+x6+x7+1)^20", ch8)
+    assert time.monotonic() - start < 1.0
+    assert (e.value.line, e.value.column) == (1, 29)          # the exponent
+    # (...)^9 has 12870 terms; times 9 is the first step past the limit
+    assert e.value.message == (f"product of 12870 by 9 terms exceeds the limit "
+                               f"of {MAX_TERM_PAIRS} term pairs")
+    big = "(x0+x1+x2+x3+x4+x5+x6+x7+1)^5"                     # 1287 terms
+    with pytest.raises(FormSyntaxError) as e:
+        parse_form(f"dx0 + {big} * {big}*dx1", ch8, 1)
+    assert (e.value.line, e.value.column) == (1, 37)          # the '*'
+    assert "product of 1287 by 1287 terms" in e.value.message
+    # below the limit, powers and products still expand in full
+    assert len(parse_polynomial("(x0+x1+x2+x3+1/2)^12", CH4).nums) == 1820
+    # every monomial of degree <= 5, plus x0 times each one of degree 5
+    assert len(parse_polynomial(f"{big}*(x0+1)", ch8).nums) == 1287 + 792
+
+
+def test_printer_refuses_what_the_parser_cannot_read():
+    from premetric.errors import StructuralError
+    from premetric.formexpr import MAX_LITERAL_DIGITS
+    longest = 10 ** MAX_LITERAL_DIGITS - 1
+    for value in (longest, Fraction(1, longest)):
+        poly = CH4.const_poly(value) * CH4.variable(1)
+        assert parse_polynomial(poly_str(poly), CH4) == poly
+    for value in (10 ** MAX_LITERAL_DIGITS, Fraction(1, 10 ** MAX_LITERAL_DIGITS)):
+        for poly in (CH4.const_poly(value), -CH4.const_poly(value),
+                     Polynomial.constant(4, Scalar(1, value), True)):
+            with pytest.raises(StructuralError) as e:
+                poly_str(poly)
+            assert f"more than {MAX_LITERAL_DIGITS} digits" in str(e.value)

@@ -8,7 +8,7 @@ from premetric.forms import (
     Chart,
     Form,
     VectorField,
-    _det,
+    _det_inverse,
     basis_form,
     components_equal,
     contract,
@@ -267,7 +267,7 @@ def test_pullback_naturality():
         n = rng.randint(2, 3)
         ch = _chart(n)
         mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if _det(mat) == 0:
+        if _det_inverse(mat)[0] == 0:
             continue
         count += 1
         a = random_form(rng, ch, rng.randint(0, n), bool(rng.randrange(2)))
@@ -286,7 +286,7 @@ def test_pullback_composition():
         ch = _chart(n)
         L = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if _det(L) == 0 or _det(M) == 0:
+        if _det_inverse(L)[0] == 0 or _det_inverse(M)[0] == 0:
             continue
         count += 1
         ML = [[sum(M[i][k] * L[k][j] for k in range(n)) for j in range(n)]

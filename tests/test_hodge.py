@@ -6,9 +6,9 @@ import pytest
 
 from oracles import dense_inner_product, volume_form
 from premetric.errors import MetricError, StructuralError
-from premetric.forms import (Chart, Form, VectorField, _det, basis_form,
-                             lie_derivative, wedge)
-from premetric.hodge import MetricSpec, double_hodge_sign, hodge
+from premetric.forms import (Chart, Form, VectorField, _det_inverse,
+                             basis_form, lie_derivative, wedge)
+from premetric.hodge import MetricSpec, _signature, double_hodge_sign, hodge
 from premetric.randgen import random_form
 
 
@@ -248,8 +248,80 @@ def test_compound_table_holds_the_nonzero_minors_once():
         for k_idx in tuples:
             for i_idx in tuples:
                 sub = [[metric.g_inv[r][c] for c in i_idx] for r in k_idx]
-                minor = _det(sub)
+                minor = _det_inverse(sub)[0]
                 assert table.get((k_idx, i_idx), 0) == minor
         assert 0 not in table.values()
     assert MetricSpec.minkowski(Chart(4)).compound(2) == {
         (k, k): (-1 if 0 in k else 1) for k in combinations(range(4), 2)}
+
+
+# -- exact linear algebra against sympy ------------------------------------------
+# sympy (a test-only dependency) shares no arithmetic with the package.
+
+
+def _rational_matrix(rng, n, singular):
+    m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+         for _ in range(n)]
+    if singular:
+        # the last row is a rational combination of the others (zero at n=1)
+        k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m[-1] = ([k * a + b for a, b in zip(m[0], m[1 % n])] if n > 1
+                 else [Fraction(0)])
+    return m
+
+
+def _sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in m])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_det_inverse_matches_sympy():
+    rng = random.Random(252)
+    for n in range(1, 9):
+        for singular in (False, False, False, True, True):
+            m = _rational_matrix(rng, n, singular)
+            ref = _sympy(m)
+            det, inv = _det_inverse(m)
+            assert det == _fraction(ref.det()), (n, m)
+            if det == 0:
+                assert singular and inv is None
+            else:
+                ref_inv = ref.inv()
+                assert inv == [[_fraction(ref_inv[i, j]) for j in range(n)]
+                               for i in range(n)], (n, m)
+
+
+def _inertia(m):
+    """(positive, negative) eigenvalue counts of a symmetric matrix, by
+    Descartes' rule of signs on its characteristic polynomial p(x) and on
+    p(-x); the rule is exact because every root is real."""
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    coeffs = _sympy(m).charpoly().all_coeffs()     # leading coefficient first
+    degree = len(coeffs) - 1
+    mirrored = [c * (-1) ** (degree - k) for k, c in enumerate(coeffs)]
+    return changes(coeffs), changes(mirrored)
+
+
+def test_signature_matches_sympy_inertia():
+    rng = random.Random(253)
+    for n in range(1, 9):
+        for zero_diagonal in (False, False, True):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j and zero_diagonal:
+                        continue
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if _det_inverse(m)[0] == 0:
+                with pytest.raises(MetricError):
+                    _signature(m)
+                continue
+            assert _signature(m) == _inertia(m), (n, m)

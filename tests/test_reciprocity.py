@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from premetric.electrodynamics import MaxwellLorentz, apply_constitutive
+from premetric.electrodynamics import MaxwellLorentz
 from premetric.errors import MetricError, StructuralError
 from premetric.forms import (
     Chart,
@@ -174,6 +174,15 @@ def test_factorization_offdiagonal_lorentzian():
     assert all(c.passed for c in checks)
 
 
+def test_factorization_on_a_complex_chart():
+    chart = Chart(4, complex_mode=True)
+    metric = MetricSpec.minkowski(chart)
+    rng = random.Random(409)
+    for z0 in (2, Fraction(2, 5)):
+        checks = check_factorization(metric, z0, random_form(rng, chart, 2, False))
+        assert len(checks) == 4 and all(c.passed for c in checks)
+
+
 def test_factorization_rejects_euclidean():
     with pytest.raises(MetricError):
         check_factorization(MetricSpec.euclidean(CH4), 1, basis_form(CH4, (0, 1)))
@@ -183,7 +192,7 @@ def test_factorization_agrees_with_constitutive_layer():
     rng = random.Random(408)
     z0 = Scalar(3, pseudo=True)
     F = random_form(rng, CH4, 2, False)
-    G = apply_constitutive(MaxwellLorentz(MINK, z0), F)
+    G = MaxwellLorentz(MINK, z0).apply(F)
     s = star_z(FieldPairZ(F, G, z0))
     assert components_equal(s.F, hodge(MINK, F))
     assert components_equal(s.G, hodge(MINK, G))
