@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import Form, basis_form, contract, ext_d, wedge
+from .forms import Form, basis_form, combine, contract, ext_d, wedge
 from .hodge import hodge
 from .report import CheckResult, nonzero_witness
-from .scalars import Polynomial
+from .scalars import Polynomial, poly_sum
 
 
 class FieldConfig:
@@ -98,12 +98,12 @@ class Densities:
     LuF_G: Form
 
     def residual(self):
-        """d(sigma_u) - force_u - phi_u, computed term by term.
+        """d(sigma_u) - force_u - phi_u, computed as one linear combination.
 
         Identically the zero n-form for every (F, G, u); asserting that is
         the core of the verification suites.
         """
-        return ext_d(self.sigma) - self.force - self.phi
+        return combine((1, ext_d(self.sigma)), (-1, self.force), (-1, self.phi))
 
 
 def densities(u, cfg):
@@ -115,15 +115,16 @@ def densities(u, cfg):
     _check_u(u, cfg)
     F, G, dF, dG, sgn = cfg.F, cfg.G, cfg.dF, cfg.dG, _sign(cfg.p)
     uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
-    LuF = ext_d(uF) + contract(u, dF)
-    LuG = ext_d(uG) + udG
+    LuF = combine((1, ext_d(uF)), (1, contract(u, dF)))
+    LuG = combine((1, ext_d(uG)), (1, udG))
     F_uG, uF_G = wedge(F, uG), wedge(uF, G)
     uF_dG = wedge(uF, dG)
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
+    sgn_half = Fraction(sgn, 2)
     return Densities(
-        sigma=(F_uG - uF_G.scale(sgn)).scale(Fraction(1, 2)),
-        force=wedge(dF, uG) + uF_dG,
-        phi=(F_LuG - LuF_G).scale(Fraction(sgn, 2)),
+        sigma=combine((Fraction(1, 2), F_uG), (-sgn_half, uF_G)),
+        force=combine((1, wedge(dF, uG)), (1, uF_dG)),
+        phi=combine((sgn_half, F_LuG), (-sgn_half, LuF_G)),
         udG=udG, uF_dG=uF_dG, F_uG=F_uG, uF_G=uF_G, F_LuG=F_LuG, LuF_G=LuF_G)
 
 
@@ -164,7 +165,7 @@ def identity_suite(u, cfg, id_prefix=""):
     f = d.force
     checks = []
 
-    expansion = d.uF_dG + wedge(F, d.udG).scale(sgn)
+    expansion = combine((1, d.uF_dG), (sgn, wedge(F, d.udG)))
     routed = contract(u, wedge(F, cfg.dG))
     ok = expansion == routed and expansion.is_zero()
     checks.append(CheckResult(
@@ -172,19 +173,20 @@ def identity_suite(u, cfg, id_prefix=""):
         "contraction of the vanishing (n+1)-form F^dG expands to zero",
         ok, "" if ok else nonzero_witness(expansion if not expansion.is_zero() else routed)))
 
-    diff_a = ext_d(d.F_uG) - (d.F_LuG.scale(sgn) + f)
+    diff_a = combine((1, ext_d(d.F_uG)), (-sgn, d.F_LuG), (-1, f))
     checks.append(CheckResult(
         id_prefix + "a", "a",
         "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
         diff_a.is_zero(), nonzero_witness(diff_a)))
 
-    diff_b = ext_d(d.uF_G).scale(sgn) - (d.LuF_G.scale(sgn) - f)
+    diff_b = combine((sgn, ext_d(d.uF_G)), (-sgn, d.LuF_G), (1, f))
     checks.append(CheckResult(
         id_prefix + "b", "b",
         "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
         diff_b.is_zero(), nonzero_witness(diff_b)))
 
-    diff_ab = ext_d(contract(u, wedge(F, G))) - (d.LuF_G + d.F_LuG)
+    diff_ab = combine((1, ext_d(contract(u, wedge(F, G)))),
+                      (-1, d.LuF_G), (-1, d.F_LuG))
     checks.append(CheckResult(
         id_prefix + "a+b", "a+b",
         "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
@@ -309,12 +311,16 @@ class Axion:
     def apply(self, F):
         if F.twist:
             raise StructuralError("constitutive input must be untwisted")
-        G = hodge(self.metric, F).scale(self.Z.inverse().as_plain())
-        if self.alpha.is_zero():
+        # the metric serves both scalar modes; its parameters follow F
+        Z, alpha = self.Z, self.alpha
+        if F.chart.complex_mode and not Z.complex_mode:
+            Z, alpha = Z.to_complex(), alpha.to_complex()
+        G = hodge(self.metric, F).scale(Z.inverse().as_plain())
+        if alpha.is_zero():
             return G
         if self.metric.chart.n != 2 * F.degree:
             raise StructuralError("axion term needs n = 2p")
-        return G + F.scale(self.alpha, pseudo=True)
+        return G + F.scale(alpha, pseudo=True)
 
 
 class MaxwellLorentz(Axion):
@@ -372,17 +378,15 @@ class LinearLocal:
             raise StructuralError("constitutive input must be untwisted")
         if F.degree != self.p or F.chart != self.chart:
             raise StructuralError("field does not match the law's chart or degree")
+        n, complex_mode = self.chart.n, self.chart.complex_mode
         comps = {}
-        for r, jdx in enumerate(self.rows):
-            total = self.chart.zero_poly()
-            for c, idx in enumerate(self.cols):
-                poly = F.components.get(idx)
-                if poly is None or self.chi[r][c].is_zero():
-                    continue
-                total = total + self.chi[r][c] * poly
-            if not total.is_zero():
+        for jdx, row in zip(self.rows, self.chi):
+            total = poly_sum(n, complex_mode, [
+                (1, entry, F.components[idx])
+                for entry, idx in zip(row, self.cols) if idx in F.components])
+            if total.nums:
                 comps[jdx] = total
-        return Form(self.chart, self.chart.n - self.p, True, comps)
+        return Form(self.chart, n - self.p, True, comps)
 
 
 class Custom:

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, Scalar
+from .scalars import Polynomial, Scalar, partial_sum, poly_sum
 
 
 @dataclass(frozen=True)
@@ -124,35 +126,29 @@ class Form:
         if self.chart != other.chart:
             raise StructuralError("chart mismatch")
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
+    def _check_like(self, other):
+        """Chart, degree and twist must agree, as they must for a sum."""
         self._check_chart(other)
         if self.degree != other.degree:
             raise StructuralError(f"degree mismatch: {self.degree} vs {other.degree}")
         if self.twist != other.twist:
             raise StructuralError("twist parity mismatch")
-        comps = dict(self.components)
-        for idx, poly in other.components.items():
-            cur = comps.get(idx)
-            if cur is None:
-                comps[idx] = poly
-            else:
-                s = cur + poly
-                if s.is_zero():
-                    del comps[idx]
-                else:
-                    comps[idx] = s
-        return self._raw(self.degree, self.twist, comps)
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, Form):
+            return NotImplemented
+        return combine((1, self), (1, other))
 
     def __neg__(self):
         return self._raw(self.degree, self.twist,
                          {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Form):
+            return NotImplemented
+        return combine((1, self), (-1, other))
 
     def scale(self, s, *, pseudo=None):
         """Scale by a Scalar or a Polynomial.
@@ -221,9 +217,6 @@ class VectorField:
         self.chart = chart
         self.components = components
 
-    def is_constant(self):
-        return all(p.is_zero() or p.degree() == 0 for p in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -253,17 +246,6 @@ def coordinate_field(chart, k):
     return VectorField(chart, comps)
 
 
-def _merge_sign(a, b):
-    """Merge two disjoint increasing tuples; sign is (-1)^inversions.
-
-    Each element of b that must move left past an element of a costs one
-    transposition, so the sign is (-1)^#{(x,y) in a x b : y < x}.
-    """
-    inversions = sum(1 for x in a for y in b if y < x)
-    merged = tuple(sorted(a + b))
-    return merged, -1 if inversions % 2 else 1
-
-
 def _perm_sign(seq):
     """(-1)^inversions of a sequence of distinct indices."""
     inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
@@ -279,7 +261,73 @@ def sort_indices(indices):
     return tuple(sorted(indices)), _perm_sign(indices)
 
 
+# -- index tables -------------------------------------------------------------
+#
+# The index bookkeeping of wedge, ext_d and contract depends only on the
+# chart dimension and the degrees, so it is built once per (n, p[, q]).
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n, p, q):
+    """table[ia][ib] = (merged, sign) for disjoint increasing p- and
+    q-tuples: dx_ia ^ dx_ib = sign * dx_merged.  Past top degree no two
+    tuples are disjoint, so every row is empty."""
+    table = {}
+    for ia in combinations(range(n), p):
+        row = table[ia] = {}
+        for ib in combinations(range(n), q):
+            merged, sign = sort_indices(ia + ib)
+            if sign:
+                row[ib] = (merged, sign)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _d_table(n, p):
+    """table[idx] = ((k, merged, sign), ...) for every k not in idx:
+    dx_k ^ dx_idx = sign * dx_merged."""
+    return {idx: tuple((k, *sort_indices((k,) + idx))
+                       for k in range(n) if k not in idx)
+            for idx in combinations(range(n), p)}
+
+
+@lru_cache(maxsize=None)
+def _contract_table(n, p):
+    """table[idx] = ((i, rest, sign), ...): d/dx_i _| dx_idx = sign * dx_rest."""
+    return {idx: tuple((i, idx[:j] + idx[j + 1:], -1 if j % 2 else 1)
+                       for j, i in enumerate(idx))
+            for idx in combinations(range(n), p)}
+
+
+def _components(chart, groups, kernel):
+    """Sum each output index's terms with kernel; zero sums are dropped."""
+    n, complex_mode = chart.n, chart.complex_mode
+    comps = {}
+    for idx, terms in groups.items():
+        poly = kernel(n, complex_mode, terms)
+        if poly.nums:
+            comps[idx] = poly
+    return comps
+
+
 # -- core operations --------------------------------------------------------
+
+
+def combine(*terms):
+    """The linear combination sum of m * form over (m, form) terms, m an
+    int or Fraction; each component is one poly_sum.
+
+    The forms must agree in chart, degree and twist, as for +.
+    """
+    first = terms[0][1]
+    for _, form in terms[1:]:
+        first._check_like(form)
+    groups = {}
+    for m, form in terms:
+        for idx, poly in form.components.items():
+            groups.setdefault(idx, []).append((m, poly, None))
+    return first._raw(first.degree, first.twist,
+                      _components(first.chart, groups, poly_sum))
 
 
 def wedge(a, b):
@@ -291,54 +339,27 @@ def wedge(a, b):
     a._check_chart(b)
     degree = a.degree + b.degree
     twist = a.twist != b.twist
-    comps = {}
+    table = _wedge_table(a.chart.n, a.degree, b.degree)
+    b_items = b.components.items()
+    groups = {}
     for ia, pa in a.components.items():
-        sa = set(ia)
-        for ib, pb in b.components.items():
-            if sa.intersection(ib):
-                continue
-            merged, sign = _merge_sign(ia, ib)
-            term = pa * pb
-            cur = comps.get(merged)
-            if cur is not None:
-                term = cur - term if sign < 0 else cur + term
-            elif sign < 0:
-                term = -term
-            if term.is_zero():
-                comps.pop(merged, None)
-            else:
-                comps[merged] = term
-    if degree > a.chart.n:
-        comps = {}
-    return a._raw(degree, twist, comps)
+        row = table[ia]
+        for ib, pb in b_items:
+            hit = row.get(ib)
+            if hit is not None:
+                merged, sign = hit
+                groups.setdefault(merged, []).append((sign, pa, pb))
+    return a._raw(degree, twist, _components(a.chart, groups, poly_sum))
 
 
 def ext_d(a):
     """Exterior derivative; nilpotent, graded Leibniz, preserves twist."""
-    chart = a.chart
-    comps = {}
+    table = _d_table(a.chart.n, a.degree)
+    groups = {}
     for idx, poly in a.components.items():
-        idx_set = set(idx)
-        for k in range(chart.n):
-            if k in idx_set:
-                continue
-            dp = poly.partial(k)
-            if dp.is_zero():
-                continue
-            odd = sum(1 for i in idx if i < k) % 2
-            new_idx = tuple(sorted(idx + (k,)))
-            cur = comps.get(new_idx)
-            if cur is not None:
-                dp = cur - dp if odd else cur + dp
-            elif odd:
-                dp = -dp
-            if dp.is_zero():
-                comps.pop(new_idx, None)
-            else:
-                comps[new_idx] = dp
-    if a.degree + 1 > chart.n:
-        comps = {}
-    return a._raw(a.degree + 1, a.twist, comps)
+        for k, merged, sign in table[idx]:
+            groups.setdefault(merged, []).append((sign, poly, k))
+    return a._raw(a.degree + 1, a.twist, _components(a.chart, groups, partial_sum))
 
 
 def contract(u, a):
@@ -351,24 +372,14 @@ def contract(u, a):
         raise StructuralError("chart mismatch")
     if a.degree == 0:
         return Form.zero(a.chart, 0, a.twist)
-    comps = {}
+    table = _contract_table(a.chart.n, a.degree)
+    uc = u.components
+    groups = {}
     for idx, poly in a.components.items():
-        for j, i in enumerate(idx):
-            comp = u.components[i]
-            if comp.is_zero():
-                continue
-            term = comp * poly
-            new_idx = idx[:j] + idx[j + 1:]
-            cur = comps.get(new_idx)
-            if cur is not None:
-                term = cur - term if j % 2 else cur + term
-            elif j % 2:
-                term = -term
-            if term.is_zero():
-                comps.pop(new_idx, None)
-            else:
-                comps[new_idx] = term
-    return a._raw(a.degree - 1, a.twist, comps)
+        for i, rest, sign in table[idx]:
+            if uc[i].nums:
+                groups.setdefault(rest, []).append((sign, uc[i], poly))
+    return a._raw(a.degree - 1, a.twist, _components(a.chart, groups, poly_sum))
 
 
 def lie_derivative(u, a):
@@ -405,15 +416,16 @@ def pullback_linear(matrix, a):
             if mat[i][j] != 0:
                 comps[(j,)] = chart.const_poly(mat[i][j])
         row_forms.append(Form(chart, 1, False, comps))
-    out = Form.zero(chart, a.degree, a.twist)
+    sign = -1 if a.twist and det < 0 else 1
+    terms = []
     for idx, poly in a.components.items():
         term = Form(chart, 0, a.twist, {(): poly.substitute_linear(mat)})
         for i in idx:
             term = wedge(term, row_forms[i])
-        out = out + term
-    if a.twist and det < 0:
-        out = -out
-    return out
+        terms.append((sign, term))
+    if not terms:
+        return Form.zero(chart, a.degree, a.twist)
+    return combine(*terms)
 
 
 def components_equal(a, b):

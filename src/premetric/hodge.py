@@ -17,12 +17,13 @@ twist parity: the volume element it carries is an odd object.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import Form, _det_inverse, _perm_sign
-from .scalars import Scalar
+from .forms import _components, _det_inverse, _perm_sign
+from .scalars import poly_sum
 
 
 def _rational_sqrt(x: Fraction):
@@ -167,6 +168,17 @@ def double_hodge_sign(metric, p):
     return (-1 if (p * (n - p)) % 2 else 1) * metric.sign_det()
 
 
+@lru_cache(maxsize=None)
+def _complements(n, p):
+    """((K, J, sign(K, J)), ...) over increasing p-tuples K, J the
+    complement of K."""
+    out = []
+    for k_idx in combinations(range(n), p):
+        j_idx = tuple(i for i in range(n) if i not in k_idx)
+        out.append((k_idx, j_idx, _perm_sign(k_idx + j_idx)))
+    return tuple(out)
+
+
 def hodge(metric, a):
     """Hodge dual; degree p -> n-p, twist parity flipped.
 
@@ -180,23 +192,15 @@ def hodge(metric, a):
     if p > n:
         raise StructuralError(f"cannot take the dual of a degree-{p} form on an n={n} chart")
     minors = metric.compound(p)
-    im = Fraction(0) if chart.complex_mode else None
-    all_indices = tuple(range(n))
-    scale = Scalar(metric.sqrt_abs_det * chart.orientation, im)
-    comps = {}
-    for k_idx in combinations(all_indices, p):
-        # raise indices: a^K = sum_I det(g_inv[K, I]) a_I
-        raised = None
-        for i_idx, poly in a.components.items():
-            minor = minors.get((k_idx, i_idx))
-            if minor is None:
-                continue
-            term = poly.scale(Scalar(minor, im))
-            raised = term if raised is None else raised + term
-        if raised is None or raised.is_zero():
-            continue
-        # each K has its own complement J, so no two terms share a slot
-        j_idx = tuple(i for i in all_indices if i not in k_idx)
-        sign = _perm_sign(k_idx + j_idx)
-        comps[j_idx] = raised.scale(scale if sign > 0 else -scale)
-    return Form(chart, n - p, not a.twist, comps)
+    root = metric.sqrt_abs_det * chart.orientation
+    groups = {}
+    for k_idx, j_idx, sign in _complements(n, p):
+        # raise indices, a^K = sum_I det(g_inv[K, I]) a_I, with the volume
+        # factor and the sign folded into each multiplier; each K has its
+        # own complement J, so no two K share an output slot
+        terms = [(sign * root * minors[k_idx, i_idx], poly, None)
+                 for i_idx, poly in a.components.items()
+                 if (k_idx, i_idx) in minors]
+        if terms:
+            groups[j_idx] = terms
+    return a._raw(n - p, not a.twist, _components(chart, groups, poly_sum))

@@ -36,9 +36,12 @@ def exponent_tuples(n, degree_bound):
     return tuple(out)
 
 
+_NUMERATORS = tuple(k for k in range(-9, 10) if k != 0)
+
+
 def _draw_coefficient(rng, complex_mode):
     def q():
-        num = rng.choice([k for k in range(-9, 10) if k != 0])
+        num = rng.choice(_NUMERATORS)
         den = rng.randint(1, 9)
         return Fraction(num, den)
 

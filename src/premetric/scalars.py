@@ -9,7 +9,10 @@ bit; it is used for law parameters and form scaling.  `Polynomial` keeps
 its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
-arithmetic is integer work plus one gcd normalisation per result.
+arithmetic is integer work plus one gcd normalisation per result.  A sum
+of many terms (one component of a wedge, a derivative or a Hodge dual)
+is accumulated by poly_sum or partial_sum in one pass, without building
+any partial sum.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, complex_mode=False):
-        return cls(0, Fraction(0) if complex_mode else None)
-
-    @classmethod
     def one(cls, complex_mode=False):
         return cls(1, Fraction(0) if complex_mode else None)
 
@@ -98,11 +97,6 @@ class Scalar:
         if not self.pseudo:
             return self
         return Scalar(self.re, self.im, False)
-
-    def as_pseudo(self):
-        if self.pseudo:
-            return self
-        return Scalar(self.re, self.im, True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -270,20 +264,6 @@ class Polynomial:
                      if complex_mode else
                      {k: num(c.re) for k, c in coeffs.items()})
 
-    def _reduced(self, den, nums):
-        """Canonical polynomial nums/den: nums has no zero entries, den > 0."""
-        if den != 1:
-            if self.complex_mode:
-                g = gcd(den, *chain.from_iterable(nums.values()))
-                if g != 1:
-                    nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
-            else:
-                g = gcd(den, *nums.values())
-                if g != 1:
-                    nums = {k: v // g for k, v in nums.items()}
-            den //= g
-        return _make(self.n, self.complex_mode, den, nums)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -338,36 +318,8 @@ class Polynomial:
     def __add__(self, other, sign=1):
         """self + sign * other for sign in (1, -1); __sub__ passes -1."""
         self._check_compatible(other)
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other if sign > 0 else -other
-        da, db = self.den, other.den
-        if da == db:
-            ma, mb, den = 1, sign, da
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, da // g * sign
-            den = da * ma
-        if self.complex_mode:
-            out = (dict(self.nums) if ma == 1 else
-                   {k: (r * ma, i * ma) for k, (r, i) in self.nums.items()})
-            get = out.get
-            for k, (r, i) in other.nums.items():
-                cur = get(k)
-                out[k] = ((r * mb, i * mb) if cur is None
-                          else (cur[0] + r * mb, cur[1] + i * mb))
-            if (0, 0) in out.values():
-                out = {k: v for k, v in out.items() if v != (0, 0)}
-        else:
-            out = (dict(self.nums) if ma == 1 else
-                   {k: v * ma for k, v in self.nums.items()})
-            get = out.get
-            for k, v in other.nums.items():
-                out[k] = get(k, 0) + v * mb
-            if 0 in out.values():
-                out = {k: v for k, v in out.items() if v}
-        return self._reduced(den, out)
+        return poly_sum(self.n, self.complex_mode,
+                        ((1, self, None), (sign, other, None)))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -381,34 +333,9 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        a, b = self.nums, other.nums
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return _make(self.n, self.complex_mode, 1, {})
         out = {}
-        get = out.get
-        a_items = a.items()
-        if self.complex_mode:
-            for kb, (br, bi) in b.items():
-                for ka, (ar, ai) in a_items:
-                    k = ka + kb
-                    re = ar * br - ai * bi
-                    im = ar * bi + ai * br
-                    cur = get(k)
-                    out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-            _check_guard(out, self.n)
-            if (0, 0) in out.values():
-                out = {k: v for k, v in out.items() if v != (0, 0)}
-        else:
-            for kb, vb in b.items():
-                for ka, va in a_items:
-                    k = ka + kb
-                    out[k] = get(k, 0) + va * vb
-            _check_guard(out, self.n)
-            if 0 in out.values():
-                out = {k: v for k, v in out.items() if v}
-        return self._reduced(self.den * other.den, out)
+        _add_product(out, 1, self.nums, other.nums, self.complex_mode)
+        return _reduced(self.n, self.complex_mode, self.den * other.den, out)
 
     def scale(self, s):
         """Multiply by a Scalar value.  The pseudo bit must be cleared first."""
@@ -432,26 +359,13 @@ class Polynomial:
             if d == 1 and num in (1, -1):
                 return self if num == 1 else -self
             out = {k: v * num for k, v in self.nums.items()}
-        return self._reduced(self.den * d, out)
+        return _reduced(self.n, self.complex_mode, self.den * d, out)
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
         if not 0 <= i < self.n:
             raise StructuralError(f"coordinate index {i} out of range for n={self.n}")
-        shift = _shift(self.n, i)
-        step = 1 << shift
-        out = {}
-        if self.complex_mode:
-            for k, (r, im) in self.nums.items():
-                e = (k >> shift) & _FIELD_MASK
-                if e:
-                    out[k - step] = (r * e, im * e)
-        else:
-            for k, v in self.nums.items():
-                e = (k >> shift) & _FIELD_MASK
-                if e:
-                    out[k - step] = v * e
-        return self._reduced(self.den, out)
+        return partial_sum(self.n, self.complex_mode, ((1, self, i),))
 
     def substitute_linear(self, matrix):
         """Substitute x_i -> sum_j matrix[i][j] * x_j (linear change of variables)."""
@@ -463,14 +377,14 @@ class Polynomial:
                 if v != 0:
                     row[tuple(1 if m == j else 0 for m in range(self.n))] = v
             images.append(Polynomial(self.n, row, self.complex_mode))
-        out = Polynomial.zero(self.n, self.complex_mode)
+        terms = []
         for exps, coeff in self.terms.items():
             term = Polynomial.constant(self.n, coeff, self.complex_mode)
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = term * images[i]
-            out = out + term
-        return out
+            terms.append((1, term, None))
+        return poly_sum(self.n, self.complex_mode, terms)
 
     def to_complex(self):
         if self.complex_mode:
@@ -508,3 +422,125 @@ def _make(n, complex_mode, den, nums):
     p.den = den
     p.nums = nums
     return p
+
+
+def _reduced(n, complex_mode, den, nums):
+    """Canonical polynomial nums/den: no zero entries, den > 0.
+
+    The exponent guard runs before zero entries go, so a key past the
+    limit raises even when the terms that reached it cancelled.
+    """
+    _check_guard(nums, n)
+    zero = (0, 0) if complex_mode else 0
+    if zero in nums.values():
+        nums = {k: v for k, v in nums.items() if v != zero}
+    if den != 1:
+        if complex_mode:
+            g = gcd(den, *chain.from_iterable(nums.values()))
+            if g != 1:
+                nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
+        else:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+        den //= g
+    return _make(n, complex_mode, den, nums)
+
+
+# -- accumulation kernels ------------------------------------------------------
+#
+# Every sum of several polynomial terms (a form component built from many
+# products, partial derivatives or scaled inputs) goes through one of the
+# two kernels below, as do + and partial themselves.
+
+
+def _over_lcm(terms, dens):
+    """L, the lcm of the term denominators dens, and each term's rational
+    multiplier m as the integer m * L / d over it."""
+    den = lcm(*dens)
+    return den, [t[0].numerator * (den // d) for t, d in zip(terms, dens)]
+
+
+def _add_product(out, f, a, b, complex_mode):
+    """out += f * a * b on numerator dicts, f an int folded into the
+    shorter factor."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = out.get
+    a = a.items()
+    if complex_mode:
+        b = (b.items() if f == 1 else
+             [(k, (r * f, i * f)) for k, (r, i) in b.items()])
+        for kb, (br, bi) in b:
+            for ka, (ar, ai) in a:
+                k = ka + kb
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                cur = get(k)
+                out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    else:
+        b = b.items() if f == 1 else [(k, v * f) for k, v in b.items()]
+        for kb, vb in b:
+            for ka, va in a:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+
+
+def poly_sum(n, complex_mode, terms):
+    """Canonical sum of m * a * b (m * a where b is None) over terms.
+
+    Each term is (m, a, b): m an int or Fraction, a and b Polynomials in
+    n variables of the given mode (the caller has checked that).  All
+    terms go over the lcm of their denominators and accumulate into one
+    dict, which is normalised once; a lone term with m = 1 is the factor
+    or the plain product.
+    """
+    terms = [t for t in terms
+             if t[0] and t[1].nums and (t[2] is None or t[2].nums)]
+    if len(terms) == 1 and terms[0][0] == 1:
+        _, a, b = terms[0]
+        return a if b is None else a * b
+    den, factors = _over_lcm(terms, [
+        m.denominator * a.den * (1 if b is None else b.den) for m, a, b in terms])
+    out = {}
+    get = out.get
+    for f, (_, a, b) in zip(factors, terms):
+        if b is not None:
+            _add_product(out, f, a.nums, b.nums, complex_mode)
+        elif complex_mode:
+            for k, (r, i) in a.nums.items():
+                cur = get(k)
+                out[k] = ((r * f, i * f) if cur is None
+                          else (cur[0] + r * f, cur[1] + i * f))
+        else:
+            for k, v in a.nums.items():
+                out[k] = get(k, 0) + v * f
+    return _reduced(n, complex_mode, den, out)
+
+
+def partial_sum(n, complex_mode, terms):
+    """Canonical sum of m * (d a / d x_i) over terms (m, a, i), accumulated
+    and normalised like poly_sum."""
+    terms = [t for t in terms if t[0] and t[1].nums]
+    den, factors = _over_lcm(terms, [m.denominator * a.den for m, a, _ in terms])
+    out = {}
+    get = out.get
+    for f, (_, a, i) in zip(factors, terms):
+        shift = _shift(n, i)
+        step = 1 << shift
+        if complex_mode:
+            for k, (r, im) in a.nums.items():
+                e = (k >> shift) & _FIELD_MASK
+                if e:
+                    e *= f
+                    k -= step
+                    cur = get(k)
+                    out[k] = ((r * e, im * e) if cur is None
+                              else (cur[0] + r * e, cur[1] + im * e))
+        else:
+            for k, v in a.nums.items():
+                e = (k >> shift) & _FIELD_MASK
+                if e:
+                    k -= step
+                    out[k] = get(k, 0) + v * e * f
+    return _reduced(n, complex_mode, den, out)

@@ -389,3 +389,21 @@ def test_maxwell_lorentz_is_the_vacuum_axion():
                 Z = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 assert (MaxwellLorentz(metric, Z).apply(F)
                         == Axion(metric, Z, 0).apply(F)), (n, p, complex_mode)
+
+
+def test_metric_laws_follow_the_field_chart_scalar_mode():
+    # the metric serves both scalar modes (see hodge), so a law built on
+    # the real chart applies to a complex-mode F exactly as the same law
+    # built on the complex chart does
+    real, cplx = Chart(4), Chart(4, complex_mode=True)
+    m_r, m_c = MetricSpec.minkowski(real), MetricSpec.minkowski(cplx)
+    rng = random.Random(318)
+    for p in range(5):
+        F = random_form(rng, cplx, p, False)
+        assert (MaxwellLorentz(m_r, 2).apply(F)
+                == MaxwellLorentz(m_c, 2).apply(F)), p
+        assert Axion(m_r, 2, 0).apply(F) == Axion(m_c, 2, 0).apply(F), p
+    F = random_form(rng, cplx, 2, False)
+    alpha = random_polynomial(rng, 4, 2)
+    assert (Axion(m_r, Fraction(3, 7), alpha).apply(F)
+            == Axion(m_c, Fraction(3, 7), alpha.to_complex()).apply(F))

@@ -4,7 +4,9 @@ Each shipped config runs under its command in both renderings, and the
 SHA-256 of the report and the exit status must match the values pinned
 here.  `tests/data/linear-local-poly.json` adds a linear-local law whose
 chi has polynomial entries, so its FAIL witnesses print non-trivial
-rational coefficients.  A change to the arithmetic that alters a single
+rational coefficients.  `tests/data/check-n6.json` (real, n = 6, p = 3)
+and `tests/data/check-c5.json` (complex, n = 5, p = 2) pin the form
+operations past n = 4.  A change to the arithmetic that alters a single
 report byte fails this test; a deliberate report change must update the
 pins and say so in CHANGES.md.
 """
@@ -47,6 +49,14 @@ PINNED = [
      "6a8889d528dfcdc58180374f765f22645a1a35d3c55f2ec6b7b2585740044231"),
     ("tests/data/linear-local-poly.json", "constitutive", "structured", 1,
      "6630f94dced9eb73755df9b633d6aaa14f8686ba19ec2803ba4648c47848f165"),
+    ("tests/data/check-n6.json", "check", "text", 0,
+     "5354b321a9a2ba199a3db84bac5549c421a0020daae43762eb644dabc2a5125a"),
+    ("tests/data/check-n6.json", "check", "structured", 0,
+     "495235c45d5241a80881820b2f349c89746a53bea02bea3ae52f69431c7c631e"),
+    ("tests/data/check-c5.json", "check", "text", 0,
+     "11e9285a648644ee913c88d337b743a9e943d730b5a9bc24042026e4ad851272"),
+    ("tests/data/check-c5.json", "check", "structured", 0,
+     "eae6a9abed25aa26bf9ad68dcac652a5c31dc48a20851df519eb64881a400552"),
 ]
 
 
