@@ -192,6 +192,8 @@ def _build_metric(metric_raw, chart):
     _expect(isinstance(metric_raw, dict), "metric: expected an object")
     try:
         if "diagonal" in metric_raw:
+            _expect(isinstance(metric_raw["diagonal"], list),
+                    f"metric.diagonal: expected a list of {chart.n} rationals")
             entries = [_fraction(e, "metric.diagonal") for e in metric_raw["diagonal"]]
             return MetricSpec.diagonal(chart, entries)
         if "matrix" in metric_raw:

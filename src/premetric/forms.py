@@ -16,6 +16,7 @@ suites rely on.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -396,36 +397,27 @@ def lie_derivative(u, a):
 
 
 def pullback_linear(matrix, a):
-    """Pullback along the linear substitution x -> matrix @ x.
+    """Pullback along the linear substitution x -> L x, L = matrix.
 
-    Coefficients are composed with the substitution and each dx_i is
-    replaced by sum_j matrix[i][j] dx_j.  Twisted forms acquire an extra
-    sign(det matrix) factor, which is the whole computational content of
-    twist parity.
+    Coefficients are composed with the substitution and, as each dx_i
+    becomes sum_j L[i][j] dx_j, (L*a)_J = sum_I a_I(Lx) * det L[I, J].
+    Twisted forms acquire an extra sign(det L) factor, which is the whole
+    computational content of twist parity.
     """
     chart = a.chart
     n = chart.n
     mat = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    det = _det_inverse(mat)[0]
+    minors = _minors(mat)
+    det = minors.get((tuple(range(n)),) * 2, 0)
     if det == 0:
         raise StructuralError("pullback matrix is singular")
-    row_forms = []
-    for i in range(n):
-        comps = {}
-        for j in range(n):
-            if mat[i][j] != 0:
-                comps[(j,)] = chart.const_poly(mat[i][j])
-        row_forms.append(Form(chart, 1, False, comps))
     sign = -1 if a.twist and det < 0 else 1
-    terms = []
-    for idx, poly in a.components.items():
-        term = Form(chart, 0, a.twist, {(): poly.substitute_linear(mat)})
-        for i in idx:
-            term = wedge(term, row_forms[i])
-        terms.append((sign, term))
-    if not terms:
-        return Form.zero(chart, a.degree, a.twist)
-    return combine(*terms)
+    pulled = {idx: poly.substitute_linear(mat) for idx, poly in a.components.items()}
+    groups = {}
+    for (rows, cols), minor in minors.items():
+        if rows in pulled:
+            groups.setdefault(cols, []).append((sign * minor, pulled[rows], None))
+    return a._raw(a.degree, a.twist, _components(chart, groups, poly_sum))
 
 
 def components_equal(a, b):
@@ -440,28 +432,26 @@ def components_equal(a, b):
     return a.components == b.components
 
 
-def _det_inverse(mat):
-    """(det, inverse) of a square rational matrix by Gauss-Jordan
-    elimination; the inverse is None when det is 0."""
+def _minors(mat):
+    """{(rows, cols): det mat[rows, cols]} over increasing index tuples of
+    equal length 0..n, nonzero minors only (the empty minor is 1).
+
+    Each k-minor is a Laplace expansion along its first row over the
+    (k-1)-minors of the rows below it.  Only nonzero minors and nonzero
+    entries are propagated, so sparse (e.g. diagonal) matrices stay cheap.
+    """
     n = len(mat)
-    zero, one = Fraction(0), Fraction(1)
-    work = [[Fraction(x) for x in row] + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(mat)]
-    det = one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return zero, None
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        lead = work[col][col]
-        det *= lead
-        if lead != 1:
-            work[col] = [x / lead for x in work[col]]
-        for r in range(n):
-            factor = work[r][col]
-            if r != col and factor != 0:
-                work[r] = [x - factor * y if y else x
-                           for x, y in zip(work[r], work[col])]
-    return det, [row[n:] for row in work]
+    entries = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
+    tower = level = {((), ()): Fraction(1)}
+    for _ in range(n):
+        sums = {}
+        for (rows, cols), minor in level.items():
+            for r in range(rows[0] if rows else n):
+                for c, x in entries[r]:
+                    if c not in cols:
+                        pos = bisect(cols, c)
+                        key = ((r,) + rows, cols[:pos] + (c,) + cols[pos:])
+                        sums[key] = sums.get(key, 0) + (-x if pos % 2 else x) * minor
+        level = {key: v for key, v in sums.items() if v}
+        tower.update(level)
+    return tower

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import _components, _det_inverse, _perm_sign
+from .forms import _components, _minors, _perm_sign
 from .scalars import poly_sum
 
 
@@ -83,15 +83,16 @@ def _signature(mat):
 class MetricSpec:
     """Constant symmetric nondegenerate metric on a chart.
 
-    Derived data (inverse, sqrt|det|, signature) is computed exactly at
-    construction; metrics whose |det g| is not a rational square are
-    rejected rather than approximated.  The metric is rational data, so it
-    serves forms of either scalar mode on charts that differ from its own
-    only in complex_mode.
+    The tower of nonzero minors of g (forms._minors), det g, sqrt|det g| and
+    the signature are computed exactly at construction; metrics whose
+    |det g| is not a rational square are rejected rather than approximated.
+    No inverse is formed: compound() reads the minors of g^-1 from the
+    tower.  The metric is rational data, so it serves forms of either
+    scalar mode on charts that differ from its own only in complex_mode.
     """
 
-    __slots__ = ("chart", "g", "g_inv", "det", "sqrt_abs_det", "signature",
-                 "_compounds")
+    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "signature",
+                 "_tower", "_compounds")
 
     def __init__(self, chart, g):
         n = chart.n
@@ -100,7 +101,8 @@ class MetricSpec:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise MetricError("metric must be symmetric")
-        det, g_inv = _det_inverse(rows)
+        tower = _minors(rows)
+        det = tower.get((tuple(range(n)),) * 2, 0)
         if det == 0:
             raise MetricError("metric is singular")
         root = _rational_sqrt(abs(det))
@@ -111,9 +113,9 @@ class MetricSpec:
         self.chart = chart
         self.g = rows
         self.det = det
-        self.g_inv = g_inv
         self.sqrt_abs_det = root
         self.signature = _signature(rows)
+        self._tower = tower
         self._compounds = {}
 
     @classmethod
@@ -138,21 +140,22 @@ class MetricSpec:
         return 1 if self.det > 0 else -1
 
     def compound(self, p):
-        """The p-th compound matrix of g_inv, built on first use.
+        """The p-th compound matrix of g^-1, built on first use.
 
-        Maps (K, I), both increasing p-tuples, to the minor
-        det(g_inv[K, I]); zero minors are left out.
+        Maps (K, I), both increasing p-tuples, to the nonzero minor
+        det(g^-1[K, I]) = (-1)^(sum K + sum I) det g[I^c, K^c] / det g, read
+        from the tower of g by Jacobi's identity.
         """
         table = self._compounds.get(p)
         if table is None:
+            n = self.chart.n
+            comp = {idx: rest for idx, rest, _ in _complements(n, n - p)}
             table = {}
-            tuples = list(combinations(range(self.chart.n), p))
-            for k_idx in tuples:
-                for i_idx in tuples:
-                    minor = _det_inverse([[self.g_inv[r][c] for c in i_idx]
-                                          for r in k_idx])[0]
-                    if minor != 0:
-                        table[k_idx, i_idx] = minor
+            for (rows, cols), minor in self._tower.items():
+                if len(rows) == n - p:
+                    # sum K + sum I and sum rows + sum cols share a parity
+                    sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
+                    table[comp[cols], comp[rows]] = sign * minor / self.det
             self._compounds[p] = table
         return table
 
@@ -195,7 +198,7 @@ def hodge(metric, a):
     root = metric.sqrt_abs_det * chart.orientation
     groups = {}
     for k_idx, j_idx, sign in _complements(n, p):
-        # raise indices, a^K = sum_I det(g_inv[K, I]) a_I, with the volume
+        # raise indices, a^K = sum_I det(g^-1[K, I]) a_I, with the volume
         # factor and the sign folded into each multiplier; each K has its
         # own complement J, so no two K share an output slot
         terms = [(sign * root * minors[k_idx, i_idx], poly, None)

@@ -61,9 +61,18 @@ def dense_wedge(a, b):
 
 
 def dense_inner_product(metric, a, b):
-    """<a, b> = (1/p!) a_{i...} b^{i...}, raising with nested metric sums."""
+    """<a, b> = (1/p!) a_{i...} b^{i...}, raising with nested metric sums.
+
+    g^-1 comes from sympy's Matrix.inv() on metric.g, not from the package.
+    """
+    import sympy
+
     chart = metric.chart
     n, p = chart.n, a.degree
+    inv = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                        for row in metric.g]).inv()
+    g_inv = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)]
+             for i in range(n)]
     total = Polynomial.zero(n, chart.complex_mode)
     for idx in permutations(range(n), p):
         ai = dense_component(a, idx)
@@ -73,7 +82,7 @@ def dense_inner_product(metric, a, b):
         for jdx in permutations(range(n), p):
             factor = Fraction(1)
             for i, j in zip(idx, jdx):
-                factor *= metric.g_inv[i][j]
+                factor *= g_inv[i][j]
                 if factor == 0:
                     break
             if factor == 0:

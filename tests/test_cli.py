@@ -205,3 +205,13 @@ def test_term_pair_limit_exits_two_quickly(tmp_path, capsys):
     assert out == ""
     assert err.startswith("premetric: error: 1:29: product of ")
     assert "term pairs" in err
+
+
+@pytest.mark.parametrize("diagonal", [5, None, "1,-1"])
+def test_non_list_metric_diagonal_exits_two(tmp_path, capsys, diagonal):
+    cfg = write_config(tmp_path, "diag.json",
+                       dict(BASE, samples=1, Z0=1, metric={"diagonal": diagonal}))
+    assert cli.main(["reciprocity", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "premetric: error: metric.diagonal: expected a list of 4 rationals\n"

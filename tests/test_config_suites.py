@@ -179,3 +179,12 @@ def test_every_exported_name_resolves():
     assert len(premetric.__all__) == len(set(premetric.__all__))
     for name in premetric.__all__:
         assert getattr(premetric, name) is not None, name
+
+
+def test_readme_library_example_runs_as_written():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", section.split("\n## ", 1)[0],
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md (Library)", "exec"), {})

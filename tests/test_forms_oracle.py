@@ -1,12 +1,14 @@
 """Form operations against an oracle that shares no arithmetic with them.
 
-wedge, ext_d, contract and hodge run on seeded forms for n = 2..6, every
-degree, real and complex mode.  The reference recomputes every component
-in `sympy.polys.rings` over QQ / QQ_I, with permutation signs from
-`sympy.combinatorics.Permutation` parity and the minors of the inverse
-metric from sympy `Matrix.det()`; the package's results are read from
-their raw (den, nums) storage (see test_coefficient_oracle) and must also
-be in canonical form.  sympy is a test-only dependency.
+wedge, ext_d, contract, hodge and pullback_linear run on seeded forms for
+n = 2..6, every degree, real and complex mode.  The reference recomputes
+every component in `sympy.polys.rings` over QQ / QQ_I, with permutation
+signs from `sympy.combinatorics.Permutation` parity, minors (of the
+inverse metric, of the pullback matrix) from sympy `Matrix.det()` and
+coefficients composed with the substitution by `PolyElement.compose`;
+the package's results are read from their raw (den, nums) storage (see
+test_coefficient_oracle) and must also be in canonical form.  sympy is a
+test-only dependency.
 """
 
 import random
@@ -19,7 +21,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
-from premetric.forms import Chart, VectorField, contract, ext_d, wedge  # noqa: E402
+from premetric.forms import (Chart, Form, VectorField, contract, ext_d,  # noqa: E402
+                             pullback_linear, wedge)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_form, random_polynomial  # noqa: E402
 from test_coefficient_oracle import assert_canonical, sympy_ring, to_sympy  # noqa: E402
@@ -111,6 +114,37 @@ def oracle_hodge(R, g, orientation, a, p):
     return nonzero(out)
 
 
+def oracle_pullback(R, L, a, twist):
+    """(L*A)_J = s sum_I A_I(Lx) det(L[I, J]), s = sign(det L) on twisted
+    forms and 1 otherwise."""
+    n = L.rows
+    images = [(R.gens[i], sum((R.gens[j] * R.domain.from_sympy(L[i, j])
+                               for j in range(n)), R.zero))
+              for i in range(n)]
+    sign = -1 if twist and L.det() < 0 else 1
+    out = {}
+    for i_idx, e in a.items():
+        composed = e.compose(images)
+        for j_idx in combinations(range(n), len(i_idx)):
+            minor = sign * L.extract(list(i_idx), list(j_idx)).det()
+            if minor:
+                add_to(out, j_idx, composed * R.domain.from_sympy(minor))
+    return nonzero(out)
+
+
+def pullback_matrices(n, rng):
+    """One matrix with det < 0 and one with det > 0, each with a zero
+    entry, drawn from integer and non-integer entries; sympy matrices."""
+    found = {}
+    choices = [0, 0, 0, 1, -1, 2, -3, sympy.Rational(1, 2), sympy.Rational(-2, 3)]
+    while len(found) < 2:
+        L = sympy.Matrix(n, n, lambda i, j: rng.choice(choices))
+        det = L.det()
+        if det and 0 in L and (det > 0) not in found:
+            found[det > 0] = L
+    return [found[False], found[True]]
+
+
 def metrics(n, rng):
     """Minkowski, Euclidean and a non-diagonal g = A^T D A with A
     unimodular and |det D| a rational square, as sympy matrices."""
@@ -166,3 +200,20 @@ def test_hodge_matches_the_oracle(n, complex_mode):
             assert (star.degree, star.twist) == (n - p, True)
             assert (package_components(star)
                     == oracle_hodge(R, g, orientation, package_components(a), p)), (g, p)
+
+
+@pytest.mark.parametrize("n,complex_mode", CASES, ids=CASE_IDS)
+def test_pullback_matches_the_oracle(n, complex_mode):
+    chart = Chart(n, complex_mode=complex_mode)
+    R = sympy_ring(n, complex_mode)
+    rng = random.Random(7000 + 10 * n + complex_mode)
+    for L in pullback_matrices(n, rng):
+        mat = [[Fraction(str(x)) for x in L.row(i)] for i in range(n)]
+        for p in range(n + 1):
+            a = random_form(rng, chart, p, False)
+            for twist in (False, True):
+                form = Form(chart, p, twist, a.components)
+                back = pullback_linear(mat, form)
+                assert (back.degree, back.twist) == (p, twist)
+                assert (package_components(back)
+                        == oracle_pullback(R, L, package_components(form), twist)), (L, p)

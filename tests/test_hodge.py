@@ -6,8 +6,8 @@ import pytest
 
 from oracles import dense_inner_product, volume_form
 from premetric.errors import MetricError, StructuralError
-from premetric.forms import (Chart, Form, VectorField, _det_inverse,
-                             basis_form, lie_derivative, wedge)
+from premetric.forms import (Chart, Form, VectorField, _minors, basis_form,
+                             lie_derivative, wedge)
 from premetric.hodge import MetricSpec, _signature, double_hodge_sign, hodge
 from premetric.randgen import random_form
 
@@ -240,17 +240,20 @@ def test_hodge_chart_mismatch_still_raises():
 
 
 def test_compound_table_holds_the_nonzero_minors_once():
-    metric = MetricSpec(Chart(4), OFFDIAG)
-    for p in range(5):
-        table = metric.compound(p)
-        assert metric.compound(p) is table
-        tuples = list(combinations(range(4), p))
-        for k_idx in tuples:
-            for i_idx in tuples:
-                sub = [[metric.g_inv[r][c] for c in i_idx] for r in k_idx]
-                minor = _det_inverse(sub)[0]
-                assert table.get((k_idx, i_idx), 0) == minor
-        assert 0 not in table.values()
+    # OFFDIAG and a dense A^T diag(1, -1, -1, -1) A with A unimodular
+    dense = [[1, 2, -1, 0], [2, 3, -3, -1], [-1, -3, -1, 1], [0, -1, 1, -6]]
+    for g in (OFFDIAG, dense):
+        metric = MetricSpec(Chart(4), g)
+        ref = _sympy(metric.g).inv()
+        for p in range(5):
+            table = metric.compound(p)
+            assert metric.compound(p) is table
+            tuples = list(combinations(range(4), p))
+            for k_idx in tuples:
+                for i_idx in tuples:
+                    minor = _fraction(ref.extract(list(k_idx), list(i_idx)).det())
+                    assert table.get((k_idx, i_idx), 0) == minor, (g, p)
+            assert 0 not in table.values()
     assert MetricSpec.minkowski(Chart(4)).compound(2) == {
         (k, k): (-1 if 0 in k else 1) for k in combinations(range(4), 2)}
 
@@ -259,8 +262,9 @@ def test_compound_table_holds_the_nonzero_minors_once():
 # sympy (a test-only dependency) shares no arithmetic with the package.
 
 
-def _rational_matrix(rng, n, singular):
-    m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+def _rational_matrix(rng, n, singular, sparse=False):
+    m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+          if not sparse or rng.randrange(2) else Fraction(0) for _ in range(n)]
          for _ in range(n)]
     if singular:
         # the last row is a rational combination of the others (zero at n=1)
@@ -268,6 +272,10 @@ def _rational_matrix(rng, n, singular):
         m[-1] = ([k * a + b for a, b in zip(m[0], m[1 % n])] if n > 1
                  else [Fraction(0)])
     return m
+
+
+def _det(m):
+    return _minors(m).get((tuple(range(len(m))),) * 2, 0)
 
 
 def _sympy(m):
@@ -280,20 +288,27 @@ def _fraction(x):
     return Fraction(int(x.p), int(x.q))
 
 
-def test_det_inverse_matches_sympy():
+def test_minor_tower_matches_sympy():
+    # every minor for n <= 6 (the tower keeps exactly the nonzero ones),
+    # the determinant alone for n = 7, 8
     rng = random.Random(252)
     for n in range(1, 9):
-        for singular in (False, False, False, True, True):
-            m = _rational_matrix(rng, n, singular)
+        for singular, sparse in ((False, False), (False, False), (False, True),
+                                 (True, False), (True, True)):
+            m = _rational_matrix(rng, n, singular, sparse)
             ref = _sympy(m)
-            det, inv = _det_inverse(m)
-            assert det == _fraction(ref.det()), (n, m)
-            if det == 0:
-                assert singular and inv is None
-            else:
-                ref_inv = ref.inv()
-                assert inv == [[_fraction(ref_inv[i, j]) for j in range(n)]
-                               for i in range(n)], (n, m)
+            tower = _minors(m)
+            assert tower.get((tuple(range(n)),) * 2, 0) == _fraction(ref.det()), (n, m)
+            if n > 6:
+                continue
+            expected = {}
+            for k in range(n + 1):
+                for rows in combinations(range(n), k):
+                    for cols in combinations(range(n), k):
+                        minor = _fraction(ref.extract(list(rows), list(cols)).det())
+                        if minor:
+                            expected[rows, cols] = minor
+            assert tower == expected, (n, m)
 
 
 def _inertia(m):
@@ -320,7 +335,7 @@ def test_signature_matches_sympy_inertia():
                     if i == j and zero_diagonal:
                         continue
                     m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if _det_inverse(m)[0] == 0:
+            if _det(m) == 0:
                 with pytest.raises(MetricError):
                     _signature(m)
                 continue

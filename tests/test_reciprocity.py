@@ -172,6 +172,21 @@ def test_factorization_offdiagonal_lorentzian():
     rng = random.Random(407)
     checks = check_factorization(m, 2, random_form(rng, CH4, 2, False))
     assert all(c.passed for c in checks)
+    # the abstract's "any Lorentzian metric": seeded g = A^T eta A with A
+    # unimodular rational upper-triangular, so sqrt|det g| = 1
+    eta = (1, -1, -1, -1)
+    for z0 in Z_VALUES:
+        a = [[Fraction(1) if i == j else
+              Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if i < j else Fraction(0)
+              for j in range(4)] for i in range(4)]
+        g = [[sum(a[k][i] * eta[k] * a[k][j] for k in range(4)) for j in range(4)]
+             for i in range(4)]
+        assert any(g[i][j] for i in range(4) for j in range(4) if i != j)
+        for chart in (CH4, Chart(4, -1), Chart(4, complex_mode=True), Chart(4, -1, True)):
+            m = MetricSpec(chart, g)
+            assert (m.sqrt_abs_det, m.signature) == (1, (1, 3))
+            checks = check_factorization(m, z0, random_form(rng, chart, 2, False))
+            assert len(checks) == 4 and all(c.passed for c in checks), (g, chart)
 
 
 def test_factorization_on_a_complex_chart():
