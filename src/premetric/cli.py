@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .config import load_config
 from .errors import (ConfigError, FormSyntaxError, MetricError,
@@ -37,7 +38,10 @@ def _seed_type(text):
     return value
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="premetric",
         description="exact verification suites for pre-metric field identities")
@@ -70,8 +74,7 @@ def run(command, cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -109,17 +109,19 @@ def validate_config(raw):
 
     cfg = RunConfig()
 
+    # type(...) is int: JSON true/false load as bool, an int subclass
     cfg.n = raw.get("n", 4)
-    _expect(isinstance(cfg.n, int) and 2 <= cfg.n <= 8,
+    _expect(type(cfg.n) is int and 2 <= cfg.n <= 8,
             "n: expected an integer in 2..8")
     cfg.p = raw.get("p", 2)
-    _expect(isinstance(cfg.p, int) and 1 <= cfg.p <= cfg.n - 1,
+    _expect(type(cfg.p) is int and 1 <= cfg.p <= cfg.n - 1,
             f"p: expected an integer in 1..{cfg.n - 1}")
 
     cfg.mode = raw.get("mode", "real")
     _expect(cfg.mode in ("real", "complex"), "mode: expected 'real' or 'complex'")
     cfg.orientation = raw.get("orientation", 1)
-    _expect(cfg.orientation in (1, -1), "orientation: expected 1 or -1")
+    _expect(type(cfg.orientation) is int and cfg.orientation in (1, -1),
+            "orientation: expected 1 or -1")
 
     chart = cfg.chart()
 
@@ -163,13 +165,13 @@ def validate_config(raw):
             setattr(cfg, name, raw[name])
 
     cfg.seed = raw.get("seed", 0)
-    _expect(isinstance(cfg.seed, int) and 0 <= cfg.seed < 2 ** 64,
+    _expect(type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64,
             "seed: expected an unsigned 64-bit integer")
     cfg.degree_bound = raw.get("degree_bound", 2)
-    _expect(isinstance(cfg.degree_bound, int) and 0 <= cfg.degree_bound <= 6,
+    _expect(type(cfg.degree_bound) is int and 0 <= cfg.degree_bound <= 6,
             "degree_bound: expected an integer in 0..6")
     cfg.samples = raw.get("samples", 25)
-    _expect(isinstance(cfg.samples, int) and 1 <= cfg.samples <= 9999,
+    _expect(type(cfg.samples) is int and 1 <= cfg.samples <= 9999,
             "samples: expected an integer in 1..9999")
 
     suites = raw.get("suites", [])

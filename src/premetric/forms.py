@@ -23,7 +23,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, Scalar, partial_sum, poly_sum
+from .scalars import (Polynomial, Scalar, _multiplier, _scaled, partial_sum,
+                      poly_sum)
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,10 @@ class Form:
             s = Scalar(s, Fraction(0) if self.chart.complex_mode else None)
         if isinstance(s, Scalar):
             flip = s.pseudo if pseudo is None else pseudo
-            s = s.as_plain()
-            if s.is_zero():
+            if s.is_zero() or not self.components:
                 return Form.zero(self.chart, self.degree, self.twist != flip)
-            comps = {i: p.scale(s) for i, p in self.components.items()}
+            num, d = _multiplier(s, self.chart.complex_mode)
+            comps = {i: _scaled(p, num, d) for i, p in self.components.items()}
         elif isinstance(s, Polynomial):
             flip = bool(pseudo)
             comps = {}

@@ -10,24 +10,24 @@ num/den with num in [-9, 9] without 0 and den in [1, 9].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
+from .errors import StructuralError
 from .forms import Form, VectorField
-from .scalars import Polynomial, Scalar
+from .scalars import _pack, _reduced
 
 
 @lru_cache(maxsize=None)
-def exponent_tuples(n, degree_bound):
-    """All exponent tuples of length n with total degree <= degree_bound,
-    in lexicographic order; cached, so the pool is built once per
-    (n, degree_bound)."""
+def _key_pool(n, degree_bound):
+    """Packed keys of all exponent tuples of length n with total degree
+    <= degree_bound, in lexicographic order; built once per argument pair."""
     out = []
 
     def rec(prefix, remaining):
         if len(prefix) == n:
-            out.append(tuple(prefix))
+            out.append(_pack(prefix))
             return
         for e in range(remaining + 1):
             rec(prefix + [e], remaining - e)
@@ -39,28 +39,29 @@ def exponent_tuples(n, degree_bound):
 _NUMERATORS = tuple(k for k in range(-9, 10) if k != 0)
 
 
-def _draw_coefficient(rng, complex_mode):
-    def q():
-        num = rng.choice(_NUMERATORS)
-        den = rng.randint(1, 9)
-        return Fraction(num, den)
-
-    if complex_mode:
-        return Scalar(q(), q())
-    return Scalar(q())
-
-
 def random_polynomial(rng, n, degree_bound, complex_mode=False):
-    """1-3 uniformly chosen monomials with small rational coefficients."""
-    pool = exponent_tuples(n, degree_bound)
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        exps = pool[rng.randrange(len(pool))]
-        coeff = _draw_coefficient(rng, complex_mode)
-        cur = terms.get(exps)
-        terms[exps] = coeff if cur is None else cur + coeff
-    return Polynomial(n, {e: c for e, c in terms.items() if not c.is_zero()},
-                      complex_mode)
+    """1-3 uniformly chosen monomials with small rational coefficients,
+    accumulated over the lcm of the drawn denominators."""
+    if n < 1:
+        raise StructuralError(f"polynomial dimension must be >= 1, got {n}")
+    pool = _key_pool(n, degree_bound)
+    parts = 2 if complex_mode else 1
+    # the rng calls in the frozen order of docs/conventions.md
+    draws = [(pool[rng.randrange(len(pool))],
+              [(rng.choice(_NUMERATORS), rng.randint(1, 9)) for _ in range(parts)])
+             for _ in range(rng.randint(1, 3))]
+    den = lcm(*(b for _, q in draws for _, b in q))
+    nums = {}
+    get = nums.get
+    for key, q in draws:
+        if complex_mode:
+            (a, b), (c, e) = q
+            r, i = get(key, (0, 0))
+            nums[key] = (r + a * (den // b), i + c * (den // e))
+        else:
+            ((a, b),) = q
+            nums[key] = get(key, 0) + a * (den // b)
+    return _reduced(n, complex_mode, den, nums)
 
 
 def random_form(rng, chart, degree, twist, degree_bound=2):

@@ -343,23 +343,10 @@ class Polynomial:
             s = Scalar(s, Fraction(0) if self.complex_mode else None)
         if s.pseudo:
             raise StructuralError("scale polynomials by plain values; route parity via the form")
-        if s.complex_mode != self.complex_mode:
-            raise StructuralError("real/complex scalar mode mismatch")
+        num, d = _multiplier(s, self.complex_mode)
         if s.is_zero():
             return _make(self.n, self.complex_mode, 1, {})
-        if self.complex_mode:
-            re, im = s.re, s.im
-            d = lcm(re.denominator, im.denominator)
-            sr = re.numerator * (d // re.denominator)
-            si = im.numerator * (d // im.denominator)
-            out = {k: (r * sr - i * si, r * si + i * sr)
-                   for k, (r, i) in self.nums.items()}
-        else:
-            d, num = s.re.denominator, s.re.numerator
-            if d == 1 and num in (1, -1):
-                return self if num == 1 else -self
-            out = {k: v * num for k, v in self.nums.items()}
-        return _reduced(self.n, self.complex_mode, self.den * d, out)
+        return _scaled(self, num, d)
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
@@ -424,6 +411,35 @@ def _make(n, complex_mode, den, nums):
     return p
 
 
+def _multiplier(s, complex_mode):
+    """The Scalar s as an integer multiplier (num, d) with d > 0: s is
+    num/d, num an int in real mode and an (re, im) pair in complex mode.
+    The pseudo bit is ignored; the mode must match."""
+    if s.complex_mode != complex_mode:
+        raise StructuralError("real/complex scalar mode mismatch")
+    re, im = s.re, s.im
+    if im is None:
+        return re.numerator, re.denominator
+    d = lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator)), d
+
+
+def _scaled(p, num, d):
+    """p * num/d for a nonzero multiplier from `_multiplier`.  Z and Z[i]
+    have no zero divisors, so every key stays and no entry becomes zero:
+    one pass and one gcd, with no exponent guard and no zero filter."""
+    if d == 1 and num in (1, -1):
+        return p if num == 1 else -p
+    if p.complex_mode:
+        sr, si = num
+        nums = {k: (r * sr - i * si, r * si + i * sr)
+                for k, (r, i) in p.nums.items()}
+    else:
+        nums = {k: v * num for k, v in p.nums.items()}
+    return _divided(p.n, p.complex_mode, p.den * d, nums)
+
+
 def _reduced(n, complex_mode, den, nums):
     """Canonical polynomial nums/den: no zero entries, den > 0.
 
@@ -434,6 +450,11 @@ def _reduced(n, complex_mode, den, nums):
     zero = (0, 0) if complex_mode else 0
     if zero in nums.values():
         nums = {k: v for k, v in nums.items() if v != zero}
+    return _divided(n, complex_mode, den, nums)
+
+
+def _divided(n, complex_mode, den, nums):
+    """nums/den, den > 0 and no zero entry, with the gcd divided out."""
     if den != 1:
         if complex_mode:
             g = gcd(den, *chain.from_iterable(nums.values()))

@@ -215,3 +215,62 @@ def test_non_list_metric_diagonal_exits_two(tmp_path, capsys, diagonal):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "premetric: error: metric.diagonal: expected a list of 4 rationals\n"
+
+
+@pytest.mark.parametrize("key, message", [
+    ("p", "p: expected an integer in 1..3"),
+    ("orientation", "orientation: expected 1 or -1"),
+    ("seed", "seed: expected an unsigned 64-bit integer"),
+    ("degree_bound", "degree_bound: expected an integer in 0..6"),
+    ("samples", "samples: expected an integer in 1..9999"),
+])
+def test_boolean_for_an_integer_key_exits_two(tmp_path, capsys, key, message):
+    # JSON true/false are Python bools, an int subclass equal to 1 and 0
+    for value in (True, False):
+        cfg = write_config(tmp_path, "bool.json", {**BASE, "samples": 1, key: value})
+        assert cli.main(["check", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"premetric: error: {message}\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(tmp_path, "reuse.json", dict(BASE, samples=1))
+    out = tmp_path / "report.json"
+    calls = [["check", "--config", cfg, "--seed", "7", "--format", "structured",
+              "--out", str(out)],
+             ["check", "--config", cfg, "--format", "yaml"],
+             ["check", "--config", cfg]]
+
+    def outcome(status, stdout, stderr):
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        out.unlink(missing_ok=True)
+        return status, stdout, stderr, written
+
+    in_sequence = []
+    for argv in calls:
+        try:
+            status = cli.main(argv)
+        except SystemExit as e:
+            status = e.code
+        in_sequence.append(outcome(status, *capsys.readouterr()))
+    alone = []
+    for argv in calls:
+        r = run_cli(*argv)
+        alone.append(outcome(r.returncode, r.stdout, r.stderr))
+    assert in_sequence == alone
+    assert [o[0] for o in alone] == [0, 2, 0]
+    assert alone[0][3].startswith("{") and alone[0][1] == ""
+    assert alone[2][1].startswith("report: check (seed 42)")
+
+
+def test_float_orientation_exits_two(tmp_path, capsys):
+    # -1.0 == -1, and a float orientation used to pass validation and end
+    # in a traceback inside the Hodge star
+    cfg = write_config(tmp_path, "orientation.json",
+                       dict(BASE, samples=1, Z0=1, orientation=-1.0))
+    assert cli.main(["reciprocity", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "premetric: error: orientation: expected 1 or -1\n"

@@ -11,6 +11,7 @@ still fire when the products that reach past the limit cancel.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -257,3 +258,99 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     x_low = Polynomial(3, {(rest - 1, 0, 0): 1})
     assert wedge(a, Form(chart, 1, False, {(0,): x_low, (1,): x_low})).is_zero()
     assert contract(u, Form(chart, 2, False, {(0, 1): x_low, (1, 2): x_low})).is_zero()
+
+
+# -- scaling by a number -------------------------------------------------------
+#
+# Form.scale and Polynomial.scale turn the number into one integer
+# multiplier and scale every component in one pass.  The reference is a
+# Fraction product per term, read straight off (den, nums).
+
+
+def multipliers(complex_mode):
+    """ints, Fractions and Scalars, pseudo-tagged or not, with 0 and +-1;
+    Gaussian ones with different part denominators."""
+    plain = st.sampled_from((0, 1, -1, Fraction(-2, 3)))
+    if complex_mode:
+        parts = st.tuples(COEFF, COEFF) | st.sampled_from(
+            ((0, 0), (1, 0), (-1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)),
+             (Fraction(3, 4), Fraction(5, 6))))
+        scalars = st.builds(lambda re_im, pseudo: Scalar(*re_im, pseudo=pseudo),
+                            parts, st.booleans())
+    else:
+        scalars = st.builds(lambda re, pseudo: Scalar(re, pseudo=pseudo),
+                            COEFF | st.sampled_from((0, 1, -1)), st.booleans())
+    return plain | scalars
+
+
+def fraction_terms(p):
+    """key -> coefficient, a Fraction or a (re, im) pair of Fractions."""
+    if p.complex_mode:
+        return {k: (Fraction(r, p.den), Fraction(i, p.den))
+                for k, (r, i) in p.nums.items()}
+    return {k: Fraction(v, p.den) for k, v in p.nums.items()}
+
+
+def fold_scale(p, s):
+    re, im = (s.re, s.im or 0) if isinstance(s, Scalar) else (Fraction(s), 0)
+    out = {}
+    for k, c in fraction_terms(p).items():
+        if p.complex_mode:
+            v = (c[0] * re - c[1] * im, c[0] * im + c[1] * re)
+            if v != (0, 0):
+                out[k] = v
+        elif c * re:
+            out[k] = c * re
+    return out
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    parts = [p.den]
+    for v in p.nums.values():
+        assert v not in (0, (0, 0))
+        parts.extend(v if p.complex_mode else (v,))
+    assert gcd(*parts) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scaling_is_the_fold(data):
+    chart = data.draw(charts())
+    n, mode = chart.n, chart.complex_mode
+    s = data.draw(multipliers(mode))
+    p = data.draw(polys(n, mode))
+    q = p.scale(s.as_plain() if isinstance(s, Scalar) else s)
+    assert_canonical(q)
+    assert fraction_terms(q) == fold_scale(p, s)
+
+    a = data.draw(forms(chart, data.draw(st.integers(0, n)), data.draw(st.booleans())))
+    pseudo = data.draw(st.sampled_from((None, False, True)))
+    b = a.scale(s, pseudo=pseudo)
+    flip = (isinstance(s, Scalar) and s.pseudo) if pseudo is None else pseudo
+    assert b.twist == (a.twist != flip)
+    expected = {idx: fold_scale(poly, s) for idx, poly in a.components.items()}
+    assert {idx: fraction_terms(poly) for idx, poly in b.components.items()} == {
+        idx: terms for idx, terms in expected.items() if terms}
+    for poly in b.components.values():
+        assert_canonical(poly)
+
+
+def test_scaling_errors_keep_their_messages():
+    real, gauss = Chart(3), Chart(3, complex_mode=True)
+    x, z = real.variable(0), gauss.variable(0)
+    mismatch = "^real/complex scalar mode mismatch$"
+    for chart, poly, s in ((real, x, Scalar(1, 2)), (gauss, z, Scalar(2))):
+        with pytest.raises(StructuralError, match=mismatch):
+            poly.scale(s)
+        with pytest.raises(StructuralError, match=mismatch):
+            Form(chart, 1, False, {(0,): poly}).scale(s)
+    with pytest.raises(StructuralError, match=mismatch):
+        z.scale(Scalar(0))
+    for poly, s in ((x, Scalar(2, pseudo=True)), (z, Scalar(0, 1, pseudo=True))):
+        with pytest.raises(StructuralError, match="^scale polynomials by plain values"):
+            poly.scale(s)
+    with pytest.raises(StructuralError, match="^not an exact rational: 0.5$"):
+        x.scale(0.5)
+    with pytest.raises(StructuralError, match="^cannot scale a form by 0.5$"):
+        Form(real, 1, False, {(0,): x}).scale(0.5)
