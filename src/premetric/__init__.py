@@ -7,7 +7,7 @@ residual form is identically zero, coefficient by coefficient.
 
 from .errors import (ConfigError, FormSyntaxError, MetricError,
                      StructuralError)
-from .scalars import Polynomial, Scalar
+from .scalars import Polynomial
 from .forms import (Chart, Form, VectorField, basis_form, components_equal,
                     contract, coordinate_field, ext_d, lie_derivative,
                     pullback_linear, wedge)
@@ -32,7 +32,7 @@ __all__ = [
     "Axion", "Chart", "CheckResult", "ConfigError", "Custom", "FieldConfig",
     "FieldPairZ", "Form", "FormSyntaxError", "LinearLocal", "MaxwellLorentz",
     "MetricError", "MetricSpec", "PairTensor", "Polynomial", "Report",
-    "RunConfig", "SCHEMA_VERSION", "Scalar", "SplitFields", "StructuralError",
+    "RunConfig", "SCHEMA_VERSION", "SplitFields", "StructuralError",
     "SUITE_RUNNERS", "VectorField", "basis_form", "build_law",
     "check_factorization", "components_equal", "conservation_residual",
     "contract", "coordinate_field", "currents", "densities",

@@ -31,7 +31,7 @@ from .errors import StructuralError
 from .forms import Form, basis_form, combine, contract, ext_d, wedge
 from .hodge import hodge
 from .report import CheckResult, nonzero_witness
-from .scalars import Polynomial, poly_sum
+from .scalars import Polynomial, nonzero_rational, poly_sum
 
 
 class FieldConfig:
@@ -295,31 +295,30 @@ class Axion:
     """G = hodge(F) / Z + alpha * F with a pseudoscalar impedance Z and a
     pseudoscalar coefficient alpha.
 
-    The impedance scales the dual, which already carries the twist the
-    excitation needs.  alpha multiplies F as a pseudoscalar, so the alpha
-    term comes out twisted like the dual does; that requires n = 2p for
-    the degrees to line up.  With alpha = 0 the term is skipped and the
-    law is the Maxwell-Lorentz vacuum at every degree.
+    Z is stored as a nonzero Fraction.  1/Z scales the dual, which already
+    carries the twist the excitation needs, as a plain number.  alpha
+    multiplies F as a pseudoscalar, so the alpha term comes out twisted
+    like the dual does; that requires n = 2p for the degrees to line up.
+    With alpha = 0 the term is skipped and the law is the Maxwell-Lorentz
+    vacuum at every degree.
     """
 
     def __init__(self, metric, Z, alpha):
         self.metric = metric
-        self.Z = metric.chart.pseudoscalar(Z, "impedance")
+        self.Z = nonzero_rational(Z, "impedance")
         self.alpha = (alpha if isinstance(alpha, Polynomial)
                       else metric.chart.const_poly(alpha))
 
     def apply(self, F):
         if F.twist:
             raise StructuralError("constitutive input must be untwisted")
-        # the metric serves both scalar modes; its parameters follow F
-        Z, alpha = self.Z, self.alpha
-        if F.chart.complex_mode and not Z.complex_mode:
-            Z, alpha = Z.to_complex(), alpha.to_complex()
-        G = hodge(self.metric, F).scale(Z.inverse().as_plain())
-        if alpha.is_zero():
+        # the metric serves both scalar modes; alpha follows F
+        G = hodge(self.metric, F).scale(1 / self.Z)
+        if self.alpha.is_zero():
             return G
         if self.metric.chart.n != 2 * F.degree:
             raise StructuralError("axion term needs n = 2p")
+        alpha = self.alpha.to_complex() if F.chart.complex_mode else self.alpha
         return G + F.scale(alpha, pseudo=True)
 
 

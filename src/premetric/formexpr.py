@@ -32,7 +32,7 @@ from math import gcd
 
 from .errors import FormSyntaxError, StructuralError
 from .forms import Chart, Form, VectorField, sort_indices
-from .scalars import MAX_EXPONENT, Polynomial, Scalar, _unpack
+from .scalars import MAX_EXPONENT, Polynomial, _unpack
 
 _OPS = "+-*/^()"
 _DIGITS = frozenset("0123456789")
@@ -281,7 +281,7 @@ class _Parser:
         if tok.kind == "I":
             if not cm:
                 self.fail("imaginary unit needs a complex-mode chart", tok)
-            return Polynomial.constant(n, Scalar.i(), cm)
+            return Polynomial.constant(n, (0, 1), cm)
         if tok.kind == "OP" and tok.value == "(":
             p = self.poly()
             self.expect_op(")")

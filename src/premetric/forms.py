@@ -6,7 +6,9 @@ their component maps coincide.  Every form carries a twist parity:
 untwisted forms transform as usual under linear pullbacks, twisted (odd)
 forms pick up an extra sign(det) factor.  The operations below track that
 parity: wedge XORs it, d / contraction / Lie derivative preserve it, and
-scaling by a pseudo-tagged Scalar flips it.
+scaling with pseudo=True flips it, which is how the pseudoscalars of the
+paper (the impedance Z, the reciprocity parameter z and the axion
+coefficient alpha) act: their only effect is that flip.
 
 Degrees above the chart dimension are permitted but carry no components;
 wedging past top degree therefore yields a canonical zero form rather than
@@ -23,8 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import (Polynomial, Scalar, _multiplier, _scaled, partial_sum,
-                      poly_sum)
+from .scalars import Polynomial, _multiplier, _scaled, partial_sum, poly_sum
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,6 @@ class Chart:
 
     def variable(self, i):
         return Polynomial.variable(self.n, i, self.complex_mode)
-
-    def pseudoscalar(self, value, name):
-        """value as a nonzero pseudoscalar in this chart's scalar mode.
-
-        A number is tagged and put in the chart's mode; a Scalar must
-        already be pseudo-tagged and in that mode.  name labels the errors.
-        """
-        if not isinstance(value, Scalar):
-            value = Scalar(value, Fraction(0) if self.complex_mode else None,
-                           pseudo=True)
-        if value.is_zero():
-            raise StructuralError(f"{name} must be nonzero")
-        if not value.pseudo:
-            raise StructuralError(f"{name} is a pseudoscalar; tag it as such")
-        if value.complex_mode != self.complex_mode:
-            raise StructuralError(f"{name} scalar mode must match the chart")
-        return value
 
 
 class Form:
@@ -152,30 +136,26 @@ class Form:
             return NotImplemented
         return combine((1, self), (-1, other))
 
-    def scale(self, s, *, pseudo=None):
-        """Scale by a Scalar or a Polynomial.
+    def scale(self, s, *, pseudo=False):
+        """Scale by a number (an int, a Fraction or, on a complex chart, an
+        (re, im) pair) or by a Polynomial.
 
-        A pseudo-tagged Scalar flips the twist parity; for Polynomial
-        multipliers pass pseudo=True explicitly (e.g. axion coefficients).
+        pseudo=True marks s as a pseudoscalar and flips the twist parity.
         """
-        if isinstance(s, (int, Fraction)):
-            s = Scalar(s, Fraction(0) if self.chart.complex_mode else None)
-        if isinstance(s, Scalar):
-            flip = s.pseudo if pseudo is None else pseudo
-            if s.is_zero() or not self.components:
-                return Form.zero(self.chart, self.degree, self.twist != flip)
-            num, d = _multiplier(s, self.chart.complex_mode)
-            comps = {i: _scaled(p, num, d) for i, p in self.components.items()}
-        elif isinstance(s, Polynomial):
-            flip = bool(pseudo)
+        if isinstance(s, Polynomial):
             comps = {}
             for i, p in self.components.items():
                 q = p * s
                 if not q.is_zero():
                     comps[i] = q
+        elif isinstance(s, (int, Fraction, tuple)):
+            # the mode is checked even when the result is zero
+            m = _multiplier(s, self.chart.complex_mode)
+            comps = ({i: _scaled(p, *m) for i, p in self.components.items()}
+                     if m else {})
         else:
             raise StructuralError(f"cannot scale a form by {s!r}")
-        return self._raw(self.degree, self.twist != flip, comps)
+        return self._raw(self.degree, self.twist != bool(pseudo), comps)
 
     # -- identity ----------------------------------------------------------
 

@@ -38,15 +38,18 @@ def _rational_sqrt(x: Fraction):
 
 
 def _signature(mat):
-    """(plus, minus) counts via exact congruence diagonalization.
+    """((plus, minus), det) via exact congruence diagonalization.
 
     Sylvester's law: row and matching column operations preserve the
     signature, so counting pivot signs after symmetric elimination gives
-    the inertia without eigenvalues.
+    the inertia without eigenvalues.  The operations are paired swaps and
+    paired additions of a multiple of one row and column to another, which
+    keep the determinant too: det is the product of the pivots.
     """
     n = len(mat)
     m = [row[:] for row in mat]
     plus = minus = 0
+    det = Fraction(1)
     for k in range(n):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][r] != 0), None)
@@ -66,6 +69,7 @@ def _signature(mat):
                 for row in m:
                     row[k] += row[j]
         pivot = m[k][k]
+        det *= pivot
         if pivot > 0:
             plus += 1
         else:
@@ -77,18 +81,19 @@ def _signature(mat):
                     m[r][col] -= f * m[k][col]
                 for row in range(n):
                     m[row][r] -= f * m[row][k]
-    return plus, minus
+    return (plus, minus), det
 
 
 class MetricSpec:
     """Constant symmetric nondegenerate metric on a chart.
 
-    The tower of nonzero minors of g (forms._minors), det g, sqrt|det g| and
-    the signature are computed exactly at construction; metrics whose
-    |det g| is not a rational square are rejected rather than approximated.
-    No inverse is formed: compound() reads the minors of g^-1 from the
-    tower.  The metric is rational data, so it serves forms of either
-    scalar mode on charts that differ from its own only in complex_mode.
+    The signature, det g and sqrt|det g| are computed exactly at
+    construction; metrics whose |det g| is not a rational square are
+    rejected rather than approximated.  No inverse is formed: compound()
+    reads the minors of g^-1 from the tower of nonzero minors of g
+    (forms._minors), which its first call builds.  The metric is rational
+    data, so it serves forms of either scalar mode on charts that differ
+    from its own only in complex_mode.
     """
 
     __slots__ = ("chart", "g", "det", "sqrt_abs_det", "signature",
@@ -101,10 +106,7 @@ class MetricSpec:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise MetricError("metric must be symmetric")
-        tower = _minors(rows)
-        det = tower.get((tuple(range(n)),) * 2, 0)
-        if det == 0:
-            raise MetricError("metric is singular")
+        signature, det = _signature(rows)
         root = _rational_sqrt(abs(det))
         if root is None:
             raise MetricError(
@@ -114,8 +116,8 @@ class MetricSpec:
         self.g = rows
         self.det = det
         self.sqrt_abs_det = root
-        self.signature = _signature(rows)
-        self._tower = tower
+        self.signature = signature
+        self._tower = None
         self._compounds = {}
 
     @classmethod
@@ -148,6 +150,8 @@ class MetricSpec:
         """
         table = self._compounds.get(p)
         if table is None:
+            if self._tower is None:
+                self._tower = _minors(self.g)
             n = self.chart.n
             comp = {idx: rest for idx, rest, _ in _complements(n, n - p)}
             table = {}

@@ -7,9 +7,10 @@ equal -identity lives on the pair.  Accordingly this module exposes no
 single-form operation, and the test suite demonstrates why (two pairs
 sharing the same F map to different images).
 
-z is a nonzero pseudoscalar stored per pair, so each pair carries its own
-complex structure; orientation reversal sends z to -z and the structure
-transforms along.
+z is a nonzero pseudoscalar stored per pair as a Fraction, so each pair
+carries its own complex structure; orientation reversal sends z to -z and
+the structure transforms along.  Every scaling by z, by 1/z or by i*z
+passes pseudo=True, which is what moves a form between the two slots.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import MetricError, StructuralError
 from .forms import Form, components_equal
 from .hodge import double_hodge_sign, hodge
 from .report import CheckResult, nonzero_witness
-from .scalars import Scalar
+from .scalars import nonzero_rational
 
 
 class FieldPairZ:
@@ -42,7 +43,7 @@ class FieldPairZ:
         self.chart = chart
         self.F = F
         self.G = G
-        self.z = chart.pseudoscalar(z, "z")
+        self.z = nonzero_rational(z, "z")
 
     def to_complex(self):
         if self.chart.complex_mode:
@@ -50,7 +51,7 @@ class FieldPairZ:
         chart = self.chart.to_complex()
         conv = lambda f: Form(chart, f.degree, f.twist,
                               {i: p.to_complex() for i, p in f.components.items()})
-        return FieldPairZ(conv(self.F), conv(self.G), self.z.to_complex())
+        return FieldPairZ(conv(self.F), conv(self.G), self.z)
 
     def __eq__(self, other):
         if not isinstance(other, FieldPairZ):
@@ -68,8 +69,8 @@ def star_z(pair):
     The pseudoscalar scalings carry the twist bookkeeping: zG lands
     untwisted in the F slot and -F/z lands twisted in the G slot.
     """
-    new_F = pair.G.scale(pair.z)
-    new_G = pair.F.scale(-pair.z.inverse())
+    new_F = pair.G.scale(pair.z, pseudo=True)
+    new_G = pair.F.scale(-1 / pair.z, pseudo=True)
     return FieldPairZ(new_F, new_G, pair.z)
 
 
@@ -127,11 +128,8 @@ def self_reciprocal_pair(pair, sign):
         raise StructuralError("sign must be +1 or -1")
     if not pair.chart.complex_mode:
         raise StructuralError("eigenpairs need a complex-mode chart")
-    i = Scalar.i()
-    iz = i * pair.z
-    F_eig = pair.F - pair.G.scale(iz if sign > 0 else -iz)
-    G_eig = pair.G + pair.F.scale(i * pair.z.inverse() if sign > 0
-                                  else -(i * pair.z.inverse()))
+    F_eig = pair.F - pair.G.scale((0, sign * pair.z), pseudo=True)
+    G_eig = pair.G + pair.F.scale((0, sign / pair.z), pseudo=True)
     return FieldPairZ(F_eig, G_eig, pair.z)
 
 
@@ -168,7 +166,7 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     for sign, name in ((1, "plus"), (-1, "minus")):
         eig = self_reciprocal_pair(cpair, sign)
         dual = hodge(metric, eig.F)
-        target = eig.F.scale(Scalar.i() if sign > 0 else -Scalar.i())
+        target = eig.F.scale((0, sign))
         ok = components_equal(dual, target)
         witness = ""
         if not ok:

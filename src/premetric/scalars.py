@@ -4,8 +4,9 @@ All arithmetic is over exact rationals or Gaussian rationals (re + im*i
 with rational parts), so equality is decidable and every identity in the
 test suites is checked with zero tolerance.
 
-`Scalar` wraps `fractions.Fraction` values and carries the pseudoscalar
-bit; it is used for law parameters and form scaling.  `Polynomial` keeps
+A number is an int or a `fractions.Fraction`, or, in complex mode, an
+(re, im) pair of them; law parameters and scale factors are plain
+numbers, and pseudoscalar parity is tracked on forms.  `Polynomial` keeps
 its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
@@ -34,137 +35,25 @@ def _as_fraction(x) -> Fraction:
     raise StructuralError(f"not an exact rational: {x!r}")
 
 
-class Scalar:
-    """Exact number with a real/complex mode and a pseudoscalar parity bit.
+_ZERO = Fraction(0)
 
-    Real mode holds a single rational (im is None); complex mode holds a
-    Gaussian rational (re, im).  Modes never mix silently: combining a
-    real-mode and a complex-mode value raises StructuralError, so real
-    values cannot acquire imaginary parts by accident.
 
-    The ``pseudo`` bit marks values that change sign under orientation
-    reversal (impedances, axion coefficients).  Products and quotients XOR
-    the bit; sums require it to agree.  Scaling a differential form by a
-    pseudo-tagged scalar flips the form's twist parity (see forms.py).
-    """
-
-    __slots__ = ("re", "im", "pseudo")
-
-    def __init__(self, re=0, im=None, pseudo=False):
-        self.re = _as_fraction(re)
-        self.im = None if im is None else _as_fraction(im)
-        self.pseudo = bool(pseudo)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, complex_mode=False):
-        return cls(1, Fraction(0) if complex_mode else None)
-
-    @classmethod
-    def i(cls):
-        """The imaginary unit (complex mode)."""
-        return cls(0, 1)
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def complex_mode(self):
-        return self.im is not None
-
-    def is_zero(self):
-        return self.re == 0 and (self.im is None or self.im == 0)
-
-    # -- mode handling -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other, Fraction(0) if self.complex_mode else None)
-        raise StructuralError(f"cannot combine Scalar with {other!r}")
-
-    def _check_mode(self, other):
-        if self.complex_mode != other.complex_mode:
+def _parts(x, complex_mode):
+    """The number x as (re, im) Fractions.  x is an int, a Fraction or a
+    rational string, or, in complex mode only, an (re, im) pair of them."""
+    if isinstance(x, tuple) and len(x) == 2:
+        if not complex_mode:
             raise StructuralError("real/complex scalar mode mismatch")
+        return _as_fraction(x[0]), _as_fraction(x[1])
+    return _as_fraction(x), _ZERO
 
-    def to_complex(self):
-        return Scalar(self.re, self.im if self.im is not None else Fraction(0),
-                      self.pseudo)
 
-    def as_plain(self):
-        """Same value with the pseudoscalar bit cleared."""
-        if not self.pseudo:
-            return self
-        return Scalar(self.re, self.im, False)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check_mode(other)
-        if self.pseudo != other.pseudo:
-            raise StructuralError("cannot add scalar and pseudoscalar")
-        im = None if self.im is None else self.im + other.im
-        return Scalar(self.re + other.re, im, self.pseudo)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(-self.re, None if self.im is None else -self.im,
-                      self.pseudo)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_mode(other)
-        pseudo = self.pseudo != other.pseudo
-        if self.im is None:
-            return Scalar(self.re * other.re, None, pseudo)
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return Scalar(re, im, pseudo)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse; parity is preserved (x * 1/x is even)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        if self.im is None:
-            return Scalar(1 / self.re, None, self.pseudo)
-        norm = self.re * self.re + self.im * self.im
-        return Scalar(self.re / norm, -self.im / norm, self.pseudo)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                other = self._coerce(other)
-            else:
-                return NotImplemented
-        return (self.re == other.re and self.im == other.im
-                and self.pseudo == other.pseudo)
-
-    def __hash__(self):
-        # agrees with __eq__ against int and Fraction, which equal the
-        # non-pseudo scalar with a zero (or absent) imaginary part
-        if not self.pseudo and not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im, self.pseudo))
-
-    def __repr__(self):
-        tag = ", pseudo" if self.pseudo else ""
-        if self.im is None:
-            return f"Scalar({self.re}{tag})"
-        return f"Scalar({self.re}, {self.im}{tag})"
+def nonzero_rational(value, name):
+    """value as a nonzero Fraction; name labels the error."""
+    value = _as_fraction(value)
+    if not value:
+        raise StructuralError(f"{name} must be nonzero")
+    return value
 
 
 # -- packed exponent keys ------------------------------------------------------
@@ -222,11 +111,12 @@ class Polynomial:
     numerators in real mode and to (re, im) integer pairs, not both zero,
     in complex mode.  The form is canonical: den > 0 and gcd(den, every
     numerator part) == 1, so equal polynomials have equal (den, nums).
-    Coefficients never carry the pseudoscalar bit; parity bookkeeping
-    happens one level up, on forms.
+    Coefficients carry no pseudoscalar parity; that lives one level up,
+    on forms.
 
-    ``terms`` is a derived read-only view, exponent tuple -> Scalar, for
-    printing and inspection; arithmetic never builds it.
+    ``terms`` is a derived read-only view, exponent tuple -> Fraction (an
+    (re, im) pair of Fractions in complex mode), for printing and
+    inspection; arithmetic never builds it.
     """
 
     __slots__ = ("n", "complex_mode", "den", "nums")
@@ -239,20 +129,14 @@ class Polynomial:
         complex_mode = bool(complex_mode)
         coeffs = {}
         for exps, coeff in (terms or {}).items():
-            if not isinstance(coeff, Scalar):
-                coeff = Scalar(coeff, Fraction(0) if complex_mode else None)
+            re, im = _parts(coeff, complex_mode)
             if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent tuple {exps} for n={n}")
-            if coeff.complex_mode != complex_mode:
-                raise StructuralError("coefficient mode does not match polynomial mode")
-            if coeff.pseudo:
-                raise StructuralError("polynomial coefficients must not be pseudo-tagged")
-            if not coeff.is_zero():
-                coeffs[_pack(exps)] = coeff
+            if re or im:
+                coeffs[_pack(exps)] = re, im
         # over the lcm of the reduced denominators the numerators already
         # have no common factor with den
-        den = lcm(1, *(q.denominator for c in coeffs.values()
-                       for q in (c.re, c.im) if q is not None))
+        den = lcm(1, *(q.denominator for c in coeffs.values() for q in c))
 
         def num(q):
             return q.numerator * (den // q.denominator)
@@ -260,9 +144,9 @@ class Polynomial:
         self.n = n
         self.complex_mode = complex_mode
         self.den = den
-        self.nums = ({k: (num(c.re), num(c.im)) for k, c in coeffs.items()}
+        self.nums = ({k: (num(re), num(im)) for k, (re, im) in coeffs.items()}
                      if complex_mode else
-                     {k: num(c.re) for k, c in coeffs.items()})
+                     {k: num(re) for k, (re, _) in coeffs.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -286,13 +170,13 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Read-only map exponent tuple -> nonzero Scalar coefficient."""
+        """Read-only map exponent tuple -> nonzero coefficient."""
         n, den = self.n, self.den
         if self.complex_mode:
-            view = {_unpack(k, n): Scalar(Fraction(r, den), Fraction(i, den))
+            view = {_unpack(k, n): (Fraction(r, den), Fraction(i, den))
                     for k, (r, i) in self.nums.items()}
         else:
-            view = {_unpack(k, n): Scalar(Fraction(v, den))
+            view = {_unpack(k, n): Fraction(v, den)
                     for k, v in self.nums.items()}
         return MappingProxyType(view)
 
@@ -338,15 +222,9 @@ class Polynomial:
         return _reduced(self.n, self.complex_mode, self.den * other.den, out)
 
     def scale(self, s):
-        """Multiply by a Scalar value.  The pseudo bit must be cleared first."""
-        if not isinstance(s, Scalar):
-            s = Scalar(s, Fraction(0) if self.complex_mode else None)
-        if s.pseudo:
-            raise StructuralError("scale polynomials by plain values; route parity via the form")
-        num, d = _multiplier(s, self.complex_mode)
-        if s.is_zero():
-            return _make(self.n, self.complex_mode, 1, {})
-        return _scaled(self, num, d)
+        """Multiply by a number (see _parts)."""
+        m = _multiplier(s, self.complex_mode)
+        return _scaled(self, *m) if m else _make(self.n, self.complex_mode, 1, {})
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
@@ -412,13 +290,13 @@ def _make(n, complex_mode, den, nums):
 
 
 def _multiplier(s, complex_mode):
-    """The Scalar s as an integer multiplier (num, d) with d > 0: s is
-    num/d, num an int in real mode and an (re, im) pair in complex mode.
-    The pseudo bit is ignored; the mode must match."""
-    if s.complex_mode != complex_mode:
-        raise StructuralError("real/complex scalar mode mismatch")
-    re, im = s.re, s.im
-    if im is None:
+    """The number s (see _parts) as an integer multiplier (num, d) with
+    d > 0: s is num/d, num an int in real mode and an (re, im) pair in
+    complex mode.  None when s is zero; the mode is checked first."""
+    re, im = _parts(s, complex_mode)
+    if not (re or im):
+        return None
+    if not complex_mode:
         return re.numerator, re.denominator
     d = lcm(re.denominator, im.denominator)
     return (re.numerator * (d // re.denominator),

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from premetric.errors import StructuralError
 from premetric.forms import Form, contract, ext_d, lie_derivative, wedge
-from premetric.scalars import Polynomial, Scalar
+from premetric.scalars import Polynomial
 
 
 def perm_sign(seq):
@@ -42,8 +42,7 @@ def dense_wedge(a, b):
     """Wedge from the permutation-sum definition with 1/(p! q!) weights."""
     chart = a.chart
     p, q = a.degree, b.degree
-    weight = Scalar(Fraction(1, _fact(p) * _fact(q)),
-                    Fraction(0) if chart.complex_mode else None)
+    weight = Fraction(1, _fact(p) * _fact(q))
     comps = {}
     for idx in combinations(range(chart.n), p + q):
         total = Polynomial.zero(chart.n, chart.complex_mode)
@@ -90,11 +89,9 @@ def dense_inner_product(metric, a, b):
             bj = dense_component(b, jdx)
             if bj.is_zero():
                 continue
-            raised = raised + bj.scale(
-                Scalar(factor, Fraction(0) if chart.complex_mode else None))
+            raised = raised + bj.scale(factor)
         total = total + ai * raised
-    return total.scale(Scalar(Fraction(1, _fact(p)),
-                              Fraction(0) if chart.complex_mode else None))
+    return total.scale(Fraction(1, _fact(p)))
 
 
 def volume_form(metric):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from premetric import (Axion, Chart, FieldConfig, FieldPairZ, MaxwellLorentz,
-                       MetricSpec, PairTensor, Scalar, basis_form,
+                       MetricSpec, PairTensor, basis_form,
                        check_factorization, conservation_residual,
                        coordinate_field, double_hodge_sign, force_u, hodge,
                        identity_suite, obstruction_phi_u, pair_tensor,
@@ -27,11 +27,6 @@ from test_formexpr import CORPUS
 def conclude(num, description, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}")
     assert ok, f"criterion {num} failed: {description}"
-
-
-def pseudo(value, chart):
-    return Scalar(Fraction(value),
-                  Fraction(0) if chart.complex_mode else None, pseudo=True)
 
 
 def test_criterion_01_conservation_identity():
@@ -89,7 +84,7 @@ def test_criterion_03_phi_vanishes_for_metric_laws():
     us = [coordinate_field(chart, a) for a in range(4)]
     ml_count = 0
     for z0 in (1, 2, 377):
-        law = MaxwellLorentz(metric, pseudo(z0, chart))
+        law = MaxwellLorentz(metric, z0)
         for _ in range(18):
             F = random_form(rng, chart, 2, False, 2)
             cfg = FieldConfig(F, law.apply(F))
@@ -98,7 +93,7 @@ def test_criterion_03_phi_vanishes_for_metric_laws():
             ml_count += 1
     ax_count = 0
     for z0, alpha in ((1, Fraction(5, 7)), (2, Fraction(-3)), (377, Fraction(1))):
-        law = Axion(metric, pseudo(z0, chart), chart.const_poly(alpha))
+        law = Axion(metric, z0, chart.const_poly(alpha))
         for _ in range(18):
             F = random_form(rng, chart, 2, False, 2)
             cfg = FieldConfig(F, law.apply(F))
@@ -113,7 +108,7 @@ def test_criterion_03_phi_vanishes_for_metric_laws():
 def test_criterion_04_nonconstant_axion_witness():
     chart = Chart(4)
     metric = MetricSpec.minkowski(chart)
-    law = Axion(metric, pseudo(1, chart), chart.variable(1))
+    law = Axion(metric, 1, chart.variable(1))
     F = parse_form("dx0^dx2 + dx1^dx3", chart, 2)
     cfg = FieldConfig(F, law.apply(F))
     u = coordinate_field(chart, 1)
@@ -192,17 +187,15 @@ def test_criterion_06_reciprocity_suite():
         assert pair_tensor(star_z(pair)) == -PairTensor.from_forms(pair.G, pair.F)
         rescalings += 1
 
-    i = Scalar.i()
     eigens = 0
     for k in range(25):
         pair = _random_pair(rng, chart, Z_VALUES[k % 4]).to_complex()
         for sign in (1, -1):
             eig = self_reciprocal_pair(pair, sign)
-            lam = i if sign == 1 else -i
+            lam = (0, sign)
             st = star_z(eig)
             assert st.F == eig.F.scale(lam) and st.G == eig.G.scale(lam)
-            factor = -(i * pair.z) if sign == 1 else i * pair.z
-            assert eig.F == eig.G.scale(factor)
+            assert eig.F == eig.G.scale((0, -sign * pair.z), pseudo=True)
         plus = self_reciprocal_pair(pair, 1)
         minus = self_reciprocal_pair(pair, -1)
         assert plus.F + minus.F == pair.F.scale(2)
@@ -214,7 +207,7 @@ def test_criterion_06_reciprocity_suite():
     for k in range(25):
         F = random_form(rng, chart, 2, False, 2)
         z0 = (Fraction(1), Fraction(3), Fraction(2, 5))[k % 3]
-        checks = check_factorization(metric, pseudo(z0, chart), F)
+        checks = check_factorization(metric, z0, F)
         assert all(c.passed for c in checks) and len(checks) == 4
         factored += 1
 

@@ -64,6 +64,18 @@ def test_rational_literals_accepted():
     assert cfg.metric.signature == (1, 3)
 
 
+def test_a_loaded_metric_builds_its_minor_tower_only_for_a_dual():
+    # g = A^T diag(1, -1, -1, -1) A for a unimodular A: dense, det g = -1
+    cfg = cfg_from({"metric": {"matrix": [[1, 1, 0, 0], [1, 0, -1, 0],
+                                          [0, -1, -2, 0], [0, 0, 0, -1]]},
+                    "samples": 1})
+    assert cfg.metric.det == -1 and cfg.metric._tower is None
+    run_suites(cfg, cfg.suites_for("check"))
+    assert cfg.metric._tower is None
+    run_suites(cfg, ["factorization"])
+    assert cfg.metric._tower is not None
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"n": 3, "p": 1, "seed": 9}), encoding="utf-8")

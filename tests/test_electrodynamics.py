@@ -24,7 +24,6 @@ from premetric.errors import StructuralError
 from premetric.forms import Chart, Form, basis_form, coordinate_field, ext_d
 from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
-from premetric.scalars import Scalar
 
 CH4 = Chart(4)
 MINK = MetricSpec.minkowski(CH4)
@@ -158,11 +157,11 @@ def test_densities_are_twisted():
 def test_reciprocity_invariance_of_densities():
     # (F, G) -> (zG, -F/z) leaves all three densities unchanged
     rng = random.Random(308)
-    for z in (Scalar(3, pseudo=True), Scalar(2, pseudo=True),
-              Scalar(Fraction(-1, 5), pseudo=True)):
+    for z in (3, 2, Fraction(-1, 5)):
         cfg = _random_cfg(rng, CH4, 2)
         u = random_vector_field(rng, CH4)
-        swapped = _cfg(cfg.G.scale(z), cfg.F.scale(-z.inverse()))
+        swapped = _cfg(cfg.G.scale(z, pseudo=True),
+                       cfg.F.scale(-1 / Fraction(z), pseudo=True))
         assert sigma_u(u, swapped) == sigma_u(u, cfg)
         assert force_u(u, swapped) == force_u(u, cfg)
         assert obstruction_phi_u(u, swapped) == obstruction_phi_u(u, cfg)
@@ -258,14 +257,14 @@ def test_split_validation():
 
 
 def test_maxwell_lorentz_example():
-    law = MaxwellLorentz(MINK, Scalar(2, pseudo=True))
+    law = MaxwellLorentz(MINK, 2)
     G = law.apply(basis_form(CH4, (0, 1)))
     assert G == basis_form(CH4, (2, 3), twist=True).scale(Fraction(-1, 2))
     assert G.twist
 
 
 def test_axion_example():
-    law = Axion(MINK, Scalar(1, pseudo=True), 1)
+    law = Axion(MINK, 1, 1)
     G = law.apply(basis_form(CH4, (0, 1)))
     assert G == (basis_form(CH4, (0, 1), twist=True)
                  - basis_form(CH4, (2, 3), twist=True))
@@ -273,17 +272,17 @@ def test_axion_example():
 
 def test_impedance_must_be_nonzero_pseudo():
     with pytest.raises(StructuralError):
-        MaxwellLorentz(MINK, Scalar(0, pseudo=True))
+        MaxwellLorentz(MINK, 0)
     with pytest.raises(StructuralError):
-        MaxwellLorentz(MINK, Scalar(2))
+        MaxwellLorentz(MINK, 2.0)              # impedances are exact
     with pytest.raises(StructuralError):
-        Axion(MINK, Scalar(0, pseudo=True), 1)
+        Axion(MINK, Fraction(0), 1)
 
 
 def test_phi_vanishes_for_maxwell_lorentz():
     rng = random.Random(312)
     for z0 in (1, 2, 377):
-        law = MaxwellLorentz(MINK, Scalar(z0, pseudo=True))
+        law = MaxwellLorentz(MINK, z0)
         for _ in range(5):
             F = random_form(rng, CH4, 2, False)
             cfg = _cfg(F, law.apply(F))
@@ -293,7 +292,7 @@ def test_phi_vanishes_for_maxwell_lorentz():
 
 def test_phi_vanishes_for_constant_axion():
     rng = random.Random(313)
-    law = Axion(MINK, Scalar(2, pseudo=True), Fraction(5, 3))
+    law = Axion(MINK, 2, Fraction(5, 3))
     for _ in range(5):
         F = random_form(rng, CH4, 2, False)
         cfg = _cfg(F, law.apply(F))
@@ -304,7 +303,7 @@ def test_phi_vanishes_for_constant_axion():
 def test_axion_witness_nonzero_phi():
     # non-constant axion coefficient: the residual identity still holds but
     # the obstruction itself does not vanish
-    law = Axion(MINK, Scalar(1, pseudo=True), CH4.variable(1))
+    law = Axion(MINK, 1, CH4.variable(1))
     F = basis_form(CH4, (0, 2)) + basis_form(CH4, (1, 3))
     cfg = _cfg(F, law.apply(F))
     u = coordinate_field(CH4, 1)
@@ -315,7 +314,7 @@ def test_axion_witness_nonzero_phi():
 
 def test_linear_local_matches_maxwell_lorentz():
     rng = random.Random(314)
-    law = MaxwellLorentz(MINK, Scalar(2, pseudo=True))
+    law = MaxwellLorentz(MINK, 2)
     ll = LinearLocal.from_law(law, CH4, 2)
     for _ in range(10):
         F = random_form(rng, CH4, 2, False)
@@ -346,14 +345,14 @@ def test_custom_law():
 def test_axion_needs_middle_degree():
     ch3 = Chart(3)
     m3 = MetricSpec.diagonal(ch3, [1, -1, -1])
-    law = Axion(m3, Scalar(1, pseudo=True), 1)
+    law = Axion(m3, 1, 1)
     with pytest.raises(StructuralError):
         law.apply(basis_form(ch3, (0,)))
 
 
 def test_impedance_follows_the_chart_scalar_mode():
-    # a plain number becomes a pseudoscalar of the metric chart's mode, so
-    # the metric laws work on complex charts as on real ones
+    # the impedance is a rational, so the metric laws work on complex
+    # charts as on real ones
     real, cplx = Chart(4), Chart(4, complex_mode=True)
     F = random_form(random.Random(315), real, 2, False)
     F_c = Form(cplx, 2, False, {i: p.to_complex() for i, p in F.components.items()})
@@ -363,7 +362,7 @@ def test_impedance_follows_the_chart_scalar_mode():
     assert MaxwellLorentz(m_c, 2).apply(F_c) == G_c
     assert Axion(m_c, 2, 0).apply(F_c) == G_c
     with pytest.raises(StructuralError):
-        MaxwellLorentz(m_c, Scalar(2, pseudo=True))   # real-mode impedance
+        MaxwellLorentz(m_c, (2, 0))   # a Gaussian impedance
 
 
 def test_vacuum_axion_works_off_the_middle_degree():
@@ -372,7 +371,7 @@ def test_vacuum_axion_works_off_the_middle_degree():
         metric = MetricSpec.minkowski(chart)
         F = random_form(random.Random(316 + n), chart, p, False)
         G = Axion(metric, 3, 0).apply(F)
-        assert G == hodge(metric, F).scale(Scalar(Fraction(1, 3)))
+        assert G == hodge(metric, F).scale(Fraction(1, 3))
         assert G.twist and G.degree == n - p
         with pytest.raises(StructuralError):
             Axion(metric, 3, 1).apply(F)

@@ -13,7 +13,7 @@ from premetric.formexpr import (
 )
 from premetric.forms import Chart, basis_form
 from premetric.randgen import random_form
-from premetric.scalars import Polynomial, Scalar
+from premetric.scalars import Polynomial
 
 CH4 = Chart(4)
 
@@ -256,7 +256,7 @@ def test_printer_refuses_what_the_parser_cannot_read():
         assert parse_polynomial(poly_str(poly), CH4) == poly
     for value in (10 ** MAX_LITERAL_DIGITS, Fraction(1, 10 ** MAX_LITERAL_DIGITS)):
         for poly in (CH4.const_poly(value), -CH4.const_poly(value),
-                     Polynomial.constant(4, Scalar(1, value), True)):
+                     Polynomial.constant(4, (1, value), True)):
             with pytest.raises(StructuralError) as e:
                 poly_str(poly)
             assert f"more than {MAX_LITERAL_DIGITS} digits" in str(e.value)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,6 @@ from premetric.forms import (
     wedge,
 )
 from premetric.randgen import random_form, random_polynomial, random_vector_field
-from premetric.scalars import Scalar
 
 
 def _chart(n, **kw):
@@ -118,13 +118,13 @@ def test_mismatches_raise():
 def test_scale_routes_parity():
     ch = _chart(2)
     a = basis_form(ch, (0,))
-    z = Scalar(2, pseudo=True)
-    scaled = a.scale(z)
+    scaled = a.scale(2, pseudo=True)
     assert scaled.twist is True
     assert scaled == basis_form(ch, (0,), twist=True, coefficient=ch.const_poly(2))
-    assert a.scale(Scalar(3)).twist is False
+    assert a.scale(3).twist is False
     assert a.scale(ch.variable(0), pseudo=True).twist is True
-    assert components_equal(a.scale(z), a.scale(Scalar(2)))
+    assert components_equal(a.scale(2, pseudo=True), a.scale(2))
+    assert scaled.scale(Fraction(1, 2), pseudo=True) == a
 
 
 def test_sort_indices():
@@ -310,7 +310,7 @@ def test_identity_pullback_is_identity():
 
 def test_complex_mode_forms():
     ch = _chart(2, complex_mode=True)
-    i = Scalar.i()
+    i = (0, 1)
     a = basis_form(ch, (0,), coefficient=ch.const_poly(i))
     b = basis_form(ch, (1,))
     assert wedge(a, b) == basis_form(ch, (0, 1), coefficient=ch.const_poly(i))

@@ -22,11 +22,13 @@ def _minkowski4(orientation=1):
 
 def test_metric_validation():
     ch = Chart(2)
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError, match="^metric must be symmetric$"):
         MetricSpec(ch, [[1, 1], [0, 1]])      # not symmetric
-    with pytest.raises(MetricError):
-        MetricSpec(ch, [[1, 1], [1, 1]])      # singular
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError, match="^metric must be symmetric$"):
+        MetricSpec(ch, [[0, 1], [0, 0]])      # checked before singular
+    with pytest.raises(MetricError, match="^metric is singular$"):
+        MetricSpec(ch, [[1, 1], [1, 1]])
+    with pytest.raises(MetricError, match="is not the square of a rational"):
         MetricSpec.diagonal(ch, [2, 1])       # |det| = 2 has no rational root
 
 
@@ -274,10 +276,6 @@ def _rational_matrix(rng, n, singular, sparse=False):
     return m
 
 
-def _det(m):
-    return _minors(m).get((tuple(range(len(m))),) * 2, 0)
-
-
 def _sympy(m):
     sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
@@ -335,8 +333,9 @@ def test_signature_matches_sympy_inertia():
                     if i == j and zero_diagonal:
                         continue
                     m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if _det(m) == 0:
-                with pytest.raises(MetricError):
+            det = _fraction(_sympy(m).det())
+            if det == 0:
+                with pytest.raises(MetricError, match="^metric is singular$"):
                     _signature(m)
                 continue
-            assert _signature(m) == _inertia(m), (n, m)
+            assert _signature(m) == (_inertia(m), det), (n, m)

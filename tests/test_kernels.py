@@ -24,7 +24,7 @@ from premetric.errors import StructuralError  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, combine, contract,  # noqa: E402
                              ext_d, wedge)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
-from premetric.scalars import (MAX_EXPONENT, Polynomial, Scalar,  # noqa: E402
+from premetric.scalars import (MAX_EXPONENT, Polynomial,  # noqa: E402
                                partial_sum, poly_sum)
 
 EXAMPLES = settings(max_examples=30, deadline=None)
@@ -32,8 +32,7 @@ COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
 def polys(n, complex_mode):
-    coeff = (st.builds(Scalar, COEFF, COEFF) if complex_mode
-             else st.builds(Scalar, COEFF))
+    coeff = st.tuples(COEFF, COEFF) if complex_mode else COEFF
     exps = st.tuples(*[st.integers(0, 3)] * n)
     return st.builds(lambda terms: Polynomial(n, terms, complex_mode),
                      st.dictionaries(exps, coeff, max_size=3))
@@ -268,19 +267,14 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
 
 
 def multipliers(complex_mode):
-    """ints, Fractions and Scalars, pseudo-tagged or not, with 0 and +-1;
-    Gaussian ones with different part denominators."""
-    plain = st.sampled_from((0, 1, -1, Fraction(-2, 3)))
+    """ints and Fractions with 0 and +-1; in complex mode also (re, im)
+    pairs, among them ones with different part denominators."""
+    plain = st.sampled_from((0, 1, -1, Fraction(-2, 3))) | COEFF
     if complex_mode:
-        parts = st.tuples(COEFF, COEFF) | st.sampled_from(
+        return plain | st.tuples(COEFF, COEFF) | st.sampled_from(
             ((0, 0), (1, 0), (-1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)),
              (Fraction(3, 4), Fraction(5, 6))))
-        scalars = st.builds(lambda re_im, pseudo: Scalar(*re_im, pseudo=pseudo),
-                            parts, st.booleans())
-    else:
-        scalars = st.builds(lambda re, pseudo: Scalar(re, pseudo=pseudo),
-                            COEFF | st.sampled_from((0, 1, -1)), st.booleans())
-    return plain | scalars
+    return plain
 
 
 def fraction_terms(p):
@@ -292,7 +286,7 @@ def fraction_terms(p):
 
 
 def fold_scale(p, s):
-    re, im = (s.re, s.im or 0) if isinstance(s, Scalar) else (Fraction(s), 0)
+    re, im = s if isinstance(s, tuple) else (s, 0)
     out = {}
     for k, c in fraction_terms(p).items():
         if p.complex_mode:
@@ -320,15 +314,14 @@ def test_scaling_is_the_fold(data):
     n, mode = chart.n, chart.complex_mode
     s = data.draw(multipliers(mode))
     p = data.draw(polys(n, mode))
-    q = p.scale(s.as_plain() if isinstance(s, Scalar) else s)
+    q = p.scale(s)
     assert_canonical(q)
     assert fraction_terms(q) == fold_scale(p, s)
 
     a = data.draw(forms(chart, data.draw(st.integers(0, n)), data.draw(st.booleans())))
-    pseudo = data.draw(st.sampled_from((None, False, True)))
+    pseudo = data.draw(st.booleans())
     b = a.scale(s, pseudo=pseudo)
-    flip = (isinstance(s, Scalar) and s.pseudo) if pseudo is None else pseudo
-    assert b.twist == (a.twist != flip)
+    assert b.twist == (a.twist != pseudo)
     expected = {idx: fold_scale(poly, s) for idx, poly in a.components.items()}
     assert {idx: fraction_terms(poly) for idx, poly in b.components.items()} == {
         idx: terms for idx, terms in expected.items() if terms}
@@ -340,16 +333,17 @@ def test_scaling_errors_keep_their_messages():
     real, gauss = Chart(3), Chart(3, complex_mode=True)
     x, z = real.variable(0), gauss.variable(0)
     mismatch = "^real/complex scalar mode mismatch$"
-    for chart, poly, s in ((real, x, Scalar(1, 2)), (gauss, z, Scalar(2))):
+    for s in ((1, 2), (0, 0)):
         with pytest.raises(StructuralError, match=mismatch):
-            poly.scale(s)
+            x.scale(s)
         with pytest.raises(StructuralError, match=mismatch):
-            Form(chart, 1, False, {(0,): poly}).scale(s)
-    with pytest.raises(StructuralError, match=mismatch):
-        z.scale(Scalar(0))
-    for poly, s in ((x, Scalar(2, pseudo=True)), (z, Scalar(0, 1, pseudo=True))):
-        with pytest.raises(StructuralError, match="^scale polynomials by plain values"):
-            poly.scale(s)
+            Polynomial.constant(3, s)
+        # the mode is checked before the zero and empty-form shortcuts
+        for form in (Form(real, 1, False, {(0,): x}), Form(real, 1, False)):
+            with pytest.raises(StructuralError, match=mismatch):
+                form.scale(s)
+    assert z.scale((0, 1)) == Polynomial(3, {(1, 0, 0): (0, 1)}, True)
+    assert z.scale(2) == z.scale((2, 0))
     with pytest.raises(StructuralError, match="^not an exact rational: 0.5$"):
         x.scale(0.5)
     with pytest.raises(StructuralError, match="^cannot scale a form by 0.5$"):

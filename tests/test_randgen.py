@@ -2,7 +2,7 @@
 
 Reports are reproducible only while every `rng` call and its order stay
 fixed (docs/conventions.md, Random generation).  The reference generator
-below follows that description in the plain Fraction/Scalar style; the
+below follows that description with plain Fractions and (re, im) pairs; the
 package must give equal forms and vector fields from the same stream and
 leave the stream in the same state.
 """
@@ -16,7 +16,7 @@ import pytest
 
 from premetric.forms import Chart, Form, VectorField
 from premetric.randgen import random_form, random_vector_field
-from premetric.scalars import Polynomial, Scalar
+from premetric.scalars import Polynomial
 
 NUMERATORS = [k for k in range(-9, 10) if k != 0]
 
@@ -36,11 +36,12 @@ def reference_polynomial(rng, n, degree_bound, complex_mode):
     for _ in range(rng.randint(1, 3)):
         exps = pool[rng.randrange(len(pool))]
         re = Fraction(rng.choice(NUMERATORS), rng.randint(1, 9))
-        if complex_mode:
-            coeff = Scalar(re, Fraction(rng.choice(NUMERATORS), rng.randint(1, 9)))
-        else:
-            coeff = Scalar(re)
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
+        im = (Fraction(rng.choice(NUMERATORS), rng.randint(1, 9))
+              if complex_mode else Fraction(0))
+        old_re, old_im = terms.get(exps, (0, 0))
+        terms[exps] = (old_re + re, old_im + im)
+    if not complex_mode:
+        terms = {exps: re for exps, (re, _) in terms.items()}
     return Polynomial(n, terms, complex_mode)
 
 

@@ -22,7 +22,6 @@ from premetric.reciprocity import (
     self_reciprocal_pair,
     star_z,
 )
-from premetric.scalars import Scalar
 
 CH4 = Chart(4)
 MINK = MetricSpec.minkowski(CH4)
@@ -68,7 +67,9 @@ def test_pair_validation():
     with pytest.raises(StructuralError):
         FieldPairZ(F, G, 0)
     with pytest.raises(StructuralError):
-        FieldPairZ(F, G, Scalar(2))          # untagged impedance
+        FieldPairZ(F, G, 2.0)                # z is exact
+    with pytest.raises(StructuralError):
+        FieldPairZ(F, G, (0, 2))             # and rational
     with pytest.raises(StructuralError):
         FieldPairZ(G, F, 1)                  # twists swapped
     with pytest.raises(StructuralError):
@@ -82,9 +83,8 @@ def test_pair_validation():
 def test_pair_tensor_rescaling_invariance():
     rng = random.Random(402)
     for k_val in (3, Fraction(2, 7), -5):
-        k = Scalar(k_val)
         p = _pair(rng)
-        q = FieldPairZ(p.F.scale(k), p.G.scale(k.inverse()), p.z)
+        q = FieldPairZ(p.F.scale(k_val), p.G.scale(1 / Fraction(k_val)), p.z)
         assert pair_tensor(q) == pair_tensor(p)
 
 
@@ -108,10 +108,10 @@ def test_eigenpair_example():
                    basis_form(CH4, (2, 3), twist=True), 1).to_complex()
     eig = self_reciprocal_pair(p, 1)
     ch = p.chart
-    i = Scalar.i()
+    i = (0, 1)
     assert components_equal(
         eig.F, basis_form(ch, (0, 1)) + basis_form(ch, (2, 3),
-                                                   coefficient=ch.const_poly(-i)))
+                                                   coefficient=ch.const_poly((0, -1))))
     assert components_equal(
         eig.G, basis_form(ch, (2, 3)) + basis_form(ch, (0, 1),
                                                    coefficient=ch.const_poly(i)))
@@ -119,19 +119,17 @@ def test_eigenpair_example():
 
 def test_eigenpair_relations():
     rng = random.Random(404)
-    i = Scalar.i()
     for z in Z_VALUES:
         for _ in range(7):
             p = _pair(rng, z).to_complex()
             for sign in (1, -1):
                 eig = self_reciprocal_pair(p, sign)
-                ev = i if sign > 0 else -i
+                ev = (0, sign)
                 s = star_z(eig)
                 assert s.F == eig.F.scale(ev)
                 assert s.G == eig.G.scale(ev)
                 # the two slots are proportional: F = -+ iz G
-                factor = -(i * p.z) if sign > 0 else (i * p.z)
-                assert eig.F == eig.G.scale(factor)
+                assert eig.F == eig.G.scale((0, -sign * p.z), pseudo=True)
             plus = self_reciprocal_pair(p, 1)
             minus = self_reciprocal_pair(p, -1)
             assert plus.F + minus.F == p.F.scale(2)
@@ -205,7 +203,7 @@ def test_factorization_rejects_euclidean():
 
 def test_factorization_agrees_with_constitutive_layer():
     rng = random.Random(408)
-    z0 = Scalar(3, pseudo=True)
+    z0 = 3
     F = random_form(rng, CH4, 2, False)
     G = MaxwellLorentz(MINK, z0).apply(F)
     s = star_z(FieldPairZ(F, G, z0))

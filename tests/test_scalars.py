@@ -5,44 +5,40 @@ import pytest
 
 from premetric.errors import StructuralError
 from premetric.randgen import random_polynomial
-from premetric.scalars import Polynomial, Scalar
+from premetric.scalars import Polynomial
 
 
 def test_rational_arithmetic_is_exact():
-    a = Scalar(Fraction(1, 3))
-    b = Scalar(Fraction(1, 6))
-    assert a + b == Scalar(Fraction(1, 2))
-    assert (a * b) == Scalar(Fraction(1, 18))
-    assert a / b == Scalar(2)
+    a = Polynomial.constant(1, Fraction(1, 3))
+    b = Polynomial.constant(1, Fraction(1, 6))
+    assert a + b == Polynomial.constant(1, Fraction(1, 2))
+    assert a * b == Polynomial.constant(1, Fraction(1, 18))
+    assert a.scale(6) == Polynomial.constant(1, 2) == b.scale(12)
     assert (a - a).is_zero()
 
 
 def test_imaginary_unit_squares_to_minus_one():
-    i = Scalar.i()
-    assert i * i == Scalar(-1, 0)
-    assert i.inverse() == Scalar(0, -1)
-    z = Scalar(Fraction(1, 2), Fraction(-3, 4))
-    assert (z * z.inverse()) == Scalar.one(complex_mode=True)
+    i = Polynomial.constant(1, (0, 1), True)
+    one = Polynomial.constant(1, 1, True)
+    assert i * i == -one
+    assert i.scale((0, -1)) == one
+    z = (Fraction(1, 2), Fraction(-3, 4))
+    z_inverse = (Fraction(8, 13), Fraction(12, 13))
+    assert Polynomial.constant(1, z, True).scale(z_inverse) == one
 
 
 def test_modes_do_not_mix():
+    mismatch = "^real/complex scalar mode mismatch$"
+    with pytest.raises(StructuralError, match=mismatch):
+        Polynomial.constant(1, (1, 0))
+    with pytest.raises(StructuralError, match=mismatch):
+        Polynomial.constant(1, 2).scale((0, 1))
+    real, cplx = Polynomial.constant(1, 1), Polynomial.constant(1, 1, True)
     with pytest.raises(StructuralError):
-        Scalar(1) + Scalar(1, 0)
+        real + cplx
     with pytest.raises(StructuralError):
-        Scalar(2) * Scalar(0, 1)
-    assert Scalar(1) != Scalar(1, 0)  # modes are distinct contexts
-    assert Scalar(1).to_complex() == Scalar(1, 0)
-
-
-def test_pseudo_parity_bookkeeping():
-    z = Scalar(3, pseudo=True)
-    assert (z * z).pseudo is False
-    assert (z * Scalar(2)).pseudo is True
-    assert z.inverse().pseudo is True
-    assert (-z).pseudo is True
-    with pytest.raises(StructuralError):
-        z + Scalar(1)
-    assert z.as_plain() == Scalar(3)
+        real == cplx  # modes are distinct contexts
+    assert real.to_complex() == Polynomial.constant(1, (1, 0), True) == cplx
 
 
 def test_polynomial_examples():
@@ -50,7 +46,7 @@ def test_polynomial_examples():
     x1 = Polynomial.variable(2, 1)
     one = Polynomial.constant(2, 1)
     assert (x0 + (-x0)).is_zero()
-    assert x0 * x1 + x0 * x1 == (x0 * x1).scale(Scalar(2))
+    assert x0 * x1 + x0 * x1 == (x0 * x1).scale(2)
     assert (x0 * x0 + one) + x1 == Polynomial(2, {(2, 0): 1, (0, 1): 1, (0, 0): 1})
     assert (x0 + one) * (x0 - one) == x0 * x0 - one
     assert (Polynomial.zero(2) * x0).is_zero()
@@ -60,7 +56,7 @@ def test_polynomial_partials():
     x0 = Polynomial.variable(3, 0)
     x1 = Polynomial.variable(3, 1)
     p = x0 * x1 * x1
-    assert p.partial(1) == (x0 * x1).scale(Scalar(2))
+    assert p.partial(1) == (x0 * x1).scale(2)
     assert Polynomial.constant(3, 5).partial(0).is_zero()
 
 
@@ -72,7 +68,9 @@ def test_polynomial_structural_errors():
     with pytest.raises(StructuralError):
         Polynomial.variable(2, 0).partial(2)
     with pytest.raises(StructuralError):
-        Polynomial(2, {(1, 0): Scalar(1, pseudo=True)})
+        Polynomial(2, {(1, 0): (1, 0)})          # a pair in real mode
+    with pytest.raises(StructuralError):
+        Polynomial(2, {(1, 0): 0.5})
 
 
 def test_ring_axioms_on_random_polynomials():
@@ -134,26 +132,6 @@ def test_substitute_linear_composes():
     assert (a + b).substitute_linear(mat) == a.substitute_linear(mat) + b.substitute_linear(mat)
 
 
-def test_scalar_hash_agrees_with_equality():
-    assert {Scalar(1): "one"}.get(1) == "one"
-    assert {Scalar(Fraction(-2, 7)): "q"}.get(Fraction(-2, 7)) == "q"
-    assert {2: "two"}.get(Scalar(2)) == "two"
-    # complex mode with a zero imaginary part equals the plain rational
-    assert Scalar(2, 0) == 2 and hash(Scalar(2, 0)) == hash(2)
-    half = Scalar(Fraction(1, 2), 0)
-    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
-    # every equal pair hashes equal, across modes, parities and plain numbers
-    values = [0, 1, -3, Fraction(1, 2), Fraction(-5, 3)]
-    pool = list(values)
-    for v in values:
-        pool += [Scalar(v), Scalar(v, 0), Scalar(v, Fraction(2, 3)),
-                 Scalar(v, pseudo=True), Scalar(v, 0, pseudo=True)]
-    for x in pool:
-        for y in pool:
-            if x == y:
-                assert hash(x) == hash(y), (x, y)
-
-
 def test_exponents_are_bounded_by_the_packing_limit():
     from premetric.scalars import MAX_EXPONENT
     x0 = Polynomial.variable(2, 0)
@@ -172,10 +150,13 @@ def test_exponents_are_bounded_by_the_packing_limit():
 
 def test_terms_view_is_canonical_and_read_only():
     p = Polynomial(2, {(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 9)})
-    assert dict(p.terms) == {(1, 0): Scalar(Fraction(1, 2)),
-                             (0, 1): Scalar(Fraction(-1, 3))}
+    assert dict(p.terms) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
     assert p.den == 6 and sorted(p.nums.values()) == [-2, 3]
     with pytest.raises(TypeError):
-        p.terms[(0, 0)] = Scalar(1)
-    q = Polynomial(2, {(0, 0): Scalar(Fraction(1, 4), Fraction(1, 6))}, True)
+        p.terms[(0, 0)] = 1
+    q = Polynomial(2, {(0, 0): (Fraction(1, 4), Fraction(1, 6))}, True)
     assert q.den == 12 and list(q.nums.values()) == [(3, 2)]
+    assert dict(q.terms) == {(0, 0): (Fraction(1, 4), Fraction(1, 6))}
+    for r in (p, q):
+        assert Polynomial(2, dict(r.terms), r.complex_mode) == r
