@@ -4,8 +4,8 @@ The schema is documented in docs/config.md.  Rational values are JSON
 integers or strings like "3/4"; forms, vector fields and polynomial
 coefficients are expression text (docs/grammar.md) or the string
 "random".  Validation problems raise ConfigError with a dotted path to
-the offending key; nothing about the run starts until the whole document
-is sound.
+the offending key.  Every expression is parsed and the law built here,
+so nothing about the run starts until the whole document is sound.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from fractions import Fraction
 
 from .electrodynamics import Axion, Custom, LinearLocal, MaxwellLorentz
 from .errors import ConfigError, MetricError
-from .formexpr import parse_form, parse_polynomial
+from .formexpr import parse_form, parse_polynomial, parse_vector_field
 from .forms import Chart
 from .hodge import MetricSpec
-
-SUITE_NAMES = ("conservation", "identities", "phi", "split", "reciprocity",
-               "factorization")
+from .suites import SUITE_RUNNERS
 
 _DEFAULT_SUITES = {
     "check": ("conservation", "identities"),
@@ -57,13 +55,12 @@ class RunConfig:
     orientation: int = 1
     metric: object = None          # MetricSpec or None
     Z0: Fraction = None
-    z: object = None               # Fraction or list of Fractions
-    alpha: str = None              # polynomial expression text
-    constitutive: dict = None      # {"kind": ..., ...}
-    F: str = "random"
-    G: str = None                  # None: derive from the law if present
-    J: str = "random"
-    u: str = "random"
+    z: object = None               # tuple of Fractions
+    constitutive: object = None    # the built law, or None
+    F: object = "random"           # Form or "random"
+    G: object = None               # Form, "random" or None (from the law if any)
+    J: object = "random"           # Form or "random"
+    u: object = "random"           # VectorField or "random"
     seed: int = 0
     degree_bound: int = 2
     samples: int = 25
@@ -88,7 +85,8 @@ class RunConfig:
 
 _KNOWN_KEYS = frozenset(f.name for f in fields(RunConfig))
 
-_CONSTITUTIVE_KINDS = ("maxwell-lorentz", "axion", "linear-local", "custom")
+_CONSTITUTIVE_KINDS = tuple(law.kind for law in
+                            (MaxwellLorentz, Axion, LinearLocal, Custom))
 
 
 def load_config(path):
@@ -141,10 +139,6 @@ def validate_config(raw):
             vals.append(v)
         cfg.z = tuple(vals)
 
-    if "alpha" in raw:
-        _expect(isinstance(raw["alpha"], str), "alpha: expected expression text")
-        cfg.alpha = raw["alpha"]
-
     law_raw = raw.get("constitutive")
     if law_raw is not None:
         _expect(isinstance(law_raw, dict) and "kind" in law_raw,
@@ -157,7 +151,6 @@ def validate_config(raw):
         if law_raw["kind"] == "linear-local":
             _expect(isinstance(law_raw.get("chi"), list),
                     "constitutive.chi: expected a matrix of rationals or expressions")
-        cfg.constitutive = dict(law_raw)
 
     for name in ("F", "G", "J", "u"):
         if name in raw:
@@ -177,7 +170,8 @@ def validate_config(raw):
     suites = raw.get("suites", [])
     _expect(isinstance(suites, list), "suites: expected a list of suite names")
     for s in suites:
-        _expect(s in SUITE_NAMES, f"suites: unknown suite {s!r}")
+        _expect(isinstance(s, str) and s in SUITE_RUNNERS,
+                f"suites: unknown suite {s!r}")
     cfg.suites = tuple(suites)
 
     if "out" in raw:
@@ -186,7 +180,15 @@ def validate_config(raw):
     cfg.format = raw.get("format", "text")
     _expect(cfg.format in ("text", "structured"), "format: expected 'text' or 'structured'")
 
-    _check_cross_constraints(cfg)
+    if law_raw is not None:
+        cfg.constitutive = build_law(law_raw, cfg)
+    for name, degree, twist in (("F", cfg.p, False), ("G", cfg.n - cfg.p, True),
+                                ("J", cfg.n - cfg.p + 1, True)):
+        text = getattr(cfg, name)
+        if text not in (None, "random"):
+            setattr(cfg, name, parse_form(text, chart, degree, twist=twist))
+    if cfg.u != "random":
+        cfg.u = parse_vector_field(cfg.u, chart)
     return cfg
 
 
@@ -211,35 +213,29 @@ def _build_metric(metric_raw, chart):
     raise ConfigError("metric: expected 'diagonal' or 'matrix'")
 
 
-def _check_cross_constraints(cfg):
-    kind = cfg.constitutive.get("kind") if cfg.constitutive else None
-    if kind in ("maxwell-lorentz", "axion"):
-        raw = cfg.constitutive
-        if raw.get("Z0") is not None:
-            raw["Z0"] = _fraction(raw["Z0"], "constitutive.Z0")
-            _expect(raw["Z0"] != 0, "constitutive.Z0: must be nonzero")
-        _expect(raw.get("Z0", cfg.Z0) is not None,
-                "constitutive: metric-based laws need Z0")
-    if kind == "axion" and "alpha" not in cfg.constitutive and cfg.alpha is None:
-        raise ConfigError("constitutive: axion law needs an alpha polynomial")
-    if cfg.G is not None and cfg.constitutive is not None and kind != "custom":
-        raise ConfigError("G: give either an explicit excitation or a constitutive law")
-
-
-def build_law(cfg):
-    """Construct the configured constitutive law object."""
-    chart = cfg.chart()
-    raw = cfg.constitutive
+def build_law(raw, cfg):
+    """The law of the config's "constitutive" object `raw`, checked against
+    the rest of the config; `cfg` holds every other key, F to u as text."""
     kind = raw["kind"]
+    Z0 = raw.get("Z0", cfg.Z0)
+    if kind in ("maxwell-lorentz", "axion"):
+        if raw.get("Z0") is not None:
+            Z0 = _fraction(Z0, "constitutive.Z0")
+            _expect(Z0 != 0, "constitutive.Z0: must be nonzero")
+        _expect(Z0 is not None, "constitutive: metric-based laws need Z0")
+    _expect(kind != "axion" or "alpha" in raw,
+            "constitutive: axion law needs an alpha polynomial")
+    _expect(cfg.G is None, "G: give either an explicit excitation or a constitutive law")
+    chart = cfg.chart()
     if kind == "maxwell-lorentz":
-        return MaxwellLorentz(cfg.metric_spec(), raw.get("Z0", cfg.Z0))
+        return MaxwellLorentz(cfg.metric_spec(), Z0)
     if kind == "axion":
-        alpha = raw.get("alpha", cfg.alpha)
+        alpha = raw["alpha"]
         if isinstance(alpha, str):
             alpha = parse_polynomial(alpha, chart)
         else:
-            alpha = chart.const_poly(_fraction(alpha, "constitutive.alpha"))
-        return Axion(cfg.metric_spec(), raw.get("Z0", cfg.Z0), alpha)
+            alpha = _fraction(alpha, "constitutive.alpha")
+        return Axion(cfg.metric_spec(), Z0, alpha)
     if kind == "linear-local":
         chi = []
         for r, row in enumerate(raw["chi"]):
@@ -247,21 +243,13 @@ def build_law(cfg):
                 raise ConfigError(f"constitutive.chi[{r}]: expected a row")
             entries = []
             for c, e in enumerate(row):
-                if isinstance(e, str) and not _is_rational_text(e):
+                try:  # a rational, else polynomial text
+                    entries.append(_fraction(e, f"constitutive.chi[{r}][{c}]"))
+                except ConfigError:
+                    if not isinstance(e, str):
+                        raise
                     entries.append(parse_polynomial(e, chart))
-                else:
-                    entries.append(chart.const_poly(
-                        _fraction(e, f"constitutive.chi[{r}][{c}]")))
             chi.append(entries)
         return LinearLocal(chart, cfg.p, chi)
-    if kind == "custom":
-        return Custom(parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True))
-    raise ConfigError(f"constitutive.kind: unknown kind {kind!r}")
+    return Custom(parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True))
 
-
-def _is_rational_text(s):
-    try:
-        Fraction(s)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False

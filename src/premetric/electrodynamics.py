@@ -303,6 +303,8 @@ class Axion:
     vacuum at every degree.
     """
 
+    kind = "axion"
+
     def __init__(self, metric, Z, alpha):
         self.metric = metric
         self.Z = nonzero_rational(Z, "impedance")
@@ -325,6 +327,8 @@ class Axion:
 class MaxwellLorentz(Axion):
     """G = hodge(F) / Z0: the axion law with alpha = 0."""
 
+    kind = "maxwell-lorentz"
+
     def __init__(self, metric, Z0):
         super().__init__(metric, Z0, 0)
 
@@ -339,6 +343,8 @@ class LinearLocal:
     in lexicographic order) to the (n-p)-form component vector in the same
     convention; entries are Polynomials, so pointwise media are allowed.
     """
+
+    kind = "linear-local"
 
     def __init__(self, chart, p, chi):
         n = chart.n
@@ -390,6 +396,8 @@ class LinearLocal:
 
 class Custom:
     """An opaque F -> G map; conservation is checked, never assumed."""
+
+    kind = "custom"
 
     def __init__(self, fn):
         self.fn = fn if callable(fn) else (lambda F, fixed=fn: fixed)

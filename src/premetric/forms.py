@@ -401,18 +401,6 @@ def pullback_linear(matrix, a):
     return a._raw(a.degree, a.twist, _components(chart, groups, poly_sum))
 
 
-def components_equal(a, b):
-    """Componentwise equality ignoring twist parity.
-
-    Only for checks that are stated componentwise (factorization through
-    Hodge stars, self-dual eigenforms); everywhere else use ==, which
-    refuses cross-twist comparison.
-    """
-    if a.chart != b.chart or a.degree != b.degree:
-        raise StructuralError("componentwise comparison needs matching chart and degree")
-    return a.components == b.components
-
-
 def _minors(mat):
     """{(rows, cols): det mat[rows, cols]} over increasing index tuples of
     equal length 0..n, nonzero minors only (the empty minor is 1).

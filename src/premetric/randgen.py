@@ -72,7 +72,8 @@ def random_form(rng, chart, degree, twist, degree_bound=2):
             poly = random_polynomial(rng, chart.n, degree_bound, chart.complex_mode)
             if not poly.is_zero():
                 comps[idx] = poly
-    return Form(chart, degree, twist, comps)
+    # the components are valid by construction: skip re-checking them
+    return Form(chart, degree, twist)._raw(degree, twist, comps)
 
 
 def random_vector_field(rng, chart, degree_bound=2):

@@ -15,11 +15,9 @@ passes pseudo=True, which is what moves a form between the two slots.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
-from .forms import Form, components_equal
+from .forms import Form
 from .hodge import double_hodge_sign, hodge
 from .report import CheckResult, nonzero_witness
 from .scalars import nonzero_rational
@@ -74,47 +72,16 @@ def star_z(pair):
     return FieldPairZ(new_F, new_G, pair.z)
 
 
-class PairTensor:
-    """Rank-4 component array T[ab][cd] = F_ab * G_cd on increasing pairs."""
-
-    __slots__ = ("chart", "entries")
-
-    def __init__(self, chart, entries):
-        self.chart = chart
-        self.entries = tuple(tuple(row) for row in entries)
-
-    @classmethod
-    def from_forms(cls, A, B):
-        if A.chart != B.chart:
-            raise StructuralError("chart mismatch")
-        chart = A.chart
-        pairs = list(combinations(range(chart.n), 2))
-        zero = chart.zero_poly()
-        rows = []
-        for ab in pairs:
-            a = A.components.get(ab)
-            if a is None:
-                rows.append([zero] * len(pairs))
-                continue
-            rows.append([a * B.components[cd] if cd in B.components else zero
-                         for cd in pairs])
-        return cls(chart, rows)
-
-    def __neg__(self):
-        return PairTensor(self.chart, [[-e for e in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, PairTensor):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+def tensor(A, B):
+    """{(I, J): A_I * B_J} over the nonzero components; no entry is zero, as
+    polynomials over Q and Q(i) have no zero divisors."""
+    return {(I, J): a * b for I, a in A.components.items()
+            for J, b in B.components.items()}
 
 
 def pair_tensor(pair):
     """The z-independent tensor product of the pair's component arrays."""
-    return PairTensor.from_forms(pair.F, pair.G)
+    return tensor(pair.F, pair.G)
 
 
 def self_reciprocal_pair(pair, sign):
@@ -165,17 +132,13 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     cpair = pair.to_complex()
     for sign, name in ((1, "plus"), (-1, "minus")):
         eig = self_reciprocal_pair(cpair, sign)
-        dual = hodge(metric, eig.F)
-        target = eig.F.scale((0, sign))
-        ok = components_equal(dual, target)
-        witness = ""
-        if not ok:
-            diff = Form(cpair.chart, 2, False, dual.components) - target
-            witness = nonzero_witness(diff)
+        diff = (eig.F.scale((0, sign))
+                - Form(cpair.chart, 2, False, hodge(metric, eig.F).components))
+        ok = diff.is_zero()
         checks.append(CheckResult(
             id_prefix + f"selfdual-{name}", "factor",
             f"eigen field strength is hodge self-dual with eigenvalue "
             f"{'+' if sign > 0 else '-'}i",
-            ok, witness))
+            ok, "" if ok else nonzero_witness(diff)))
     return checks
 

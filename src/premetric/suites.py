@@ -12,15 +12,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .config import RunConfig, build_law
-from .electrodynamics import (FieldConfig, conservation_residual, densities,
-                              identity_suite, recompose, split_3plus1)
+from .electrodynamics import (Axion, FieldConfig, conservation_residual,
+                              densities, identity_suite, recompose,
+                              split_3plus1)
 from .errors import ConfigError
 from .forms import coordinate_field
-from .formexpr import parse_form, parse_vector_field
 from .randgen import random_form, random_vector_field
-from .reciprocity import (FieldPairZ, PairTensor, check_factorization,
-                          pair_tensor, self_reciprocal_pair, star_z)
+from .reciprocity import (FieldPairZ, check_factorization, pair_tensor,
+                          self_reciprocal_pair, star_z, tensor)
 from .report import CheckResult, nonzero_witness
 
 _DEFAULT_Z = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
@@ -40,32 +39,28 @@ def _instances(cfg, *fields):
 
 def _form(cfg, rng, name, degree, twist):
     """Input form `name` of one instance: drawn from rng when "random" (or,
-    for G, unset), else parsed from its text."""
-    text = getattr(cfg, name)
-    if text in (None, "random"):
+    for G, unset), else the form given in the config."""
+    form = getattr(cfg, name)
+    if form in (None, "random"):
         return random_form(rng, cfg.chart(), degree, twist, cfg.degree_bound)
-    return parse_form(text, cfg.chart(), degree, twist=twist)
+    return form
 
 
 def _vector_field(cfg, rng):
     if cfg.u == "random":
         return random_vector_field(rng, cfg.chart(), cfg.degree_bound)
-    return parse_vector_field(cfg.u, cfg.chart())
+    return cfg.u
 
 
-def _law(cfg):
-    return build_law(cfg) if cfg.constitutive is not None else None
-
-
-def parse_field_inputs(cfg, rng, law):
-    """(F, G) of one instance: F, then G from the law, drawn or parsed.
+def parse_field_inputs(cfg, rng):
+    """(F, G) of one instance: F, then G from the law, drawn or given.
 
     Suites draw every input in the order F, G, J, u so reports are
     reproducible byte for byte; see docs/conventions.md.
     """
     F = _form(cfg, rng, "F", cfg.p, False)
-    if law is not None:
-        return F, law.apply(F)
+    if cfg.constitutive is not None:
+        return F, cfg.constitutive.apply(F)
     return F, _form(cfg, rng, "G", cfg.n - cfg.p, True)
 
 
@@ -80,11 +75,11 @@ def _first_nonzero(*residuals):
     return next((r for r in residuals if not r.is_zero()), residuals[-1])
 
 
-def conservation_suite(cfg: RunConfig):
-    rng, law = _rng(cfg, "conservation"), _law(cfg)
+def conservation_suite(cfg):
+    rng = _rng(cfg, "conservation")
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng, law)
+        F, G = parse_field_inputs(cfg, rng)
         u = _vector_field(cfg, rng)
         r = conservation_residual(u, FieldConfig(F, G))
         checks.append(_result(
@@ -93,18 +88,18 @@ def conservation_suite(cfg: RunConfig):
     return checks
 
 
-def identities_suite(cfg: RunConfig):
-    rng, law = _rng(cfg, "identities"), _law(cfg)
+def identities_suite(cfg):
+    rng = _rng(cfg, "identities")
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng, law)
+        F, G = parse_field_inputs(cfg, rng)
         u = _vector_field(cfg, rng)
         checks.extend(identity_suite(u, FieldConfig(F, G),
                                      id_prefix=f"identity-{k:04d}-"))
     return checks
 
 
-def phi_suite(cfg: RunConfig):
+def phi_suite(cfg):
     """Symmetry-obstruction checks under the configured constitutive law.
 
     phi_u = 0 is a theorem for the metric laws with constant data and
@@ -112,27 +107,26 @@ def phi_suite(cfg: RunConfig):
     witness reported.  The balance checks must pass either way: the
     conservation identity holds whatever G is.
     """
-    if cfg.constitutive is None:
+    law = cfg.constitutive
+    if law is None:
         raise ConfigError("phi suite needs a constitutive law")
-    law = build_law(cfg)
-    kind = cfg.constitutive["kind"]
-    tag = "ML" if kind in ("maxwell-lorentz", "axion") else "constit"
+    tag = "ML" if isinstance(law, Axion) else "constit"
     chart = cfg.chart()
     rng = _rng(cfg, "phi")
 
     if cfg.u == "random":
         us = [(f"u{a}", coordinate_field(chart, a)) for a in range(cfg.n)]
     else:
-        us = [("u", parse_vector_field(cfg.u, chart))]
+        us = [("u", cfg.u)]
 
     checks = []
     for k in range(_instances(cfg, "F")):
-        fc = FieldConfig(*parse_field_inputs(cfg, rng, law))
+        fc = FieldConfig(*parse_field_inputs(cfg, rng))
         for label, u in us:
             d = densities(u, fc)
             checks.append(_result(
                 f"phi-{k:04d}-{label}", tag,
-                f"phi_u = 0 under the {kind} law for {label}", d.phi))
+                f"phi_u = 0 under the {law.kind} law for {label}", d.phi))
             checks.append(_result(
                 f"phi-{k:04d}-{label}-balance", "en-mom",
                 f"balance d(Sigma_u) = f_u + phi_u still exact for {label}",
@@ -140,13 +134,13 @@ def phi_suite(cfg: RunConfig):
     return checks
 
 
-def split_suite(cfg: RunConfig):
+def split_suite(cfg):
     if cfg.n != 4 or cfg.p != 2:
         raise ConfigError("split suite needs n=4, p=2")
-    rng, law = _rng(cfg, "split"), _law(cfg)
+    rng = _rng(cfg, "split")
     checks = []
     for k in range(_instances(cfg, "F", "G", "J")):
-        F, G = parse_field_inputs(cfg, rng, law)
+        F, G = parse_field_inputs(cfg, rng)
         J = _form(cfg, rng, "J", cfg.n - cfg.p + 1, True)
         _vector_field(cfg, rng)  # unused, drawn to keep the F, G, J, u order
         s = split_3plus1(F, G, J)
@@ -159,15 +153,15 @@ def split_suite(cfg: RunConfig):
     return checks
 
 
-def reciprocity_suite(cfg: RunConfig):
+def reciprocity_suite(cfg):
     if cfg.n != 4 or cfg.p != 2:
         raise ConfigError("reciprocity suite needs n=4, p=2")
-    rng, law = _rng(cfg, "reciprocity"), _law(cfg)
+    rng = _rng(cfg, "reciprocity")
     zs = cfg.z if cfg.z else _DEFAULT_Z
 
     checks = []
     for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng, law)
+        F, G = parse_field_inputs(cfg, rng)
         u = _vector_field(cfg, rng)
         z = zs[k % len(zs)]
         pair = FieldPairZ(F, G, z)
@@ -195,7 +189,7 @@ def reciprocity_suite(cfg: RunConfig):
             "pair tensor invariant under (F, G) -> (kF, G/k), k=3", ok,
             "" if ok else "tensor changed under rescaling"))
 
-        ok = pair_tensor(st) == -PairTensor.from_forms(G, F)
+        ok = pair_tensor(st) == tensor(-G, F)
         checks.append(CheckResult(
             f"recip-{k:04d}-swap", "O22",
             "tensor of the starred pair is -G (x) F, independent of z", ok,
@@ -216,7 +210,7 @@ def reciprocity_suite(cfg: RunConfig):
     return checks
 
 
-def factorization_suite(cfg: RunConfig):
+def factorization_suite(cfg):
     if cfg.n != 4 or cfg.p != 2:
         raise ConfigError("factorization suite needs n=4, p=2")
     metric = cfg.metric_spec()
@@ -240,7 +234,7 @@ SUITE_RUNNERS = {
 }
 
 
-def run_suites(cfg: RunConfig, names):
+def run_suites(cfg, names):
     checks = []
     for name in names:
         checks.extend(SUITE_RUNNERS[name](cfg))

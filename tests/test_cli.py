@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from premetric import cli
+from premetric import cli, config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -232,6 +232,47 @@ def test_boolean_for_an_integer_key_exits_two(tmp_path, capsys, key, message):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"premetric: error: {message}\n"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("reciprocity", {"suites": ["factorization"], "constitutive": {
+        "kind": "linear-local", "chi": [["x9"]]}},
+     "1:1: index 9 out of range for n=4"),
+    ("reciprocity", {"suites": ["factorization"], "constitutive": {
+        "kind": "axion", "Z0": 1, "alpha": "(("}},
+     "1:3: expected a coefficient or basis factor"),
+    ("reciprocity", {"suites": ["factorization"], "constitutive": {
+        "kind": "custom", "G": "dx0"}},
+     "1:1: degree mismatch: term has degree 1, expected 2"),
+    ("check", {"J": "dx0^^"}, "1:4: unexpected trailing input"),
+    ("reciprocity", {"suites": ["factorization"], "u": "dx9"},
+     "1:1: index 9 out of range for n=4"),
+])
+def test_input_no_selected_suite_reads_exits_two(tmp_path, capsys, command,
+                                                 payload, message):
+    # every expression and the law are read when the config is loaded
+    cfg = write_config(tmp_path, "unread.json", {**BASE, "samples": 1, **payload})
+    assert cli.main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"premetric: error: {message}\n"
+
+
+def test_a_law_is_built_once_per_run(tmp_path, monkeypatch):
+    build, calls = config.build_law, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("premetric")
+                and getattr(module, "build_law", None) is build):
+            monkeypatch.setattr(module, "build_law", counted)
+    cfg = write_config(tmp_path, "law.json", {**BASE, "samples": 1, "constitutive": {
+        "kind": "maxwell-lorentz", "Z0": 1}})
+    assert cli.main(["check", "--config", cfg]) == 0
+    assert len(calls) == 1
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

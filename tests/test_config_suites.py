@@ -10,7 +10,7 @@ import pytest
 
 import premetric
 from premetric import ConfigError, load_config, run_suites, validate_config
-from premetric.config import RunConfig, build_law
+from premetric.config import RunConfig
 from premetric.suites import SUITE_RUNNERS
 
 
@@ -47,6 +47,10 @@ def test_defaults():
     ({"G": "dx0^dx1", "constitutive": {"kind": "maxwell-lorentz", "Z0": 1}},
      "either"),
     ({"frobs": 3}, "unknown config keys"),
+    ({"G": "dx0^dx1", "constitutive": {"kind": "custom", "G": "(x1)*dx2^dx3"}},
+     "either"),
+    ({"alpha": "x1"}, "unknown config keys"),
+    ({"suites": [["conservation"]]}, "unknown suite"),
 ])
 def test_rejected_configs(payload, fragment):
     base = {"n": 4, "p": 2}
@@ -89,7 +93,7 @@ def test_load_config_roundtrip(tmp_path):
 def test_build_law_variants():
     cfg = cfg_from({"constitutive": {"kind": "axion", "Z0": 2, "alpha": "x1^2"},
                     "metric": {"diagonal": [1, -1, -1, -1]}})
-    law = build_law(cfg)
+    law = cfg.constitutive
     chart = cfg.chart()
     from premetric import parse_form
     G = law.apply(parse_form("dx0^dx1", chart, 2))
@@ -98,7 +102,7 @@ def test_build_law_variants():
     cfg = cfg_from({"p": 2, "constitutive": {
         "kind": "linear-local",
         "chi": [[("1" if r == c else 0) for c in range(6)] for r in range(6)]}})
-    law = build_law(cfg)
+    law = cfg.constitutive
     G = law.apply(parse_form("(x3)*dx0^dx1", cfg.chart(), 2))
     assert G.twist and not G.is_zero()
 
