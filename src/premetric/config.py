@@ -217,7 +217,8 @@ def build_law(raw, cfg):
     """The law of the config's "constitutive" object `raw`, checked against
     the rest of the config; `cfg` holds every other key, F to u as text."""
     kind = raw["kind"]
-    Z0 = raw.get("Z0", cfg.Z0)
+    # an absent or null Z0 in the law defers to the top-level one
+    Z0 = cfg.Z0 if raw.get("Z0") is None else raw["Z0"]
     if kind in ("maxwell-lorentz", "axion"):
         if raw.get("Z0") is not None:
             Z0 = _fraction(Z0, "constitutive.Z0")

@@ -27,15 +27,14 @@ printing after a parse canonicalizes the input.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+import re
+from math import gcd, lcm
 
 from .errors import FormSyntaxError, StructuralError
-from .forms import Chart, Form, VectorField, sort_indices
-from .scalars import MAX_EXPONENT, Polynomial, _unpack
+from .forms import Form, VectorField, sort_indices
+from .scalars import (MAX_EXPONENT, Polynomial, _check_guard, _guard_mask,
+                      _make, _reduced, _shift, _unpack)
 
-_OPS = "+-*/^()"
-_DIGITS = frozenset("0123456789")
 # longest decimal digit run accepted, and printed; Python's int() and str()
 # refuse longer strings by default
 MAX_LITERAL_DIGITS = 4300
@@ -43,188 +42,138 @@ _PRINT_LIMIT = 10 ** MAX_LITERAL_DIGITS
 # most term pairs one product (or one step of a power) may multiply out
 MAX_TERM_PAIRS = 100_000
 
+# One match per token or blank run; the group that matched is the kind:
+# 1 an integer, 2 dx<k>, 3 x<k>, 4 an operator or i, 5 a character that
+# starts no token.  Digits are ASCII only.
+_TOKEN = re.compile(r"([0-9]+)|dx([0-9]+)|x([0-9]+)|([-+*/^()i])|[ \t\r\n]+|(.)",
+                    re.DOTALL)
+_KINDS = (None, "int", "dx", "x")
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind      # one of: INT DX VAR I OP END
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
+def _fail(text, message, offset):
+    """Raise FormSyntaxError at the 1-based line:column of text[offset]."""
+    column = offset - text.rfind("\n", 0, offset)
+    raise FormSyntaxError(message, text.count("\n", 0, offset) + 1, column)
 
 
 def _tokenize(text):
+    """Tokens (kind, value, offset): kind "int", "dx" or "x" with an int
+    value, an operator character or "i", and "" at the end of the text."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def number(kind, start):
-        """Append a token for the ASCII digit run at text[start:]; return
-        the index after it."""
-        j = start
-        while j < n and text[j] in _DIGITS:
-            j += 1
-        if j - start > MAX_LITERAL_DIGITS:
-            raise FormSyntaxError(
-                f"integer literal of {j - start} digits exceeds the limit "
-                f"{MAX_LITERAL_DIGITS}", line, col)
-        tokens.append(_Token(kind, int(text[start:j]), line, col))
-        return j
-
-    while i < n:
-        c = text[i]
-        j = i + 1
-        if c == "\n":
-            line, col, i = line + 1, 1, j
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if c in _DIGITS:
-            j = number("INT", i)
-        elif c == "d":
-            if text[i + 1:i + 2] != "x" or text[i + 2:i + 3] not in _DIGITS:
-                raise FormSyntaxError("expected 'dx<index>'", line, col)
-            j = number("DX", i + 2)
-        elif c == "x":
-            if text[i + 1:i + 2] not in _DIGITS:
-                raise FormSyntaxError("expected coordinate 'x<index>'", line, col)
-            j = number("VAR", i + 1)
-        elif c == "i":
-            tokens.append(_Token("I", None, line, col))
-        elif c in _OPS:
-            tokens.append(_Token("OP", c, line, col))
-        elif c not in " \t\r":
-            raise FormSyntaxError(f"unexpected character {c!r}", line, col)
-        col += j - i
-        i = j
-    tokens.append(_Token("END", None, line, col))
+        s = m[group]
+        if group == 4:
+            append((s, None, m.start()))
+        elif group == 5:
+            _fail(text, "expected 'dx<index>'" if s == "d" else
+                  "expected coordinate 'x<index>'" if s == "x" else
+                  f"unexpected character {s!r}", m.start())
+        elif len(s) > MAX_LITERAL_DIGITS:
+            _fail(text, f"integer literal of {len(s)} digits exceeds the limit "
+                        f"{MAX_LITERAL_DIGITS}", m.start())
+        else:
+            append((_KINDS[group], int(s), m.start()))
+    append(("", None, len(text)))
     return tokens
 
 
-class _Term:
-    __slots__ = ("indices", "poly", "deg", "tok", "polymorphic")
-
-    def __init__(self, indices, poly, deg, tok, polymorphic):
-        self.indices = indices    # None when the term evaluates to zero
-        self.poly = poly
-        self.deg = deg            # syntactic degree, used for the degree check
-        self.tok = tok
-        self.polymorphic = polymorphic
-
-
 class _Parser:
+    """Recursive descent over the token list.
+
+    A coefficient is a monomial (num, den, key) or a canonical Polynomial.
+    The monomial is num/den times the packed monomial key, num an int or,
+    on a complex chart, an (re, im) pair, not reduced; zero is num 0 with
+    key 0.  A sum of several coefficients becomes a Polynomial, and so does
+    a product involving one.
+    """
+
     def __init__(self, text, chart):
-        self.chart = chart
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    # -- token plumbing ------------------------------------------------------
-
-    def peek(self, ahead=0):
-        k = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[k]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "END":
-            self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        tok = self.next()
-        if tok.kind != "OP" or tok.value != op:
-            raise FormSyntaxError(f"expected {op!r}", tok.line, tok.column)
-        return tok
-
-    def at_op(self, *ops):
-        tok = self.peek()
-        return tok.kind == "OP" and tok.value in ops
+        self.n = chart.n
+        self.complex_mode = cm = chart.complex_mode
+        self.zero = (0, 0) if cm else 0
+        self.one = ((1, 0) if cm else 1), 1, 0
+        self.guard = _guard_mask(chart.n)
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise FormSyntaxError(message, tok.line, tok.column)
+        _fail(self.text, message, (tok or self.tokens[self.pos])[2])
 
     # -- form level ----------------------------------------------------------
 
     def parse_form(self, expected_degree):
-        terms = []
-        negate = False
-        if self.at_op("-"):
-            self.next()
-            negate = True
-        elif self.peek().kind == "END":
+        tokens = self.tokens
+        negate = tokens[0][0] == "-"
+        if negate:
+            self.pos = 1
+        elif not tokens[0][0]:
             self.fail("empty expression")
-        terms.append(self.term(negate))
-        while self.at_op("+", "-"):
-            op = self.next().value
+        terms = [self.term(negate)]
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
             terms.append(self.term(op == "-"))
-        end = self.peek()
-        if end.kind != "END":
-            self.fail("unexpected trailing input", end)
+        if tokens[self.pos][0]:
+            self.fail("unexpected trailing input")
 
         degree = expected_degree
-        for t in terms:
-            if t.polymorphic:
+        for _, _, deg, tok, polymorphic in terms:
+            if polymorphic:
                 continue  # a bare 0 matches every degree
             if degree is None:
-                degree = t.deg
-            elif t.deg != degree:
-                self.fail(f"degree mismatch: term has degree {t.deg}, expected {degree}",
-                          t.tok)
+                degree = deg
+            elif deg != degree:
+                self.fail(f"degree mismatch: term has degree {deg}, expected {degree}",
+                          tok)
         if degree is None:
             degree = 0
 
-        components = {}
-        for t in terms:
-            if t.indices is None:
-                continue  # evaluated to zero (repeated index or bare 0)
-            cur = components.get(t.indices)
-            s = t.poly if cur is None else cur + t.poly
-            if s.is_zero():
-                components.pop(t.indices, None)
-            else:
-                components[t.indices] = s
-        return degree, components
+        groups = {}
+        for indices, coeff, *_ in terms:
+            if indices is not None:  # None: zero (repeated index or bare 0)
+                groups.setdefault(indices, []).append(coeff)
+        return degree, {idx: cs[0] if len(cs) == 1 and type(cs[0]) is Polynomial
+                        else self.sum(cs) for idx, cs in groups.items()}
 
     def term(self, negate):
-        tok = self.peek()
-        if tok.kind == "DX":
+        """(indices or None for zero, coefficient, syntactic degree, first
+        token, whether the term is a bare zero matching every degree)."""
+        tok = self.tokens[self.pos]
+        if tok[0] == "dx":
+            coeff, polymorphic = self.one, False
             indices, sign, deg = self.basis()
-            coeff = Polynomial.constant(self.chart.n, 1, self.chart.complex_mode)
-            polymorphic = False
         else:
             coeff = self.factors()
-            indices, sign, deg = (), 1, 0
-            if self.at_op("*"):
-                # the '*' before a basis; factors() already stopped here
-                self.next()
+            if self.tokens[self.pos][0] == "*":
+                # the '*' before a basis; factors() stopped here
+                self.pos += 1
                 indices, sign, deg = self.basis()
                 polymorphic = False
             else:
-                polymorphic = coeff.is_zero()
-        if sign == 0 or coeff.is_zero():
-            return _Term(None, coeff, deg, tok, polymorphic)
-        if negate:
-            coeff = -coeff
-        if sign < 0:
-            coeff = -coeff
-        return _Term(indices, coeff, deg, tok, polymorphic)
+                indices, sign, deg = (), 1, 0
+                polymorphic = not self.size(coeff)
+        if sign == 0 or not self.size(coeff):
+            indices = None
+        elif negate != (sign < 0):
+            coeff = self.neg(coeff)
+        return indices, coeff, deg, tok, polymorphic
 
     def basis(self):
-        raw = []
+        """The basis word that starts at the current token, a dx."""
+        tokens, n, raw = self.tokens, self.n, []
         while True:
-            tok = self.next()
-            if tok.kind != "DX":
-                self.fail("expected 'dx<index>'", tok)
-            if not 0 <= tok.value < self.chart.n:
-                self.fail(f"index {tok.value} out of range for n={self.chart.n}", tok)
-            raw.append(tok.value)
-            if self.at_op("^") and self.peek(1).kind == "DX":
-                self.next()
-                continue
-            break
+            tok = tokens[self.pos]
+            if not 0 <= tok[1] < n:
+                self.fail(f"index {tok[1]} out of range for n={n}", tok)
+            raw.append(tok[1])
+            if tokens[self.pos + 1][0] != "^" or tokens[self.pos + 2][0] != "dx":
+                break
+            self.pos += 2
+        self.pos += 1
         # repeated index wedges to zero; sort_indices reports that as sign 0
         indices, sign = sort_indices(raw)
         return indices, sign, len(raw)
@@ -232,74 +181,124 @@ class _Parser:
     # -- coefficient level -----------------------------------------------------
 
     def factors(self):
+        tokens = self.tokens
         acc = self.factor()
-        while self.at_op("*") and self.peek(1).kind != "DX":
-            tok = self.next()
+        while tokens[self.pos][0] == "*" and tokens[self.pos + 1][0] != "dx":
+            tok = tokens[self.pos]
+            self.pos += 1
             acc = self.product(acc, self.factor(), tok)
         return acc
 
     def factor(self):
         a = self.atom()
-        if self.at_op("^"):
-            self.next()
-            tok = self.next()
-            if tok.kind != "INT":
-                self.fail("expected integer exponent", tok)
-            if tok.value > MAX_EXPONENT:
-                self.fail(f"exponent {tok.value} exceeds the limit {MAX_EXPONENT}", tok)
-            base, a = a, self.chart.const_poly(1)
-            for _ in range(tok.value):
-                a = self.product(a, base, tok)
+        if self.tokens[self.pos][0] != "^":
+            return a
+        tok = self.tokens[self.pos + 1]
+        if tok[0] != "int":
+            self.fail("expected integer exponent", tok)
+        if tok[1] > MAX_EXPONENT:
+            self.fail(f"exponent {tok[1]} exceeds the limit {MAX_EXPONENT}", tok)
+        self.pos += 2
+        base, a = a, self.one
+        for _ in range(tok[1]):
+            a = self.product(a, base, tok)
         return a
 
     def product(self, a, b, tok):
         """a * b, refused at tok when it would multiply out more than
         MAX_TERM_PAIRS pairs of terms."""
-        pairs = len(a.nums) * len(b.nums)
-        if pairs > MAX_TERM_PAIRS:
-            self.fail(f"product of {len(a.nums)} by {len(b.nums)} terms exceeds "
-                      f"the limit of {MAX_TERM_PAIRS} term pairs", tok)
-        return a * b
+        if type(a) is tuple and type(b) is tuple:
+            (an, ad, ak), (bn, bd, bk) = a, b
+            num = ((an[0] * bn[0] - an[1] * bn[1], an[0] * bn[1] + an[1] * bn[0])
+                   if self.complex_mode else an * bn)
+            if num == self.zero:
+                return num, 1, 0
+            if (ak + bk) & self.guard:
+                _check_guard((ak + bk,), self.n)  # raises
+            return num, ad * bd, ak + bk
+        sa, sb = self.size(a), self.size(b)
+        if sa * sb > MAX_TERM_PAIRS:
+            self.fail(f"product of {sa} by {sb} terms exceeds the limit of "
+                      f"{MAX_TERM_PAIRS} term pairs", tok)
+        return self.as_poly(a) * self.as_poly(b)
 
     def atom(self):
-        tok = self.next()
-        cm = self.chart.complex_mode
-        n = self.chart.n
-        if tok.kind == "INT":
-            value = Fraction(tok.value)
-            if self.at_op("/") and self.peek(1).kind == "INT":
-                self.next()
-                den = self.next().value
+        tok = kind, value, _ = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            tokens, den = self.tokens, 1
+            if tokens[self.pos][0] == "/" and tokens[self.pos + 1][0] == "int":
+                den = tokens[self.pos + 1][1]
+                self.pos += 2
                 if den == 0:
                     self.fail("zero denominator", tok)
-                value = Fraction(tok.value, den)
-            return Polynomial.constant(n, value, cm)
-        if tok.kind == "VAR":
-            if not 0 <= tok.value < n:
-                self.fail(f"index {tok.value} out of range for n={n}", tok)
-            return Polynomial.variable(n, tok.value, cm)
-        if tok.kind == "I":
-            if not cm:
+            return (value, 0) if self.complex_mode else value, den, 0
+        if kind == "x":
+            if not 0 <= value < self.n:
+                self.fail(f"index {value} out of range for n={self.n}", tok)
+            return self.one[0], 1, 1 << _shift(self.n, value)
+        if kind == "i":
+            if not self.complex_mode:
                 self.fail("imaginary unit needs a complex-mode chart", tok)
-            return Polynomial.constant(n, (0, 1), cm)
-        if tok.kind == "OP" and tok.value == "(":
+            return (0, 1), 1, 0
+        if kind == "(":
             p = self.poly()
-            self.expect_op(")")
+            if self.tokens[self.pos][0] != ")":
+                self.fail("expected ')'")
+            self.pos += 1
             return p
         self.fail("expected a coefficient or basis factor", tok)
 
     def poly(self):
-        negate = self.at_op("-")
+        tokens = self.tokens
+        negate = tokens[self.pos][0] == "-"
         if negate:
-            self.next()
-        acc = self.factors()
-        if negate:
-            acc = -acc
-        while self.at_op("+", "-"):
-            op = self.next().value
-            t = self.factors()
-            acc = acc - t if op == "-" else acc + t
-        return acc
+            self.pos += 1
+        terms = [self.neg(self.factors()) if negate else self.factors()]
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
+            terms.append(self.neg(self.factors()) if op == "-" else self.factors())
+        return terms[0] if len(terms) == 1 else self.sum(terms)
+
+    # -- coefficients ----------------------------------------------------------
+
+    def size(self, c):
+        """Number of terms of c in canonical form."""
+        return (0 if c[0] == self.zero else 1) if type(c) is tuple else len(c.nums)
+
+    def neg(self, c):
+        if type(c) is not tuple:
+            return -c
+        num, den, key = c
+        return ((-num[0], -num[1]) if self.complex_mode else -num), den, key
+
+    def as_poly(self, c):
+        if type(c) is not tuple:
+            return c
+        num, den, key = c
+        nums = {} if num == self.zero else {key: num}
+        return _make(self.n, self.complex_mode, den, nums)
+
+    def sum(self, terms):
+        """Canonical sum of coefficients: every term goes over the lcm of
+        their denominators into one dict, normalised once."""
+        den = lcm(*(c[1] if type(c) is tuple else c.den for c in terms))
+        out = {}
+        get = out.get
+        for c in terms:
+            if type(c) is tuple:
+                f, items = den // c[1], ((c[2], c[0]),)
+            else:
+                f, items = den // c.den, c.nums.items()
+            if self.complex_mode:
+                for k, (r, i) in items:
+                    cur = get(k)
+                    out[k] = ((r * f, i * f) if cur is None
+                              else (cur[0] + r * f, cur[1] + i * f))
+            else:
+                for k, v in items:
+                    out[k] = get(k, 0) + v * f
+        return _reduced(self.n, self.complex_mode, den, out)
 
 
 def parse_form(text, chart, expected_degree=None, twist=False):
@@ -316,7 +315,7 @@ def parse_form(text, chart, expected_degree=None, twist=False):
 def parse_vector_field(text, chart):
     """Parse ``sum_k u^k * dxk`` notation into the vector field sum_k u^k d/dx_k."""
     one_form = parse_form(text, chart, expected_degree=1)
-    comps = [one_form.components.get((k,), chart.zero_poly())
+    comps = [one_form.components.get((k,)) or chart.zero_poly()
              for k in range(chart.n)]
     return VectorField(chart, comps)
 
@@ -324,7 +323,7 @@ def parse_vector_field(text, chart):
 def parse_polynomial(text, chart):
     """Parse a bare coefficient expression (a 0-form body)."""
     form = parse_form(text, chart, expected_degree=0)
-    return form.components.get((), chart.zero_poly())
+    return form.components.get(()) or chart.zero_poly()
 
 
 # -- printing -----------------------------------------------------------------

@@ -122,12 +122,12 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     checks.append(CheckResult(
         id_prefix + "factor-F", "factor",
         "first slot of the pair map equals hodge(F) componentwise",
-        diff_F.is_zero(), nonzero_witness(diff_F)))
+        diff_F.is_zero(), "" if diff_F.is_zero() else nonzero_witness(diff_F)))
     diff_G = starred.G - Form(chart, 2, True, hodge(metric, pair.G).components)
     checks.append(CheckResult(
         id_prefix + "factor-G", "factor",
         "second slot of the pair map equals hodge(G) componentwise",
-        diff_G.is_zero(), nonzero_witness(diff_G)))
+        diff_G.is_zero(), "" if diff_G.is_zero() else nonzero_witness(diff_G)))
 
     cpair = pair.to_complex()
     for sign, name in ((1, "plus"), (-1, "minus")):

@@ -166,13 +166,13 @@ def reciprocity_suite(cfg):
         z = zs[k % len(zs)]
         pair = FieldPairZ(F, G, z)
 
-        twice = star_z(star_z(pair))
+        st = star_z(pair)
+        twice = star_z(st)
         checks.append(_result(
             f"recip-{k:04d}-square", "recip2",
             f"star_z applied twice negates the pair (z={z})",
             _first_nonzero(twice.F + F, twice.G + G)))
 
-        st = star_z(pair)
         before = densities(u, FieldConfig(pair.F, pair.G))
         after = densities(u, FieldConfig(st.F, st.G))
         checks.append(_result(

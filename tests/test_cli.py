@@ -315,3 +315,20 @@ def test_float_orientation_exits_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "premetric: error: orientation: expected 1 or -1\n"
+
+
+def test_a_null_law_z0_defers_to_the_top_level_one(tmp_path, capsys):
+    # an explicit null reads as absent, so the top-level Z0 applies
+    outcomes = []
+    for name, law, top in (("null", {"Z0": None}, {"Z0": 2}),
+                           ("absent", {}, {"Z0": 2}),
+                           ("neither", {"Z0": None}, {})):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            **BASE, "samples": 1, **top,
+            "constitutive": {"kind": "maxwell-lorentz", **law}})
+        outcomes.append((cli.main(["constitutive", "--config", cfg]),
+                         *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and "[PASS]" in outcomes[0][1]
+    assert outcomes[2] == (2, "", "premetric: error: constitutive: metric-based "
+                                  "laws need Z0\n")
