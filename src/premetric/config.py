@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .electrodynamics import Axion, Custom, LinearLocal, MaxwellLorentz
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, FormSyntaxError, MetricError
 from .formexpr import parse_form, parse_polynomial, parse_vector_field
 from .forms import Chart
 from .hodge import MetricSpec
@@ -242,15 +242,21 @@ def build_law(raw, cfg):
         for r, row in enumerate(raw["chi"]):
             if not isinstance(row, list):
                 raise ConfigError(f"constitutive.chi[{r}]: expected a row")
-            entries = []
-            for c, e in enumerate(row):
-                try:  # a rational, else polynomial text
-                    entries.append(_fraction(e, f"constitutive.chi[{r}][{c}]"))
-                except ConfigError:
-                    if not isinstance(e, str):
-                        raise
-                    entries.append(parse_polynomial(e, chart))
-            chi.append(entries)
+            chi.append([_chi_entry(e, f"constitutive.chi[{r}][{c}]", chart)
+                        for c, e in enumerate(row)])
         return LinearLocal(chart, cfg.p, chi)
     return Custom(parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True))
 
+
+def _chi_entry(e, path, chart):
+    """A chi entry read once: text goes to the parser, and only text it
+    refuses is tried as a Python rational literal such as "1.5"."""
+    if not isinstance(e, str):
+        return _fraction(e, path)
+    try:
+        return parse_polynomial(e, chart)
+    except FormSyntaxError as err:
+        try:
+            return Fraction(e)
+        except (ValueError, ZeroDivisionError):
+            raise err from None

@@ -30,7 +30,7 @@ from itertools import combinations
 from .errors import StructuralError
 from .forms import Form, basis_form, combine, contract, ext_d, wedge
 from .hodge import hodge
-from .report import CheckResult, nonzero_witness
+from .report import residual_check
 from .scalars import Polynomial, nonzero_rational, poly_sum
 
 
@@ -161,37 +161,24 @@ def identity_suite(u, cfg, id_prefix=""):
     a+b: their sum collapses to d(u _| (F^G)) = L_u F ^ G + F ^ L_u G.
     """
     d = densities(u, cfg)
-    F, G, sgn = cfg.F, cfg.G, _sign(cfg.p)
-    f = d.force
-    checks = []
-
+    F, G, sgn, f = cfg.F, cfg.G, _sign(cfg.p), d.force
     expansion = combine((1, d.uF_dG), (sgn, wedge(F, d.udG)))
-    routed = contract(u, wedge(F, cfg.dG))
-    ok = expansion == routed and expansion.is_zero()
-    checks.append(CheckResult(
-        id_prefix + "sym", "sym",
-        "contraction of the vanishing (n+1)-form F^dG expands to zero",
-        ok, "" if ok else nonzero_witness(expansion if not expansion.is_zero() else routed)))
-
-    diff_a = combine((1, ext_d(d.F_uG)), (-sgn, d.F_LuG), (-1, f))
-    checks.append(CheckResult(
-        id_prefix + "a", "a",
-        "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
-        diff_a.is_zero(), nonzero_witness(diff_a)))
-
-    diff_b = combine((sgn, ext_d(d.uF_G)), (-sgn, d.LuF_G), (1, f))
-    checks.append(CheckResult(
-        id_prefix + "b", "b",
-        "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
-        diff_b.is_zero(), nonzero_witness(diff_b)))
-
-    diff_ab = combine((1, ext_d(contract(u, wedge(F, G)))),
-                      (-1, d.LuF_G), (-1, d.F_LuG))
-    checks.append(CheckResult(
-        id_prefix + "a+b", "a+b",
-        "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
-        diff_ab.is_zero(), nonzero_witness(diff_ab)))
-    return checks
+    return [
+        residual_check(
+            id_prefix + "sym", "sym",
+            "contraction of the vanishing (n+1)-form F^dG expands to zero",
+            expansion, contract(u, wedge(F, cfg.dG))),
+        residual_check(
+            id_prefix + "a", "a", "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
+            combine((1, ext_d(d.F_uG)), (-sgn, d.F_LuG), (-1, f))),
+        residual_check(
+            id_prefix + "b", "b", "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
+            combine((sgn, ext_d(d.uF_G)), (-sgn, d.LuF_G), (1, f))),
+        residual_check(
+            id_prefix + "a+b", "a+b", "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
+            combine((1, ext_d(contract(u, wedge(F, G)))),
+                    (-1, d.LuF_G), (-1, d.F_LuG))),
+    ]
 
 
 def currents(cfg):

@@ -19,7 +19,7 @@ from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
 from .forms import Form
 from .hodge import double_hodge_sign, hodge
-from .report import CheckResult, nonzero_witness
+from .report import residual_check
 from .scalars import nonzero_rational
 
 
@@ -117,28 +117,23 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     pair = FieldPairZ(F, law.apply(F), law.Z)
     starred = star_z(pair)
 
-    checks = []
-    diff_F = starred.F - Form(chart, 2, False, hodge(metric, F).components)
-    checks.append(CheckResult(
-        id_prefix + "factor-F", "factor",
-        "first slot of the pair map equals hodge(F) componentwise",
-        diff_F.is_zero(), "" if diff_F.is_zero() else nonzero_witness(diff_F)))
-    diff_G = starred.G - Form(chart, 2, True, hodge(metric, pair.G).components)
-    checks.append(CheckResult(
-        id_prefix + "factor-G", "factor",
-        "second slot of the pair map equals hodge(G) componentwise",
-        diff_G.is_zero(), "" if diff_G.is_zero() else nonzero_witness(diff_G)))
-
+    checks = [
+        residual_check(
+            id_prefix + "factor-F", "factor",
+            "first slot of the pair map equals hodge(F) componentwise",
+            starred.F - Form(chart, 2, False, hodge(metric, F).components)),
+        residual_check(
+            id_prefix + "factor-G", "factor",
+            "second slot of the pair map equals hodge(G) componentwise",
+            starred.G - Form(chart, 2, True, hodge(metric, pair.G).components)),
+    ]
     cpair = pair.to_complex()
     for sign, name in ((1, "plus"), (-1, "minus")):
         eig = self_reciprocal_pair(cpair, sign)
-        diff = (eig.F.scale((0, sign))
-                - Form(cpair.chart, 2, False, hodge(metric, eig.F).components))
-        ok = diff.is_zero()
-        checks.append(CheckResult(
+        checks.append(residual_check(
             id_prefix + f"selfdual-{name}", "factor",
             f"eigen field strength is hodge self-dual with eigenvalue "
             f"{'+' if sign > 0 else '-'}i",
-            ok, "" if ok else nonzero_witness(diff)))
+            eig.F.scale((0, sign))
+            - Form(cpair.chart, 2, False, hodge(metric, eig.F).components)))
     return checks
-

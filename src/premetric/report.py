@@ -85,6 +85,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def residual_check(check_id, equation, description, *residuals):
+    """The row for a claim that every residual form vanishes: PASS when
+    all are zero, else FAIL with the first nonzero one's witness."""
+    for residual in residuals:
+        if not residual.is_zero():
+            return CheckResult(check_id, equation, description, False,
+                               nonzero_witness(residual))
+    return CheckResult(check_id, equation, description, True)
+
+
 def nonzero_witness(form) -> str:
     """First nonzero component of a form, in the expression grammar."""
     if form.is_zero():

@@ -20,80 +20,53 @@ from .forms import coordinate_field
 from .randgen import random_form, random_vector_field
 from .reciprocity import (FieldPairZ, check_factorization, pair_tensor,
                           self_reciprocal_pair, star_z, tensor)
-from .report import CheckResult, nonzero_witness
+from .report import CheckResult, residual_check
 
 _DEFAULT_Z = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
+_NEEDS_N4P2 = ("split", "reciprocity", "factorization")
 
 
-def _rng(cfg, suite):
-    return random.Random(f"{cfg.seed}:{suite}")
+def _instances(cfg, suite, uses):
+    """(k, inputs) for every instance of `suite`: the one draw-and-count loop.
 
-
-def _instances(cfg, *fields):
-    """samples if any of the named inputs is drawn randomly, else 1."""
-    for name in fields:
-        if getattr(cfg, name) in (None, "random"):
-            return cfg.samples
-    return 1
-
-
-def _form(cfg, rng, name, degree, twist):
-    """Input form `name` of one instance: drawn from rng when "random" (or,
-    for G, unset), else the form given in the config."""
-    form = getattr(cfg, name)
-    if form in (None, "random"):
-        return random_form(rng, cfg.chart(), degree, twist, cfg.degree_bound)
-    return form
-
-
-def _vector_field(cfg, rng):
-    if cfg.u == "random":
-        return random_vector_field(rng, cfg.chart(), cfg.degree_bound)
-    return cfg.u
-
-
-def parse_field_inputs(cfg, rng):
-    """(F, G) of one instance: F, then G from the law, drawn or given.
-
-    Suites draw every input in the order F, G, J, u so reports are
-    reproducible byte for byte; see docs/conventions.md.
+    `uses` names the inputs the suite reads, in the order F, G, J, u, and
+    `inputs` holds them in that order.  An input is the config's, or is
+    drawn from the suite's stream "<seed>:<suite>" in the frozen order of
+    docs/conventions.md; G comes from the law when one is configured, and
+    a suite that uses J draws u after it without using it.  A suite runs
+    `samples` instances when it draws an input it uses, else one.
     """
-    F = _form(cfg, rng, "F", cfg.p, False)
-    if cfg.constitutive is not None:
-        return F, cfg.constitutive.apply(F)
-    return F, _form(cfg, rng, "G", cfg.n - cfg.p, True)
-
-
-def _result(check_id, equation, description, residual):
-    ok = residual.is_zero()
-    return CheckResult(check_id, equation, description, ok,
-                       "" if ok else nonzero_witness(residual))
-
-
-def _first_nonzero(*residuals):
-    """The first nonzero residual, or the last (zero) one if all vanish."""
-    return next((r for r in residuals if not r.is_zero()), residuals[-1])
+    if suite in _NEEDS_N4P2 and (cfg.n, cfg.p) != (4, 2):
+        raise ConfigError(f"{suite} suite needs n=4, p=2")
+    law = cfg.constitutive if "G" in uses else None
+    draws = [name for name in ("FGJu" if "J" in uses else uses)
+             if getattr(cfg, name) in (None, "random")
+             and (name != "G" or law is None)]
+    chart, bound = cfg.chart(), cfg.degree_bound
+    shapes = {"F": (cfg.p, False), "G": (cfg.n - cfg.p, True),
+              "J": (cfg.n - cfg.p + 1, True)}
+    rng = random.Random(f"{cfg.seed}:{suite}")
+    for k in range(cfg.samples if set(draws) & set(uses) else 1):
+        inputs = {name: getattr(cfg, name) for name in uses}
+        for name in draws:
+            inputs[name] = (random_vector_field(rng, chart, bound) if name == "u"
+                            else random_form(rng, chart, *shapes[name], bound))
+        if law is not None:
+            inputs["G"] = law.apply(inputs["F"])
+        yield k, tuple(inputs[name] for name in uses)
 
 
 def conservation_suite(cfg):
-    rng = _rng(cfg, "conservation")
-    checks = []
-    for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng)
-        u = _vector_field(cfg, rng)
-        r = conservation_residual(u, FieldConfig(F, G))
-        checks.append(_result(
-            f"conservation-{k:04d}", "en-mom",
-            f"d(Sigma_u) - f_u - phi_u = 0 at n={cfg.n}, p={cfg.p}", r))
-    return checks
+    return [residual_check(
+        f"conservation-{k:04d}", "en-mom",
+        f"d(Sigma_u) - f_u - phi_u = 0 at n={cfg.n}, p={cfg.p}",
+        conservation_residual(u, FieldConfig(F, G)))
+        for k, (F, G, u) in _instances(cfg, "conservation", "FGu")]
 
 
 def identities_suite(cfg):
-    rng = _rng(cfg, "identities")
     checks = []
-    for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng)
-        u = _vector_field(cfg, rng)
+    for k, (F, G, u) in _instances(cfg, "identities", "FGu"):
         checks.extend(identity_suite(u, FieldConfig(F, G),
                                      id_prefix=f"identity-{k:04d}-"))
     return checks
@@ -111,23 +84,22 @@ def phi_suite(cfg):
     if law is None:
         raise ConfigError("phi suite needs a constitutive law")
     tag = "ML" if isinstance(law, Axion) else "constit"
-    chart = cfg.chart()
-    rng = _rng(cfg, "phi")
 
     if cfg.u == "random":
+        chart = cfg.chart()
         us = [(f"u{a}", coordinate_field(chart, a)) for a in range(cfg.n)]
     else:
         us = [("u", cfg.u)]
 
     checks = []
-    for k in range(_instances(cfg, "F")):
-        fc = FieldConfig(*parse_field_inputs(cfg, rng))
+    for k, (F, G) in _instances(cfg, "phi", "FG"):
+        fc = FieldConfig(F, G)
         for label, u in us:
             d = densities(u, fc)
-            checks.append(_result(
+            checks.append(residual_check(
                 f"phi-{k:04d}-{label}", tag,
                 f"phi_u = 0 under the {law.kind} law for {label}", d.phi))
-            checks.append(_result(
+            checks.append(residual_check(
                 f"phi-{k:04d}-{label}-balance", "en-mom",
                 f"balance d(Sigma_u) = f_u + phi_u still exact for {label}",
                 d.residual()))
@@ -135,52 +107,38 @@ def phi_suite(cfg):
 
 
 def split_suite(cfg):
-    if cfg.n != 4 or cfg.p != 2:
-        raise ConfigError("split suite needs n=4, p=2")
-    rng = _rng(cfg, "split")
     checks = []
-    for k in range(_instances(cfg, "F", "G", "J")):
-        F, G = parse_field_inputs(cfg, rng)
-        J = _form(cfg, rng, "J", cfg.n - cfg.p + 1, True)
-        _vector_field(cfg, rng)  # unused, drawn to keep the F, G, J, u order
-        s = split_3plus1(F, G, J)
-        F2, G2, J2 = recompose(s)
+    for k, (F, G, J) in _instances(cfg, "split", "FGJ"):
+        F2, G2, J2 = recompose(split_3plus1(F, G, J))
         rows = [("F", F2 - F, "F", "B + E^dx0 rebuilds F; E, B untwisted and spatial"),
                 ("G", G2 - G, "G", "D - H^dx0 rebuilds G; H, D twisted and spatial"),
                 ("J", J2 - J, "G", "rho - j^dx0 rebuilds J; j, rho twisted and spatial")]
         for name, residual, eq, desc in rows:
-            checks.append(_result(f"split-{k:04d}-{name}", eq, desc, residual))
+            checks.append(residual_check(f"split-{k:04d}-{name}", eq, desc, residual))
     return checks
 
 
 def reciprocity_suite(cfg):
-    if cfg.n != 4 or cfg.p != 2:
-        raise ConfigError("reciprocity suite needs n=4, p=2")
-    rng = _rng(cfg, "reciprocity")
     zs = cfg.z if cfg.z else _DEFAULT_Z
-
     checks = []
-    for k in range(_instances(cfg, "F", "G", "u")):
-        F, G = parse_field_inputs(cfg, rng)
-        u = _vector_field(cfg, rng)
+    for k, (F, G, u) in _instances(cfg, "reciprocity", "FGu"):
         z = zs[k % len(zs)]
         pair = FieldPairZ(F, G, z)
 
         st = star_z(pair)
         twice = star_z(st)
-        checks.append(_result(
+        checks.append(residual_check(
             f"recip-{k:04d}-square", "recip2",
             f"star_z applied twice negates the pair (z={z})",
-            _first_nonzero(twice.F + F, twice.G + G)))
+            twice.F + F, twice.G + G))
 
         before = densities(u, FieldConfig(pair.F, pair.G))
         after = densities(u, FieldConfig(st.F, st.G))
-        checks.append(_result(
+        checks.append(residual_check(
             f"recip-{k:04d}-densities", "recip2",
             "Sigma_u, f_u, phi_u unchanged by the reciprocity map",
-            _first_nonzero(after.sigma - before.sigma,
-                           after.force - before.force,
-                           after.phi - before.phi)))
+            after.sigma - before.sigma, after.force - before.force,
+            after.phi - before.phi))
 
         scaled = FieldPairZ(F.scale(3), G.scale(Fraction(1, 3)), z)
         ok = pair_tensor(scaled) == pair_tensor(pair)
@@ -211,14 +169,10 @@ def reciprocity_suite(cfg):
 
 
 def factorization_suite(cfg):
-    if cfg.n != 4 or cfg.p != 2:
-        raise ConfigError("factorization suite needs n=4, p=2")
     metric = cfg.metric_spec()
     Z0 = cfg.Z0 if cfg.Z0 is not None else Fraction(1)
-    rng = _rng(cfg, "factorization")
     checks = []
-    for k in range(_instances(cfg, "F")):
-        F = _form(cfg, rng, "F", 2, False)
+    for k, (F,) in _instances(cfg, "factorization", "F"):
         checks.extend(check_factorization(metric, Z0, F,
                                           id_prefix=f"factor-{k:04d}-"))
     return checks

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import premetric
-from premetric import ConfigError, load_config, run_suites, validate_config
+from premetric import (ConfigError, FormSyntaxError, load_config, run_suites,
+                       validate_config)
 from premetric.config import RunConfig
 from premetric.suites import SUITE_RUNNERS
 
@@ -125,6 +126,64 @@ def test_fixed_inputs_collapse_to_one_instance():
     assert checks[0].passed
 
 
+_ML = {"metric": {"diagonal": [1, -1, -1, -1]},
+       "constitutive": {"kind": "maxwell-lorentz", "Z0": 1}}
+
+
+@pytest.mark.parametrize("suite, given", [
+    ("conservation", {"F": "dx0^dx1", "u": "dx2"}),
+    ("identities", {"F": "dx0^dx1", "u": "dx2"}),
+    ("reciprocity", {"F": "dx0^dx1", "u": "dx2"}),
+    ("split", {"F": "dx0^dx1", "J": "(x1)*dx0^dx2^dx3"}),
+])
+def test_a_law_derived_G_counts_as_given(suite, given):
+    # G = G(F) is fixed once F is: every field the suite uses is given
+    cfg = cfg_from({"samples": 3, **given, **_ML})
+    checks = SUITE_RUNNERS[suite](cfg)
+    assert {c.check_id.split("-")[1] for c in checks} == {"0000"}
+    assert all(c.passed for c in checks)
+    # leaving one used field random runs every sample again
+    name = "u" if "u" in given else "J"
+    cfg = cfg_from({"samples": 3, **given, name: "random", **_ML})
+    checks = SUITE_RUNNERS[suite](cfg)
+    assert {c.check_id.split("-")[1] for c in checks} == {"0000", "0001", "0002"}
+
+
+def _chi_with(entry):
+    chi = [[0] * 6 for _ in range(6)]
+    chi[1][2] = entry
+    return {"n": 4, "p": 2, "constitutive": {"kind": "linear-local", "chi": chi}}
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1.5", Fraction(3, 2)), (" 3/4 ", Fraction(3, 4)), ("1e2", 100),
+    ("3_0", 30), ("+3", 3), (7, 7), ("x0", None),
+])
+def test_chi_entries_read_as_rationals_or_polynomials(entry, value):
+    law = cfg_from(_chi_with(entry)).constitutive
+    chart = law.chart
+    expect = chart.variable(0) if value is None else chart.const_poly(value)
+    assert law.chi[1][2] == expect
+    assert law.chi[0][0] == chart.zero_poly()
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    ("(x0", FormSyntaxError, "1:4: expected ')'"),
+    ("1/0", FormSyntaxError, "1:1: zero denominator"),
+    ("3/-4", FormSyntaxError, "1:2: unexpected trailing input"),
+    ("", FormSyntaxError, "1:1: empty expression"),
+    ("i", FormSyntaxError, "1:1: imaginary unit needs a complex-mode chart"),
+    (True, ConfigError, "constitutive.chi[1][2]: expected a rational, got a boolean"),
+    (1.5, ConfigError, "constitutive.chi[1][2]: expected an integer or 'a/b' string"),
+    (None, ConfigError, "constitutive.chi[1][2]: expected an integer or 'a/b' string"),
+    ([1], ConfigError, "constitutive.chi[1][2]: expected an integer or 'a/b' string"),
+])
+def test_chi_entries_rejected(entry, error, message):
+    with pytest.raises(error) as err:
+        cfg_from(_chi_with(entry))
+    assert type(err.value) is error and str(err.value).startswith(message)
+
+
 def test_phi_suite_requires_law():
     cfg = cfg_from({"samples": 1})
     with pytest.raises(ConfigError):
@@ -180,6 +239,27 @@ def test_reciprocity_square_witness_comes_from_the_failing_slot(monkeypatch):
     assert all(c.passed for k, c in checks.items() if k != "recip-0000-square")
 
 
+def test_sym_witness_comes_from_the_routed_side(monkeypatch):
+    # the expansion of u _| (F^dG) stays zero; only the routed contraction
+    # of the (n+1)-form is broken, so the witness must come from it
+    import premetric.electrodynamics as electrodynamics
+    from premetric.forms import basis_form, contract
+
+    cfg = cfg_from({"samples": 1, "seed": 3})
+    chart = cfg.chart()
+    extra = basis_form(chart, (0, 1, 2, 3), twist=True,
+                       coefficient=chart.variable(2))
+
+    def broken(u, a):
+        return extra if a.degree == chart.n + 1 else contract(u, a)
+
+    monkeypatch.setattr(electrodynamics, "contract", broken)
+    checks = {c.check_id: c for c in SUITE_RUNNERS["identities"](cfg)}
+    sym = checks["identity-0000-sym"]
+    assert not sym.passed and sym.witness == "(x2)*dx0^dx1^dx2^dx3"
+    assert all(c.passed for k, c in checks.items() if k != "identity-0000-sym")
+
+
 # -- drift guards -------------------------------------------------------------
 
 
@@ -204,3 +284,16 @@ def test_readme_library_example_runs_as_written():
                         re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md (Library)", "exec"), {})
+
+
+def test_report_doc_tags_are_exactly_the_emitted_ones():
+    doc = Path(__file__).resolve().parent.parent / "docs" / "report.md"
+    table = doc.read_text(encoding="utf-8").split("## Equation tags")[1]
+    table = table.split("\n## ")[0]
+    documented = set(re.findall(r"`([^`]+)`",
+                                "".join(re.findall(r"^\| (.*?) \|", table, re.MULTILINE))))
+    ml = cfg_from({"samples": 1, "seed": 2, "degree_bound": 1, **_ML})
+    custom = cfg_from({"samples": 1, "seed": 2, "degree_bound": 1,
+                       "constitutive": {"kind": "custom", "G": "(x1)*dx2^dx3"}})
+    checks = run_suites(ml, tuple(SUITE_RUNNERS)) + run_suites(custom, ("phi",))
+    assert {c.equation for c in checks} == documented
