@@ -13,8 +13,6 @@ config or expression errors.  Nothing is written on an error: the run
 either produces a complete report or a diagnostic on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from functools import cache
@@ -67,10 +65,7 @@ def build_parser():
 
 def run(command, cfg):
     """Build the full report for one command; raises on any setup error."""
-    checks = run_suites(cfg, cfg.suites_for(command))
-    report = Report(command, cfg.seed)
-    report.extend(checks)
-    return report
+    return Report(command, cfg.seed, run_suites(cfg, cfg.suites_for(command)))
 
 
 def main(argv=None):

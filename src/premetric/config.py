@@ -8,15 +8,15 @@ the offending key.  Every expression is parsed and the law built here,
 so nothing about the run starts until the whole document is sound.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, fields
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .electrodynamics import Axion, Custom, LinearLocal, MaxwellLorentz
-from .errors import ConfigError, FormSyntaxError, MetricError
-from .formexpr import parse_form, parse_polynomial, parse_vector_field
+from .errors import ConfigError, FormSyntaxError, MetricError, StructuralError
+from .formexpr import (MAX_LITERAL_DIGITS, _PRINT_LIMIT, parse_form,
+                       parse_polynomial, parse_vector_field)
 from .forms import Chart
 from .hodge import MetricSpec
 from .suites import SUITE_RUNNERS
@@ -28,6 +28,8 @@ _DEFAULT_SUITES = {
     "reciprocity": ("reciprocity", "factorization"),
 }
 
+_DIGIT_RUN = re.compile(r"[0-9]+")
+
 
 def _fraction(value, path):
     if isinstance(value, bool):
@@ -35,11 +37,39 @@ def _fraction(value, path):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{path}: not a rational literal: {value!r}")
+        return _literal(value, path,
+                        ConfigError(f"{path}: not a rational literal: {value!r}"))
     raise ConfigError(f"{path}: expected an integer or 'a/b' string, got {value!r}")
+
+
+def _literal(text, path, refused):
+    """Fraction(text) for a Python rational literal such as "3/4", "1.5" or
+    "1e2"; raises `refused` for other text.  A digit run or an exponent over
+    MAX_LITERAL_DIGITS is refused before Fraction reads it (the syntax is
+    checked with every digit run cut to "1"), and so is a value whose
+    numerator or denominator needs more than MAX_LITERAL_DIGITS digits."""
+    longest_run = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+    exponent = text.lower().partition("e")[2]
+    try:
+        too_long = (longest_run > MAX_LITERAL_DIGITS
+                    or bool(exponent) and abs(int(exponent)) > MAX_LITERAL_DIGITS)
+        value = Fraction(_DIGIT_RUN.sub("1", text) if too_long else text)
+    except (ValueError, ZeroDivisionError):
+        raise refused from None
+    if too_long or max(abs(value.numerator), value.denominator) >= _PRINT_LIMIT:
+        raise ConfigError(
+            f"{path}: rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+    return value
+
+
+def _parse(parse, text, path, *args, **kwargs):
+    """parse(text, *args, **kwargs) with the key path in front of the
+    message of an error; the error keeps its type, line and column."""
+    try:
+        return parse(text, *args, **kwargs)
+    except (FormSyntaxError, StructuralError) as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _expect(cond, message):
@@ -47,26 +77,25 @@ def _expect(cond, message):
         raise ConfigError(message)
 
 
-@dataclass
-class RunConfig:
-    n: int = 4
-    p: int = 2
-    mode: str = "real"
-    orientation: int = 1
-    metric: object = None          # MetricSpec or None
-    Z0: Fraction = None
-    z: object = None               # tuple of Fractions
-    constitutive: object = None    # the built law, or None
-    F: object = "random"           # Form or "random"
-    G: object = None               # Form, "random" or None (from the law if any)
-    J: object = "random"           # Form or "random"
-    u: object = "random"           # VectorField or "random"
-    seed: int = 0
-    degree_bound: int = 2
-    samples: int = 25
-    suites: tuple = ()
-    out: str = None
-    format: str = "text"
+class RunConfig(SimpleNamespace):
+    """One attribute per config key, in _fields.
+
+    metric is a MetricSpec or None, Z0 a Fraction or None, z a tuple of
+    Fractions or None, constitutive the built law or None; F and J are a
+    Form or "random", G a Form, "random" or None (from the law if any),
+    and u a VectorField or "random".
+    """
+
+    _fields = ("n", "p", "mode", "orientation", "metric", "Z0", "z",
+               "constitutive", "F", "G", "J", "u", "seed", "degree_bound",
+               "samples", "suites", "out", "format")
+
+    def __init__(self, n=4, p=2, mode="real", orientation=1, metric=None,
+                 Z0=None, z=None, constitutive=None, F="random", G=None,
+                 J="random", u="random", seed=0, degree_bound=2, samples=25,
+                 suites=(), out=None, format="text"):
+        args = locals()
+        super().__init__(**{name: args[name] for name in self._fields})
 
     def chart(self):
         return Chart(self.n, self.orientation, self.mode == "complex")
@@ -83,7 +112,7 @@ class RunConfig:
         return _DEFAULT_SUITES[command]
 
 
-_KNOWN_KEYS = frozenset(f.name for f in fields(RunConfig))
+_KNOWN_KEYS = frozenset(RunConfig._fields)
 
 _CONSTITUTIVE_KINDS = tuple(law.kind for law in
                             (MaxwellLorentz, Axion, LinearLocal, Custom))
@@ -93,10 +122,12 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    # ValueError: bytes that are not UTF-8, or an integer over the int digit
+    # limit; RecursionError: arrays or objects nested past the decoder's depth
+    except (OSError, ValueError, RecursionError) as e:
+        raise ConfigError(f"cannot read config: {e}")
     return validate_config(raw)
 
 
@@ -186,9 +217,10 @@ def validate_config(raw):
                                 ("J", cfg.n - cfg.p + 1, True)):
         text = getattr(cfg, name)
         if text not in (None, "random"):
-            setattr(cfg, name, parse_form(text, chart, degree, twist=twist))
+            setattr(cfg, name, _parse(parse_form, text, name, chart, degree,
+                                      twist=twist))
     if cfg.u != "random":
-        cfg.u = parse_vector_field(cfg.u, chart)
+        cfg.u = _parse(parse_vector_field, cfg.u, "u", chart)
     return cfg
 
 
@@ -233,7 +265,7 @@ def build_law(raw, cfg):
     if kind == "axion":
         alpha = raw["alpha"]
         if isinstance(alpha, str):
-            alpha = parse_polynomial(alpha, chart)
+            alpha = _parse(parse_polynomial, alpha, "constitutive.alpha", chart)
         else:
             alpha = _fraction(alpha, "constitutive.alpha")
         return Axion(cfg.metric_spec(), Z0, alpha)
@@ -245,7 +277,8 @@ def build_law(raw, cfg):
             chi.append([_chi_entry(e, f"constitutive.chi[{r}][{c}]", chart)
                         for c, e in enumerate(row)])
         return LinearLocal(chart, cfg.p, chi)
-    return Custom(parse_form(raw["G"], chart, cfg.n - cfg.p, twist=True))
+    return Custom(_parse(parse_form, raw["G"], "constitutive.G", chart,
+                         cfg.n - cfg.p, twist=True))
 
 
 def _chi_entry(e, path, chart):
@@ -254,9 +287,6 @@ def _chi_entry(e, path, chart):
     if not isinstance(e, str):
         return _fraction(e, path)
     try:
-        return parse_polynomial(e, chart)
+        return _parse(parse_polynomial, e, path, chart)
     except FormSyntaxError as err:
-        try:
-            return Fraction(e)
-        except (ValueError, ZeroDivisionError):
-            raise err from None
+        return _literal(e, path, err)

@@ -21,9 +21,7 @@ twisted (untwisted wedge twisted), as befits things meant to be
 integrated.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -78,24 +76,16 @@ def _sign(p):
     return -1 if p % 2 else 1
 
 
-@dataclass(frozen=True)
-class Densities:
+class Densities(namedtuple("Densities",
+                           "sigma force phi udG uF_dG F_uG uF_G F_LuG LuF_G")):
     """Sigma_u, f_u and phi_u of one (u, FieldConfig), plus the pieces
-    identity_suite reads again.
+    identity_suite reads again; every field is a Form.
 
     Piece names spell their factors: uF_dG is (u _| F) ^ dG, F_LuG is
     F ^ L_u G, udG is u _| dG.
     """
 
-    sigma: Form
-    force: Form
-    phi: Form
-    udG: Form
-    uF_dG: Form
-    F_uG: Form
-    uF_G: Form
-    F_LuG: Form
-    LuF_G: Form
+    __slots__ = ()
 
     def residual(self):
         """d(sigma_u) - force_u - phi_u, computed as one linear combination.
@@ -193,29 +183,24 @@ def currents(cfg):
 # -- 3+1 split (n=4, p=2, time coordinate x0) ---------------------------------
 
 
-@dataclass(frozen=True)
-class SplitFields:
+class SplitFields(namedtuple("SplitFields", "E B H D j rho")):
     """Spatial pieces of (F, G, J): no dx0 in any index tuple.
 
     F = B + E^dx0, G = D - H^dx0, J = rho - j^dx0.  Coefficients may still
-    depend on x0; only the index structure is spatial.
+    depend on x0; only the index structure is spatial.  E and B are
+    untwisted 1- and 2-forms; H, D, j and rho are twisted 1-, 2-, 2- and
+    3-forms.
     """
 
-    E: Form      # untwisted spatial 1-form
-    B: Form      # untwisted spatial 2-form
-    H: Form      # twisted spatial 1-form
-    D: Form      # twisted spatial 2-form
-    j: Form      # twisted spatial 2-form
-    rho: Form    # twisted spatial 3-form
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = [("E", self.E, 1, False), ("B", self.B, 2, False),
-                    ("H", self.H, 1, True), ("D", self.D, 2, True),
-                    ("j", self.j, 2, True), ("rho", self.rho, 3, True)]
-        chart = self.E.chart
+    def __new__(cls, E, B, H, D, j, rho):
+        self = super().__new__(cls, E, B, H, D, j, rho)
+        kinds = ((1, False), (2, False), (1, True), (2, True), (2, True), (3, True))
+        chart = E.chart
         if chart.n != 4:
             raise StructuralError("3+1 split needs a 4-dimensional chart")
-        for name, form, degree, twist in expected:
+        for name, form, (degree, twist) in zip(cls._fields, self, kinds):
             if form.chart != chart:
                 raise StructuralError(f"{name}: chart mismatch")
             if form.degree != degree or form.twist != twist:
@@ -224,6 +209,7 @@ class SplitFields:
                     f"{degree}-form")
             if any(0 in idx for idx in form.components):
                 raise StructuralError(f"{name} must be spatial (no dx0 factor)")
+        return self
 
 
 def _spatial_part(form):

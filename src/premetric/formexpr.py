@@ -25,8 +25,6 @@ parenthesized; parsing the result reproduces the form exactly, and
 printing after a parse canonicalizes the input.
 """
 
-from __future__ import annotations
-
 import re
 from math import gcd, lcm
 

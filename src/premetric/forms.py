@@ -16,10 +16,8 @@ an error, which is what the vanishing (n+1)-form arguments in the identity
 suites rely on.
 """
 
-from __future__ import annotations
-
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -28,8 +26,7 @@ from .errors import StructuralError
 from .scalars import Polynomial, _multiplier, _scaled, partial_sum, poly_sum
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(namedtuple("Chart", "n orientation complex_mode")):
     """A single n-dimensional coordinate chart x0 .. x(n-1).
 
     orientation fixes the sign of the top basis form dx0^...^dx(n-1) used
@@ -37,18 +34,14 @@ class Chart:
     for every object built over the chart.
     """
 
-    n: int
-    orientation: int = 1
-    complex_mode: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.n <= 8:
-            raise StructuralError(f"chart dimension must be in 2..8, got {self.n}")
-        if self.orientation not in (1, -1):
-            raise StructuralError(f"orientation must be +1 or -1, got {self.orientation}")
-
-    def coordinates(self):
-        return tuple(f"x{i}" for i in range(self.n))
+    def __new__(cls, n, orientation=1, complex_mode=False):
+        if not 2 <= n <= 8:
+            raise StructuralError(f"chart dimension must be in 2..8, got {n}")
+        if orientation not in (1, -1):
+            raise StructuralError(f"orientation must be +1 or -1, got {orientation}")
+        return super().__new__(cls, n, orientation, complex_mode)
 
     def to_complex(self):
         return Chart(self.n, self.orientation, True)

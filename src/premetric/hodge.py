@@ -14,8 +14,6 @@ that defining identity is what the oracle tests check.  The star flips the
 twist parity: the volume element it carries is an odd object.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations

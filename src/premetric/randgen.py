@@ -8,8 +8,6 @@ uniform exponent tuple of total degree <= the bound and a coefficient
 num/den with num in [-9, 9] without 0 and den in [1, 9].
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations
 from math import lcm

@@ -13,8 +13,6 @@ the structure transforms along.  Every scaling by z, by 1/z or by i*z
 passes pseudo=True, which is what moves a form between the two slots.
 """
 
-from __future__ import annotations
-
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
 from .forms import Form

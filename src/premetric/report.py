@@ -7,23 +7,23 @@ timestamps or environment data, so identical runs produce byte-identical
 output.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .formexpr import poly_str
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str        # unique within a report; reports sort by it
-    equation: str        # stable equation tag ("en-mom", "recip2", ...)
-    description: str
-    passed: bool
-    witness: str = ""    # on failure: an offending nonzero component
+class CheckResult(namedtuple("CheckResult",
+                             "check_id equation description passed witness",
+                             defaults=("",))):
+    """One report row.  check_id is unique within a report, which sorts by
+    it; equation is a stable tag ("en-mom", "recip2", ...); witness is, on
+    failure, an offending nonzero component, and "" otherwise."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -35,14 +35,12 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    command: str
-    seed: int
-    checks: list = field(default_factory=list)
+class Report(SimpleNamespace):
+    """The rows of one run of a command; `checks` defaults to a new list."""
 
-    def extend(self, checks):
-        self.checks.extend(checks)
+    def __init__(self, command, seed, checks=None):
+        super().__init__(command=command, seed=seed,
+                         checks=[] if checks is None else checks)
 
     def sorted_checks(self):
         return sorted(self.checks, key=lambda c: c.check_id)

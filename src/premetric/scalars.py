@@ -16,8 +16,6 @@ is accumulated by poly_sum or partial_sum in one pass, without building
 any partial sum.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain

@@ -7,8 +7,6 @@ order.  Each suite draws from its own deterministically seeded stream
 shifts another suite's sample sequence.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

@@ -1,6 +1,7 @@
 """End-to-end tests: the installed CLI, exit statuses, report bytes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -25,6 +26,21 @@ def write_config(tmp_path, name, payload):
 
 
 BASE = {"n": 4, "p": 2, "seed": 42, "samples": 3}
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses, typing and inspect (with ast and dis) cost more to import
+    # than the package itself, and no module needs postponed annotations;
+    # compare with what site had already loaded
+    probe = ("import sys; before = set(sys.modules); import premetric.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+                       timeout=60, check=True)
+    loaded = set(r.stdout.split())
+    assert "premetric.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "__future__"}
 
 
 def test_check_all_pass_exits_zero(tmp_path):
@@ -60,6 +76,37 @@ def test_malformed_form_exits_two_with_position(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""          # no partial report
     assert "1:" in r.stderr        # line:column diagnostic
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"F": "(x0"}, "F: 1:4: expected ')'"),
+    ({"Z0": "1e2000000"}, "Z0: rational literal exceeds the limit of 4300 digits"),
+    ({"constitutive": {"kind": "linear-local", "chi": [[0, 0, 0, "1e2000000"]]}},
+     "constitutive.chi[0][3]: rational literal exceeds the limit of 4300 digits"),
+])
+def test_config_errors_name_their_key_quickly(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "keyed.json", {**BASE, **payload})
+    start = time.monotonic()
+    assert cli.main(["check", "--config", cfg]) == 2
+    assert time.monotonic() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"premetric: error: {message}\n"
+
+
+@pytest.mark.parametrize("content", [
+    b'{"Z0": ' + b"1" * 4301 + b"}",    # over the interpreter's int digit limit
+    b'{"n": \xff}',                      # not UTF-8
+    b'{"z": ' + b"[" * 100000 + b"]" * 100000 + b"}",   # past the recursion limit
+])
+def test_unreadable_config_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert cli.main(["check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("premetric: error: cannot read config: ")
+    assert err.count("\n") == 1
 
 
 def test_bad_config_value_exits_two(tmp_path):
@@ -203,7 +250,7 @@ def test_term_pair_limit_exits_two_quickly(tmp_path, capsys):
     assert time.monotonic() - start < 1.0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("premetric: error: 1:29: product of ")
+    assert err.startswith("premetric: error: F: 1:29: product of ")
     assert "term pairs" in err
 
 
@@ -234,28 +281,28 @@ def test_boolean_for_an_integer_key_exits_two(tmp_path, capsys, key, message):
         assert err == f"premetric: error: {message}\n"
 
 
-@pytest.mark.parametrize("command, payload, message", [
+@pytest.mark.parametrize("command, payload, message, key", [
     ("reciprocity", {"suites": ["factorization"], "constitutive": {
         "kind": "linear-local", "chi": [["x9"]]}},
-     "1:1: index 9 out of range for n=4"),
+     "1:1: index 9 out of range for n=4", "constitutive.chi[0][0]"),
     ("reciprocity", {"suites": ["factorization"], "constitutive": {
         "kind": "axion", "Z0": 1, "alpha": "(("}},
-     "1:3: expected a coefficient or basis factor"),
+     "1:3: expected a coefficient or basis factor", "constitutive.alpha"),
     ("reciprocity", {"suites": ["factorization"], "constitutive": {
         "kind": "custom", "G": "dx0"}},
-     "1:1: degree mismatch: term has degree 1, expected 2"),
-    ("check", {"J": "dx0^^"}, "1:4: unexpected trailing input"),
+     "1:1: degree mismatch: term has degree 1, expected 2", "constitutive.G"),
+    ("check", {"J": "dx0^^"}, "1:4: unexpected trailing input", "J"),
     ("reciprocity", {"suites": ["factorization"], "u": "dx9"},
-     "1:1: index 9 out of range for n=4"),
+     "1:1: index 9 out of range for n=4", "u"),
 ])
 def test_input_no_selected_suite_reads_exits_two(tmp_path, capsys, command,
-                                                 payload, message):
+                                                 payload, message, key):
     # every expression and the law are read when the config is loaded
     cfg = write_config(tmp_path, "unread.json", {**BASE, "samples": 1, **payload})
     assert cli.main([command, "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"premetric: error: {message}\n"
+    assert err == f"premetric: error: {key}: {message}\n"
 
 
 def test_a_law_is_built_once_per_run(tmp_path, monkeypatch):

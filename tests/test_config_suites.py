@@ -1,16 +1,16 @@
 """Config validation and suite-runner behavior (in-process)."""
 
-import dataclasses
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import premetric
-from premetric import (ConfigError, FormSyntaxError, load_config, run_suites,
-                       validate_config)
+from premetric import (ConfigError, FormSyntaxError, StructuralError, load_config,
+                       run_suites, validate_config)
 from premetric.config import RunConfig
 from premetric.suites import SUITE_RUNNERS
 
@@ -179,9 +179,86 @@ def test_chi_entries_read_as_rationals_or_polynomials(entry, value):
     ([1], ConfigError, "constitutive.chi[1][2]: expected an integer or 'a/b' string"),
 ])
 def test_chi_entries_rejected(entry, error, message):
+    if error is FormSyntaxError:  # the parser's line:column follows the key
+        message = f"constitutive.chi[1][2]: {message}"
     with pytest.raises(error) as err:
         cfg_from(_chi_with(entry))
     assert type(err.value) is error and str(err.value).startswith(message)
+
+
+_LITERAL_KEYS = {
+    "Z0": lambda text: {"Z0": text},
+    "z[1]": lambda text: {"z": [1, text]},
+    "metric.diagonal": lambda text: {"metric": {"diagonal": [1, -1, -1, text]}},
+    "metric.matrix": lambda text: {"metric": {"matrix": [
+        [text if r == c == 3 else int(r == c) for c in range(4)] for r in range(4)]}},
+    "constitutive.Z0": lambda text: {
+        **_ML, "constitutive": {"kind": "maxwell-lorentz", "Z0": text}},
+    "constitutive.chi[1][2]": _chi_with,
+}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("1e2000000", id="exponent"),
+    pytest.param("-1e-2000000", id="negative-exponent"),
+    pytest.param("1e4301", id="exponent-just-over"),
+    pytest.param("1" + "0" * 4300, id="digit-run"),
+    pytest.param("0." + "3" * 4301, id="decimal-run"),
+    pytest.param("9e4300", id="numerator"),
+    pytest.param("1e-4300", id="denominator"),
+])
+@pytest.mark.parametrize("key", _LITERAL_KEYS)
+def test_rational_literals_over_the_digit_limit_are_refused(key, text):
+    start = time.monotonic()
+    with pytest.raises(ConfigError) as err:
+        cfg_from(_LITERAL_KEYS[key](text))
+    assert time.monotonic() - start < 0.1
+    assert str(err.value) == f"{key}: rational literal exceeds the limit of 4300 digits"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1.5", Fraction(3, 2)), ("3_0", 30), ("+3", 3), ("-1/1", -1),
+    ("1e4299", 10 ** 4299), ("1e-4299", Fraction(1, 10 ** 4299)),
+    ("0.5e-4299", Fraction(1, 2 * 10 ** 4299)),
+])
+def test_rational_literals_within_the_digit_limit_are_read(text, value):
+    cfg = cfg_from({"Z0": text, "z": [text]})
+    assert cfg.Z0 == value and cfg.z == (value,)
+
+
+@pytest.mark.parametrize("text", ["1e 99999", "x0e99999", "1/2e99999", "1e2x"])
+def test_malformed_literals_with_a_large_exponent_are_not_literals(text):
+    with pytest.raises(ConfigError) as err:
+        cfg_from({"Z0": text})
+    assert str(err.value) == f"Z0: not a rational literal: {text!r}"
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("F", {"F": "(x0"}),
+    ("G", {"G": "(x0"}),
+    ("J", {"J": "(x0"}),
+    ("u", {"u": "(x0"}),
+    ("constitutive.G", {"constitutive": {"kind": "custom", "G": "(x0"}}),
+    ("constitutive.alpha", {**_ML, "constitutive": {
+        "kind": "axion", "Z0": 1, "alpha": "(x0"}}),
+    ("constitutive.chi[1][2]", _chi_with("(x0")),
+])
+def test_expression_errors_name_their_key(key, payload):
+    with pytest.raises(FormSyntaxError) as err:
+        cfg_from(payload)
+    assert str(err.value) == f"{key}: 1:4: expected ')'"
+    assert (err.value.line, err.value.column, err.value.message) == (1, 4, "expected ')'")
+
+
+def test_expression_limits_name_their_key():
+    start = time.monotonic()
+    with pytest.raises(FormSyntaxError) as err:
+        cfg_from({**_ML, "constitutive": {"kind": "axion", "Z0": 1, "alpha": "1e2000000"}})
+    assert time.monotonic() - start < 0.1
+    assert str(err.value) == "constitutive.alpha: 1:2: unexpected character 'e'"
+    with pytest.raises(StructuralError) as err:
+        cfg_from({"F": "x0^100*x0^100*dx0^dx1"})
+    assert str(err.value) == "F: product exponent exceeds the limit 127"
 
 
 def test_phi_suite_requires_law():
@@ -267,7 +344,7 @@ def test_config_doc_lists_exactly_the_run_config_fields():
     doc = Path(__file__).resolve().parent.parent / "docs" / "config.md"
     table = doc.read_text(encoding="utf-8").split("## Constitutive laws")[0]
     documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
-    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert sorted(documented) == sorted(RunConfig._fields)
     assert len(documented) == len(set(documented))
 
 
