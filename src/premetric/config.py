@@ -35,6 +35,8 @@ def _fraction(value, path):
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a rational, got a boolean")
     if isinstance(value, int):
+        if abs(value) >= _PRINT_LIMIT:
+            raise _over_limit(path)
         return Fraction(value)
     if isinstance(value, str):
         return _literal(value, path,
@@ -57,9 +59,13 @@ def _literal(text, path, refused):
     except (ValueError, ZeroDivisionError):
         raise refused from None
     if too_long or max(abs(value.numerator), value.denominator) >= _PRINT_LIMIT:
-        raise ConfigError(
-            f"{path}: rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+        raise _over_limit(path)
     return value
+
+
+def _over_limit(path):
+    return ConfigError(
+        f"{path}: rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
 
 
 def _parse(parse, text, path, *args, **kwargs):

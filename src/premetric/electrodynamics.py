@@ -10,11 +10,10 @@ u three densities are built:
 
 and d(sigma_u) = force_u + phi_u holds identically, with no assumption
 about how G relates to F.  densities() is the one route to all three: it
-computes u _| F, u _| G, L_u F, L_u G and their wedges once and builds
-the densities from them.  The balance residual is computed as a
-difference rather than returned as zero by construction, so a sign error
-anywhere in the exterior-calculus layer would surface as a nonzero
-residual.
+computes u _| F, u _| G, L_u F and L_u G once and builds each density as
+one wedge_sum of them.  The balance residual is computed as a difference
+rather than returned as zero by construction, so a sign error anywhere
+in the exterior-calculus layer would surface as a nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -26,7 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import Form, basis_form, combine, contract, ext_d, wedge
+from .forms import (Form, basis_form, combine, contract, ext_d,
+                    lie_derivative, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational, poly_sum
@@ -76,14 +76,22 @@ def _sign(p):
     return -1 if p % 2 else 1
 
 
-class Densities(namedtuple("Densities",
-                           "sigma force phi udG uF_dG F_uG uF_G F_LuG LuF_G")):
-    """Sigma_u, f_u and phi_u of one (u, FieldConfig), plus the pieces
-    identity_suite reads again; every field is a Form.
+def _moved(u, cfg, udG=None):
+    """(u _| F, u _| G, L_u F, L_u G); Cartan's formula, where lie_derivative
+    takes it, reuses them, the config's dF and dG and a given u _| dG."""
+    _check_u(u, cfg)
+    uF, uG = contract(u, cfg.F), contract(u, cfg.G)
+    return (uF, uG, lie_derivative(u, cfg.F, uF, cfg.dF),
+            lie_derivative(u, cfg.G, uG, cfg.dG, udG))
 
-    Piece names spell their factors: uF_dG is (u _| F) ^ dG, F_LuG is
-    F ^ L_u G, udG is u _| dG.
-    """
+
+def _force(cfg, uF, uG):
+    """force_u = dF ^ (u _| G) + (u _| F) ^ dG, the one route to it."""
+    return wedge_sum((1, cfg.dF, uG), (1, uF, cfg.dG))
+
+
+class Densities(namedtuple("Densities", "sigma force phi")):
+    """Sigma_u, f_u and phi_u of one (u, FieldConfig); each is a Form."""
 
     __slots__ = ()
 
@@ -97,25 +105,14 @@ class Densities(namedtuple("Densities",
 
 
 def densities(u, cfg):
-    """The three densities along u, each shared piece computed once.
-
-    L_u F and L_u G come from Cartan's formula d(u _| A) + u _| dA, with
-    the dF and dG the FieldConfig already holds.
-    """
-    _check_u(u, cfg)
-    F, G, dF, dG, sgn = cfg.F, cfg.G, cfg.dF, cfg.dG, _sign(cfg.p)
-    uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
-    LuF = combine((1, ext_d(uF)), (1, contract(u, dF)))
-    LuG = combine((1, ext_d(uG)), (1, udG))
-    F_uG, uF_G = wedge(F, uG), wedge(uF, G)
-    uF_dG = wedge(uF, dG)
-    F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
-    sgn_half = Fraction(sgn, 2)
+    """The three densities along u, each one wedge_sum over the shared
+    u _| F, u _| G, L_u F and L_u G."""
+    uF, uG, LuF, LuG = _moved(u, cfg)
+    F, G, half = cfg.F, cfg.G, Fraction(_sign(cfg.p), 2)
     return Densities(
-        sigma=combine((Fraction(1, 2), F_uG), (-sgn_half, uF_G)),
-        force=combine((1, wedge(dF, uG)), (1, uF_dG)),
-        phi=combine((sgn_half, F_LuG), (-sgn_half, LuF_G)),
-        udG=udG, uF_dG=uF_dG, F_uG=F_uG, uF_G=uF_G, F_LuG=F_LuG, LuF_G=LuF_G)
+        sigma=wedge_sum((Fraction(1, 2), F, uG), (-half, uF, G)),
+        force=_force(cfg, uF, uG),
+        phi=wedge_sum((half, F, LuG), (-half, LuF, G)))
 
 
 def sigma_u(u, cfg):
@@ -150,24 +147,26 @@ def identity_suite(u, cfg, id_prefix=""):
     b:   (-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u
     a+b: their sum collapses to d(u _| (F^G)) = L_u F ^ G + F ^ L_u G.
     """
-    d = densities(u, cfg)
-    F, G, sgn, f = cfg.F, cfg.G, _sign(cfg.p), d.force
-    expansion = combine((1, d.uF_dG), (sgn, wedge(F, d.udG)))
+    F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, _sign(cfg.p)
+    udG = contract(u, dG)
+    uF, uG, LuF, LuG = _moved(u, cfg, udG)
+    f = _force(cfg, uF, uG)
+    F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
     return [
         residual_check(
             id_prefix + "sym", "sym",
             "contraction of the vanishing (n+1)-form F^dG expands to zero",
-            expansion, contract(u, wedge(F, cfg.dG))),
+            wedge_sum((1, uF, dG), (sgn, F, udG)), contract(u, wedge(F, dG))),
         residual_check(
             id_prefix + "a", "a", "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
-            combine((1, ext_d(d.F_uG)), (-sgn, d.F_LuG), (-1, f))),
+            combine((1, ext_d(wedge(F, uG))), (-sgn, F_LuG), (-1, f))),
         residual_check(
             id_prefix + "b", "b", "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
-            combine((sgn, ext_d(d.uF_G)), (-sgn, d.LuF_G), (1, f))),
+            combine((sgn, ext_d(wedge(uF, G))), (-sgn, LuF_G), (1, f))),
         residual_check(
             id_prefix + "a+b", "a+b", "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
             combine((1, ext_d(contract(u, wedge(F, G)))),
-                    (-1, d.LuF_G), (-1, d.F_LuG))),
+                    (-1, LuF_G), (-1, F_LuG))),
     ]
 
 

@@ -305,26 +305,37 @@ def combine(*terms):
                       _components(first.chart, groups, poly_sum))
 
 
-def wedge(a, b):
-    """Exterior product; twist parities XOR, degrees add.
-
-    Results past top degree are the canonical zero form: an (n+1)-form on an
-    n-chart has no components, and the identity suites lean on that.
+def wedge_sum(*terms):
+    """The sum of m * (a ^ b) over (m, a, b) terms, m an int or Fraction,
+    with one poly_sum per output component.  The products must agree in
+    chart, degree and twist; past top degree the sum is the canonical zero
+    form (an (n+1)-form has no components), which the identity suites use.
     """
-    a._check_chart(b)
-    degree = a.degree + b.degree
-    twist = a.twist != b.twist
-    table = _wedge_table(a.chart.n, a.degree, b.degree)
-    b_items = b.components.items()
+    _, first, second = terms[0]
+    degree, twist = first.degree + second.degree, first.twist != second.twist
     groups = {}
-    for ia, pa in a.components.items():
-        row = table[ia]
-        for ib, pb in b_items:
-            hit = row.get(ib)
-            if hit is not None:
-                merged, sign = hit
-                groups.setdefault(merged, []).append((sign, pa, pb))
-    return a._raw(degree, twist, _components(a.chart, groups, poly_sum))
+    for m, a, b in terms:
+        first._check_chart(a)
+        a._check_chart(b)
+        if a.degree + b.degree != degree:
+            raise StructuralError(f"degree mismatch: {degree} vs {a.degree + b.degree}")
+        if (a.twist != b.twist) != twist:
+            raise StructuralError("twist parity mismatch")
+        table = _wedge_table(first.chart.n, a.degree, b.degree)
+        b_items = b.components.items()
+        for ia, pa in a.components.items():
+            row = table[ia]
+            for ib, pb in b_items:
+                hit = row.get(ib)
+                if hit is not None:
+                    merged, sign = hit
+                    groups.setdefault(merged, []).append((sign * m, pa, pb))
+    return first._raw(degree, twist, _components(first.chart, groups, poly_sum))
+
+
+def wedge(a, b):
+    """Exterior product; twist parities XOR, degrees add (see wedge_sum)."""
+    return wedge_sum((1, a, b))
 
 
 def ext_d(a):
@@ -357,17 +368,38 @@ def contract(u, a):
     return a._raw(a.degree - 1, a.twist, _components(a.chart, groups, poly_sum))
 
 
-def lie_derivative(u, a):
-    """Lie derivative along u via Cartan's formula d(u _| a) + u _| da.
+def lie_derivative(u, a, ua=None, da=None, uda=None):
+    """Lie derivative of a along u.
 
-    For 0-forms the contraction term is empty and the formula reduces to
-    u _| da, i.e. the directional derivative of the coefficient.
+    If every component of u is a rational constant, L_u dx_i = d(u^i) = 0
+    and L_u a = sum_j u^j d(a_I)/dx_j, one partial_sum per component.
+    Any other u takes Cartan's formula d(u _| a) + u _| da, reusing the
+    caller's u _| a, da or u _| da when given (u _| da alone on 0-forms).
     """
     if u.chart != a.chart:
         raise StructuralError("chart mismatch")
+    rates = _rational_constants(u)
+    if rates is not None:
+        groups = {idx: [(c, poly, j) for j, c in enumerate(rates) if c]
+                  for idx, poly in a.components.items()}
+        return a._raw(a.degree, a.twist, _components(a.chart, groups, partial_sum))
+    if uda is None:
+        uda = contract(u, ext_d(a) if da is None else da)
     if a.degree == 0:
-        return contract(u, ext_d(a))
-    return ext_d(contract(u, a)) + contract(u, ext_d(a))
+        return uda
+    return combine((1, ext_d(contract(u, a) if ua is None else ua)), (1, uda))
+
+
+def _rational_constants(u):
+    """The components of u as Fractions when each is a rational constant
+    (with no imaginary part), else None."""
+    rates = []
+    for p in u.components:
+        re, im = p.nums.get(0, (0, 0)) if p.complex_mode else (p.nums.get(0, 0), 0)
+        if im or p.nums.keys() - {0}:
+            return None
+        rates.append(Fraction(re, p.den))
+    return rates
 
 
 def pullback_linear(matrix, a):

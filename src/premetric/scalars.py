@@ -217,6 +217,7 @@ class Polynomial:
         self._check_compatible(other)
         out = {}
         _add_product(out, 1, self.nums, other.nums, self.complex_mode)
+        _check_guard(out, self.n)
         return _reduced(self.n, self.complex_mode, self.den * other.den, out)
 
     def scale(self, s):
@@ -319,10 +320,9 @@ def _scaled(p, num, d):
 def _reduced(n, complex_mode, den, nums):
     """Canonical polynomial nums/den: no zero entries, den > 0.
 
-    The exponent guard runs before zero entries go, so a key past the
-    limit raises even when the terms that reached it cancelled.
+    Only products make keys past the exponent limit; the callers that
+    multiply run the guard first, so such a key raises even if it cancelled.
     """
-    _check_guard(nums, n)
     zero = (0, 0) if complex_mode else 0
     if zero in nums.values():
         nums = {k: v for k, v in nums.items() if v != zero}
@@ -412,6 +412,8 @@ def poly_sum(n, complex_mode, terms):
         else:
             for k, v in a.nums.items():
                 out[k] = get(k, 0) + v * f
+    if any(b is not None for _, _, b in terms):
+        _check_guard(out, n)
     return _reduced(n, complex_mode, den, out)
 
 

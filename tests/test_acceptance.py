@@ -6,8 +6,6 @@ is zero-tolerance: a residual form must be identically zero, not small.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -21,6 +19,7 @@ from premetric import (Axion, Chart, FieldConfig, FieldPairZ, MaxwellLorentz,
                        sigma_u, split_3plus1, star_z, tensor, wedge)
 
 from oracles import force_u_4d, phi_u_4d, sigma_u_4d
+from test_cli import run_cli
 from test_formexpr import CORPUS
 
 
@@ -277,11 +276,6 @@ def test_criterion_09_reflection_law():
                 f"preserves declared twists on {count} pairs", count >= 25)
 
 
-def _cli(*args):
-    return subprocess.run([sys.executable, "-m", "premetric.cli", *args],
-                          capture_output=True, text=True, timeout=300)
-
-
 def test_criterion_10_cli_contract(tmp_path):
     corpus_ok = 0
     for text, n, degree in CORPUS:
@@ -296,22 +290,22 @@ def test_criterion_10_cli_contract(tmp_path):
     base = {"n": 4, "p": 2, "seed": 42, "samples": 3, "mode": "complex"}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(base), encoding="utf-8")
-    runs = [_cli("reciprocity", "--config", str(cfg), "--format", "structured")
+    runs = [run_cli("reciprocity", "--config", str(cfg), "--format", "structured")
             for _ in range(2)]
     assert runs[0].returncode == 0
     identical = runs[0].stdout == runs[1].stdout and runs[0].stdout != ""
 
-    ok_pass = _cli("check", "--config", str(cfg)).returncode == 0
+    ok_pass = run_cli("check", "--config", str(cfg)).returncode == 0
     fail_cfg = tmp_path / "fail.json"
     fail_cfg.write_text(json.dumps({
         "n": 4, "p": 2, "seed": 1, "samples": 1,
         "F": "dx0^dx1",
         "constitutive": {"kind": "custom", "G": "(x1)*dx2^dx3"},
     }), encoding="utf-8")
-    ok_fail = _cli("constitutive", "--config", str(fail_cfg)).returncode == 1
+    ok_fail = run_cli("constitutive", "--config", str(fail_cfg)).returncode == 1
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps(dict(base, F="dx0^")), encoding="utf-8")
-    bad = _cli("check", "--config", str(bad_cfg))
+    bad = run_cli("check", "--config", str(bad_cfg))
     ok_usage = bad.returncode == 2 and bad.stdout == "" and "1:" in bad.stderr
 
     ok = (corpus_ok >= 30 and identical and ok_pass and ok_fail and ok_usage)

@@ -14,9 +14,17 @@ from premetric import cli, config
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def child_env():
+    """The environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports this package whether or not it is installed."""
+    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "premetric.cli", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=child_env())
 
 
 def write_config(tmp_path, name, payload):
@@ -34,10 +42,8 @@ def test_importing_the_cli_loads_no_introspection_modules():
     # compare with what site had already loaded
     probe = ("import sys; before = set(sys.modules); import premetric.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
-                       timeout=60, check=True)
+                       env=child_env(), timeout=60, check=True)
     loaded = set(r.stdout.split())
     assert "premetric.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "__future__"}

@@ -216,6 +216,22 @@ def test_rational_literals_over_the_digit_limit_are_refused(key, text):
     assert str(err.value) == f"{key}: rational literal exceeds the limit of 4300 digits"
 
 
+@pytest.mark.parametrize("value", [10 ** 5000, -10 ** 4300, 10 ** 4300],
+                         ids=["10^5000", "-10^4300", "10^4300"])
+@pytest.mark.parametrize("key", _LITERAL_KEYS)
+def test_integers_over_the_digit_limit_are_refused(key, value):
+    # a library caller can pass any int; JSON text cannot carry these
+    with pytest.raises(ConfigError) as err:
+        cfg_from(_LITERAL_KEYS[key](value))
+    assert str(err.value) == f"{key}: rational literal exceeds the limit of 4300 digits"
+
+
+def test_integers_within_the_digit_limit_are_read():
+    value = 10 ** 4300 - 1
+    cfg = cfg_from({"Z0": value, "z": [-value]})
+    assert cfg.Z0 == value and cfg.z == (-value,)
+
+
 @pytest.mark.parametrize("text, value", [
     ("1.5", Fraction(3, 2)), ("3_0", 30), ("+3", 3), ("-1/1", -1),
     ("1e4299", 10 ** 4299), ("1e-4299", Fraction(1, 10 ** 4299)),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_contract, dense_wedge, lie_by_components
+from premetric import forms
 from premetric.errors import StructuralError
 from premetric.forms import (
     Chart,
@@ -18,6 +19,7 @@ from premetric.forms import (
     pullback_linear,
     sort_indices,
     wedge,
+    wedge_sum,
 )
 from premetric.randgen import random_form, random_polynomial, random_vector_field
 
@@ -112,6 +114,22 @@ def test_mismatches_raise():
         wedge(a, basis_form(_chart(3), (0,)))
     with pytest.raises(StructuralError):
         pullback_linear([[1, 1], [1, 1]], a)
+
+
+def test_wedge_sum_keeps_the_errors_of_wedge_and_combine():
+    ch = _chart(3)
+    a, b = basis_form(ch, (0,)), basis_form(ch, (1,), twist=True)
+    other = basis_form(_chart(2), (0,))
+    for terms in [((1, a, other),), ((1, a, b), (1, other, other)),
+                  ((1, a, b), (1, other, b))]:
+        with pytest.raises(StructuralError, match="^chart mismatch$"):
+            wedge_sum(*terms)
+    with pytest.raises(StructuralError, match="^degree mismatch: 2 vs 1$"):
+        wedge_sum((1, a, b), (1, a, basis_form(ch, (), twist=True)))
+    with pytest.raises(StructuralError, match="^twist parity mismatch$"):
+        wedge_sum((1, a, b), (1, a, basis_form(ch, (2,))))
+    # twists XOR per product, as for wedge
+    assert wedge_sum((1, b, a), (2, a, b)).twist is True
 
 
 def test_scale_routes_parity():
@@ -239,6 +257,60 @@ def test_lie_matches_component_formula():
         a = random_form(rng, ch, rng.randint(0, n), bool(rng.randrange(2)))
         u = random_vector_field(rng, ch)
         assert lie_derivative(u, a) == lie_by_components(u, a)
+
+
+def _cartan(u, a):
+    inner = contract(u, ext_d(a))
+    return inner if a.degree == 0 else ext_d(contract(u, a)) + inner
+
+
+def _cartan_calls(monkeypatch):
+    """The contract and ext_d calls made inside forms from now on."""
+    calls = []
+    for name in ("contract", "ext_d"):
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name,
+                            lambda *args, real=real: calls.append(real) or real(*args))
+    return calls
+
+
+def _constant(chart, rng):
+    q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return chart.const_poly((q, 0) if chart.complex_mode and rng.randrange(2) else q)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lie_along_rational_constant_fields_is_a_directional_derivative(n, monkeypatch):
+    # coordinate fields and rational combinations, on real and complex
+    # charts; no Cartan term is formed for them
+    calls = _cartan_calls(monkeypatch)
+    rng = random.Random(f"constant-lie:{n}")
+    for ch in (_chart(n), _chart(n, complex_mode=True)):
+        fields = [coordinate_field(ch, k) for k in range(n)] + [
+            VectorField(ch, [_constant(ch, rng) if rng.randrange(3) else ch.zero_poly()
+                             for _ in range(n)]) for _ in range(2)]
+        for degree in range(n + 1):
+            for twist in (False, True):
+                a = random_form(rng, ch, degree, twist)
+                for u in fields:
+                    del calls[:]
+                    out = lie_derivative(u, a)
+                    assert calls == []
+                    assert out == _cartan(u, a) == lie_by_components(u, a)
+
+
+def test_lie_along_an_imaginary_constant_takes_cartans_formula(monkeypatch):
+    calls = _cartan_calls(monkeypatch)
+    rng = random.Random(112)
+    ch = _chart(4, complex_mode=True)
+    u = VectorField(ch, [ch.const_poly((1, 2)), ch.zero_poly(),
+                         ch.const_poly(Fraction(1, 3)), ch.zero_poly()])
+    for degree in range(5):
+        a = random_form(rng, ch, degree, bool(degree % 2))
+        del calls[:]
+        out = lie_derivative(u, a)
+        assert calls
+        assert out == _cartan(u, a) == lie_by_components(u, a)
 
 
 def test_lie_commutes_with_d():

@@ -1,7 +1,8 @@
 """The accumulation kernels against a term-by-term fold.
 
 Every form operation builds each output component with one call to
-`scalars.poly_sum` or `scalars.partial_sum`.  Each is compared here with
+`scalars.poly_sum` or `scalars.partial_sum`; `wedge_sum` does so for a
+whole linear combination of wedges.  Each is compared here with
 the fold the kernels replaced, written out in this file: one Polynomial
 product, partial derivative or scaling per term, summed with `+`.  The
 generated polynomials mix denominators, run in both scalar modes, and
@@ -22,7 +23,7 @@ given, settings = hypothesis.given, hypothesis.settings
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, combine, contract,  # noqa: E402
-                             ext_d, wedge)
+                             ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.scalars import (MAX_EXPONENT, Polynomial,  # noqa: E402
                                partial_sum, poly_sum)
@@ -151,6 +152,27 @@ def test_wedge_is_the_fold(pair):
 
 
 @EXAMPLES
+@given(st.data())
+def test_wedge_sum_is_the_combination_of_its_wedges(data):
+    # total degrees run past n, where every wedge is the zero form
+    chart = data.draw(charts())
+    degree = data.draw(st.integers(0, 2 * chart.n))
+    twist = data.draw(st.booleans())
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.integers(max(0, degree - chart.n), min(degree, chart.n)))
+        ta = data.draw(st.booleans())
+        terms.append((data.draw(COEFF), data.draw(forms(chart, p, ta)),
+                      data.draw(forms(chart, degree - p, ta != twist))))
+    total = wedge_sum(*terms)
+    expect = combine(*[(m, wedge(a, b)) for m, a, b in terms])
+    assert (total.degree, total.twist) == (degree, twist)
+    assert total.components == expect.components
+    if degree > chart.n:
+        assert total.components == {}
+
+
+@EXAMPLES
 @given(form_and_field())
 def test_ext_d_and_contract_are_the_fold(case):
     a, u = case
@@ -247,6 +269,10 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     b = Form(chart, 1, False, {(0,): x_rest, (1,): x_rest})
     with pytest.raises(StructuralError, match="exceeds the limit"):
         wedge(a, b)
+    # a ^ b reaches x0^128 in the dx0^dx1 slot twice; the sum of the two
+    # wedges cancels but still raises
+    with pytest.raises(StructuralError, match="exceeds the limit"):
+        wedge_sum((1, a, b), (-1, a, b))
     # u _| (x^rest dx0^dx1 + x^rest dx1^dx2) with u = (x^big, 0, x^big):
     # the dx1 slot gets x^128 - x^128
     u = VectorField(chart, [x_big, chart.zero_poly(), x_big])
@@ -257,6 +283,8 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     x_low = Polynomial(3, {(rest - 1, 0, 0): 1})
     assert wedge(a, Form(chart, 1, False, {(0,): x_low, (1,): x_low})).is_zero()
     assert contract(u, Form(chart, 2, False, {(0, 1): x_low, (1, 2): x_low})).is_zero()
+    low = Form(chart, 1, False, {(0,): x_low, (1,): x_low})
+    assert wedge_sum((1, a, low), (-1, a, low)).is_zero()
 
 
 # -- scaling by a number -------------------------------------------------------

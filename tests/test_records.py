@@ -21,7 +21,7 @@ def _split(**replaced):
 
 
 def _densities(top):
-    return Densities(*[Form.zero(CH, 3, True)] + [top] * 8)
+    return Densities(Form.zero(CH, 3, True), top, top)
 
 
 def _raises(error, make, message=None):

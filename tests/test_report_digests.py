@@ -9,9 +9,16 @@ and `tests/data/check-c5.json` (complex, n = 5, p = 2) pin the form
 operations past n = 4.  A change to the arithmetic that alters a single
 report byte fails this test; a deliberate report change must update the
 pins and say so in CHANGES.md.
+
+`TRAFFIC` pins configs in the shapes the benchmark runs, built here from
+fixed seeds: check at n = 6, p = 3; complex reciprocity with a z list;
+and a linear-local chi with polynomial entries, whose phi rows mostly
+FAIL with printed witnesses.
 """
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -66,5 +73,60 @@ def test_report_digest_is_pinned(tmp_path, config, command, fmt, status, digest)
     out = tmp_path / "report"
     code = cli.main([command, "--config", str(ROOT / config),
                      "--format", fmt, "--out", str(out)])
+    assert code == status
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _chi_entry(rng):
+    """A rational literal, or a short polynomial in one or two coordinates."""
+    if rng.random() < 0.4:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    a, b = rng.sample(range(4), 2)
+    c = [f"{rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(3)]
+    s1, s2 = rng.choice("+-"), rng.choice("+-")
+    return f"({c[0]}*x{a}^{rng.randint(1, 2)} {s1} {c[1]}*x{b} {s2} {c[2]})"
+
+
+def traffic_config(command, seed):
+    """The config of one bench-shaped invocation of command."""
+    if command == "check":
+        return {"n": 6, "p": 3, "mode": "real", "degree_bound": 2,
+                "samples": 2, "seed": seed}
+    if command == "reciprocity":
+        return {"n": 4, "p": 2, "mode": "complex",
+                "metric": {"diagonal": [1, -1, -1, -1]}, "Z0": "377/120",
+                "z": [1, 2, -3, "1/5"], "samples": 4, "seed": seed}
+    rng = random.Random(f"traffic:{seed}")
+    chi = [[_chi_entry(rng) for _ in range(6)] for _ in range(6)]
+    return {"n": 4, "p": 2, "samples": 3, "seed": seed,
+            "constitutive": {"kind": "linear-local", "chi": chi}}
+
+
+TRAFFIC = [
+    ("check", "text", 1, 0,
+     "0cd06119256fb58967fdc430bb4516fc076a4e1a67f2d8b71d3b1f12bfd8d867"),
+    ("check", "text", 2, 0,
+     "2382ff217325103640042ad682ce1eed4a3a9b60e265a0952d3f8532fe49b38b"),
+    ("reciprocity", "structured", 1, 0,
+     "218c1cdcbf193522578d79e0e5ec7fc96d10c27579fde99c25fba90db78fbdc4"),
+    ("reciprocity", "structured", 2, 0,
+     "d07f93bae88e8256ca996261d0639ec78ce228a0efa25e84b5cae5a2e03300a3"),
+    ("constitutive", "text", 1, 1,
+     "e320192c93590347585d2ab1e11a67975687e4a097c1db4b2b808c722e52509e"),
+    ("constitutive", "text", 2, 1,
+     "986ce34872ed3de43b458918faca2d43367c36ac9430dc98d26170f2665fe2cb"),
+    ("constitutive", "text", 3, 1,
+     "87062322edac964424c34a48c64bf4d83223f676c48febaadc7fa64bb81a2c9e"),
+]
+
+
+@pytest.mark.parametrize("command,fmt,seed,status,digest", TRAFFIC,
+                         ids=[f"{c}-{f}-seed{k}" for c, f, k, _, _ in TRAFFIC])
+def test_traffic_digest_is_pinned(tmp_path, command, fmt, seed, status, digest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(traffic_config(command, seed)), encoding="utf-8")
+    out = tmp_path / "report"
+    code = cli.main([command, "--config", str(path), "--format", fmt,
+                     "--out", str(out)])
     assert code == status
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
