@@ -112,6 +112,11 @@ class RunConfig(SimpleNamespace):
             return self.metric
         return MetricSpec.minkowski(self.chart())
 
+    def shape(self, name):
+        """(degree, twist) of the form F, G or J."""
+        return {"F": (self.p, False), "G": (self.n - self.p, True),
+                "J": (self.n - self.p + 1, True)}[name]
+
     def suites_for(self, command):
         if self.suites:
             return self.suites
@@ -120,8 +125,12 @@ class RunConfig(SimpleNamespace):
 
 _KNOWN_KEYS = frozenset(RunConfig._fields)
 
-_CONSTITUTIVE_KINDS = tuple(law.kind for law in
-                            (MaxwellLorentz, Axion, LinearLocal, Custom))
+# the keys each kind of constitutive law reads
+_LAW_KEYS = {MaxwellLorentz.kind: {"kind", "Z0"},
+             Axion.kind: {"kind", "Z0", "alpha"},
+             LinearLocal.kind: {"kind", "chi"},
+             Custom.kind: {"kind", "G"}}
+_CONSTITUTIVE_KINDS = tuple(_LAW_KEYS)
 
 
 def load_config(path):
@@ -169,6 +178,7 @@ def validate_config(raw):
         _expect(cfg.Z0 != 0, "Z0: must be nonzero")
     if "z" in raw:
         zs = raw["z"] if isinstance(raw["z"], list) else [raw["z"]]
+        _expect(zs, "z: expected a rational or a nonempty list")
         vals = []
         for k, item in enumerate(zs):
             v = _fraction(item, f"z[{k}]")
@@ -182,6 +192,9 @@ def validate_config(raw):
                 "constitutive: expected an object with a 'kind'")
         _expect(law_raw["kind"] in _CONSTITUTIVE_KINDS,
                 f"constitutive.kind: expected one of {_CONSTITUTIVE_KINDS}")
+        unknown = set(law_raw) - _LAW_KEYS[law_raw["kind"]]
+        _expect(not unknown, f"constitutive: unknown keys for kind "
+                             f"{law_raw['kind']!r}: {sorted(unknown)}")
         if law_raw["kind"] == "custom":
             _expect(isinstance(law_raw.get("G"), str),
                     "constitutive.G: custom laws need a fixed excitation expression")
@@ -206,9 +219,10 @@ def validate_config(raw):
 
     suites = raw.get("suites", [])
     _expect(isinstance(suites, list), "suites: expected a list of suite names")
-    for s in suites:
+    for k, s in enumerate(suites):
         _expect(isinstance(s, str) and s in SUITE_RUNNERS,
                 f"suites: unknown suite {s!r}")
+        _expect(s not in suites[:k], f"suites: duplicate suite {s!r}")
     cfg.suites = tuple(suites)
 
     if "out" in raw:
@@ -219,10 +233,10 @@ def validate_config(raw):
 
     if law_raw is not None:
         cfg.constitutive = build_law(law_raw, cfg)
-    for name, degree, twist in (("F", cfg.p, False), ("G", cfg.n - cfg.p, True),
-                                ("J", cfg.n - cfg.p + 1, True)):
+    for name in "FGJ":
         text = getattr(cfg, name)
         if text not in (None, "random"):
+            degree, twist = cfg.shape(name)
             setattr(cfg, name, _parse(parse_form, text, name, chart, degree,
                                       twist=twist))
     if cfg.u != "random":
@@ -232,6 +246,9 @@ def validate_config(raw):
 
 def _build_metric(metric_raw, chart):
     _expect(isinstance(metric_raw, dict), "metric: expected an object")
+    unknown = set(metric_raw) - {"diagonal", "matrix"}
+    _expect(not unknown, f"metric: unknown keys {sorted(unknown)}")
+    _expect(len(metric_raw) < 2, "metric: expected 'diagonal' or 'matrix', not both")
     try:
         if "diagonal" in metric_raw:
             _expect(isinstance(metric_raw["diagonal"], list),

@@ -26,12 +26,12 @@ printing after a parse canonicalizes the input.
 """
 
 import re
-from math import gcd, lcm
+from math import gcd
 
 from .errors import FormSyntaxError, StructuralError
 from .forms import Form, VectorField, sort_indices
 from .scalars import (MAX_EXPONENT, Polynomial, _check_guard, _guard_mask,
-                      _make, _reduced, _shift, _unpack)
+                      _shift, _unpack, monomial_sum)
 
 # longest decimal digit run accepted, and printed; Python's int() and str()
 # refuse longer strings by default
@@ -197,8 +197,13 @@ class _Parser:
         if tok[1] > MAX_EXPONENT:
             self.fail(f"exponent {tok[1]} exceeds the limit {MAX_EXPONENT}", tok)
         self.pos += 2
-        base, a = a, self.one
-        for _ in range(tok[1]):
+        if not tok[1]:
+            return self.one
+        # a^k is a times k - 1 products by a; the first step, 1 times a,
+        # multiplies nothing but is still refused past the pair limit
+        self.check_pairs(1, self.size(a), tok)
+        base = a
+        for _ in range(tok[1] - 1):
             a = self.product(a, base, tok)
         return a
 
@@ -214,11 +219,14 @@ class _Parser:
             if (ak + bk) & self.guard:
                 _check_guard((ak + bk,), self.n)  # raises
             return num, ad * bd, ak + bk
-        sa, sb = self.size(a), self.size(b)
+        self.check_pairs(self.size(a), self.size(b), tok)
+        return self.as_poly(a) * self.as_poly(b)
+
+    def check_pairs(self, sa, sb, tok):
+        """Refuse at tok a product of sa by sb terms past MAX_TERM_PAIRS."""
         if sa * sb > MAX_TERM_PAIRS:
             self.fail(f"product of {sa} by {sb} terms exceeds the limit of "
                       f"{MAX_TERM_PAIRS} term pairs", tok)
-        return self.as_poly(a) * self.as_poly(b)
 
     def atom(self):
         tok = kind, value, _ = self.tokens[self.pos]
@@ -273,30 +281,19 @@ class _Parser:
     def as_poly(self, c):
         if type(c) is not tuple:
             return c
-        num, den, key = c
-        nums = {} if num == self.zero else {key: num}
-        return _make(self.n, self.complex_mode, den, nums)
+        return monomial_sum(self.n, self.complex_mode, (c,))
 
     def sum(self, terms):
-        """Canonical sum of coefficients: every term goes over the lcm of
-        their denominators into one dict, normalised once."""
-        den = lcm(*(c[1] if type(c) is tuple else c.den for c in terms))
-        out = {}
-        get = out.get
+        """Canonical sum of coefficients, one monomial_sum over all their
+        monomials."""
+        monomials = []
         for c in terms:
             if type(c) is tuple:
-                f, items = den // c[1], ((c[2], c[0]),)
+                monomials.append(c)
             else:
-                f, items = den // c.den, c.nums.items()
-            if self.complex_mode:
-                for k, (r, i) in items:
-                    cur = get(k)
-                    out[k] = ((r * f, i * f) if cur is None
-                              else (cur[0] + r * f, cur[1] + i * f))
-            else:
-                for k, v in items:
-                    out[k] = get(k, 0) + v * f
-        return _reduced(self.n, self.complex_mode, den, out)
+                den = c.den
+                monomials.extend((v, den, k) for k, v in c.nums.items())
+        return monomial_sum(self.n, self.complex_mode, monomials)
 
 
 def parse_form(text, chart, expected_degree=None, twist=False):

@@ -10,11 +10,10 @@ num/den with num in [-9, 9] without 0 and den in [1, 9].
 
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from .errors import StructuralError
 from .forms import Form, VectorField
-from .scalars import _pack, _reduced
+from .scalars import _pack, monomial_sum
 
 
 @lru_cache(maxsize=None)
@@ -39,27 +38,21 @@ _NUMERATORS = tuple(k for k in range(-9, 10) if k != 0)
 
 def random_polynomial(rng, n, degree_bound, complex_mode=False):
     """1-3 uniformly chosen monomials with small rational coefficients,
-    accumulated over the lcm of the drawn denominators."""
+    summed by monomial_sum."""
     if n < 1:
         raise StructuralError(f"polynomial dimension must be >= 1, got {n}")
     pool = _key_pool(n, degree_bound)
-    parts = 2 if complex_mode else 1
+    monomials = []
     # the rng calls in the frozen order of docs/conventions.md
-    draws = [(pool[rng.randrange(len(pool))],
-              [(rng.choice(_NUMERATORS), rng.randint(1, 9)) for _ in range(parts)])
-             for _ in range(rng.randint(1, 3))]
-    den = lcm(*(b for _, q in draws for _, b in q))
-    nums = {}
-    get = nums.get
-    for key, q in draws:
+    for _ in range(rng.randint(1, 3)):
+        key = pool[rng.randrange(len(pool))]
+        a, b = rng.choice(_NUMERATORS), rng.randint(1, 9)
         if complex_mode:
-            (a, b), (c, e) = q
-            r, i = get(key, (0, 0))
-            nums[key] = (r + a * (den // b), i + c * (den // e))
+            c, e = rng.choice(_NUMERATORS), rng.randint(1, 9)
+            monomials.append(((a * e, c * b), b * e, key))
         else:
-            ((a, b),) = q
-            nums[key] = get(key, 0) + a * (den // b)
-    return _reduced(n, complex_mode, den, nums)
+            monomials.append((a, b, key))
+    return monomial_sum(n, complex_mode, monomials)
 
 
 def random_form(rng, chart, degree, twist, degree_bound=2):

@@ -12,8 +12,8 @@ content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work plus one gcd normalisation per result.  A sum
 of many terms (one component of a wedge, a derivative or a Hodge dual)
-is accumulated by poly_sum or partial_sum in one pass, without building
-any partial sum.
+is accumulated by poly_sum or partial_sum, and one given as loose
+monomials by monomial_sum, in one pass without building any partial sum.
 """
 
 from fractions import Fraction
@@ -31,19 +31,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise StructuralError(f"not an exact rational: {x!r}")
-
-
-_ZERO = Fraction(0)
-
-
-def _parts(x, complex_mode):
-    """The number x as (re, im) Fractions.  x is an int, a Fraction or a
-    rational string, or, in complex mode only, an (re, im) pair of them."""
-    if isinstance(x, tuple) and len(x) == 2:
-        if not complex_mode:
-            raise StructuralError("real/complex scalar mode mismatch")
-        return _as_fraction(x[0]), _as_fraction(x[1])
-    return _as_fraction(x), _ZERO
 
 
 def nonzero_rational(value, name):
@@ -125,26 +112,18 @@ class Polynomial:
         if n < 1:
             raise StructuralError(f"polynomial dimension must be >= 1, got {n}")
         complex_mode = bool(complex_mode)
-        coeffs = {}
+        monomials = []
         for exps, coeff in (terms or {}).items():
-            re, im = _parts(coeff, complex_mode)
+            m = _multiplier(coeff, complex_mode)
             if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent tuple {exps} for n={n}")
-            if re or im:
-                coeffs[_pack(exps)] = re, im
-        # over the lcm of the reduced denominators the numerators already
-        # have no common factor with den
-        den = lcm(1, *(q.denominator for c in coeffs.values() for q in c))
-
-        def num(q):
-            return q.numerator * (den // q.denominator)
-
+            if m:
+                monomials.append((*m, _pack(exps)))
+        p = monomial_sum(n, complex_mode, monomials)
         self.n = n
         self.complex_mode = complex_mode
-        self.den = den
-        self.nums = ({k: (num(re), num(im)) for k, (re, im) in coeffs.items()}
-                     if complex_mode else
-                     {k: num(re) for k, (re, _) in coeffs.items()})
+        self.den = p.den
+        self.nums = p.nums
 
     # -- constructors ------------------------------------------------------
 
@@ -221,7 +200,7 @@ class Polynomial:
         return _reduced(self.n, self.complex_mode, self.den * other.den, out)
 
     def scale(self, s):
-        """Multiply by a number (see _parts)."""
+        """Multiply by a number (see _multiplier)."""
         m = _multiplier(s, self.complex_mode)
         return _scaled(self, *m) if m else _make(self.n, self.complex_mode, 1, {})
 
@@ -289,10 +268,17 @@ def _make(n, complex_mode, den, nums):
 
 
 def _multiplier(s, complex_mode):
-    """The number s (see _parts) as an integer multiplier (num, d) with
-    d > 0: s is num/d, num an int in real mode and an (re, im) pair in
-    complex mode.  None when s is zero; the mode is checked first."""
-    re, im = _parts(s, complex_mode)
+    """The number s as an integer multiplier (num, d) with d > 0: s is
+    num/d, num an int in real mode and an (re, im) pair in complex mode.
+    s is an int, a Fraction or a rational string, or, in complex mode
+    only, an (re, im) pair of them.  None when s is zero; the mode is
+    checked first."""
+    if isinstance(s, tuple) and len(s) == 2:
+        if not complex_mode:
+            raise StructuralError("real/complex scalar mode mismatch")
+        re, im = _as_fraction(s[0]), _as_fraction(s[1])
+    else:
+        re, im = _as_fraction(s), 0
     if not (re or im):
         return None
     if not complex_mode:
@@ -348,7 +334,27 @@ def _divided(n, complex_mode, den, nums):
 #
 # Every sum of several polynomial terms (a form component built from many
 # products, partial derivatives or scaled inputs) goes through one of the
-# two kernels below, as do + and partial themselves.
+# kernels below, as do + and partial themselves and every loose monomial.
+
+
+def monomial_sum(n, complex_mode, monomials):
+    """Canonical sum of num/den * x^key over a sequence of (num, den, key):
+    num an int, or an (re, im) int pair in complex mode, den > 0 not
+    necessarily reduced, key packed.  Accumulated over the lcm of the dens
+    into one dict and normalised once, like poly_sum."""
+    den = lcm(*(d for _, d, _ in monomials))
+    out = {}
+    get = out.get
+    if complex_mode:
+        for (r, i), d, k in monomials:
+            f = den // d
+            cur = get(k)
+            out[k] = ((r * f, i * f) if cur is None
+                      else (cur[0] + r * f, cur[1] + i * f))
+    else:
+        for v, d, k in monomials:
+            out[k] = get(k, 0) + v * (den // d)
+    return _reduced(n, complex_mode, den, out)
 
 
 def _over_lcm(terms, dens):

@@ -41,14 +41,12 @@ def _instances(cfg, suite, uses):
              if getattr(cfg, name) in (None, "random")
              and (name != "G" or law is None)]
     chart, bound = cfg.chart(), cfg.degree_bound
-    shapes = {"F": (cfg.p, False), "G": (cfg.n - cfg.p, True),
-              "J": (cfg.n - cfg.p + 1, True)}
     rng = random.Random(f"{cfg.seed}:{suite}")
     for k in range(cfg.samples if set(draws) & set(uses) else 1):
         inputs = {name: getattr(cfg, name) for name in uses}
         for name in draws:
             inputs[name] = (random_vector_field(rng, chart, bound) if name == "u"
-                            else random_form(rng, chart, *shapes[name], bound))
+                            else random_form(rng, chart, *cfg.shape(name), bound))
         if law is not None:
             inputs["G"] = law.apply(inputs["F"])
         yield k, tuple(inputs[name] for name in uses)

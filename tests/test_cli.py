@@ -89,6 +89,22 @@ def test_malformed_form_exits_two_with_position(tmp_path):
     ({"Z0": "1e2000000"}, "Z0: rational literal exceeds the limit of 4300 digits"),
     ({"constitutive": {"kind": "linear-local", "chi": [[0, 0, 0, "1e2000000"]]}},
      "constitutive.chi[0][3]: rational literal exceeds the limit of 4300 digits"),
+    # keys and values nothing would read are refused, not ignored
+    ({"suites": ["conservation", "conservation"]},
+     "suites: duplicate suite 'conservation'"),
+    ({"metric": {"diagonal": [1, -1, -1, -1], "matrix": [[1]]}},
+     "metric: expected 'diagonal' or 'matrix', not both"),
+    ({"metric": {"diagonal": [1, -1, -1, -1], "signature": [1, 3]}},
+     "metric: unknown keys ['signature']"),
+    ({"constitutive": {"kind": "maxwell-lorentz", "Z0": 1, "alpah": "x1"}},
+     "constitutive: unknown keys for kind 'maxwell-lorentz': ['alpah']"),
+    ({"constitutive": {"kind": "axion", "Z0": 1, "alpha": "x1", "chi": []}},
+     "constitutive: unknown keys for kind 'axion': ['chi']"),
+    ({"constitutive": {"kind": "linear-local", "Z0": 1, "chi": []}},
+     "constitutive: unknown keys for kind 'linear-local': ['Z0']"),
+    ({"constitutive": {"kind": "custom", "G": "dx2^dx3", "Z0": None}},
+     "constitutive: unknown keys for kind 'custom': ['Z0']"),
+    ({"z": []}, "z: expected a rational or a nonempty list"),
 ])
 def test_config_errors_name_their_key_quickly(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "keyed.json", {**BASE, **payload})

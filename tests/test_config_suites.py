@@ -14,6 +14,8 @@ from premetric import (ConfigError, FormSyntaxError, StructuralError, load_confi
 from premetric.config import RunConfig
 from premetric.suites import SUITE_RUNNERS
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def cfg_from(payload):
     return validate_config(payload)
@@ -59,6 +61,13 @@ def test_rejected_configs(payload, fragment):
     with pytest.raises(ConfigError) as err:
         cfg_from(base)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for p in [*(ROOT / "configs").glob("*.json"),
+                                       *(ROOT / "tests" / "data").glob("*.json")]))
+def test_shipped_configs_are_accepted(path):
+    assert isinstance(load_config(str(ROOT / path)), RunConfig)
 
 
 def test_rational_literals_accepted():

@@ -4,7 +4,9 @@ Every form operation builds each output component with one call to
 `scalars.poly_sum` or `scalars.partial_sum`; `wedge_sum` does so for a
 whole linear combination of wedges.  Each is compared here with
 the fold the kernels replaced, written out in this file: one Polynomial
-product, partial derivative or scaling per term, summed with `+`.  The
+product, partial derivative or scaling per term, summed with `+`.
+`scalars.monomial_sum`, which builds every polynomial given as loose
+monomials, is compared with a fold over plain Fractions.  The
 generated polynomials mix denominators, run in both scalar modes, and
 include inputs that cancel to the zero form.  The exponent guard must
 still fire when the products that reach past the limit cancel.
@@ -25,8 +27,8 @@ from premetric.errors import StructuralError  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, combine, contract,  # noqa: E402
                              ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
-from premetric.scalars import (MAX_EXPONENT, Polynomial,  # noqa: E402
-                               partial_sum, poly_sum)
+from premetric.scalars import (MAX_EXPONENT, Polynomial, _pack,  # noqa: E402
+                               monomial_sum, partial_sum, poly_sum)
 
 EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -253,6 +255,51 @@ def test_full_cancellation_gives_the_canonical_zero(pair):
             zero = poly_sum(n, mode, [(Fraction(2, 7), pa, pb),
                                       (Fraction(-2, 7), pb, pa)])
             assert zero.is_zero() and zero.den == 1
+
+
+@st.composite
+def monomial_lists(draw):
+    """(n, mode, monomials): unreduced dens, keys from a small pool so that
+    they repeat, and sometimes every monomial again negated."""
+    n, mode = draw(st.integers(1, 3)), draw(st.booleans())
+    num = st.integers(-12, 12)
+    monomials = draw(st.lists(st.tuples(
+        st.tuples(num, num) if mode else num, st.integers(1, 36),
+        st.tuples(*[st.integers(0, 1)] * n)), max_size=8))
+    if draw(st.booleans()):
+        monomials += [((-v[0], -v[1]) if mode else -v, 2 * d, e)
+                      for v, d, e in monomials for _ in range(2)]
+    return n, mode, monomials
+
+
+def fraction_fold(monomials, mode):
+    out = {}
+    for v, d, e in monomials:
+        re, im = v if mode else (v, 0)
+        r, i = out.get(e, (0, 0))
+        out[e] = r + Fraction(re, d), i + Fraction(im, d)
+    return {e: c if mode else c[0] for e, c in out.items() if c != (0, 0)}
+
+
+@EXAMPLES
+@given(monomial_lists())
+def test_monomial_sum_is_the_fraction_fold(case):
+    n, mode, monomials = case
+    p = monomial_sum(n, mode, [(v, d, _pack(e)) for v, d, e in monomials])
+    assert dict(p.terms) == fraction_fold(monomials, mode)
+    parts = [x for v in p.nums.values() for x in (v if mode else (v,))]
+    assert p.den > 0 and gcd(p.den, *parts) == 1
+    assert (0, 0) not in p.nums.values() and 0 not in p.nums.values()
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_monomial_sum_that_cancels_is_the_canonical_zero(mode):
+    one, two = ((3, -1), (-6, 2)) if mode else (3, -6)
+    key = _pack((2, 1))
+    zero = monomial_sum(2, mode, [(one, 4, key), (two, 8, key), (one, 12, 0),
+                                  (two, 24, 0)])
+    assert zero.den == 1 and zero.nums == {}
+    assert monomial_sum(2, mode, []).den == 1
 
 
 # -- the exponent guard ----------------------------------------------------------

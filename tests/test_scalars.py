@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +162,20 @@ def test_terms_view_is_canonical_and_read_only():
     assert dict(q.terms) == {(0, 0): (Fraction(1, 4), Fraction(1, 6))}
     for r in (p, q):
         assert Polynomial(2, dict(r.terms), r.complex_mode) == r
+
+
+def test_only_scalars_builds_unnormalised_polynomials():
+    """The helpers that wrap numerators into a Polynomial without making
+    them canonical stay private to scalars.py; every other module builds
+    polynomials through the constructor or the kernels."""
+    raw = {"_make", "_reduced", "_divided"}
+    package = Path(__file__).resolve().parent.parent / "src" / "premetric"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: {a.name}" for a in node.names
+                              if a.name in raw]
+    assert offenders == []
