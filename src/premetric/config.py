@@ -31,17 +31,20 @@ _DEFAULT_SUITES = {
 _DIGIT_RUN = re.compile(r"[0-9]+")
 
 
-def _fraction(value, path):
+def _fraction(value, path, nonzero=False):
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a rational, got a boolean")
     if isinstance(value, int):
         if abs(value) >= _PRINT_LIMIT:
             raise _over_limit(path)
-        return Fraction(value)
-    if isinstance(value, str):
-        return _literal(value, path,
-                        ConfigError(f"{path}: not a rational literal: {value!r}"))
-    raise ConfigError(f"{path}: expected an integer or 'a/b' string, got {value!r}")
+        value = Fraction(value)
+    elif isinstance(value, str):
+        value = _literal(value, path,
+                         ConfigError(f"{path}: not a rational literal: {value!r}"))
+    else:
+        raise ConfigError(f"{path}: expected an integer or 'a/b' string, got {value!r}")
+    _expect(value or not nonzero, f"{path}: must be nonzero")
+    return value
 
 
 def _literal(text, path, refused):
@@ -174,17 +177,12 @@ def validate_config(raw):
         cfg.metric = _build_metric(metric_raw, chart)
 
     if "Z0" in raw:
-        cfg.Z0 = _fraction(raw["Z0"], "Z0")
-        _expect(cfg.Z0 != 0, "Z0: must be nonzero")
+        cfg.Z0 = _fraction(raw["Z0"], "Z0", nonzero=True)
     if "z" in raw:
-        zs = raw["z"] if isinstance(raw["z"], list) else [raw["z"]]
+        zs = ({f"z[{k}]": v for k, v in enumerate(raw["z"])}
+              if isinstance(raw["z"], list) else {"z": raw["z"]})
         _expect(zs, "z: expected a rational or a nonempty list")
-        vals = []
-        for k, item in enumerate(zs):
-            v = _fraction(item, f"z[{k}]")
-            _expect(v != 0, f"z[{k}]: must be nonzero")
-            vals.append(v)
-        cfg.z = tuple(vals)
+        cfg.z = tuple(_fraction(v, key, nonzero=True) for key, v in zs.items())
 
     law_raw = raw.get("constitutive")
     if law_raw is not None:
@@ -276,8 +274,7 @@ def build_law(raw, cfg):
     Z0 = cfg.Z0 if raw.get("Z0") is None else raw["Z0"]
     if kind in ("maxwell-lorentz", "axion"):
         if raw.get("Z0") is not None:
-            Z0 = _fraction(Z0, "constitutive.Z0")
-            _expect(Z0 != 0, "constitutive.Z0: must be nonzero")
+            Z0 = _fraction(Z0, "constitutive.Z0", nonzero=True)
         _expect(Z0 is not None, "constitutive: metric-based laws need Z0")
     _expect(kind != "axion" or "alpha" in raw,
             "constitutive: axion law needs an alpha polynomial")

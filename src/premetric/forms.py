@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, _multiplier, _scaled, partial_sum, poly_sum
+from .scalars import Polynomial, _multiplier, _scaled, poly_sum
 
 
 class Chart(namedtuple("Chart", "n orientation complex_mode")):
@@ -104,14 +104,6 @@ class Form:
     def _check_chart(self, other):
         if self.chart != other.chart:
             raise StructuralError("chart mismatch")
-
-    def _check_like(self, other):
-        """Chart, degree and twist must agree, as they must for a sum."""
-        self._check_chart(other)
-        if self.degree != other.degree:
-            raise StructuralError(f"degree mismatch: {self.degree} vs {other.degree}")
-        if self.twist != other.twist:
-            raise StructuralError("twist parity mismatch")
 
     # -- linear structure ----------------------------------------------------
 
@@ -274,15 +266,48 @@ def _contract_table(n, p):
             for idx in combinations(range(n), p)}
 
 
-def _components(chart, groups, kernel):
-    """Sum each output index's terms with kernel; zero sums are dropped."""
+def _components(chart, groups):
+    """Sum each output index's terms with poly_sum; zero sums are dropped."""
     n, complex_mode = chart.n, chart.complex_mode
     comps = {}
     for idx, terms in groups.items():
-        poly = kernel(n, complex_mode, terms)
+        poly = poly_sum(n, complex_mode, terms)
         if poly.nums:
             comps[idx] = poly
     return comps
+
+
+def _d_terms(groups, m, a):
+    """Add the poly_sum terms of m * d(a) to groups, by output index."""
+    table = _d_table(a.chart.n, a.degree)
+    for idx, poly in a.components.items():
+        for k, merged, sign in table[idx]:
+            groups.setdefault(merged, []).append((sign * m, poly, k))
+    return groups
+
+
+def _contract_terms(groups, u, a):
+    """Add the poly_sum terms of u _| a (a of degree >= 1) to groups."""
+    table = _contract_table(a.chart.n, a.degree)
+    uc = u.components
+    for idx, poly in a.components.items():
+        for i, rest, sign in table[idx]:
+            if uc[i].nums:
+                groups.setdefault(rest, []).append((sign, uc[i], poly))
+    return groups
+
+
+def _like(shape, chart, degree, twist):
+    """(chart, degree, twist) of one summand, checked as for + against
+    shape, the first summand's (None while there is none)."""
+    if shape is not None:
+        if chart != shape[0]:
+            raise StructuralError("chart mismatch")
+        if degree != shape[1]:
+            raise StructuralError(f"degree mismatch: {shape[1]} vs {degree}")
+        if twist != shape[2]:
+            raise StructuralError("twist parity mismatch")
+    return chart, degree, twist
 
 
 # -- core operations --------------------------------------------------------
@@ -290,19 +315,22 @@ def _components(chart, groups, kernel):
 
 def combine(*terms):
     """The linear combination sum of m * form over (m, form) terms, m an
-    int or Fraction; each component is one poly_sum.
+    int or Fraction; each component is one poly_sum.  A term (m, ext_d, a)
+    stands for m * d(a): its partial derivatives join the same sums, so
+    d(a) is never built.
 
-    The forms must agree in chart, degree and twist, as for +.
+    The summands must agree in chart, degree and twist, as for +.
     """
-    first = terms[0][1]
-    for _, form in terms[1:]:
-        first._check_like(form)
     groups = {}
-    for m, form in terms:
-        for idx, poly in form.components.items():
-            groups.setdefault(idx, []).append((m, poly, None))
-    return first._raw(first.degree, first.twist,
-                      _components(first.chart, groups, poly_sum))
+    shape = None
+    for m, *op, form in terms:
+        if op:
+            _d_terms(groups, m, form)
+        else:
+            for idx, poly in form.components.items():
+                groups.setdefault(idx, []).append((m, poly, None))
+        shape = _like(shape, form.chart, form.degree + len(op), form.twist)
+    return form._raw(shape[1], shape[2], _components(form.chart, groups))
 
 
 def wedge_sum(*terms):
@@ -311,17 +339,12 @@ def wedge_sum(*terms):
     chart, degree and twist; past top degree the sum is the canonical zero
     form (an (n+1)-form has no components), which the identity suites use.
     """
-    _, first, second = terms[0]
-    degree, twist = first.degree + second.degree, first.twist != second.twist
     groups = {}
+    shape = None
     for m, a, b in terms:
-        first._check_chart(a)
         a._check_chart(b)
-        if a.degree + b.degree != degree:
-            raise StructuralError(f"degree mismatch: {degree} vs {a.degree + b.degree}")
-        if (a.twist != b.twist) != twist:
-            raise StructuralError("twist parity mismatch")
-        table = _wedge_table(first.chart.n, a.degree, b.degree)
+        shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
+        table = _wedge_table(a.chart.n, a.degree, b.degree)
         b_items = b.components.items()
         for ia, pa in a.components.items():
             row = table[ia]
@@ -330,7 +353,7 @@ def wedge_sum(*terms):
                 if hit is not None:
                     merged, sign = hit
                     groups.setdefault(merged, []).append((sign * m, pa, pb))
-    return first._raw(degree, twist, _components(first.chart, groups, poly_sum))
+    return a._raw(shape[1], shape[2], _components(a.chart, groups))
 
 
 def wedge(a, b):
@@ -340,12 +363,7 @@ def wedge(a, b):
 
 def ext_d(a):
     """Exterior derivative; nilpotent, graded Leibniz, preserves twist."""
-    table = _d_table(a.chart.n, a.degree)
-    groups = {}
-    for idx, poly in a.components.items():
-        for k, merged, sign in table[idx]:
-            groups.setdefault(merged, []).append((sign, poly, k))
-    return a._raw(a.degree + 1, a.twist, _components(a.chart, groups, partial_sum))
+    return a._raw(a.degree + 1, a.twist, _components(a.chart, _d_terms({}, 1, a)))
 
 
 def contract(u, a):
@@ -358,23 +376,18 @@ def contract(u, a):
         raise StructuralError("chart mismatch")
     if a.degree == 0:
         return Form.zero(a.chart, 0, a.twist)
-    table = _contract_table(a.chart.n, a.degree)
-    uc = u.components
-    groups = {}
-    for idx, poly in a.components.items():
-        for i, rest, sign in table[idx]:
-            if uc[i].nums:
-                groups.setdefault(rest, []).append((sign, uc[i], poly))
-    return a._raw(a.degree - 1, a.twist, _components(a.chart, groups, poly_sum))
+    return a._raw(a.degree - 1, a.twist, _components(a.chart, _contract_terms({}, u, a)))
 
 
 def lie_derivative(u, a, ua=None, da=None, uda=None):
     """Lie derivative of a along u.
 
     If every component of u is a rational constant, L_u dx_i = d(u^i) = 0
-    and L_u a = sum_j u^j d(a_I)/dx_j, one partial_sum per component.
-    Any other u takes Cartan's formula d(u _| a) + u _| da, reusing the
-    caller's u _| a, da or u _| da when given (u _| da alone on 0-forms).
+    and L_u a = sum_j u^j d(a_I)/dx_j.  Any other u takes Cartan's formula
+    d(u _| a) + u _| da, reusing the caller's u _| a, da or u _| da when
+    given (u _| da alone on 0-forms); the terms of d(u _| a) and u _| da go
+    into the same sums, so neither form is built.  Either way each
+    component is one poly_sum.
     """
     if u.chart != a.chart:
         raise StructuralError("chart mismatch")
@@ -382,12 +395,13 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
     if rates is not None:
         groups = {idx: [(c, poly, j) for j, c in enumerate(rates) if c]
                   for idx, poly in a.components.items()}
-        return a._raw(a.degree, a.twist, _components(a.chart, groups, partial_sum))
-    if uda is None:
-        uda = contract(u, ext_d(a) if da is None else da)
-    if a.degree == 0:
-        return uda
-    return combine((1, ext_d(contract(u, a) if ua is None else ua)), (1, uda))
+    elif uda is None:
+        groups = _contract_terms({}, u, ext_d(a) if da is None else da)
+    else:
+        groups = {idx: [(1, poly, None)] for idx, poly in uda.components.items()}
+    if rates is None and a.degree:
+        _d_terms(groups, 1, contract(u, a) if ua is None else ua)
+    return a._raw(a.degree, a.twist, _components(a.chart, groups))
 
 
 def _rational_constants(u):
@@ -423,7 +437,7 @@ def pullback_linear(matrix, a):
     for (rows, cols), minor in minors.items():
         if rows in pulled:
             groups.setdefault(cols, []).append((sign * minor, pulled[rows], None))
-    return a._raw(a.degree, a.twist, _components(chart, groups, poly_sum))
+    return a._raw(a.degree, a.twist, _components(chart, groups))
 
 
 def _minors(mat):

@@ -21,7 +21,6 @@ from math import isqrt
 
 from .errors import MetricError, StructuralError
 from .forms import _components, _minors, _perm_sign
-from .scalars import poly_sum
 
 
 def _rational_sqrt(x: Fraction):
@@ -208,4 +207,4 @@ def hodge(metric, a):
                  if (k_idx, i_idx) in minors]
         if terms:
             groups[j_idx] = terms
-    return a._raw(n - p, not a.twist, _components(chart, groups, poly_sum))
+    return a._raw(n - p, not a.twist, _components(chart, groups))

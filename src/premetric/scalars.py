@@ -11,9 +11,10 @@ its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work plus one gcd normalisation per result.  A sum
-of many terms (one component of a wedge, a derivative or a Hodge dual)
-is accumulated by poly_sum or partial_sum, and one given as loose
-monomials by monomial_sum, in one pass without building any partial sum.
+of many products, scaled polynomials and partial derivatives (one
+component of a wedge, a derivative or a Hodge dual) is accumulated by
+poly_sum, and one given as loose monomials by monomial_sum, in one pass
+without building any partial sum.
 """
 
 from fractions import Fraction
@@ -208,26 +209,23 @@ class Polynomial:
         """Exact partial derivative with respect to x_i."""
         if not 0 <= i < self.n:
             raise StructuralError(f"coordinate index {i} out of range for n={self.n}")
-        return partial_sum(self.n, self.complex_mode, ((1, self, i),))
+        return poly_sum(self.n, self.complex_mode, ((1, self, i),))
 
     def substitute_linear(self, matrix):
         """Substitute x_i -> sum_j matrix[i][j] * x_j (linear change of variables)."""
-        images = []
-        for i in range(self.n):
-            row = {}
-            for j in range(self.n):
-                v = _as_fraction(matrix[i][j])
-                if v != 0:
-                    row[tuple(1 if m == j else 0 for m in range(self.n))] = v
-            images.append(Polynomial(self.n, row, self.complex_mode))
+        n, mode = self.n, self.complex_mode
+        images = [poly_sum(n, mode, [(_as_fraction(matrix[i][j]),
+                                      Polynomial.variable(n, j, mode), None)
+                                     for j in range(n)])
+                  for i in range(n)]
         terms = []
         for exps, coeff in self.terms.items():
-            term = Polynomial.constant(self.n, coeff, self.complex_mode)
+            term = Polynomial.constant(n, coeff, mode)
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = term * images[i]
             terms.append((1, term, None))
-        return poly_sum(self.n, self.complex_mode, terms)
+        return poly_sum(n, mode, terms)
 
     def to_complex(self):
         if self.complex_mode:
@@ -333,8 +331,9 @@ def _divided(n, complex_mode, den, nums):
 # -- accumulation kernels ------------------------------------------------------
 #
 # Every sum of several polynomial terms (a form component built from many
-# products, partial derivatives or scaled inputs) goes through one of the
-# kernels below, as do + and partial themselves and every loose monomial.
+# products, partial derivatives or scaled inputs) goes through poly_sum, as
+# do + and partial themselves; every loose monomial goes through
+# monomial_sum.
 
 
 def monomial_sum(n, complex_mode, monomials):
@@ -355,13 +354,6 @@ def monomial_sum(n, complex_mode, monomials):
         for v, d, k in monomials:
             out[k] = get(k, 0) + v * (den // d)
     return _reduced(n, complex_mode, den, out)
-
-
-def _over_lcm(terms, dens):
-    """L, the lcm of the term denominators dens, and each term's rational
-    multiplier m as the integer m * L / d over it."""
-    den = lcm(*dens)
-    return den, [t[0].numerator * (den // d) for t, d in zip(terms, dens)]
 
 
 def _add_product(out, f, a, b, complex_mode):
@@ -390,62 +382,68 @@ def _add_product(out, f, a, b, complex_mode):
 
 
 def poly_sum(n, complex_mode, terms):
-    """Canonical sum of m * a * b (m * a where b is None) over terms.
+    """Canonical sum over terms (m, a, b) of m * a * b when b is a
+    Polynomial, m * a when b is None and m * (d a / d x_b) when b is an int.
 
-    Each term is (m, a, b): m an int or Fraction, a and b Polynomials in
-    n variables of the given mode (the caller has checked that).  All
-    terms go over the lcm of their denominators and accumulate into one
-    dict, which is normalised once; a lone term with m = 1 is the factor
-    or the plain product.
+    m is an int or Fraction, a and b Polynomials in n variables of the
+    given mode (the caller has checked that).  One pass drops the zero
+    terms and builds the lcm of the term denominators; a second
+    accumulates every term over it into one dict, which is normalised
+    once.  Only a sum with a product runs the exponent guard.  A lone term
+    with m = 1 and no derivative is the factor or the plain product.
     """
-    terms = [t for t in terms
-             if t[0] and t[1].nums and (t[2] is None or t[2].nums)]
-    if len(terms) == 1 and terms[0][0] == 1:
-        _, a, b = terms[0]
-        return a if b is None else a * b
-    den, factors = _over_lcm(terms, [
-        m.denominator * a.den * (1 if b is None else b.den) for m, a, b in terms])
+    kept = []
+    den = 1
+    product = False
+    for m, a, b in terms:
+        if not (m and a.nums):
+            continue
+        d = m.denominator * a.den
+        if b.__class__ is Polynomial:
+            if not b.nums:
+                continue
+            d *= b.den
+            product = True
+        if den % d:
+            den = lcm(den, d)
+        kept.append((m, a, b, d))
+    if len(kept) == 1:
+        m, a, b, _ = kept[0]
+        if m == 1 and b.__class__ is not int:
+            return a if b is None else a * b
     out = {}
     get = out.get
-    for f, (_, a, b) in zip(factors, terms):
-        if b is not None:
-            _add_product(out, f, a.nums, b.nums, complex_mode)
-        elif complex_mode:
-            for k, (r, i) in a.nums.items():
-                cur = get(k)
-                out[k] = ((r * f, i * f) if cur is None
-                          else (cur[0] + r * f, cur[1] + i * f))
-        else:
-            for k, v in a.nums.items():
-                out[k] = get(k, 0) + v * f
-    if any(b is not None for _, _, b in terms):
-        _check_guard(out, n)
-    return _reduced(n, complex_mode, den, out)
-
-
-def partial_sum(n, complex_mode, terms):
-    """Canonical sum of m * (d a / d x_i) over terms (m, a, i), accumulated
-    and normalised like poly_sum."""
-    terms = [t for t in terms if t[0] and t[1].nums]
-    den, factors = _over_lcm(terms, [m.denominator * a.den for m, a, _ in terms])
-    out = {}
-    get = out.get
-    for f, (_, a, i) in zip(factors, terms):
-        shift = _shift(n, i)
-        step = 1 << shift
-        if complex_mode:
-            for k, (r, im) in a.nums.items():
-                e = (k >> shift) & _FIELD_MASK
-                if e:
-                    e *= f
-                    k -= step
+    for m, a, b, d in kept:
+        f = m.numerator * (den // d)
+        if b is None:
+            if complex_mode:
+                for k, (r, i) in a.nums.items():
                     cur = get(k)
-                    out[k] = ((r * e, im * e) if cur is None
-                              else (cur[0] + r * e, cur[1] + im * e))
+                    out[k] = ((r * f, i * f) if cur is None
+                              else (cur[0] + r * f, cur[1] + i * f))
+            else:
+                for k, v in a.nums.items():
+                    out[k] = get(k, 0) + v * f
+        elif b.__class__ is int:
+            shift = _shift(n, b)
+            step = 1 << shift
+            if complex_mode:
+                for k, (r, i) in a.nums.items():
+                    e = (k >> shift) & _FIELD_MASK
+                    if e:
+                        e *= f
+                        k -= step
+                        cur = get(k)
+                        out[k] = ((r * e, i * e) if cur is None
+                                  else (cur[0] + r * e, cur[1] + i * e))
+            else:
+                for k, v in a.nums.items():
+                    e = (k >> shift) & _FIELD_MASK
+                    if e:
+                        k -= step
+                        out[k] = get(k, 0) + v * e * f
         else:
-            for k, v in a.nums.items():
-                e = (k >> shift) & _FIELD_MASK
-                if e:
-                    k -= step
-                    out[k] = get(k, 0) + v * e * f
+            _add_product(out, f, a.nums, b.nums, complex_mode)
+    if product:
+        _check_guard(out, n)
     return _reduced(n, complex_mode, den, out)

@@ -63,6 +63,18 @@ def test_rejected_configs(payload, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("z, message", [
+    ("0", "z: must be nonzero"),
+    ({}, "z: expected an integer or 'a/b' string, got {}"),
+    ([1, "0"], "z[1]: must be nonzero"),
+    ([1, {}], "z[1]: expected an integer or 'a/b' string, got {}"),
+])
+def test_a_scalar_z_is_named_z_and_list_items_by_index(z, message):
+    with pytest.raises(ConfigError) as err:
+        cfg_from({"z": z})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("path", sorted(
     str(p.relative_to(ROOT)) for p in [*(ROOT / "configs").glob("*.json"),
                                        *(ROOT / "tests" / "data").glob("*.json")]))

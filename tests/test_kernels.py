@@ -1,17 +1,20 @@
 """The accumulation kernels against a term-by-term fold.
 
 Every form operation builds each output component with one call to
-`scalars.poly_sum` or `scalars.partial_sum`; `wedge_sum` does so for a
-whole linear combination of wedges.  Each is compared here with
-the fold the kernels replaced, written out in this file: one Polynomial
-product, partial derivative or scaling per term, summed with `+`.
-`scalars.monomial_sum`, which builds every polynomial given as loose
-monomials, is compared with a fold over plain Fractions.  The
-generated polynomials mix denominators, run in both scalar modes, and
-include inputs that cancel to the zero form.  The exponent guard must
-still fire when the products that reach past the limit cancel.
+`scalars.poly_sum`, whose terms are products, scaled polynomials and
+partial derivatives; `wedge_sum` does so for a whole linear combination
+of wedges.  Each is compared here with the fold the kernel replaced,
+written out in this file: one Polynomial product, partial derivative or
+scaling per term, summed with `+`.  `poly_sum` with all three kinds of
+term in one call, and `scalars.monomial_sum`, which builds every
+polynomial given as loose monomials, are also compared with folds over
+plain Fractions.  The generated polynomials mix denominators, run in both
+scalar modes, and include inputs that cancel to the zero form.  The
+exponent guard must still fire when the products that reach past the
+limit cancel.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -27,8 +30,10 @@ from premetric.errors import StructuralError  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, combine, contract,  # noqa: E402
                              ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
+from premetric.randgen import random_polynomial  # noqa: E402
+from premetric import scalars  # noqa: E402
 from premetric.scalars import (MAX_EXPONENT, Polynomial, _pack,  # noqa: E402
-                               monomial_sum, partial_sum, poly_sum)
+                               monomial_sum, poly_sum)
 
 EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -237,7 +242,7 @@ def test_polynomial_kernels_are_the_fold(data):
     total = Polynomial.zero(n, mode)
     for m, a, i in derivs:
         total = total + const(chart, m) * a.partial(i)
-    assert partial_sum(n, mode, derivs) == total
+    assert poly_sum(n, mode, derivs) == total
 
 
 @EXAMPLES
@@ -255,6 +260,79 @@ def test_full_cancellation_gives_the_canonical_zero(pair):
             zero = poly_sum(n, mode, [(Fraction(2, 7), pa, pb),
                                       (Fraction(-2, 7), pb, pa)])
             assert zero.is_zero() and zero.den == 1
+
+
+def fraction_poly(p):
+    """exponent tuple -> (re, im) Fractions of p, in either mode."""
+    return {e: c if p.complex_mode else (c, Fraction(0)) for e, c in p.terms.items()}
+
+
+def fraction_term_fold(terms):
+    """The sum of poly_sum's terms over plain Fractions: m*a*b, m*a or
+    m * d(a)/dx_b as b is a Polynomial, None or an int."""
+    out = {}
+
+    def add(e, re, im):
+        r, i = out.get(e, (0, 0))
+        out[e] = r + re, i + im
+
+    for m, a, b in terms:
+        for ea, (ar, ai) in fraction_poly(a).items():
+            if b is None:
+                add(ea, m * ar, m * ai)
+            elif isinstance(b, int):
+                if ea[b]:
+                    e = ea[:b] + (ea[b] - 1,) + ea[b + 1:]
+                    add(e, m * ea[b] * ar, m * ea[b] * ai)
+            else:
+                for eb, (br, bi) in fraction_poly(b).items():
+                    add(tuple(x + y for x, y in zip(ea, eb)),
+                        m * (ar * br - ai * bi), m * (ar * bi + ai * br))
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_poly_sum_is_the_fraction_fold(data):
+    # products, scaled polynomials and partial derivatives in one call,
+    # with zero multipliers, zero polynomials and, sometimes, every term
+    # again with the opposite sign
+    chart = data.draw(charts())
+    n, mode = chart.n, chart.complex_mode
+    second = st.none() | polys(n, mode) | st.integers(0, n - 1)
+    terms = [(data.draw(st.integers(-3, 3) | COEFF), data.draw(polys(n, mode)),
+              data.draw(second)) for _ in range(data.draw(st.integers(0, 6)))]
+    if data.draw(st.booleans()):
+        terms += [(-m, a, b) for m, a, b in terms]
+    total = poly_sum(n, mode, terms)
+    assert fraction_poly(total) == fraction_term_fold(terms)
+    assert_canonical(total)
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_poly_sum_lone_term_shortcuts(mode, monkeypatch):
+    rng = random.Random(f"lone:{mode}")
+    a, b = (random_polynomial(rng, 3, 3, mode) for _ in range(2))
+    a = a + Polynomial.variable(3, 1, mode)
+    zero = Polynomial.zero(3, mode)
+    products = []
+    real_mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda p, q: products.append(q) or real_mul(p, q))
+    # m = 1 and no derivative: the factor itself, or one plain product;
+    # zero terms are dropped first
+    assert poly_sum(3, mode, [(1, a, None)]) is a
+    assert poly_sum(3, mode, [(0, b, None), (Fraction(1), a, None), (2, zero, b),
+                              (1, b, zero)]) is a
+    assert products == []
+    assert poly_sum(3, mode, [(1, a, b), (0, a, 1)]) == real_mul(a, b)
+    assert len(products) == 1
+    # any other lone term goes through the accumulator
+    del products[:]
+    assert poly_sum(3, mode, [(1, a, 1)]) == a.partial(1) != a
+    assert poly_sum(3, mode, [(-1, a, None)]) == -a
+    assert poly_sum(3, mode, [(Fraction(2, 3), a, b)]) == real_mul(a, b).scale(Fraction(2, 3))
+    assert products == [] and poly_sum(3, mode, []) == zero
 
 
 @st.composite
@@ -332,6 +410,30 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     assert contract(u, Form(chart, 2, False, {(0, 1): x_low, (1, 2): x_low})).is_zero()
     low = Form(chart, 1, False, {(0,): x_low, (1,): x_low})
     assert wedge_sum((1, a, low), (-1, a, low)).is_zero()
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
+    # x0^big * x0^rest - x0^rest * x0^big cancels beside scaled and
+    # derivative terms of valid polynomials, and still raises
+    big, rest = 100, MAX_EXPONENT + 1 - 100
+    one = (1, 0) if mode else 1
+    x_big, x_rest = (Polynomial(2, {(e, 1): one}, mode) for e in (big, rest))
+    others = [(Fraction(1, 3), x_big, None), (2, x_rest, 0), (-1, x_big, 1)]
+    with pytest.raises(StructuralError, match="exceeds the limit"):
+        poly_sum(2, mode, [*others, (1, x_big, x_rest), (-1, x_rest, x_big)])
+    low = Polynomial(2, {(rest - 1, 0): one}, mode)
+    assert (poly_sum(2, mode, [*others, (1, x_big, low), (-1, low, x_big)])
+            == poly_sum(2, mode, others))
+    # no product term: the keys stay in range and the guard is not run
+    calls = []
+    real = scalars._check_guard
+    monkeypatch.setattr(scalars, "_check_guard",
+                        lambda *args: calls.append(args) or real(*args))
+    poly_sum(2, mode, others)
+    assert calls == []
+    poly_sum(2, mode, [*others, (1, x_big, low)])
+    assert len(calls) == 1
 
 
 # -- scaling by a number -------------------------------------------------------
