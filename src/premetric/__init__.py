@@ -9,8 +9,7 @@ from .errors import (ConfigError, FormSyntaxError, MetricError,
                      StructuralError)
 from .scalars import Polynomial
 from .forms import (Chart, Form, VectorField, basis_form, contract,
-                    coordinate_field, ext_d, lie_derivative, pullback_linear,
-                    wedge)
+                    coordinate_field, ext_d, lie_derivative, wedge)
 from .hodge import MetricSpec, double_hodge_sign, hodge
 from .formexpr import (parse_form, parse_polynomial, parse_vector_field,
                        poly_str, print_form)
@@ -18,9 +17,9 @@ from .randgen import random_form, random_polynomial, random_vector_field
 from .report import SCHEMA_VERSION, CheckResult, Report, nonzero_witness
 from .electrodynamics import (Axion, Custom, FieldConfig, LinearLocal,
                               MaxwellLorentz, SplitFields,
-                              conservation_residual, currents, densities,
-                              force_u, identity_suite, obstruction_phi_u,
-                              recompose, sigma_u, split_3plus1)
+                              conservation_residual, densities, force_u,
+                              identity_suite, obstruction_phi_u, recompose,
+                              sigma_u, split_3plus1)
 from .reciprocity import (FieldPairZ, check_factorization, pair_tensor,
                           self_reciprocal_pair, star_z, tensor)
 from .config import RunConfig, build_law, load_config, validate_config
@@ -35,12 +34,11 @@ __all__ = [
     "RunConfig", "SCHEMA_VERSION", "SplitFields", "StructuralError",
     "SUITE_RUNNERS", "VectorField", "basis_form", "build_law",
     "check_factorization", "conservation_residual", "contract",
-    "coordinate_field", "currents", "densities", "double_hodge_sign",
-    "ext_d", "force_u", "hodge", "identity_suite", "lie_derivative",
-    "load_config", "nonzero_witness", "obstruction_phi_u", "pair_tensor",
-    "parse_form", "parse_polynomial", "parse_vector_field", "poly_str",
-    "print_form", "pullback_linear", "random_form", "random_polynomial",
-    "random_vector_field", "recompose", "run_suites",
-    "self_reciprocal_pair", "sigma_u", "split_3plus1", "star_z", "tensor",
-    "validate_config", "wedge",
+    "coordinate_field", "densities", "double_hodge_sign", "ext_d",
+    "force_u", "hodge", "identity_suite", "lie_derivative", "load_config",
+    "nonzero_witness", "obstruction_phi_u", "pair_tensor", "parse_form",
+    "parse_polynomial", "parse_vector_field", "poly_str", "print_form",
+    "random_form", "random_polynomial", "random_vector_field", "recompose",
+    "run_suites", "self_reciprocal_pair", "sigma_u", "split_3plus1",
+    "star_z", "tensor", "validate_config", "wedge",
 ]

@@ -71,11 +71,11 @@ def _over_limit(path):
         f"{path}: rational literal exceeds the limit of {MAX_LITERAL_DIGITS} digits")
 
 
-def _parse(parse, text, path, *args, **kwargs):
-    """parse(text, *args, **kwargs) with the key path in front of the
-    message of an error; the error keeps its type, line and column."""
+def _keyed(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the key path in front of the message of a
+    parse or shape error; the error keeps its type, line and column."""
     try:
-        return parse(text, *args, **kwargs)
+        return fn(*args, **kwargs)
     except (FormSyntaxError, StructuralError) as e:
         e.args = (f"{path}: {e}",)
         raise
@@ -235,10 +235,10 @@ def validate_config(raw):
         text = getattr(cfg, name)
         if text not in (None, "random"):
             degree, twist = cfg.shape(name)
-            setattr(cfg, name, _parse(parse_form, text, name, chart, degree,
+            setattr(cfg, name, _keyed(name, parse_form, text, chart, degree,
                                       twist=twist))
     if cfg.u != "random":
-        cfg.u = _parse(parse_vector_field, cfg.u, "u", chart)
+        cfg.u = _keyed("u", parse_vector_field, cfg.u, chart)
     return cfg
 
 
@@ -251,13 +251,15 @@ def _build_metric(metric_raw, chart):
         if "diagonal" in metric_raw:
             _expect(isinstance(metric_raw["diagonal"], list),
                     f"metric.diagonal: expected a list of {chart.n} rationals")
-            entries = [_fraction(e, "metric.diagonal") for e in metric_raw["diagonal"]]
+            entries = [_fraction(e, f"metric.diagonal[{k}]")
+                       for k, e in enumerate(metric_raw["diagonal"])]
             return MetricSpec.diagonal(chart, entries)
         if "matrix" in metric_raw:
             rows = metric_raw["matrix"]
             _expect(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
                     "metric.matrix: expected a list of rows")
-            g = [[_fraction(e, "metric.matrix") for e in row] for row in rows]
+            g = [[_fraction(e, f"metric.matrix[{r}][{c}]") for c, e in enumerate(row)]
+                 for r, row in enumerate(rows)]
             _expect(len(g) == chart.n and all(len(r) == chart.n for r in g),
                     f"metric.matrix: expected {chart.n}x{chart.n}")
             return MetricSpec(chart, g)
@@ -285,10 +287,13 @@ def build_law(raw, cfg):
     if kind == "axion":
         alpha = raw["alpha"]
         if isinstance(alpha, str):
-            alpha = _parse(parse_polynomial, alpha, "constitutive.alpha", chart)
+            alpha = _keyed("constitutive.alpha", parse_polynomial, alpha, chart)
         else:
             alpha = _fraction(alpha, "constitutive.alpha")
-        return Axion(cfg.metric_spec(), Z0, alpha)
+        law = Axion(cfg.metric_spec(), Z0, alpha)
+        _expect(law.alpha.is_zero() or cfg.n == 2 * cfg.p,
+                "constitutive.alpha: axion term needs n = 2p")
+        return law
     if kind == "linear-local":
         chi = []
         for r, row in enumerate(raw["chi"]):
@@ -296,8 +301,8 @@ def build_law(raw, cfg):
                 raise ConfigError(f"constitutive.chi[{r}]: expected a row")
             chi.append([_chi_entry(e, f"constitutive.chi[{r}][{c}]", chart)
                         for c, e in enumerate(row)])
-        return LinearLocal(chart, cfg.p, chi)
-    return Custom(_parse(parse_form, raw["G"], "constitutive.G", chart,
+        return _keyed("constitutive.chi", LinearLocal, chart, cfg.p, chi)
+    return Custom(_keyed("constitutive.G", parse_form, raw["G"], chart,
                          cfg.n - cfg.p, twist=True))
 
 
@@ -307,6 +312,6 @@ def _chi_entry(e, path, chart):
     if not isinstance(e, str):
         return _fraction(e, path)
     try:
-        return _parse(parse_polynomial, e, path, chart)
+        return _keyed(path, parse_polynomial, e, chart)
     except FormSyntaxError as err:
         return _literal(e, path, err)

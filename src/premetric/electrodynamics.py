@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (Form, basis_form, combine, contract, ext_d,
+from .forms import (Form, basis_form, check_shape, combine, contract, ext_d,
                     lie_derivative, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
@@ -43,19 +43,11 @@ class FieldConfig:
     __slots__ = ("chart", "p", "F", "G", "dF", "dG")
 
     def __init__(self, F, G):
-        chart = F.chart
-        if G.chart != chart:
-            raise StructuralError("F and G must live on the same chart")
-        p = F.degree
+        chart, p = F.chart, F.degree
         if not 1 <= p <= chart.n - 1:
             raise StructuralError(f"field degree must satisfy 1 <= p <= n-1, got p={p}")
-        if G.degree != chart.n - p:
-            raise StructuralError(
-                f"excitation degree must be n-p={chart.n - p}, got {G.degree}")
-        if F.twist:
-            raise StructuralError("field strength must be untwisted")
-        if not G.twist:
-            raise StructuralError("excitation must be twisted")
+        check_shape("F", F, chart, p, False)
+        check_shape("G", G, chart, chart.n - p, True)
         self.chart = chart
         self.p = p
         self.F = F
@@ -160,15 +152,6 @@ def identity_suite(u, cfg, id_prefix=""):
     ]
 
 
-def currents(cfg):
-    """(J, K) = (dG, dF): electric and magnetic current densities.
-
-    Both are automatically closed, which is the exact-arithmetic version of
-    charge conservation.
-    """
-    return cfg.dG, cfg.dF
-
-
 # -- 3+1 split (n=4, p=2, time coordinate x0) ---------------------------------
 
 
@@ -190,12 +173,7 @@ class SplitFields(namedtuple("SplitFields", "E B H D j rho")):
         if chart.n != 4:
             raise StructuralError("3+1 split needs a 4-dimensional chart")
         for name, form, (degree, twist) in zip(cls._fields, self, kinds):
-            if form.chart != chart:
-                raise StructuralError(f"{name}: chart mismatch")
-            if form.degree != degree or form.twist != twist:
-                raise StructuralError(
-                    f"{name} must be a {'twisted' if twist else 'untwisted'} "
-                    f"{degree}-form")
+            check_shape(name, form, chart, degree, twist)
             if any(0 in idx for idx in form.components):
                 raise StructuralError(f"{name} must be spatial (no dx0 factor)")
         return self
@@ -224,12 +202,9 @@ def split_3plus1(F, G, J):
     chart = F.chart
     if chart.n != 4:
         raise StructuralError("3+1 split needs a 4-dimensional chart")
-    if F.degree != 2 or F.twist:
-        raise StructuralError("F must be an untwisted 2-form")
-    if G.degree != 2 or not G.twist:
-        raise StructuralError("G must be a twisted 2-form")
-    if J.chart != chart or J.degree != 3 or not J.twist:
-        raise StructuralError("J must be a twisted 3-form on the same chart")
+    check_shape("F", F, chart, 2, False)
+    check_shape("G", G, chart, 2, True)
+    check_shape("J", J, chart, 3, True)
     return SplitFields(
         E=_time_part(F, 1),
         B=_spatial_part(F),
@@ -274,8 +249,8 @@ class Axion:
                       else metric.chart.const_poly(alpha))
 
     def apply(self, F):
-        if F.twist:
-            raise StructuralError("constitutive input must be untwisted")
+        # any degree; hodge checks the chart against the metric's
+        check_shape("F", F, F.chart, F.degree, False)
         # the metric serves both scalar modes; alpha follows F
         G = hodge(self.metric, F).scale(1 / self.Z)
         if self.alpha.is_zero():
@@ -326,25 +301,8 @@ class LinearLocal:
             return e
         return self.chart.const_poly(e)
 
-    @classmethod
-    def from_law(cls, law, chart, p):
-        """Sample another law on basis forms to extract its matrix."""
-        rows = list(combinations(range(chart.n), chart.n - p))
-        cols = list(combinations(range(chart.n), p))
-        chi = [[chart.zero_poly() for _ in cols] for _ in rows]
-        for c, idx in enumerate(cols):
-            image = law.apply(basis_form(chart, idx))
-            for r, jdx in enumerate(rows):
-                poly = image.components.get(jdx)
-                if poly is not None:
-                    chi[r][c] = poly
-        return cls(chart, p, chi)
-
     def apply(self, F):
-        if F.twist:
-            raise StructuralError("constitutive input must be untwisted")
-        if F.degree != self.p or F.chart != self.chart:
-            raise StructuralError("field does not match the law's chart or degree")
+        check_shape("F", F, self.chart, self.p, False)
         n, complex_mode = self.chart.n, self.chart.complex_mode
         comps = {}
         for jdx, row in zip(self.rows, self.chi):
@@ -366,8 +324,7 @@ class Custom:
 
     def apply(self, F):
         G = self.fn(F)
-        if not isinstance(G, Form) or not G.twist:
-            raise StructuralError("custom law must produce a twisted form")
-        if G.chart != F.chart or G.degree != F.chart.n - F.degree:
-            raise StructuralError("custom law output has wrong chart or degree")
+        if not isinstance(G, Form):
+            raise StructuralError("custom law must produce a form")
+        check_shape("G", G, F.chart, F.chart.n - F.degree, True)
         return G

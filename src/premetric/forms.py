@@ -16,7 +16,6 @@ an error, which is what the vanishing (n+1)-form arguments in the identity
 suites rely on.
 """
 
-from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -297,6 +296,16 @@ def _contract_terms(groups, u, a):
     return groups
 
 
+def check_shape(name, form, chart, degree, twist):
+    """Raise unless the form `name` lives on chart as a degree-form of the
+    given twist parity."""
+    if form.chart != chart:
+        raise StructuralError(f"{name}: chart mismatch")
+    if form.degree != degree or form.twist != twist:
+        raise StructuralError(
+            f"{name} must be a {'twisted' if twist else 'untwisted'} {degree}-form")
+
+
 def _like(shape, chart, degree, twist):
     """(chart, degree, twist) of one summand, checked as for + against
     shape, the first summand's (None while there is none)."""
@@ -414,52 +423,3 @@ def _rational_constants(u):
             return None
         rates.append(Fraction(re, p.den))
     return rates
-
-
-def pullback_linear(matrix, a):
-    """Pullback along the linear substitution x -> L x, L = matrix.
-
-    Coefficients are composed with the substitution and, as each dx_i
-    becomes sum_j L[i][j] dx_j, (L*a)_J = sum_I a_I(Lx) * det L[I, J].
-    Twisted forms acquire an extra sign(det L) factor, which is the whole
-    computational content of twist parity.
-    """
-    chart = a.chart
-    n = chart.n
-    mat = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    minors = _minors(mat)
-    det = minors.get((tuple(range(n)),) * 2, 0)
-    if det == 0:
-        raise StructuralError("pullback matrix is singular")
-    sign = -1 if a.twist and det < 0 else 1
-    pulled = {idx: poly.substitute_linear(mat) for idx, poly in a.components.items()}
-    groups = {}
-    for (rows, cols), minor in minors.items():
-        if rows in pulled:
-            groups.setdefault(cols, []).append((sign * minor, pulled[rows], None))
-    return a._raw(a.degree, a.twist, _components(chart, groups))
-
-
-def _minors(mat):
-    """{(rows, cols): det mat[rows, cols]} over increasing index tuples of
-    equal length 0..n, nonzero minors only (the empty minor is 1).
-
-    Each k-minor is a Laplace expansion along its first row over the
-    (k-1)-minors of the rows below it.  Only nonzero minors and nonzero
-    entries are propagated, so sparse (e.g. diagonal) matrices stay cheap.
-    """
-    n = len(mat)
-    entries = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
-    tower = level = {((), ()): Fraction(1)}
-    for _ in range(n):
-        sums = {}
-        for (rows, cols), minor in level.items():
-            for r in range(rows[0] if rows else n):
-                for c, x in entries[r]:
-                    if c not in cols:
-                        pos = bisect(cols, c)
-                        key = ((r,) + rows, cols[:pos] + (c,) + cols[pos:])
-                        sums[key] = sums.get(key, 0) + (-x if pos % 2 else x) * minor
-        level = {key: v for key, v in sums.items() if v}
-        tower.update(level)
-    return tower

@@ -14,13 +14,14 @@ that defining identity is what the oracle tests check.  The star flips the
 twist parity: the volume element it carries is an odd object.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import _components, _minors, _perm_sign
+from .forms import _components, _perm_sign
 
 
 def _rational_sqrt(x: Fraction):
@@ -34,67 +35,64 @@ def _rational_sqrt(x: Fraction):
     return Fraction(rn, rd)
 
 
-def _signature(mat):
-    """((plus, minus), det) via exact congruence diagonalization.
-
-    Sylvester's law: row and matching column operations preserve the
-    signature, so counting pivot signs after symmetric elimination gives
-    the inertia without eigenvalues.  The operations are paired swaps and
-    paired additions of a multiple of one row and column to another, which
-    keep the determinant too: det is the product of the pivots.
-    """
-    n = len(mat)
+def _det(mat):
+    """det mat by exact Gaussian elimination with row swaps; 0 if singular."""
     m = [row[:] for row in mat]
-    plus = minus = 0
+    n = len(m)
     det = Fraction(1)
     for k in range(n):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][r] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                # all remaining diagonal entries vanish: fold a nonzero
-                # off-diagonal onto the diagonal (row j and column j added
-                # to row/column k give 2*m[k][j] there)
-                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if j is None:
-                    raise MetricError("metric is singular")
-                for col in range(n):
-                    m[k][col] += m[j][col]
-                for row in m:
-                    row[k] += row[j]
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
         pivot = m[k][k]
         det *= pivot
-        if pivot > 0:
-            plus += 1
-        else:
-            minus += 1
-        for r in range(k + 1, n):
-            f = m[r][k] / pivot
-            if f != 0:
-                for col in range(n):
-                    m[r][col] -= f * m[k][col]
-                for row in range(n):
-                    m[row][r] -= f * m[row][k]
-    return (plus, minus), det
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _minors(mat):
+    """{(rows, cols): det mat[rows, cols]} over increasing index tuples of
+    equal length 0..n, nonzero minors only (the empty minor is 1).
+
+    Each k-minor is a Laplace expansion along its first row over the
+    (k-1)-minors of the rows below it.  Only nonzero minors and nonzero
+    entries are propagated, so sparse (e.g. diagonal) matrices stay cheap.
+    """
+    n = len(mat)
+    entries = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
+    tower = level = {((), ()): Fraction(1)}
+    for _ in range(n):
+        sums = {}
+        for (rows, cols), minor in level.items():
+            for r in range(rows[0] if rows else n):
+                for c, x in entries[r]:
+                    if c not in cols:
+                        pos = bisect(cols, c)
+                        key = ((r,) + rows, cols[:pos] + (c,) + cols[pos:])
+                        sums[key] = sums.get(key, 0) + (-x if pos % 2 else x) * minor
+        level = {key: v for key, v in sums.items() if v}
+        tower.update(level)
+    return tower
 
 
 class MetricSpec:
     """Constant symmetric nondegenerate metric on a chart.
 
-    The signature, det g and sqrt|det g| are computed exactly at
-    construction; metrics whose |det g| is not a rational square are
-    rejected rather than approximated.  No inverse is formed: compound()
-    reads the minors of g^-1 from the tower of nonzero minors of g
-    (forms._minors), which its first call builds.  The metric is rational
-    data, so it serves forms of either scalar mode on charts that differ
-    from its own only in complex_mode.
+    det g and sqrt|det g| are computed exactly at construction; metrics
+    whose |det g| is not a rational square are rejected rather than
+    approximated.  No inverse is formed: compound() reads the minors of
+    g^-1 from the tower of nonzero minors of g (_minors), which its first
+    call builds.  The metric is rational data, so it serves forms of either
+    scalar mode on charts that differ from its own only in complex_mode.
     """
 
-    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "signature",
-                 "_tower", "_compounds")
+    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "_tower", "_compounds")
 
     def __init__(self, chart, g):
         n = chart.n
@@ -103,7 +101,9 @@ class MetricSpec:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise MetricError("metric must be symmetric")
-        signature, det = _signature(rows)
+        det = _det(rows)
+        if not det:
+            raise MetricError("metric is singular")
         root = _rational_sqrt(abs(det))
         if root is None:
             raise MetricError(
@@ -113,7 +113,6 @@ class MetricSpec:
         self.g = rows
         self.det = det
         self.sqrt_abs_det = root
-        self.signature = signature
         self._tower = None
         self._compounds = {}
 

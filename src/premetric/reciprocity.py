@@ -15,7 +15,7 @@ passes pseudo=True, which is what moves a form between the two slots.
 
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
-from .forms import Form
+from .forms import Form, check_shape
 from .hodge import double_hodge_sign, hodge
 from .report import residual_check
 from .scalars import nonzero_rational
@@ -30,12 +30,8 @@ class FieldPairZ:
         chart = F.chart
         if chart.n != 4:
             raise StructuralError("field pairs live on 4-dimensional charts")
-        if G.chart != chart:
-            raise StructuralError("F and G must live on the same chart")
-        if F.degree != 2 or F.twist:
-            raise StructuralError("F must be an untwisted 2-form")
-        if G.degree != 2 or not G.twist:
-            raise StructuralError("G must be a twisted 2-form")
+        check_shape("F", F, chart, 2, False)
+        check_shape("G", G, chart, 2, True)
         self.chart = chart
         self.F = F
         self.G = G

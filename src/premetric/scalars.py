@@ -211,22 +211,6 @@ class Polynomial:
             raise StructuralError(f"coordinate index {i} out of range for n={self.n}")
         return poly_sum(self.n, self.complex_mode, ((1, self, i),))
 
-    def substitute_linear(self, matrix):
-        """Substitute x_i -> sum_j matrix[i][j] * x_j (linear change of variables)."""
-        n, mode = self.n, self.complex_mode
-        images = [poly_sum(n, mode, [(_as_fraction(matrix[i][j]),
-                                      Polynomial.variable(n, j, mode), None)
-                                     for j in range(n)])
-                  for i in range(n)]
-        terms = []
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(n, coeff, mode)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            terms.append((1, term, None))
-        return poly_sum(n, mode, terms)
-
     def to_complex(self):
         if self.complex_mode:
             return self

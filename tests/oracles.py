@@ -3,17 +3,22 @@
 Everything here works on dense, fully antisymmetric component arrays and
 permutation sums, deliberately avoiding the sparse increasing-tuple code
 paths of the package: the two sides share nothing but scalar arithmetic.
-The exceptions are the densities at the end: the literal_* ones are the
+The exceptions are the densities: the literal_* ones are the
 module-docstring formulas of premetric.electrodynamics written out with
 the public form operations and no shared pieces, and the *_4d ones are
-their closed forms for n=4, p=2.
+their closed forms for n=4, p=2.  The test helpers at the end (linear
+pullbacks and a law's matrix) are built on the package's operations and
+its minor tower.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from premetric.electrodynamics import LinearLocal
 from premetric.errors import StructuralError
-from premetric.forms import Form, contract, ext_d, lie_derivative, wedge
+from premetric.forms import (Form, basis_form, contract, ext_d, lie_derivative,
+                             wedge)
+from premetric.hodge import _minors
 from premetric.scalars import Polynomial
 
 
@@ -223,3 +228,60 @@ def phi_u_4d(u, cfg):
 def _require_4d(cfg):
     if cfg.chart.n != 4 or cfg.p != 2:
         raise StructuralError("specialized formulas need n=4, p=2")
+
+
+# -- test helpers: linear pullbacks and a law's matrix -------------------------
+
+
+def substitute_linear(poly, matrix):
+    """poly with x_i -> sum_j matrix[i][j] * x_j (a linear change of variables)."""
+    n, mode = poly.n, poly.complex_mode
+    images = [sum((Polynomial.variable(n, j, mode).scale(matrix[i][j])
+                   for j in range(n)), Polynomial.zero(n, mode))
+              for i in range(n)]
+    out = Polynomial.zero(n, mode)
+    for exps, coeff in poly.terms.items():
+        term = Polynomial.constant(n, coeff, mode)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
+    return out
+
+
+def pullback_linear(matrix, a):
+    """Pullback along the linear substitution x -> L x, L = matrix.
+
+    Coefficients are composed with the substitution and, as each dx_i
+    becomes sum_j L[i][j] dx_j, (L*a)_J = sum_I a_I(Lx) * det L[I, J].
+    Twisted forms acquire an extra sign(det L) factor, which is the whole
+    computational content of twist parity.
+    """
+    n = a.chart.n
+    mat = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    minors = _minors(mat)
+    det = minors.get((tuple(range(n)),) * 2, 0)
+    if det == 0:
+        raise StructuralError("pullback matrix is singular")
+    sign = -1 if a.twist and det < 0 else 1
+    pulled = {idx: substitute_linear(poly, mat) for idx, poly in a.components.items()}
+    comps = {}
+    for (rows, cols), minor in minors.items():
+        if rows in pulled:
+            term = pulled[rows].scale(sign * minor)
+            comps[cols] = comps[cols] + term if cols in comps else term
+    return Form(a.chart, a.degree, a.twist, comps)
+
+
+def linear_local_from(law, chart, p):
+    """The LinearLocal law with the matrix of `law`, sampled on basis forms."""
+    rows = list(combinations(range(chart.n), chart.n - p))
+    cols = list(combinations(range(chart.n), p))
+    chi = [[chart.zero_poly() for _ in cols] for _ in rows]
+    for c, idx in enumerate(cols):
+        image = law.apply(basis_form(chart, idx))
+        for r, jdx in enumerate(rows):
+            poly = image.components.get(jdx)
+            if poly is not None:
+                chi[r][c] = poly
+    return LinearLocal(chart, p, chi)

@@ -14,11 +14,11 @@ from premetric import (Axion, Chart, FieldConfig, FieldPairZ, MaxwellLorentz,
                        check_factorization, conservation_residual,
                        coordinate_field, double_hodge_sign, force_u, hodge,
                        identity_suite, obstruction_phi_u, pair_tensor,
-                       parse_form, print_form, pullback_linear, random_form,
+                       parse_form, print_form, random_form,
                        random_vector_field, recompose, self_reciprocal_pair,
                        sigma_u, split_3plus1, star_z, tensor, wedge)
 
-from oracles import force_u_4d, phi_u_4d, sigma_u_4d
+from oracles import force_u_4d, phi_u_4d, pullback_linear, sigma_u_4d
 from test_cli import run_cli
 from test_formexpr import CORPUS
 

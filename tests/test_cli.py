@@ -105,6 +105,16 @@ def test_malformed_form_exits_two_with_position(tmp_path):
     ({"constitutive": {"kind": "custom", "G": "dx2^dx3", "Z0": None}},
      "constitutive: unknown keys for kind 'custom': ['Z0']"),
     ({"z": []}, "z: expected a rational or a nonempty list"),
+    ({"metric": {"diagonal": [1, -1, "x", -1]}},
+     "metric.diagonal[2]: not a rational literal: 'x'"),
+    ({"metric": {"matrix": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, True],
+                            [0, 0, 0, -1]]}},
+     "metric.matrix[2][3]: expected a rational, got a boolean"),
+    # law shapes are refused at validation, before any suite runs
+    ({"n": 5, "constitutive": {"kind": "axion", "Z0": 1, "alpha": "x0"}},
+     "constitutive.alpha: axion term needs n = 2p"),
+    ({"constitutive": {"kind": "linear-local", "chi": [[1, 0], [0, 1]]}},
+     "constitutive.chi: chi must be 6x6 for n=4, p=2"),
 ])
 def test_config_errors_name_their_key_quickly(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "keyed.json", {**BASE, **payload})

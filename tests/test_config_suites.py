@@ -87,7 +87,7 @@ def test_rational_literals_accepted():
                     "metric": {"diagonal": ["1", -1, "-1", "-1/1"]}})
     assert cfg.Z0 == Fraction(3, 7)
     assert cfg.z == (Fraction(1, 5), Fraction(2))
-    assert cfg.metric.signature == (1, 3)
+    assert cfg.metric.det == -1
 
 
 def test_a_loaded_metric_builds_its_minor_tower_only_for_a_dual():
@@ -207,15 +207,17 @@ def test_chi_entries_rejected(entry, error, message):
     assert type(err.value) is error and str(err.value).startswith(message)
 
 
+# test id -> (the key path the error names, a config around the literal)
 _LITERAL_KEYS = {
-    "Z0": lambda text: {"Z0": text},
-    "z[1]": lambda text: {"z": [1, text]},
-    "metric.diagonal": lambda text: {"metric": {"diagonal": [1, -1, -1, text]}},
-    "metric.matrix": lambda text: {"metric": {"matrix": [
-        [text if r == c == 3 else int(r == c) for c in range(4)] for r in range(4)]}},
-    "constitutive.Z0": lambda text: {
-        **_ML, "constitutive": {"kind": "maxwell-lorentz", "Z0": text}},
-    "constitutive.chi[1][2]": _chi_with,
+    "Z0": ("Z0", lambda text: {"Z0": text}),
+    "z[1]": ("z[1]", lambda text: {"z": [1, text]}),
+    "metric.diagonal": ("metric.diagonal[3]",
+                        lambda text: {"metric": {"diagonal": [1, -1, -1, text]}}),
+    "metric.matrix": ("metric.matrix[3][3]", lambda text: {"metric": {"matrix": [
+        [text if r == c == 3 else int(r == c) for c in range(4)] for r in range(4)]}}),
+    "constitutive.Z0": ("constitutive.Z0", lambda text: {
+        **_ML, "constitutive": {"kind": "maxwell-lorentz", "Z0": text}}),
+    "constitutive.chi[1][2]": ("constitutive.chi[1][2]", _chi_with),
 }
 
 
@@ -230,11 +232,12 @@ _LITERAL_KEYS = {
 ])
 @pytest.mark.parametrize("key", _LITERAL_KEYS)
 def test_rational_literals_over_the_digit_limit_are_refused(key, text):
+    path, build = _LITERAL_KEYS[key]
     start = time.monotonic()
     with pytest.raises(ConfigError) as err:
-        cfg_from(_LITERAL_KEYS[key](text))
+        cfg_from(build(text))
     assert time.monotonic() - start < 0.1
-    assert str(err.value) == f"{key}: rational literal exceeds the limit of 4300 digits"
+    assert str(err.value) == f"{path}: rational literal exceeds the limit of 4300 digits"
 
 
 @pytest.mark.parametrize("value", [10 ** 5000, -10 ** 4300, 10 ** 4300],
@@ -242,9 +245,10 @@ def test_rational_literals_over_the_digit_limit_are_refused(key, text):
 @pytest.mark.parametrize("key", _LITERAL_KEYS)
 def test_integers_over_the_digit_limit_are_refused(key, value):
     # a library caller can pass any int; JSON text cannot carry these
+    path, build = _LITERAL_KEYS[key]
     with pytest.raises(ConfigError) as err:
-        cfg_from(_LITERAL_KEYS[key](value))
-    assert str(err.value) == f"{key}: rational literal exceeds the limit of 4300 digits"
+        cfg_from(build(value))
+    assert str(err.value) == f"{path}: rational literal exceeds the limit of 4300 digits"
 
 
 def test_integers_within_the_digit_limit_are_read():
@@ -389,6 +393,23 @@ def test_every_exported_name_resolves():
     assert len(premetric.__all__) == len(set(premetric.__all__))
     for name in premetric.__all__:
         assert getattr(premetric, name) is not None, name
+    # the public surface, spelled out so that a change to it shows in review
+    assert set(premetric.__all__) == {
+        "Axion", "Chart", "CheckResult", "ConfigError", "Custom",
+        "FieldConfig", "FieldPairZ", "Form", "FormSyntaxError",
+        "LinearLocal", "MaxwellLorentz", "MetricError", "MetricSpec",
+        "Polynomial", "Report", "RunConfig", "SCHEMA_VERSION",
+        "SplitFields", "StructuralError", "SUITE_RUNNERS", "VectorField",
+        "basis_form", "build_law", "check_factorization",
+        "conservation_residual", "contract", "coordinate_field",
+        "densities", "double_hodge_sign", "ext_d", "force_u", "hodge",
+        "identity_suite", "lie_derivative", "load_config",
+        "nonzero_witness", "obstruction_phi_u", "pair_tensor", "parse_form",
+        "parse_polynomial", "parse_vector_field", "poly_str", "print_form",
+        "random_form", "random_polynomial", "random_vector_field",
+        "recompose", "run_suites", "self_reciprocal_pair", "sigma_u",
+        "split_3plus1", "star_z", "tensor", "validate_config", "wedge",
+    }
 
 
 def test_readme_library_example_runs_as_written():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import force_u_4d, phi_u_4d, sigma_u_4d
+from oracles import force_u_4d, linear_local_from, phi_u_4d, sigma_u_4d
 from premetric.electrodynamics import (
     Axion,
     Custom,
@@ -12,7 +12,6 @@ from premetric.electrodynamics import (
     MaxwellLorentz,
     SplitFields,
     conservation_residual,
-    currents,
     force_u,
     identity_suite,
     obstruction_phi_u,
@@ -74,14 +73,15 @@ def test_force_vanishes_for_closed_fields():
 def test_currents_examples():
     F = basis_form(CH4, (0, 1), coefficient=CH4.variable(2))
     G = basis_form(CH4, (2, 3), twist=True)
-    J, K = currents(_cfg(F, G))
+    cfg = _cfg(F, G)
+    J, K = cfg.dG, cfg.dF
     assert K == basis_form(CH4, (0, 1, 2))
     assert J.is_zero()
     assert J.twist and not K.twist
     rng = random.Random(302)
     for _ in range(10):
         cfg = _random_cfg(rng, CH4, 2)
-        J, K = currents(cfg)
+        J, K = cfg.dG, cfg.dF
         assert ext_d(J).is_zero() and ext_d(K).is_zero()
 
 
@@ -315,7 +315,7 @@ def test_axion_witness_nonzero_phi():
 def test_linear_local_matches_maxwell_lorentz():
     rng = random.Random(314)
     law = MaxwellLorentz(MINK, 2)
-    ll = LinearLocal.from_law(law, CH4, 2)
+    ll = linear_local_from(law, CH4, 2)
     for _ in range(10):
         F = random_form(rng, CH4, 2, False)
         assert ll.apply(F) == law.apply(F)

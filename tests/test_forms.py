@@ -3,33 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_contract, dense_wedge, lie_by_components
+from oracles import dense_contract, dense_wedge, lie_by_components, pullback_linear
 from premetric import forms
 from premetric.errors import StructuralError
 from premetric.forms import (
     Chart,
     Form,
     VectorField,
-    _minors,
     basis_form,
     contract,
     coordinate_field,
     ext_d,
     lie_derivative,
-    pullback_linear,
     sort_indices,
     wedge,
     wedge_sum,
 )
+from premetric.hodge import _det
 from premetric.randgen import random_form, random_polynomial, random_vector_field
 
 
 def _chart(n, **kw):
     return Chart(n, **kw)
-
-
-def _det(mat):
-    return _minors(mat).get((tuple(range(len(mat))),) * 2, 0)
 
 
 # -- frozen example values ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Form operations against an oracle that shares no arithmetic with them.
 
-wedge, ext_d, contract, hodge and pullback_linear run on seeded forms for
+wedge, ext_d, contract, hodge and the test helper pullback_linear
+(tests/oracles.py) run on seeded forms for
 n = 2..6, every degree, real and complex mode.  The reference recomputes
 every component in `sympy.polys.rings` over QQ / QQ_I, with permutation
 signs from `sympy.combinatorics.Permutation` parity, minors (of the
@@ -21,8 +22,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation  # noqa: E402
 
-from premetric.forms import (Chart, Form, VectorField, contract, ext_d,  # noqa: E402
-                             pullback_linear, wedge)
+from oracles import pullback_linear  # noqa: E402
+from premetric.forms import Chart, Form, VectorField, contract, ext_d, wedge  # noqa: E402
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_form, random_polynomial  # noqa: E402
 from test_coefficient_oracle import assert_canonical, sympy_ring, to_sympy  # noqa: E402

@@ -6,9 +6,9 @@ import pytest
 
 from oracles import dense_inner_product, volume_form
 from premetric.errors import MetricError, StructuralError
-from premetric.forms import (Chart, Form, VectorField, _minors, basis_form,
+from premetric.forms import (Chart, Form, VectorField, basis_form,
                              lie_derivative, wedge)
-from premetric.hodge import MetricSpec, _signature, double_hodge_sign, hodge
+from premetric.hodge import MetricSpec, _det, _minors, double_hodge_sign, hodge
 from premetric.randgen import random_form
 
 
@@ -32,15 +32,15 @@ def test_metric_validation():
         MetricSpec.diagonal(ch, [2, 1])       # |det| = 2 has no rational root
 
 
-def test_signatures():
-    assert MetricSpec.minkowski(Chart(4)).signature == (1, 3)
-    assert MetricSpec.euclidean(Chart(3)).signature == (3, 0)
-    assert MetricSpec.diagonal(Chart(3), [1, 1, -1]).signature == (2, 1)
+def test_det_signs():
+    assert MetricSpec.minkowski(Chart(4)).det == -1
+    assert MetricSpec.euclidean(Chart(3)).det == 1
+    assert MetricSpec.diagonal(Chart(3), [1, 1, -1]).det == -1
     offdiag = MetricSpec(Chart(4), [[0, 1, 0, 0],
                                     [1, 0, 0, 0],
                                     [0, 0, -1, 0],
                                     [0, 0, 0, -1]])
-    assert offdiag.signature == (1, 3)
+    assert offdiag.det == -1
     assert offdiag.sign_det() == -1
     assert offdiag.sqrt_abs_det == 1
 
@@ -309,21 +309,9 @@ def test_minor_tower_matches_sympy():
             assert tower == expected, (n, m)
 
 
-def _inertia(m):
-    """(positive, negative) eigenvalue counts of a symmetric matrix, by
-    Descartes' rule of signs on its characteristic polynomial p(x) and on
-    p(-x); the rule is exact because every root is real."""
-    def changes(coeffs):
-        signs = [c > 0 for c in coeffs if c != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    coeffs = _sympy(m).charpoly().all_coeffs()     # leading coefficient first
-    degree = len(coeffs) - 1
-    mirrored = [c * (-1) ** (degree - k) for k, c in enumerate(coeffs)]
-    return changes(coeffs), changes(mirrored)
-
-
-def test_signature_matches_sympy_inertia():
+def test_det_matches_sympy():
+    # symmetric matrices, some with a zero diagonal; MetricSpec keeps det g
+    # or refuses it as singular or as no rational square, naming |det g|
     rng = random.Random(253)
     for n in range(1, 9):
         for zero_diagonal in (False, False, True):
@@ -334,8 +322,14 @@ def test_signature_matches_sympy_inertia():
                         continue
                     m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             det = _fraction(_sympy(m).det())
+            assert _det(m) == det, (n, m)
+            if n == 1:
+                continue
             if det == 0:
                 with pytest.raises(MetricError, match="^metric is singular$"):
-                    _signature(m)
+                    MetricSpec(Chart(n), m)
                 continue
-            assert _signature(m) == (_inertia(m), det), (n, m)
+            try:
+                assert MetricSpec(Chart(n), m).det == det, (n, m)
+            except MetricError as e:
+                assert str(e).startswith(f"|det g| = {abs(det)} is not the square"), (n, m)
