@@ -215,8 +215,9 @@ def validate_config(raw):
     _expect(type(cfg.samples) is int and 1 <= cfg.samples <= 9999,
             "samples: expected an integer in 1..9999")
 
-    suites = raw.get("suites", [])
-    _expect(isinstance(suites, list), "suites: expected a list of suite names")
+    suites = raw.get("suites", ())
+    _expect("suites" not in raw or (isinstance(suites, list) and suites),
+            "suites: expected a nonempty list of suite names")
     for k, s in enumerate(suites):
         _expect(isinstance(s, str) and s in SUITE_RUNNERS,
                 f"suites: unknown suite {s!r}")

@@ -354,14 +354,14 @@ def wedge_sum(*terms):
         a._check_chart(b)
         shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
         table = _wedge_table(a.chart.n, a.degree, b.degree)
-        b_items = b.components.items()
+        bc = b.components
+        signed = {1: m, -1: -m}
+        # each row lists the disjoint partners of ia only
         for ia, pa in a.components.items():
-            row = table[ia]
-            for ib, pb in b_items:
-                hit = row.get(ib)
-                if hit is not None:
-                    merged, sign = hit
-                    groups.setdefault(merged, []).append((sign * m, pa, pb))
+            for ib, (merged, sign) in table[ia].items():
+                pb = bc.get(ib)
+                if pb is not None:
+                    groups.setdefault(merged, []).append((signed[sign], pa, pb))
     return a._raw(shape[1], shape[2], _components(a.chart, groups))
 
 

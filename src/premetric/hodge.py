@@ -86,13 +86,14 @@ class MetricSpec:
 
     det g and sqrt|det g| are computed exactly at construction; metrics
     whose |det g| is not a rational square are rejected rather than
-    approximated.  No inverse is formed: compound() reads the minors of
-    g^-1 from the tower of nonzero minors of g (_minors), which its first
-    call builds.  The metric is rational data, so it serves forms of either
-    scalar mode on charts that differ from its own only in complex_mode.
+    approximated.  No inverse is formed: star() and compound() read the
+    minors of g^-1 from the tower of nonzero minors of g (_minors), which
+    the first of them builds.  The metric is rational data, so it serves
+    forms of either scalar mode on charts that differ from its own only in
+    complex_mode.
     """
 
-    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "_tower", "_compounds")
+    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "_tower", "_compounds", "_stars")
 
     def __init__(self, chart, g):
         n = chart.n
@@ -115,6 +116,7 @@ class MetricSpec:
         self.sqrt_abs_det = root
         self._tower = None
         self._compounds = {}
+        self._stars = {}
 
     @classmethod
     def diagonal(cls, chart, entries):
@@ -137,27 +139,42 @@ class MetricSpec:
     def sign_det(self):
         return 1 if self.det > 0 else -1
 
-    def compound(self, p):
-        """The p-th compound matrix of g^-1, built on first use.
+    def _inverse_minors(self, p):
+        """(K, I, det(g^-1[K, I])) over the nonzero minors, K and I
+        increasing p-tuples: (-1)^(sum K + sum I) det g[I^c, K^c] / det g,
+        read from the tower of g by Jacobi's identity."""
+        if self._tower is None:
+            self._tower = _minors(self.g)
+        n = self.chart.n
+        comp = {idx: rest for idx, rest, _ in _complements(n, n - p)}
+        for (rows, cols), minor in self._tower.items():
+            if len(rows) == n - p:
+                # sum K + sum I and sum rows + sum cols share a parity
+                sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
+                yield comp[cols], comp[rows], sign * minor / self.det
 
-        Maps (K, I), both increasing p-tuples, to the nonzero minor
-        det(g^-1[K, I]) = (-1)^(sum K + sum I) det g[I^c, K^c] / det g, read
-        from the tower of g by Jacobi's identity.
-        """
+    def compound(self, p):
+        """The p-th compound matrix of g^-1, {(K, I): minor}, built on
+        first use.  hodge reads star(p), which does not build this table."""
         table = self._compounds.get(p)
         if table is None:
-            if self._tower is None:
-                self._tower = _minors(self.g)
-            n = self.chart.n
-            comp = {idx: rest for idx, rest, _ in _complements(n, n - p)}
-            table = {}
-            for (rows, cols), minor in self._tower.items():
-                if len(rows) == n - p:
-                    # sum K + sum I and sum rows + sum cols share a parity
-                    sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
-                    table[comp[cols], comp[rows]] = sign * minor / self.det
+            table = {(k, i): minor for k, i, minor in self._inverse_minors(p)}
             self._compounds[p] = table
         return table
+
+    def star(self, p):
+        """{J: [(I, m), ...]} with (*A)_J = sum m * A_I on p-forms, built on
+        first use: m = orientation * sqrt|det g| * sign(K, J) *
+        det(g^-1[K, I]), K the complement of J."""
+        stars = self._stars.get(p)
+        if stars is None:
+            root = self.sqrt_abs_det * self.chart.orientation
+            comp = {k: (j, sign * root) for k, j, sign in _complements(self.chart.n, p)}
+            stars = self._stars[p] = {}
+            for k_idx, i_idx, minor in self._inverse_minors(p):
+                j_idx, factor = comp[k_idx]
+                stars.setdefault(j_idx, []).append((i_idx, factor * minor))
+        return stars
 
     def __repr__(self):
         return f"MetricSpec(n={self.chart.n}, g={self.g})"
@@ -194,16 +211,12 @@ def hodge(metric, a):
     n, p = chart.n, a.degree
     if p > n:
         raise StructuralError(f"cannot take the dual of a degree-{p} form on an n={n} chart")
-    minors = metric.compound(p)
-    root = metric.sqrt_abs_det * chart.orientation
+    comps = a.components
     groups = {}
-    for k_idx, j_idx, sign in _complements(n, p):
-        # raise indices, a^K = sum_I det(g^-1[K, I]) a_I, with the volume
-        # factor and the sign folded into each multiplier; each K has its
-        # own complement J, so no two K share an output slot
-        terms = [(sign * root * minors[k_idx, i_idx], poly, None)
-                 for i_idx, poly in a.components.items()
-                 if (k_idx, i_idx) in minors]
+    for j_idx, row in metric.star(p).items():
+        # J's row raises the indices of its complement K, with the volume
+        # factor and sign(K, J) in each multiplier
+        terms = [(m, comps[i_idx], None) for i_idx, m in row if i_idx in comps]
         if terms:
             groups[j_idx] = terms
     return a._raw(n - p, not a.twist, _components(chart, groups))

@@ -195,10 +195,8 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        out = {}
-        _add_product(out, 1, self.nums, other.nums, self.complex_mode)
-        _check_guard(out, self.n)
-        return _reduced(self.n, self.complex_mode, self.den * other.den, out)
+        den = self.den * other.den
+        return _accumulate(self.n, self.complex_mode, den, ((1, den, self, other),), True)
 
     def scale(self, s):
         """Multiply by a number (see _multiplier)."""
@@ -340,49 +338,25 @@ def monomial_sum(n, complex_mode, monomials):
     return _reduced(n, complex_mode, den, out)
 
 
-def _add_product(out, f, a, b, complex_mode):
-    """out += f * a * b on numerator dicts, f an int folded into the
-    shorter factor."""
-    if len(a) < len(b):
-        a, b = b, a
-    get = out.get
-    a = a.items()
-    if complex_mode:
-        b = (b.items() if f == 1 else
-             [(k, (r * f, i * f)) for k, (r, i) in b.items()])
-        for kb, (br, bi) in b:
-            for ka, (ar, ai) in a:
-                k = ka + kb
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                cur = get(k)
-                out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    else:
-        b = b.items() if f == 1 else [(k, v * f) for k, v in b.items()]
-        for kb, vb in b:
-            for ka, va in a:
-                k = ka + kb
-                out[k] = get(k, 0) + va * vb
-
-
 def poly_sum(n, complex_mode, terms):
     """Canonical sum over terms (m, a, b) of m * a * b when b is a
     Polynomial, m * a when b is None and m * (d a / d x_b) when b is an int.
 
     m is an int or Fraction, a and b Polynomials in n variables of the
     given mode (the caller has checked that).  One pass drops the zero
-    terms and builds the lcm of the term denominators; a second
-    accumulates every term over it into one dict, which is normalised
-    once.  Only a sum with a product runs the exponent guard.  A lone term
-    with m = 1 and no derivative is the factor or the plain product.
-    """
+    terms, reads each m once as integers num/dm and builds the lcm of the
+    term denominators; _accumulate sums every term over it.  A lone term
+    with m = 1 and no derivative is the factor or the plain product."""
     kept = []
     den = 1
     product = False
     for m, a, b in terms:
         if not (m and a.nums):
             continue
-        d = m.denominator * a.den
+        if m.__class__ is int:
+            num, d = m, a.den
+        else:
+            num, d = m.numerator, m.denominator * a.den
         if b.__class__ is Polynomial:
             if not b.nums:
                 continue
@@ -390,15 +364,23 @@ def poly_sum(n, complex_mode, terms):
             product = True
         if den % d:
             den = lcm(den, d)
-        kept.append((m, a, b, d))
-    if len(kept) == 1:
-        m, a, b, _ = kept[0]
-        if m == 1 and b.__class__ is not int:
+        kept.append((num, d, a, b))
+        last = m
+    if len(kept) == 1 and last == 1:
+        _, _, a, b = kept[0]
+        if b.__class__ is not int:
             return a if b is None else a * b
+    return _accumulate(n, complex_mode, den, kept, product)
+
+
+def _accumulate(n, complex_mode, den, kept, product):
+    """poly_sum's kept terms (num, d, a, b) summed over den into one dict,
+    normalised once; a product folds its multiplier num * (den // d) into
+    each row of its shorter factor.  Polynomial.__mul__ is one product."""
     out = {}
     get = out.get
-    for m, a, b, d in kept:
-        f = m.numerator * (den // d)
+    for num, d, a, b in kept:
+        f = num * (den // d)
         if b is None:
             if complex_mode:
                 for k, (r, i) in a.nums.items():
@@ -409,7 +391,7 @@ def poly_sum(n, complex_mode, terms):
                 for k, v in a.nums.items():
                     out[k] = get(k, 0) + v * f
         elif b.__class__ is int:
-            shift = _shift(n, b)
+            shift = FIELD_BITS * (n - 1 - b)  # _shift(n, b), inlined
             step = 1 << shift
             if complex_mode:
                 for k, (r, i) in a.nums.items():
@@ -427,7 +409,25 @@ def poly_sum(n, complex_mode, terms):
                         k -= step
                         out[k] = get(k, 0) + v * e * f
         else:
-            _add_product(out, f, a.nums, b.nums, complex_mode)
+            a, b = a.nums, b.nums
+            if len(a) < len(b):
+                a, b = b, a
+            a = a.items()
+            if complex_mode:
+                for kb, (br, bi) in b.items():
+                    br, bi = br * f, bi * f
+                    for ka, (ar, ai) in a:
+                        k = ka + kb
+                        re = ar * br - ai * bi
+                        im = ar * bi + ai * br
+                        cur = get(k)
+                        out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            else:
+                for kb, vb in b.items():
+                    vb *= f
+                    for ka, va in a:
+                        k = ka + kb
+                        out[k] = get(k, 0) + va * vb
     if product:
         _check_guard(out, n)
     return _reduced(n, complex_mode, den, out)

@@ -115,6 +115,8 @@ def test_malformed_form_exits_two_with_position(tmp_path):
      "constitutive.alpha: axion term needs n = 2p"),
     ({"constitutive": {"kind": "linear-local", "chi": [[1, 0], [0, 1]]}},
      "constitutive.chi: chi must be 6x6 for n=4, p=2"),
+    # an empty list does not fall back to the default suites
+    ({"suites": []}, "suites: expected a nonempty list of suite names"),
 ])
 def test_config_errors_name_their_key_quickly(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "keyed.json", {**BASE, **payload})

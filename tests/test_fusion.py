@@ -202,3 +202,19 @@ def test_fused_sums_make_one_kernel_call_per_component(mode, monkeypatch):
     del calls[:]
     d.residual()
     assert len(calls) == comb(6, 6)
+
+
+def test_residual_multiplies_no_fractions(monkeypatch):
+    # multipliers reach the term loops as integers: wedge_sum signs them
+    # without a product and poly_sum reads each one once
+    chart = Chart(6)
+    rng = random.Random("no-fraction-products")
+    cfg = FieldConfig(random_form(rng, chart, 3, False), random_form(rng, chart, 3, True))
+    u = _polynomial_field(rng, chart)
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name:
+                            calls.append(name) or real(x, y))
+    assert densities(u, cfg).residual().is_zero()
+    assert calls == []

@@ -27,8 +27,8 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
-from premetric.forms import (Chart, Form, VectorField, combine, contract,  # noqa: E402
-                             ext_d, wedge, wedge_sum)
+from premetric.forms import (Chart, Form, VectorField, _wedge_table,  # noqa: E402
+                             combine, contract, ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
@@ -156,6 +156,46 @@ def fold_hodge(metric, a):
 def test_wedge_is_the_fold(pair):
     a, b = pair
     assert wedge(a, b).components == fold_wedge(a, b)
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_wedge_sum_walks_disjoint_partners_like_the_fold(mode):
+    # each component of a walks its row of disjoint partners and looks
+    # them up in b: a sparse b against full rows, a full b against
+    # one-entry rows and rows past top degree; at n = 4 a 1-form's row
+    # against 1-forms has three entries, against 3-forms one, and a
+    # 2-form's row against 3-forms none
+    chart = Chart(4, complex_mode=mode)
+    rng = random.Random(f"wedge-walk:{mode}")
+
+    def dense(p, twist, indices=None):
+        indices = list(combinations(range(4), p)) if indices is None else indices
+        return Form(chart, p, twist, {
+            idx: random_polynomial(rng, 4, 2, mode) + chart.variable(idx[0])
+            for idx in indices})
+
+    def fold_sum(terms):
+        out = {}
+        for m, a, b in terms:
+            for idx, poly in fold_wedge(a, b).items():
+                fold_into(out, idx, poly * const(chart, m))
+        return nonzero(out)
+
+    half = Fraction(1, 2)
+    assert [len(_wedge_table(4, p, q)[tuple(range(p))])
+            for p, q in ((1, 1), (1, 3), (2, 3))] == [3, 1, 0]
+    one = [(half, dense(1, False), dense(1, True, [(2,)])),
+           (-half, dense(1, False), dense(1, True, [(0,)]))]
+    full = [(half, dense(1, False), dense(3, True)),
+            (-half, dense(1, False), dense(3, True))]
+    past = [(half, dense(2, False), dense(3, True)),
+            (-half, dense(2, False), dense(3, True))]
+    for terms in (one, full):
+        total = wedge_sum(*terms)
+        assert total.components == fold_sum(terms) != {}
+        assert (total.degree, total.twist) == (terms[0][1].degree + terms[0][2].degree, True)
+    total = wedge_sum(*past)
+    assert (total.degree, total.twist, total.components) == (5, True, {})
 
 
 @EXAMPLES
@@ -332,6 +372,11 @@ def test_poly_sum_lone_term_shortcuts(mode, monkeypatch):
     assert poly_sum(3, mode, [(1, a, 1)]) == a.partial(1) != a
     assert poly_sum(3, mode, [(-1, a, None)]) == -a
     assert poly_sum(3, mode, [(Fraction(2, 3), a, b)]) == real_mul(a, b).scale(Fraction(2, 3))
+    # the shortcut is keyed on m == 1, not on its numerator
+    half = Fraction(1, 2)
+    assert poly_sum(3, mode, [(half, a, None)]) == a.scale(half) != a
+    assert poly_sum(3, mode, [(half, a, b)]) == real_mul(a, b).scale(half)
+    assert poly_sum(3, mode, [(Fraction(-1), a, None)]) == -a
     assert products == [] and poly_sum(3, mode, []) == zero
 
 
