@@ -22,6 +22,7 @@ from math import isqrt
 
 from .errors import MetricError, StructuralError
 from .forms import _components, _perm_sign
+from .scalars import _as_fraction
 
 
 def _rational_sqrt(x: Fraction):
@@ -86,18 +87,19 @@ class MetricSpec:
 
     det g and sqrt|det g| are computed exactly at construction; metrics
     whose |det g| is not a rational square are rejected rather than
-    approximated.  No inverse is formed: star() and compound() read the
-    minors of g^-1 from the tower of nonzero minors of g (_minors), which
-    the first of them builds.  The metric is rational data, so it serves
-    forms of either scalar mode on charts that differ from its own only in
-    complex_mode.
+    approximated.  Entries are exact rationals (see scalars._as_fraction);
+    a float is refused, not read as a binary fraction.  No inverse is
+    formed: star() reads the minors of g^-1 from the tower of nonzero
+    minors of g (_minors), which its first call builds.  The metric is
+    rational data, so it serves forms of either scalar mode on charts that
+    differ from its own only in complex_mode.
     """
 
-    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "_tower", "_compounds", "_stars")
+    __slots__ = ("chart", "g", "det", "sqrt_abs_det", "_tower", "_stars")
 
     def __init__(self, chart, g):
         n = chart.n
-        rows = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
+        rows = [[_as_fraction(g[i][j]) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
@@ -115,13 +117,12 @@ class MetricSpec:
         self.det = det
         self.sqrt_abs_det = root
         self._tower = None
-        self._compounds = {}
         self._stars = {}
 
     @classmethod
     def diagonal(cls, chart, entries):
         n = chart.n
-        entries = [Fraction(e) for e in entries]
+        entries = [_as_fraction(e) for e in entries]
         if len(entries) != n:
             raise MetricError(f"need {n} diagonal entries, got {len(entries)}")
         g = [[entries[i] if i == j else Fraction(0) for j in range(n)]
@@ -132,48 +133,26 @@ class MetricSpec:
     def minkowski(cls, chart):
         return cls.diagonal(chart, [1] + [-1] * (chart.n - 1))
 
-    @classmethod
-    def euclidean(cls, chart):
-        return cls.diagonal(chart, [1] * chart.n)
-
-    def sign_det(self):
-        return 1 if self.det > 0 else -1
-
-    def _inverse_minors(self, p):
-        """(K, I, det(g^-1[K, I])) over the nonzero minors, K and I
-        increasing p-tuples: (-1)^(sum K + sum I) det g[I^c, K^c] / det g,
-        read from the tower of g by Jacobi's identity."""
-        if self._tower is None:
-            self._tower = _minors(self.g)
-        n = self.chart.n
-        comp = {idx: rest for idx, rest, _ in _complements(n, n - p)}
-        for (rows, cols), minor in self._tower.items():
-            if len(rows) == n - p:
-                # sum K + sum I and sum rows + sum cols share a parity
-                sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
-                yield comp[cols], comp[rows], sign * minor / self.det
-
-    def compound(self, p):
-        """The p-th compound matrix of g^-1, {(K, I): minor}, built on
-        first use.  hodge reads star(p), which does not build this table."""
-        table = self._compounds.get(p)
-        if table is None:
-            table = {(k, i): minor for k, i, minor in self._inverse_minors(p)}
-            self._compounds[p] = table
-        return table
-
     def star(self, p):
         """{J: [(I, m), ...]} with (*A)_J = sum m * A_I on p-forms, built on
         first use: m = orientation * sqrt|det g| * sign(K, J) *
-        det(g^-1[K, I]), K the complement of J."""
+        det(g^-1[K, I]), K the complement of J.  By Jacobi's identity
+        det(g^-1[K, I]) = (-1)^(sum K + sum I) det g[I^c, J] / det g, read
+        from the tower of g's minors on rows I^c and columns J."""
         stars = self._stars.get(p)
         if stars is None:
-            root = self.sqrt_abs_det * self.chart.orientation
-            comp = {k: (j, sign * root) for k, j, sign in _complements(self.chart.n, p)}
+            if self._tower is None:
+                self._tower = _minors(self.g)
+            n = self.chart.n
+            root = self.sqrt_abs_det * self.chart.orientation / self.det
+            # an (n-p)-tuple X -> (X^c, sign(X^c, X))
+            comp = {j_idx: (k_idx, sign) for k_idx, j_idx, sign in _complements(n, p)}
             stars = self._stars[p] = {}
-            for k_idx, i_idx, minor in self._inverse_minors(p):
-                j_idx, factor = comp[k_idx]
-                stars.setdefault(j_idx, []).append((i_idx, factor * minor))
+            for (rows, cols), minor in self._tower.items():
+                if len(rows) == n - p:
+                    # sum K + sum I and sum rows + sum cols share a parity
+                    sign = comp[cols][1] * (-1) ** (sum(rows) + sum(cols))
+                    stars.setdefault(cols, []).append((comp[rows][0], sign * root * minor))
         return stars
 
     def __repr__(self):
@@ -185,7 +164,7 @@ def double_hodge_sign(metric, p):
     n = metric.chart.n
     if not 0 <= p <= n:
         raise StructuralError(f"degree {p} out of range for n={n}")
-    return (-1 if (p * (n - p)) % 2 else 1) * metric.sign_det()
+    return (-1 if (p * (n - p)) % 2 else 1) * (1 if metric.det > 0 else -1)
 
 
 @lru_cache(maxsize=None)

@@ -269,9 +269,8 @@ def _multiplier(s, complex_mode):
 
 
 def _scaled(p, num, d):
-    """p * num/d for a nonzero multiplier from `_multiplier`.  Z and Z[i]
-    have no zero divisors, so every key stays and no entry becomes zero:
-    one pass and one gcd, with no exponent guard and no zero filter."""
+    """p * num/d for a nonzero multiplier from `_multiplier`: one pass
+    over p's keys, which stay within the exponent limit, then _reduced."""
     if d == 1 and num in (1, -1):
         return p if num == 1 else -p
     if p.complex_mode:
@@ -280,34 +279,27 @@ def _scaled(p, num, d):
                 for k, (r, i) in p.nums.items()}
     else:
         nums = {k: v * num for k, v in p.nums.items()}
-    return _divided(p.n, p.complex_mode, p.den * d, nums)
+    return _reduced(p.n, p.complex_mode, p.den * d, nums)
 
 
 def _reduced(n, complex_mode, den, nums):
-    """Canonical polynomial nums/den: no zero entries, den > 0.
+    """Canonical polynomial nums/den for den > 0: the gcd of den and every
+    numerator part divided out and the zero entries dropped, in one
+    comprehension that runs only when there is either to do.  Input that
+    cancels completely comes out as den 1 with no entries.
 
     Only products make keys past the exponent limit; the callers that
     multiply run the guard first, so such a key raises even if it cancelled.
     """
-    zero = (0, 0) if complex_mode else 0
-    if zero in nums.values():
-        nums = {k: v for k, v in nums.items() if v != zero}
-    return _divided(n, complex_mode, den, nums)
-
-
-def _divided(n, complex_mode, den, nums):
-    """nums/den, den > 0 and no zero entry, with the gcd divided out."""
-    if den != 1:
-        if complex_mode:
-            g = gcd(den, *chain.from_iterable(nums.values()))
-            if g != 1:
-                nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
-        else:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                nums = {k: v // g for k, v in nums.items()}
-        den //= g
-    return _make(n, complex_mode, den, nums)
+    if complex_mode:
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1 or (0, 0) in nums.values():
+            nums = {k: (r // g, i // g) for k, (r, i) in nums.items() if r or i}
+    else:
+        g = gcd(den, *nums.values())
+        if g != 1 or 0 in nums.values():
+            nums = {k: v // g for k, v in nums.items() if v}
+    return _make(n, complex_mode, den // g, nums)
 
 
 # -- accumulation kernels ------------------------------------------------------

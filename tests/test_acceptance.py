@@ -123,7 +123,7 @@ def test_criterion_05_hodge_complex_structure():
     rng = random.Random(505)
     chart = Chart(4)
     lorentz = MetricSpec.minkowski(chart)
-    euclid = MetricSpec.euclidean(chart)
+    euclid = MetricSpec.diagonal(chart, [1] * chart.n)
     assert double_hodge_sign(lorentz, 2) == -1
     assert double_hodge_sign(euclid, 2) == 1
     counts = {"lorentz": 0, "euclid": 0}

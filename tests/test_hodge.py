@@ -30,18 +30,23 @@ def test_metric_validation():
         MetricSpec(ch, [[1, 1], [1, 1]])
     with pytest.raises(MetricError, match="is not the square of a rational"):
         MetricSpec.diagonal(ch, [2, 1])       # |det| = 2 has no rational root
+    # a float entry is refused, not read as the binary fraction it stores
+    with pytest.raises(StructuralError, match=r"^not an exact rational: 0\.25$"):
+        MetricSpec(ch, [[0.25, 0], [0, -4.0]])
+    with pytest.raises(StructuralError, match=r"^not an exact rational: 0\.1$"):
+        MetricSpec.diagonal(ch, [0.1, -10.0])
 
 
 def test_det_signs():
     assert MetricSpec.minkowski(Chart(4)).det == -1
-    assert MetricSpec.euclidean(Chart(3)).det == 1
+    assert MetricSpec.diagonal(Chart(3), [1] * 3).det == 1
     assert MetricSpec.diagonal(Chart(3), [1, 1, -1]).det == -1
     offdiag = MetricSpec(Chart(4), [[0, 1, 0, 0],
                                     [1, 0, 0, 0],
                                     [0, 0, -1, 0],
                                     [0, 0, 0, -1]])
     assert offdiag.det == -1
-    assert offdiag.sign_det() == -1
+    assert offdiag.det < 0
     assert offdiag.sqrt_abs_det == 1
 
 
@@ -73,7 +78,7 @@ def test_minkowski_two_form_duals():
 
 def test_euclidean3_one_form_duals():
     ch = Chart(3)
-    m = MetricSpec.euclidean(ch)
+    m = MetricSpec.diagonal(ch, [1] * ch.n)
     assert hodge(m, basis_form(ch, (0,))) == basis_form(ch, (1, 2), twist=True)
     assert hodge(m, basis_form(ch, (1,))) == basis_form(ch, (0, 2), twist=True,
                                                         coefficient=ch.const_poly(-1))
@@ -93,7 +98,7 @@ def test_unit_dual_is_volume():
 
 def test_double_hodge_sign_table():
     ch, m = _minkowski4()
-    e = MetricSpec.euclidean(Chart(4))
+    e = MetricSpec.diagonal(Chart(4), [1] * 4)
     assert double_hodge_sign(m, 2) == -1
     assert double_hodge_sign(m, 1) == 1
     assert double_hodge_sign(m, 0) == -1
@@ -209,7 +214,7 @@ def test_orientation_reverses_dual_sign():
     assert out_plus.components[(2, 3)] == -out_minus.components[(2, 3)]
 
 
-# -- one metric for both scalar modes; compound table ----------------------------
+# -- one metric for both scalar modes; the star table ---------------------------
 
 OFFDIAG = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
@@ -241,23 +246,33 @@ def test_hodge_chart_mismatch_still_raises():
             hodge(metric, basis_form(chart, (0, 1)))
 
 
-def test_compound_table_holds_the_nonzero_minors_once():
-    # OFFDIAG and a dense A^T diag(1, -1, -1, -1) A with A unimodular
+def test_star_table_holds_the_nonzero_multipliers_once():
+    # OFFDIAG and a dense A^T diag(1, -1, -1, -1) A with A unimodular: the
+    # multiplier of A_I in (*A)_J is orientation * sqrt|det g| * sign(K, J)
+    # * det(g^-1[K, I]), K the complement of J, with g^-1 and sqrt|det g|
+    # taken from sympy
+    sympy = pytest.importorskip("sympy")
     dense = [[1, 2, -1, 0], [2, 3, -3, -1], [-1, -3, -1, 1], [0, -1, 1, -6]]
     for g in (OFFDIAG, dense):
-        metric = MetricSpec(Chart(4), g)
-        ref = _sympy(metric.g).inv()
-        for p in range(5):
-            table = metric.compound(p)
-            assert metric.compound(p) is table
-            tuples = list(combinations(range(4), p))
-            for k_idx in tuples:
-                for i_idx in tuples:
-                    minor = _fraction(ref.extract(list(k_idx), list(i_idx)).det())
-                    assert table.get((k_idx, i_idx), 0) == minor, (g, p)
-            assert 0 not in table.values()
-    assert MetricSpec.minkowski(Chart(4)).compound(2) == {
-        (k, k): (-1 if 0 in k else 1) for k in combinations(range(4), 2)}
+        ref = _sympy([[Fraction(x) for x in row] for row in g])
+        root, ref_inv = _fraction(sympy.sqrt(abs(ref.det()))), ref.inv()
+        for orientation in (1, -1):
+            metric = MetricSpec(Chart(4, orientation=orientation), g)
+            for p in range(5):
+                table = metric.star(p)
+                assert metric.star(p) is table
+                tuples = list(combinations(range(4), p))
+                for k_idx in tuples:
+                    j_idx = tuple(i for i in range(4) if i not in k_idx)
+                    sign = (-1) ** sum(1 for k in k_idx for j in j_idx if k > j)
+                    row = table.get(j_idx, [])
+                    multipliers = dict(row)
+                    assert len(multipliers) == len(row), (g, p, j_idx)
+                    for i_idx in tuples:
+                        minor = _fraction(ref_inv.extract(list(k_idx), list(i_idx)).det())
+                        assert multipliers.get(i_idx, 0) == \
+                            orientation * root * sign * minor, (g, p, j_idx, i_idx)
+                assert all(m for row in table.values() for _, m in row)
 
 
 # -- exact linear algebra against sympy ------------------------------------------

@@ -131,17 +131,22 @@ def fold_contract(u, a):
 
 
 def fold_hodge(metric, a):
+    # g^-1, its minors and sqrt|det g| come from sympy, not from the metric
+    sympy = pytest.importorskip("sympy")
     chart, p = a.chart, a.degree
-    minors = metric.compound(p)
+    g = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in metric.g])
+    g_inv, root = g.inv(), sympy.sqrt(abs(g.det()))
     out = {}
     for k_idx in combinations(range(chart.n), p):
         j_idx = tuple(i for i in range(chart.n) if i not in k_idx)
-        volume = (metric.sqrt_abs_det * chart.orientation
+        volume = (Fraction(int(root.p), int(root.q)) * chart.orientation
                   * (-1 if inversions(k_idx + j_idx) % 2 else 1))
         raised = None
         for i_idx, poly in a.components.items():
-            if (k_idx, i_idx) in minors:
-                term = poly * const(chart, minors[k_idx, i_idx])
+            minor = g_inv.extract(list(k_idx), list(i_idx)).det()
+            if minor:
+                term = poly * const(chart, Fraction(int(minor.p), int(minor.q)))
                 raised = term if raised is None else raised + term
         if raised is not None:
             out[j_idx] = raised * const(chart, volume)

@@ -193,7 +193,7 @@ def test_factorization_on_a_complex_chart():
 
 def test_factorization_rejects_euclidean():
     with pytest.raises(MetricError):
-        check_factorization(MetricSpec.euclidean(CH4), 1, basis_form(CH4, (0, 1)))
+        check_factorization(MetricSpec.diagonal(CH4, [1] * 4), 1, basis_form(CH4, (0, 1)))
 
 
 def test_factorization_agrees_with_constitutive_layer():
