@@ -154,19 +154,19 @@ def validate_config(raw):
     unknown = set(raw) - _KNOWN_KEYS
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
+    # an absent key keeps its RunConfig() default; type(...) is int: JSON
+    # true/false load as bool, an int subclass
     cfg = RunConfig()
-
-    # type(...) is int: JSON true/false load as bool, an int subclass
-    cfg.n = raw.get("n", 4)
+    cfg.n = raw.get("n", cfg.n)
     _expect(type(cfg.n) is int and 2 <= cfg.n <= 8,
             "n: expected an integer in 2..8")
-    cfg.p = raw.get("p", 2)
+    cfg.p = raw.get("p", cfg.p)
     _expect(type(cfg.p) is int and 1 <= cfg.p <= cfg.n - 1,
             f"p: expected an integer in 1..{cfg.n - 1}")
 
-    cfg.mode = raw.get("mode", "real")
+    cfg.mode = raw.get("mode", cfg.mode)
     _expect(cfg.mode in ("real", "complex"), "mode: expected 'real' or 'complex'")
-    cfg.orientation = raw.get("orientation", 1)
+    cfg.orientation = raw.get("orientation", cfg.orientation)
     _expect(type(cfg.orientation) is int and cfg.orientation in (1, -1),
             "orientation: expected 1 or -1")
 
@@ -205,13 +205,13 @@ def validate_config(raw):
             _expect(isinstance(raw[name], str), f"{name}: expected expression text or 'random'")
             setattr(cfg, name, raw[name])
 
-    cfg.seed = raw.get("seed", 0)
+    cfg.seed = raw.get("seed", cfg.seed)
     _expect(type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64,
             "seed: expected an unsigned 64-bit integer")
-    cfg.degree_bound = raw.get("degree_bound", 2)
+    cfg.degree_bound = raw.get("degree_bound", cfg.degree_bound)
     _expect(type(cfg.degree_bound) is int and 0 <= cfg.degree_bound <= 6,
             "degree_bound: expected an integer in 0..6")
-    cfg.samples = raw.get("samples", 25)
+    cfg.samples = raw.get("samples", cfg.samples)
     _expect(type(cfg.samples) is int and 1 <= cfg.samples <= 9999,
             "samples: expected an integer in 1..9999")
 
@@ -227,7 +227,7 @@ def validate_config(raw):
     if "out" in raw:
         _expect(isinstance(raw["out"], str), "out: expected a path")
         cfg.out = raw["out"]
-    cfg.format = raw.get("format", "text")
+    cfg.format = raw.get("format", cfg.format)
     _expect(cfg.format in ("text", "structured"), "format: expected 'text' or 'structured'")
 
     if law_raw is not None:

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import StructuralError
 from .forms import (Form, basis_form, check_shape, combine, contract, ext_d,
-                    lie_derivative, wedge, wedge_sum)
+                    lie_derivative, sort_indices, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational, poly_sum
@@ -179,40 +179,29 @@ class SplitFields(namedtuple("SplitFields", "E B H D j rho")):
         return self
 
 
-def _spatial_part(form):
-    comps = {idx: poly for idx, poly in form.components.items() if 0 not in idx}
-    return Form(form.chart, form.degree, form.twist, comps)
-
-
-def _time_part(form, sign):
-    """1 lower degree: the A in (A ^ dx0) summands, scaled by sign."""
-    comps = {}
+def _split(form, sign):
+    """(A, S) with form = S + sign * A ^ dx0 and no dx0 in A or S, in one
+    pass over the components."""
+    time, space = {}, {}
     for idx, poly in form.components.items():
-        if 0 not in idx:
-            continue
-        rest = tuple(i for i in idx if i != 0)
-        # idx is (0, rest...): A ^ dx0 puts dx0 last, costing (-1)^(deg-1)
-        flip = -1 if (len(idx) - 1) % 2 else 1
-        comps[rest] = poly.scale(sign * flip)
-    return Form(form.chart, form.degree - 1, form.twist, comps)
+        if 0 in idx:
+            rest = idx[1:]
+            # dx0 ^ dx_rest = sort sign of (rest, 0) * dx_rest ^ dx0
+            time[rest] = poly.scale(sign * sort_indices(rest + (0,))[1])
+        else:
+            space[idx] = poly
+    return (form._raw(form.degree - 1, form.twist, time),
+            form._raw(form.degree, form.twist, space))
 
 
 def split_3plus1(F, G, J):
-    """Decompose F = B + E^dx0, G = D - H^dx0, J = rho - j^dx0."""
+    """Decompose F = B + E^dx0, G = D - H^dx0, J = rho - j^dx0 (n = 4)."""
     chart = F.chart
-    if chart.n != 4:
-        raise StructuralError("3+1 split needs a 4-dimensional chart")
     check_shape("F", F, chart, 2, False)
     check_shape("G", G, chart, 2, True)
     check_shape("J", J, chart, 3, True)
-    return SplitFields(
-        E=_time_part(F, 1),
-        B=_spatial_part(F),
-        H=_time_part(G, -1),
-        D=_spatial_part(G),
-        j=_time_part(J, -1),
-        rho=_spatial_part(J),
-    )
+    # _split gives (time, space) parts: (E, B), (H, D), (j, rho)
+    return SplitFields(*_split(F, 1), *_split(G, -1), *_split(J, -1))
 
 
 def recompose(split):
@@ -315,16 +304,13 @@ class LinearLocal:
 
 
 class Custom:
-    """An opaque F -> G map; conservation is checked, never assumed."""
+    """A fixed excitation G for every F; conservation is checked, never assumed."""
 
     kind = "custom"
 
-    def __init__(self, fn):
-        self.fn = fn if callable(fn) else (lambda F, fixed=fn: fixed)
+    def __init__(self, G):
+        self.G = G
 
     def apply(self, F):
-        G = self.fn(F)
-        if not isinstance(G, Form):
-            raise StructuralError("custom law must produce a form")
-        check_shape("G", G, F.chart, F.chart.n - F.degree, True)
-        return G
+        check_shape("G", self.G, F.chart, F.chart.n - F.degree, True)
+        return self.G

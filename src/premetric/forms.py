@@ -100,10 +100,6 @@ class Form:
         f.components = components
         return f
 
-    def _check_chart(self, other):
-        if self.chart != other.chart:
-            raise StructuralError("chart mismatch")
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -144,13 +140,11 @@ class Form:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
+        """Componentwise; chart, degree and twist must agree, as for +."""
         if not isinstance(other, Form):
             return NotImplemented
-        self._check_chart(other)
-        if self.degree != other.degree:
-            raise StructuralError(f"degree mismatch: {self.degree} vs {other.degree}")
-        if self.twist != other.twist:
-            raise StructuralError("twist parity mismatch: refusing cross-twist comparison")
+        _like((self.chart, self.degree, self.twist),
+              other.chart, other.degree, other.twist)
         return self.components == other.components
 
     def __hash__(self):
@@ -212,19 +206,15 @@ def coordinate_field(chart, k):
     return VectorField(chart, comps)
 
 
-def _perm_sign(seq):
-    """(-1)^inversions of a sequence of distinct indices."""
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                     if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
-
-
 def sort_indices(indices):
-    """Sort an index tuple; returns (sorted tuple, permutation sign) or sign 0 on repeats."""
+    """(sorted tuple, (-1)^inversions), or sign 0 on repeats: the one sign
+    rule for reordering dx-words, read by the wedge, d and Hodge tables,
+    the 3+1 split and the parser."""
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         return indices, 0
-    return tuple(sorted(indices)), _perm_sign(indices)
+    inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1:])
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 
 # -- index tables -------------------------------------------------------------
@@ -351,7 +341,8 @@ def wedge_sum(*terms):
     groups = {}
     shape = None
     for m, a, b in terms:
-        a._check_chart(b)
+        if a.chart != b.chart:
+            raise StructuralError("chart mismatch")
         shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
         table = _wedge_table(a.chart.n, a.degree, b.degree)
         bc = b.components

@@ -16,12 +16,10 @@ twist parity: the volume element it carries is an odd object.
 
 from bisect import bisect
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import _components, _perm_sign
+from .forms import _components, _wedge_table
 from .scalars import _as_fraction
 
 
@@ -99,7 +97,9 @@ class MetricSpec:
 
     def __init__(self, chart, g):
         n = chart.n
-        rows = [[_as_fraction(g[i][j]) for j in range(n)] for i in range(n)]
+        if len(g) != n or any(len(row) != n for row in g):
+            raise MetricError(f"metric must be {n}x{n} on an n={n} chart")
+        rows = [[_as_fraction(x) for x in row] for row in g]
         for i in range(n):
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
@@ -145,8 +145,10 @@ class MetricSpec:
                 self._tower = _minors(self.g)
             n = self.chart.n
             root = self.sqrt_abs_det * self.chart.orientation / self.det
-            # an (n-p)-tuple X -> (X^c, sign(X^c, X))
-            comp = {j_idx: (k_idx, sign) for k_idx, j_idx, sign in _complements(n, p)}
+            # X -> (X^c, sign(X^c, X)), the one entry of X^c's wedge-table row
+            comp = {x_idx: (k_idx, sign)
+                    for k_idx, row in _wedge_table(n, p, n - p).items()
+                    for x_idx, (_, sign) in row.items()}
             stars = self._stars[p] = {}
             for (rows, cols), minor in self._tower.items():
                 if len(rows) == n - p:
@@ -165,17 +167,6 @@ def double_hodge_sign(metric, p):
     if not 0 <= p <= n:
         raise StructuralError(f"degree {p} out of range for n={n}")
     return (-1 if (p * (n - p)) % 2 else 1) * (1 if metric.det > 0 else -1)
-
-
-@lru_cache(maxsize=None)
-def _complements(n, p):
-    """((K, J, sign(K, J)), ...) over increasing p-tuples K, J the
-    complement of K."""
-    out = []
-    for k_idx in combinations(range(n), p):
-        j_idx = tuple(i for i in range(n) if i not in k_idx)
-        out.append((k_idx, j_idx, _perm_sign(k_idx + j_idx)))
-    return tuple(out)
 
 
 def hodge(metric, a):

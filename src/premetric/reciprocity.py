@@ -99,10 +99,11 @@ def check_factorization(metric, Z0, F, id_prefix=""):
 
     Verifies componentwise that star_z(F, G) = (hodge F, hodge G), and that
     the induced eigenpairs are Hodge self-dual: hodge(F_eig) = +-i F_eig.
-    Needs a metric whose double dual is -1 on 2-forms.
+    Needs a metric whose double dual is -1 on 2-forms; as for hodge, F's
+    chart may differ from the metric's in complex_mode, and the checks use F's.
     """
-    chart = metric.chart
-    if chart.n != 4:
+    chart = F.chart
+    if metric.chart.n != 4:
         raise MetricError("factorization check needs a 4-dimensional chart")
     if double_hodge_sign(metric, 2) != -1:
         raise MetricError("factorization needs double-dual -1 on 2-forms "

@@ -27,9 +27,11 @@ from .errors import StructuralError
 
 
 def _as_fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction; a bool or text (whose digits only
+    the config and the parser bound) is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if type(x) is int:
         return Fraction(x)
     raise StructuralError(f"not an exact rational: {x!r}")
 
@@ -250,9 +252,8 @@ def _make(n, complex_mode, den, nums):
 def _multiplier(s, complex_mode):
     """The number s as an integer multiplier (num, d) with d > 0: s is
     num/d, num an int in real mode and an (re, im) pair in complex mode.
-    s is an int, a Fraction or a rational string, or, in complex mode
-    only, an (re, im) pair of them.  None when s is zero; the mode is
-    checked first."""
+    s is an int or a Fraction, or, in complex mode only, an (re, im) pair
+    of them.  None when s is zero; the mode is checked first."""
     if isinstance(s, tuple) and len(s) == 2:
         if not complex_mode:
             raise StructuralError("real/complex scalar mode mismatch")

@@ -241,8 +241,10 @@ def test_split_validation():
     F = basis_form(CH4, (0, 1))
     G = basis_form(CH4, (2, 3), twist=True)
     J = Form.zero(CH4, 3, True)
-    with pytest.raises(StructuralError):
-        split_3plus1(basis_form(Chart(3), (0, 1)), G, J)
+    ch3 = Chart(3)
+    with pytest.raises(StructuralError, match="^3\\+1 split needs a 4-dimensional chart$"):
+        split_3plus1(basis_form(ch3, (0, 1)), basis_form(ch3, (1, 2), twist=True),
+                     Form.zero(ch3, 3, True))
     with pytest.raises(StructuralError):
         split_3plus1(F, basis_form(CH4, (2, 3)), J)
     with pytest.raises(StructuralError):
@@ -339,7 +341,7 @@ def test_custom_law():
     assert not phi.is_zero()
     assert conservation_residual(coordinate_field(CH4, 0), cfg).is_zero()
     with pytest.raises(StructuralError):
-        Custom(lambda F: basis_form(CH4, (2, 3))).apply(F)
+        Custom(basis_form(CH4, (2, 3))).apply(F)   # G must be twisted
 
 
 def test_axion_needs_middle_degree():

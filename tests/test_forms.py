@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from premetric.forms import (
     contract,
     coordinate_field,
     ext_d,
+    _wedge_table,
     lie_derivative,
     sort_indices,
     wedge,
@@ -143,6 +145,43 @@ def test_sort_indices():
     assert sort_indices((2, 0, 1)) == ((0, 1, 2), 1)
     assert sort_indices((1, 0)) == ((0, 1), -1)
     assert sort_indices((1, 1)) == ((1, 1), 0)
+
+
+def _cycle_parity(seq):
+    """(-1)^(len - cycles) of the permutation that sorts distinct seq: an
+    oracle independent of inversion counting."""
+    rank = {v: r for r, v in enumerate(sorted(seq))}
+    perm = [rank[v] for v in seq]
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_sort_indices_matches_cycle_parity():
+    for length in range(7):
+        for seq in product(range(6), repeat=length):
+            indices, sign = sort_indices(seq)
+            if len(set(seq)) < length:
+                assert (indices, sign) == (seq, 0)
+            else:
+                assert (indices, sign) == (tuple(sorted(seq)), _cycle_parity(seq))
+
+
+def test_wedge_table_complement_signs():
+    # the Hodge star reads sign(K, K^c) from these rows
+    for n in range(2, 9):
+        for p in range(n + 1):
+            table = _wedge_table(n, p, n - p)
+            assert list(table) == list(combinations(range(n), p))
+            for k_idx, row in table.items():
+                comp = tuple(i for i in range(n) if i not in k_idx)
+                assert row == {comp: (tuple(range(n)), _cycle_parity(k_idx + comp))}
 
 
 # -- randomized properties against the dense oracles --------------------------

@@ -35,6 +35,17 @@ def test_metric_validation():
         MetricSpec(ch, [[0.25, 0], [0, -4.0]])
     with pytest.raises(StructuralError, match=r"^not an exact rational: 0\.1$"):
         MetricSpec.diagonal(ch, [0.1, -10.0])
+    # text (whose digits nothing here bounds) and a bool are refused too
+    for bad in ("1", "1e400000", True):
+        with pytest.raises(StructuralError, match="^not an exact rational: "):
+            MetricSpec.diagonal(ch, [bad, -1])
+    # g is neither cut to its top-left block nor read past its edge
+    with pytest.raises(MetricError, match="^metric must be 2x2 on an n=2 chart$"):
+        MetricSpec(Chart(2), [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    with pytest.raises(MetricError, match="^metric must be 3x3 on an n=3 chart$"):
+        MetricSpec(Chart(3), [[1, 0], [0, -1]])
+    with pytest.raises(MetricError, match="^metric must be 3x3 on an n=3 chart$"):
+        MetricSpec(Chart(3), [[1, 0, 0], [0, -1], [0, 0, -1]])
 
 
 def test_det_signs():

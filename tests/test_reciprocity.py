@@ -65,6 +65,9 @@ def test_pair_validation():
         FieldPairZ(F, G, 2.0)                # z is exact
     with pytest.raises(StructuralError):
         FieldPairZ(F, G, (0, 2))             # and rational
+    for bad in ("2", "1e400000", True):      # a number, not text or a bool
+        with pytest.raises(StructuralError, match="^not an exact rational: "):
+            FieldPairZ(F, G, bad)
     with pytest.raises(StructuralError):
         FieldPairZ(G, F, 1)                  # twists swapped
     with pytest.raises(StructuralError):
@@ -189,6 +192,17 @@ def test_factorization_on_a_complex_chart():
     for z0 in (2, Fraction(2, 5)):
         checks = check_factorization(metric, z0, random_form(rng, chart, 2, False))
         assert len(checks) == 4 and all(c.passed for c in checks)
+
+
+def test_factorization_mixes_scalar_modes():
+    # a real metric serves a complex F, and a complex-chart metric a real F
+    rng = random.Random(410)
+    real, cplx = CH4, Chart(4, complex_mode=True)
+    for metric_chart, form_chart in ((real, cplx), (cplx, real)):
+        metric = MetricSpec.minkowski(metric_chart)
+        for z0 in (2, Fraction(2, 5)):
+            checks = check_factorization(metric, z0, random_form(rng, form_chart, 2, False))
+            assert len(checks) == 4 and all(c.passed for c in checks)
 
 
 def test_factorization_rejects_euclidean():

@@ -30,6 +30,17 @@ def test_imaginary_unit_squares_to_minus_one():
     assert Polynomial.constant(1, z, True).scale(z_inverse) == one
 
 
+def test_text_and_bool_are_not_numbers():
+    # text would bypass the literal digit limit; True is not read as 1
+    for bad in ("1e400000", "3/4", True, False):
+        with pytest.raises(StructuralError, match="^not an exact rational: "):
+            Polynomial.constant(2, bad)
+        with pytest.raises(StructuralError, match="^not an exact rational: "):
+            Polynomial.constant(2, (bad, 1), True)
+        with pytest.raises(StructuralError, match="^not an exact rational: "):
+            Polynomial.constant(2, 1).scale(bad)
+
+
 def test_modes_do_not_mix():
     mismatch = "^real/complex scalar mode mismatch$"
     with pytest.raises(StructuralError, match=mismatch):
