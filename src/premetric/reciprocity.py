@@ -102,7 +102,6 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     Needs a metric whose double dual is -1 on 2-forms; as for hodge, F's
     chart may differ from the metric's in complex_mode, and the checks use F's.
     """
-    chart = F.chart
     if metric.chart.n != 4:
         raise MetricError("factorization check needs a 4-dimensional chart")
     if double_hodge_sign(metric, 2) != -1:
@@ -116,11 +115,11 @@ def check_factorization(metric, Z0, F, id_prefix=""):
         residual_check(
             id_prefix + "factor-F", "factor",
             "first slot of the pair map equals hodge(F) componentwise",
-            starred.F - Form(chart, 2, False, hodge(metric, F).components)),
+            starred.F - hodge(metric, F).scale(1, pseudo=True)),
         residual_check(
             id_prefix + "factor-G", "factor",
             "second slot of the pair map equals hodge(G) componentwise",
-            starred.G - Form(chart, 2, True, hodge(metric, pair.G).components)),
+            starred.G - hodge(metric, pair.G).scale(1, pseudo=True)),
     ]
     cpair = pair.to_complex()
     for sign, name in ((1, "plus"), (-1, "minus")):
@@ -129,6 +128,5 @@ def check_factorization(metric, Z0, F, id_prefix=""):
             id_prefix + f"selfdual-{name}", "factor",
             f"eigen field strength is hodge self-dual with eigenvalue "
             f"{'+' if sign > 0 else '-'}i",
-            eig.F.scale((0, sign))
-            - Form(cpair.chart, 2, False, hodge(metric, eig.F).components)))
+            eig.F.scale((0, sign)) - hodge(metric, eig.F).scale(1, pseudo=True)))
     return checks

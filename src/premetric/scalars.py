@@ -250,10 +250,11 @@ def _make(n, complex_mode, den, nums):
 
 
 def _multiplier(s, complex_mode):
-    """The number s as an integer multiplier (num, d) with d > 0: s is
-    num/d, num an int in real mode and an (re, im) pair in complex mode.
-    s is an int or a Fraction, or, in complex mode only, an (re, im) pair
-    of them.  None when s is zero; the mode is checked first."""
+    """The number s as an integer multiplier (num, d) with d > 0 and
+    gcd(num's parts, d) == 1: s is num/d, num an int in real mode and an
+    (re, im) pair in complex mode.  s is an int or a Fraction, or, in
+    complex mode only, an (re, im) pair of them.  None when s is zero;
+    the mode is checked first."""
     if isinstance(s, tuple) and len(s) == 2:
         if not complex_mode:
             raise StructuralError("real/complex scalar mode mismatch")
@@ -270,24 +271,51 @@ def _multiplier(s, complex_mode):
 
 
 def _scaled(p, num, d):
-    """p * num/d for a nonzero multiplier from `_multiplier`: one pass
-    over p's keys, which stay within the exponent limit, then _reduced."""
-    if d == 1 and num in (1, -1):
-        return p if num == 1 else -p
-    if p.complex_mode:
+    """p * num/d for a nonzero multiplier from `_multiplier`, canonical in
+    one pass over p's keys, which stay within the exponent limit; p
+    itself or -p for a real multiplier of +-1.
+
+    For a real or purely imaginary multiplier s/d no gcd is taken over
+    the result: p is canonical, so gcd(den, content(p)) == 1, and
+    gcd(s, d) == 1, so prime by prime the result's gcd is g * c with
+    g = gcd(den, s) and c = gcd(d, content(p)).  Each entry is divided by
+    c and multiplied by s/g, and Z and Z[i] have no zero divisors, so no
+    entry becomes zero.  A multiplier with both parts nonzero is
+    multiplied out and ends in _reduced: the content of a Gaussian
+    product is not multiplicative, (1+i)^2 = 2i.
+    """
+    if d == 1 and num in (1, -1, (1, 0), (-1, 0)):
+        return p if num in (1, (1, 0)) else -p
+    n, mode, nums = p.n, p.complex_mode, p.nums
+    if mode:
         sr, si = num
-        nums = {k: (r * sr - i * si, r * si + i * sr)
-                for k, (r, i) in p.nums.items()}
+        if sr and si:
+            return _reduced(n, True, p.den * d,
+                            {k: (r * sr - i * si, r * si + i * sr)
+                             for k, (r, i) in nums.items()})
+        s = sr or si
+        c = gcd(d, *chain.from_iterable(nums.values())) if d > 1 else 1
     else:
-        nums = {k: v * num for k, v in p.nums.items()}
-    return _reduced(p.n, p.complex_mode, p.den * d, nums)
+        s = num
+        c = gcd(d, *nums.values()) if d > 1 else 1
+    g = gcd(p.den, s)
+    f = s // g
+    if not mode:
+        out = {k: v // c * f for k, v in nums.items()}
+    elif si:
+        out = {k: (-i // c * f, r // c * f) for k, (r, i) in nums.items()}
+    else:
+        out = {k: (r // c * f, i // c * f) for k, (r, i) in nums.items()}
+    return _make(n, mode, p.den // g * (d // c), out)
 
 
 def _reduced(n, complex_mode, den, nums):
     """Canonical polynomial nums/den for den > 0: the gcd of den and every
     numerator part divided out and the zero entries dropped, in one
     comprehension that runs only when there is either to do.  Input that
-    cancels completely comes out as den 1 with no entries.
+    cancels completely comes out as den 1 with no entries.  It ends the
+    kernels, `*` and scaling by a Gaussian multiplier with both parts
+    nonzero; other scalings are canonical without it (see _scaled).
 
     Only products make keys past the exponent limit; the callers that
     multiply run the guard first, so such a key raises even if it cancelled.

@@ -17,12 +17,13 @@ from math import comb
 import pytest
 
 import premetric.electrodynamics as electrodynamics
-from premetric import forms
+from premetric import forms, scalars
 from premetric.electrodynamics import Densities, FieldConfig, densities, identity_suite
 from premetric.errors import StructuralError
 from premetric.forms import (Chart, Form, VectorField, basis_form, combine, contract,
                              ext_d, lie_derivative, wedge, wedge_sum)
 from premetric.randgen import random_form, random_polynomial, random_vector_field
+from premetric.reciprocity import FieldPairZ, star_z
 from premetric.report import residual_check
 
 CHARTS = [Chart(n, complex_mode=mode) for n in range(2, 7) for mode in (False, True)]
@@ -218,3 +219,26 @@ def test_residual_multiplies_no_fractions(monkeypatch):
                             calls.append(name) or real(x, y))
     assert densities(u, cfg).residual().is_zero()
     assert calls == []
+
+
+def test_scaling_takes_no_gcd_pass(monkeypatch):
+    # a real or purely imaginary multiplier scales each component in one
+    # pass: its gcd is read off the inputs, so _reduced is never called
+    rng = random.Random("one-pass-scaling")
+    real, gauss = Chart(4), Chart(4, complex_mode=True)
+    a = random_form(rng, real, 2, False)
+    b = random_form(rng, gauss, 2, False)
+    p = random_polynomial(rng, 4, 3, False)
+    pair = FieldPairZ(a, random_form(rng, real, 2, True), Fraction(-3, 5))
+    assert not (a.is_zero() or b.is_zero() or p.is_zero() or pair.G.is_zero())
+    reduced = []
+    real_reduced = scalars._reduced
+    monkeypatch.setattr(scalars, "_reduced",
+                        lambda *args: reduced.append(args[2]) or real_reduced(*args))
+    scaled = (a.scale(3), b.scale((0, -1)), p.scale(-2))
+    starred = star_z(pair)
+    assert reduced == []
+    monkeypatch.undo()
+    assert scaled[0] == combine((3, a)) and scaled[2] == p + p.scale(-3)
+    assert scaled[1].scale((0, 1)) == b
+    assert star_z(starred) == FieldPairZ(-a, -pair.G, pair.z)

@@ -39,11 +39,21 @@ EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
+# a common factor for every coefficient of a polynomial, so that its
+# denominator and content share 2, 3 and 5 with the multipliers' parts
+FACTORS = (1, 30, Fraction(1, 30), Fraction(6, 35), Fraction(35, 6))
+
+
 def polys(n, complex_mode):
     coeff = st.tuples(COEFF, COEFF) if complex_mode else COEFF
     exps = st.tuples(*[st.integers(0, 3)] * n)
-    return st.builds(lambda terms: Polynomial(n, terms, complex_mode),
-                     st.dictionaries(exps, coeff, max_size=3))
+
+    def build(terms, f):
+        return Polynomial(n, {e: (c[0] * f, c[1] * f) if complex_mode else c * f
+                              for e, c in terms.items()}, complex_mode)
+
+    return st.builds(build, st.dictionaries(exps, coeff, max_size=3),
+                     st.sampled_from(FACTORS))
 
 
 def forms(chart, p, twist):
@@ -494,12 +504,16 @@ def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
 
 
 def multipliers(complex_mode):
-    """ints and Fractions with 0 and +-1; in complex mode also (re, im)
-    pairs, among them ones with different part denominators."""
-    plain = st.sampled_from((0, 1, -1, Fraction(-2, 3))) | COEFF
+    """ints and Fractions with 0 and +-1, and ones whose parts share 2, 3
+    and 5 with the FACTORS of polys; in complex mode also (re, im) pairs:
+    int pairs, real and imaginary ones, ones with different part
+    denominators and 1+i: (1+i)^2 = 2i has content 2, though each factor
+    has content 1."""
+    plain = st.sampled_from((0, 1, -1, 4, -6, Fraction(-2, 3), Fraction(6, 35))) | COEFF
     if complex_mode:
         return plain | st.tuples(COEFF, COEFF) | st.sampled_from(
-            ((0, 0), (1, 0), (-1, 0), (0, 1), (Fraction(1, 2), Fraction(-2, 3)),
+            ((0, 0), (1, 0), (-1, 0), (0, 1), (0, 6), (0, -6), (4, 0), (1, 1),
+             (0, Fraction(5, 6)), (Fraction(6, 35), 0), (Fraction(1, 2), Fraction(-2, 3)),
              (Fraction(3, 4), Fraction(5, 6))))
     return plain
 
@@ -540,10 +554,12 @@ def test_scaling_is_the_fold(data):
     chart = data.draw(charts())
     n, mode = chart.n, chart.complex_mode
     s = data.draw(multipliers(mode))
-    p = data.draw(polys(n, mode))
+    p = data.draw(st.just(Polynomial.zero(n, mode)) | polys(n, mode))
     q = p.scale(s)
     assert_canonical(q)
     assert fraction_terms(q) == fold_scale(p, s)
+    if (s if isinstance(s, tuple) else (s, 0)) == (1, 0):
+        assert q is p
 
     a = data.draw(forms(chart, data.draw(st.integers(0, n)), data.draw(st.booleans())))
     pseudo = data.draw(st.booleans())
