@@ -23,8 +23,6 @@ from .errors import (ConfigError, FormSyntaxError, MetricError,
 from .report import Report
 from .suites import run_suites
 
-_COMMANDS = ("check", "split", "constitutive", "reciprocity")
-
 
 def _seed_type(text):
     try:
@@ -50,8 +48,8 @@ def build_parser():
         "constitutive": "check phi_u vanishing under the configured law",
         "reciprocity": "run the star_z and factorization suites",
     }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, text in helps.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON run configuration (see docs/config.md)")
         p.add_argument("--seed", type=_seed_type, default=None, metavar="U64",

@@ -25,11 +25,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (Form, basis_form, check_shape, combine, contract, ext_d,
-                    lie_derivative, sort_indices, wedge, wedge_sum)
+from .forms import (_components, basis_form, check_shape, combine, contract,
+                    ext_d, lie_derivative, sort_indices, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
-from .scalars import Polynomial, nonzero_rational, poly_sum
+from .scalars import Polynomial, nonzero_rational
 
 
 class FieldConfig:
@@ -292,15 +292,14 @@ class LinearLocal:
 
     def apply(self, F):
         check_shape("F", F, self.chart, self.p, False)
-        n, complex_mode = self.chart.n, self.chart.complex_mode
-        comps = {}
+        comps = F.components
+        groups = {}
         for jdx, row in zip(self.rows, self.chi):
-            total = poly_sum(n, complex_mode, [
-                (1, entry, F.components[idx])
-                for entry, idx in zip(row, self.cols) if idx in F.components])
-            if total.nums:
-                comps[jdx] = total
-        return Form(self.chart, n - self.p, True, comps)
+            terms = [(1, entry, comps[idx])
+                     for entry, idx in zip(row, self.cols) if idx in comps]
+            if terms:
+                groups[jdx] = terms
+        return F._raw(self.chart.n - self.p, True, _components(self.chart, groups))
 
 
 class Custom:

@@ -394,21 +394,9 @@ def print_form(form: Form) -> str:
             parts.append(basis)
         else:
             body = poly_str(poly)
-            if not _fully_parenthesized(body):
+            # a coefficient's own parentheses never nest, so the first ")"
+            # closes the "(" at the start only when it is the last character
+            if not (body.startswith("(") and body.index(")") == len(body) - 1):
                 body = f"({body})"
             parts.append(f"{body}*{basis}")
     return " + ".join(parts)
-
-
-def _fully_parenthesized(s: str) -> bool:
-    if not (s.startswith("(") and s.endswith(")")):
-        return False
-    depth = 0
-    for k, c in enumerate(s):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return k == len(s) - 1
-    return False

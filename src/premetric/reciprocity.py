@@ -1,8 +1,8 @@
 """The pair-space complex structure (F, G) -> (zG, -F/z) and its checks.
 
-The map acts on PAIRS of an untwisted 2-form and a twisted 2-form over a
-4-dimensional chart, never on a single form: there is no well-defined
-image of one 2-form alone, because the z-scaling that makes the square
+The map acts on PAIRS of an untwisted p-form and a twisted p-form over an
+n = 2p dimensional chart, never on a single form: there is no well-defined
+image of one p-form alone, because the z-scaling that makes the square
 equal -identity lives on the pair.  Accordingly this module exposes no
 single-form operation, and the test suite demonstrates why (two pairs
 sharing the same F map to different images).
@@ -27,11 +27,11 @@ class FieldPairZ:
     __slots__ = ("chart", "F", "G", "z")
 
     def __init__(self, F, G, z):
-        chart = F.chart
-        if chart.n != 4:
-            raise StructuralError("field pairs live on 4-dimensional charts")
-        check_shape("F", F, chart, 2, False)
-        check_shape("G", G, chart, 2, True)
+        chart, p = F.chart, F.degree
+        if chart.n != 2 * p:
+            raise StructuralError(f"field pairs need n = 2p, got n={chart.n}, p={p}")
+        check_shape("F", F, chart, p, False)
+        check_shape("G", G, chart, p, True)
         self.chart = chart
         self.F = F
         self.G = G
@@ -99,14 +99,12 @@ def check_factorization(metric, Z0, F, id_prefix=""):
 
     Verifies componentwise that star_z(F, G) = (hodge F, hodge G), and that
     the induced eigenpairs are Hodge self-dual: hodge(F_eig) = +-i F_eig.
-    Needs a metric whose double dual is -1 on 2-forms; as for hodge, F's
-    chart may differ from the metric's in complex_mode, and the checks use F's.
+    Needs n = 2p for F's degree p and a metric whose double dual is -1 on
+    p-forms; as for hodge, F's chart may differ from the metric's in
+    complex_mode, and the checks use F's.
     """
-    if metric.chart.n != 4:
-        raise MetricError("factorization check needs a 4-dimensional chart")
-    if double_hodge_sign(metric, 2) != -1:
-        raise MetricError("factorization needs double-dual -1 on 2-forms "
-                          "(Lorentzian-type signature)")
+    if double_hodge_sign(metric, F.degree) != -1:
+        raise MetricError(f"factorization needs double-dual -1 on {F.degree}-forms")
     law = MaxwellLorentz(metric, Z0)
     pair = FieldPairZ(F, law.apply(F), law.Z)
     starred = star_z(pair)

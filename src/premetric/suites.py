@@ -21,7 +21,6 @@ from .reciprocity import (FieldPairZ, check_factorization, pair_tensor,
 from .report import CheckResult, residual_check
 
 _DEFAULT_Z = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
-_NEEDS_N4P2 = ("split", "reciprocity", "factorization")
 
 
 def _instances(cfg, suite, uses):
@@ -34,8 +33,10 @@ def _instances(cfg, suite, uses):
     a suite that uses J draws u after it without using it.  A suite runs
     `samples` instances when it draws an input it uses, else one.
     """
-    if suite in _NEEDS_N4P2 and (cfg.n, cfg.p) != (4, 2):
-        raise ConfigError(f"{suite} suite needs n=4, p=2")
+    if suite == "split" and (cfg.n, cfg.p) != (4, 2):
+        raise ConfigError("split suite needs n=4, p=2")
+    if suite in ("reciprocity", "factorization") and cfg.n != 2 * cfg.p:
+        raise ConfigError(f"{suite} suite needs n = 2p")
     law = cfg.constitutive if "G" in uses else None
     draws = [name for name in ("FGJu" if "J" in uses else uses)
              if getattr(cfg, name) in (None, "random")
@@ -116,6 +117,7 @@ def split_suite(cfg):
 
 def reciprocity_suite(cfg):
     zs = cfg.z if cfg.z else _DEFAULT_Z
+    odd = cfg.p % 2
     checks = []
     for k, (F, G, u) in _instances(cfg, "reciprocity", "FGu"):
         z = zs[k % len(zs)]
@@ -128,13 +130,14 @@ def reciprocity_suite(cfg):
             f"star_z applied twice negates the pair (z={z})",
             twice.F + F, twice.G + G))
 
+        # star_z multiplies each density by (-1)^p
         before = densities(u, FieldConfig(pair.F, pair.G))
         after = densities(u, FieldConfig(st.F, st.G))
         checks.append(residual_check(
             f"recip-{k:04d}-densities", "recip2",
-            "Sigma_u, f_u, phi_u unchanged by the reciprocity map",
-            after.sigma - before.sigma, after.force - before.force,
-            after.phi - before.phi))
+            f"Sigma_u, f_u, phi_u {'negated' if odd else 'unchanged'} "
+            "by the reciprocity map",
+            *(a + b if odd else a - b for a, b in zip(after, before))))
 
         scaled = FieldPairZ(F.scale(3), G.scale(Fraction(1, 3)), z)
         ok = pair_tensor(scaled) == pair_tensor(pair)

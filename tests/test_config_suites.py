@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import premetric
-from premetric import (ConfigError, FormSyntaxError, StructuralError, load_config,
-                       run_suites, validate_config)
+from premetric import (ConfigError, FormSyntaxError, MetricError, StructuralError,
+                       cli, load_config, run_suites, validate_config)
 from premetric.config import RunConfig
 from premetric.suites import SUITE_RUNNERS
 
@@ -313,6 +313,38 @@ def test_dimension_preconditions(suite):
     cfg = cfg_from({"n": 3, "p": 1, "samples": 1})
     with pytest.raises(ConfigError):
         SUITE_RUNNERS[suite](cfg)
+
+
+def test_pair_suites_run_at_every_n_equal_2p():
+    # the factorization needs a double dual of -1 on p-forms: a Euclidean
+    # metric at odd p, a Lorentzian one at even p
+    for n, diagonal in ((2, [1, 1]), (6, [1] * 6), (8, [1] + [-1] * 7)):
+        cfg = cfg_from({"n": n, "p": n // 2, "samples": 1, "degree_bound": 1,
+                        "metric": {"diagonal": diagonal}})
+        for suite in ("reciprocity", "factorization"):
+            checks = SUITE_RUNNERS[suite](cfg)
+            assert checks and all(c.passed for c in checks), (n, suite)
+    cfg = cfg_from({"n": 6, "p": 2, "samples": 1})
+    for suite in ("reciprocity", "factorization"):
+        with pytest.raises(ConfigError, match=f"^{suite} suite needs n = 2p$"):
+            SUITE_RUNNERS[suite](cfg)
+    cfg = cfg_from({"n": 6, "p": 3, "samples": 1})
+    with pytest.raises(MetricError, match="^factorization needs double-dual -1 on 3-forms$"):
+        SUITE_RUNNERS["factorization"](cfg)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 6, "p": 2}, "reciprocity suite needs n = 2p"),
+    ({"n": 6, "p": 3}, "factorization needs double-dual -1 on 3-forms"),
+    ({"n": 4, "p": 2, "metric": {"diagonal": [1, 1, -1, -1]}},
+     "factorization needs double-dual -1 on 2-forms"),
+])
+def test_pair_suites_exit_2_naming_the_cause(tmp_path, capsys, payload, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**payload, "samples": 1, "degree_bound": 1}),
+                    encoding="utf-8")
+    assert cli.main(["reciprocity", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"premetric: error: {message}\n")
 
 
 def test_every_suite_passes_on_random_input():

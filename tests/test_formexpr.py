@@ -184,6 +184,19 @@ def test_complex_mode_literals():
         parse_form("i*dx0", CH4, 1)   # no imaginary unit on real charts
 
 
+def test_complex_coefficients_print_one_pair_of_parentheses():
+    # a round trip cannot tell "(1 + 2*i)*dx0" from "((1 + 2*i))*dx0",
+    # so the printed text is pinned
+    chart = Chart(4, complex_mode=True)
+    for text, printed in (("(1 + 2*i)*dx0^dx1", "(1 + 2*i)*dx0^dx1"),
+                          ("-(1/2 + i)*dx2^dx3", "(-(1/2 + i))*dx2^dx3"),
+                          ("(x0 + i)*dx1", "(x0 + i)*dx1"),
+                          ("((1 + i)*x0)*dx0^dx1", "((1 + i)*x0)*dx0^dx1"),
+                          # opens and closes with a parenthesis, yet two groups
+                          ("((1 + i)*x0 + 2 + i)*dx0", "((1 + i)*x0 + (2 + i))*dx0")):
+        assert print_form(parse_form(text, chart)) == printed
+
+
 def test_random_roundtrip():
     rng = random.Random(501)
     for _ in range(40):

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from premetric.electrodynamics import MaxwellLorentz
+from premetric.electrodynamics import FieldConfig, MaxwellLorentz, densities
 from premetric.errors import MetricError, StructuralError
 from oracles import pullback_linear
 from premetric.forms import Chart, Form, basis_form
 from premetric.hodge import MetricSpec, hodge
-from premetric.randgen import random_form
+from premetric.randgen import random_form, random_vector_field
 from premetric.reciprocity import (
     FieldPairZ,
     check_factorization,
@@ -24,9 +24,10 @@ MINK = MetricSpec.minkowski(CH4)
 Z_VALUES = (1, 2, -3, Fraction(1, 5))
 
 
-def _pair(rng, z=1, chart=CH4):
-    return FieldPairZ(random_form(rng, chart, 2, False),
-                      random_form(rng, chart, 2, True), z)
+def _pair(rng, z=1, chart=CH4, bound=2):
+    p = chart.n // 2
+    return FieldPairZ(random_form(rng, chart, p, False, bound),
+                      random_form(rng, chart, p, True, bound), z)
 
 
 # -- the pair map ---------------------------------------------------------------
@@ -54,6 +55,11 @@ def test_star_z_squares_to_minus_identity():
             ss = star_z(star_z(p))
             assert ss.F == -p.F and ss.G == -p.G
             assert ss.z == p.z
+    for n in (2, 4, 6, 8):
+        for z in (Fraction(3, 7), -2):
+            p = _pair(rng, z, Chart(n), bound=1)
+            ss = star_z(star_z(p))
+            assert ss.F == -p.F and ss.G == -p.G, n
 
 
 def test_pair_validation():
@@ -73,6 +79,47 @@ def test_pair_validation():
     with pytest.raises(StructuralError):
         FieldPairZ(basis_form(Chart(3), (0, 1)),
                    basis_form(Chart(3), (2,), twist=True), 1)
+    with pytest.raises(StructuralError, match="^field pairs need n = 2p, got n=6, p=2$"):
+        FieldPairZ(basis_form(Chart(6), (0, 1)),
+                   basis_form(Chart(6), (2, 3), twist=True), 1)
+
+
+# -- every n = 2p -----------------------------------------------------------------
+
+
+def test_densities_pick_up_the_sign_of_p():
+    # star_z multiplies Sigma_u, f_u and phi_u by (-1)^p; only samples whose
+    # three densities are nonzero count, so neither sign holds vacuously
+    rng = random.Random(412)
+    for n in (2, 4, 6):
+        chart = Chart(n)
+        sign = (-1) ** (n // 2)
+        tested = 0
+        while tested < 2:
+            pair = _pair(rng, Fraction(3, 7), chart)
+            u = random_vector_field(rng, chart)
+            before = densities(u, FieldConfig(pair.F, pair.G))
+            if any(b.is_zero() for b in before):
+                continue
+            tested += 1
+            st = star_z(pair)
+            after = densities(u, FieldConfig(st.F, st.G))
+            for a, b in zip(after, before):
+                assert a == b.scale(sign), n
+                assert (a - b).is_zero() == (sign == 1), n
+
+
+def test_factorization_at_every_n():
+    rng = random.Random(413)
+    for n, metric in ((2, MetricSpec.diagonal(Chart(2), [1, 1])),
+                      (6, MetricSpec.diagonal(Chart(6), [1] * 6)),
+                      (8, MetricSpec.minkowski(Chart(8)))):
+        checks = check_factorization(metric, Fraction(2, 5),
+                                     random_form(rng, metric.chart, n // 2, False, 1))
+        assert len(checks) == 4 and all(c.passed for c in checks), n
+    with pytest.raises(MetricError, match="^factorization needs double-dual -1 on 3-forms$"):
+        check_factorization(MetricSpec.minkowski(Chart(6)), 1,
+                            basis_form(Chart(6), (0, 1, 2)))
 
 
 # -- tensor invariants ------------------------------------------------------------

@@ -6,7 +6,10 @@ here.  `tests/data/linear-local-poly.json` adds a linear-local law whose
 chi has polynomial entries, so its FAIL witnesses print non-trivial
 rational coefficients.  `tests/data/check-n6.json` (real, n = 6, p = 3)
 and `tests/data/check-c5.json` (complex, n = 5, p = 2) pin the form
-operations past n = 4.  A change to the arithmetic that alters a single
+operations past n = 4; `tests/data/reciprocity-e6.json` (complex, n = 6,
+p = 3) and `tests/data/reciprocity-e2.json` (real, n = 2, p = 1) pin the
+pair map and the factorization at odd p under a Euclidean metric, where
+the densities are negated.  A change to the arithmetic that alters a single
 report byte fails this test; a deliberate report change must update the
 pins and say so in CHANGES.md.
 
@@ -64,6 +67,14 @@ PINNED = [
      "11e9285a648644ee913c88d337b743a9e943d730b5a9bc24042026e4ad851272"),
     ("tests/data/check-c5.json", "check", "structured", 0,
      "eae6a9abed25aa26bf9ad68dcac652a5c31dc48a20851df519eb64881a400552"),
+    ("tests/data/reciprocity-e6.json", "reciprocity", "text", 0,
+     "b5c37b19ac8cec0c33b7a61b09a97a379762ca7a712790265fea09af3c8d1ea6"),
+    ("tests/data/reciprocity-e6.json", "reciprocity", "structured", 0,
+     "31105f5ab45877fe1f907efc8a37935c0f0e5ccf32e93a8d4fbde94c1a05b0e7"),
+    ("tests/data/reciprocity-e2.json", "reciprocity", "text", 0,
+     "6a312cbe82e18710a17d8d4e2fead083d3bcdaf6bb1cb9d71e4c3c3b635378bd"),
+    ("tests/data/reciprocity-e2.json", "reciprocity", "structured", 0,
+     "78ea3192af5520f37f605b3643f0a4edcb053e8c7afe4716280e7008d960dff1"),
 ]
 
 
