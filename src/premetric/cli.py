@@ -17,7 +17,7 @@ import argparse
 import sys
 from functools import cache
 
-from .config import load_config
+from .config import COMMANDS, load_config
 from .errors import (ConfigError, FormSyntaxError, MetricError,
                      StructuralError)
 from .report import Report
@@ -42,13 +42,7 @@ def build_parser():
         prog="premetric",
         description="exact verification suites for pre-metric field identities")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "check": "run the conservation and intermediate-identity suites",
-        "split": "run the 3+1 split/recompose roundtrip suite",
-        "constitutive": "check phi_u vanishing under the configured law",
-        "reciprocity": "run the star_z and factorization suites",
-    }
-    for name, text in helps.items():
+    for name, (text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON run configuration (see docs/config.md)")
@@ -82,7 +76,7 @@ def main(argv=None):
     except (ConfigError, FormSyntaxError, MetricError, StructuralError) as e:
         print(f"premetric: error: {e}", file=sys.stderr)
         return 2
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -21,11 +21,14 @@ from .forms import Chart
 from .hodge import MetricSpec
 from .suites import SUITE_RUNNERS
 
-_DEFAULT_SUITES = {
-    "check": ("conservation", "identities"),
-    "split": ("split",),
-    "constitutive": ("phi",),
-    "reciprocity": ("reciprocity", "factorization"),
+# command -> (help line, default suites)
+COMMANDS = {
+    "check": ("run the conservation and intermediate-identity suites",
+              ("conservation", "identities")),
+    "split": ("run the 3+1 split/recompose roundtrip suite", ("split",)),
+    "constitutive": ("check phi_u vanishing under the configured law", ("phi",)),
+    "reciprocity": ("run the star_z and factorization suites",
+                    ("reciprocity", "factorization")),
 }
 
 _DIGIT_RUN = re.compile(r"[0-9]+")
@@ -89,10 +92,10 @@ def _expect(cond, message):
 class RunConfig(SimpleNamespace):
     """One attribute per config key, in _fields.
 
-    metric is a MetricSpec or None, Z0 a Fraction or None, z a tuple of
-    Fractions or None, constitutive the built law or None; F and J are a
-    Form or "random", G a Form, "random" or None (from the law if any),
-    and u a VectorField or "random".
+    metric is a MetricSpec or None (until metric_spec() needs one), Z0 a
+    Fraction or None, z a tuple of Fractions or None, constitutive the
+    built law or None; F and J are a Form or "random", G a Form, "random"
+    or None (from the law if any), and u a VectorField or "random".
     """
 
     _fields = ("n", "p", "mode", "orientation", "metric", "Z0", "z",
@@ -110,10 +113,11 @@ class RunConfig(SimpleNamespace):
         return Chart(self.n, self.orientation, self.mode == "complex")
 
     def metric_spec(self):
-        """The configured metric, defaulting to the diag(1,-1,...) one."""
-        if self.metric is not None:
-            return self.metric
-        return MetricSpec.minkowski(self.chart())
+        """The configured metric; the default diag(1,-1,...) one is built
+        on first use and kept."""
+        if self.metric is None:
+            self.metric = MetricSpec.minkowski(self.chart())
+        return self.metric
 
     def shape(self, name):
         """(degree, twist) of the form F, G or J."""
@@ -121,19 +125,10 @@ class RunConfig(SimpleNamespace):
                 "J": (self.n - self.p + 1, True)}[name]
 
     def suites_for(self, command):
-        if self.suites:
-            return self.suites
-        return _DEFAULT_SUITES[command]
+        return self.suites or COMMANDS[command][1]
 
 
 _KNOWN_KEYS = frozenset(RunConfig._fields)
-
-# the keys each kind of constitutive law reads
-_LAW_KEYS = {MaxwellLorentz.kind: {"kind", "Z0"},
-             Axion.kind: {"kind", "Z0", "alpha"},
-             LinearLocal.kind: {"kind", "chi"},
-             Custom.kind: {"kind", "G"}}
-_CONSTITUTIVE_KINDS = tuple(_LAW_KEYS)
 
 
 def load_config(path):
@@ -149,33 +144,35 @@ def load_config(path):
     return validate_config(raw)
 
 
+def _choice(raw, cfg, key, allowed, expected):
+    """Set cfg.key from raw, or keep its default, whose type the value must
+    have: JSON true/false load as bool, an int subclass, and are refused."""
+    value = raw.get(key, getattr(cfg, key))
+    _expect(type(value) is type(getattr(cfg, key)) and value in allowed,
+            f"{key}: expected {expected}")
+    setattr(cfg, key, value)
+
+
 def validate_config(raw):
     _expect(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _KNOWN_KEYS
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-    # an absent key keeps its RunConfig() default; type(...) is int: JSON
-    # true/false load as bool, an int subclass
     cfg = RunConfig()
-    cfg.n = raw.get("n", cfg.n)
-    _expect(type(cfg.n) is int and 2 <= cfg.n <= 8,
-            "n: expected an integer in 2..8")
-    cfg.p = raw.get("p", cfg.p)
-    _expect(type(cfg.p) is int and 1 <= cfg.p <= cfg.n - 1,
-            f"p: expected an integer in 1..{cfg.n - 1}")
-
-    cfg.mode = raw.get("mode", cfg.mode)
-    _expect(cfg.mode in ("real", "complex"), "mode: expected 'real' or 'complex'")
-    cfg.orientation = raw.get("orientation", cfg.orientation)
-    _expect(type(cfg.orientation) is int and cfg.orientation in (1, -1),
-            "orientation: expected 1 or -1")
-
+    _choice(raw, cfg, "n", range(2, 9), "an integer in 2..8")
+    for key, allowed, expected in (
+            ("p", range(1, cfg.n), f"an integer in 1..{cfg.n - 1}"),
+            ("mode", ("real", "complex"), "'real' or 'complex'"),
+            ("orientation", (1, -1), "1 or -1"),
+            ("seed", range(2 ** 64), "an unsigned 64-bit integer"),
+            ("degree_bound", range(7), "an integer in 0..6"),
+            ("samples", range(1, 10000), "an integer in 1..9999"),
+            ("format", ("text", "structured"), "'text' or 'structured'")):
+        _choice(raw, cfg, key, allowed, expected)
     chart = cfg.chart()
 
-    metric_raw = raw.get("metric")
-    if metric_raw is not None:
-        cfg.metric = _build_metric(metric_raw, chart)
-
+    if raw.get("metric") is not None:
+        cfg.metric = _build_metric(raw["metric"], chart)
     if "Z0" in raw:
         cfg.Z0 = _fraction(raw["Z0"], "Z0", nonzero=True)
     if "z" in raw:
@@ -183,37 +180,6 @@ def validate_config(raw):
               if isinstance(raw["z"], list) else {"z": raw["z"]})
         _expect(zs, "z: expected a rational or a nonempty list")
         cfg.z = tuple(_fraction(v, key, nonzero=True) for key, v in zs.items())
-
-    law_raw = raw.get("constitutive")
-    if law_raw is not None:
-        _expect(isinstance(law_raw, dict) and "kind" in law_raw,
-                "constitutive: expected an object with a 'kind'")
-        _expect(law_raw["kind"] in _CONSTITUTIVE_KINDS,
-                f"constitutive.kind: expected one of {_CONSTITUTIVE_KINDS}")
-        unknown = set(law_raw) - _LAW_KEYS[law_raw["kind"]]
-        _expect(not unknown, f"constitutive: unknown keys for kind "
-                             f"{law_raw['kind']!r}: {sorted(unknown)}")
-        if law_raw["kind"] == "custom":
-            _expect(isinstance(law_raw.get("G"), str),
-                    "constitutive.G: custom laws need a fixed excitation expression")
-        if law_raw["kind"] == "linear-local":
-            _expect(isinstance(law_raw.get("chi"), list),
-                    "constitutive.chi: expected a matrix of rationals or expressions")
-
-    for name in ("F", "G", "J", "u"):
-        if name in raw:
-            _expect(isinstance(raw[name], str), f"{name}: expected expression text or 'random'")
-            setattr(cfg, name, raw[name])
-
-    cfg.seed = raw.get("seed", cfg.seed)
-    _expect(type(cfg.seed) is int and 0 <= cfg.seed < 2 ** 64,
-            "seed: expected an unsigned 64-bit integer")
-    cfg.degree_bound = raw.get("degree_bound", cfg.degree_bound)
-    _expect(type(cfg.degree_bound) is int and 0 <= cfg.degree_bound <= 6,
-            "degree_bound: expected an integer in 0..6")
-    cfg.samples = raw.get("samples", cfg.samples)
-    _expect(type(cfg.samples) is int and 1 <= cfg.samples <= 9999,
-            "samples: expected an integer in 1..9999")
 
     suites = raw.get("suites", ())
     _expect("suites" not in raw or (isinstance(suites, list) and suites),
@@ -225,21 +191,19 @@ def validate_config(raw):
     cfg.suites = tuple(suites)
 
     if "out" in raw:
-        _expect(isinstance(raw["out"], str), "out: expected a path")
+        _expect(isinstance(raw["out"], str) and raw["out"], "out: expected a path")
         cfg.out = raw["out"]
-    cfg.format = raw.get("format", cfg.format)
-    _expect(cfg.format in ("text", "structured"), "format: expected 'text' or 'structured'")
 
-    if law_raw is not None:
-        cfg.constitutive = build_law(law_raw, cfg)
-    for name in "FGJ":
-        text = getattr(cfg, name)
-        if text not in (None, "random"):
-            degree, twist = cfg.shape(name)
-            setattr(cfg, name, _keyed(name, parse_form, text, chart, degree,
-                                      twist=twist))
-    if cfg.u != "random":
-        cfg.u = _keyed("u", parse_vector_field, cfg.u, chart)
+    for name in ("F", "G", "J", "u"):
+        if name in raw:
+            text = raw[name]
+            _expect(isinstance(text, str), f"{name}: expected expression text or 'random'")
+            if text != "random":
+                text = (_keyed(name, parse_vector_field, text, chart) if name == "u"
+                        else _keyed(name, parse_form, text, chart, *cfg.shape(name)))
+            setattr(cfg, name, text)
+    if raw.get("constitutive") is not None:
+        cfg.constitutive = build_law(raw["constitutive"], cfg)
     return cfg
 
 
@@ -271,45 +235,70 @@ def _build_metric(metric_raw, chart):
 
 def build_law(raw, cfg):
     """The law of the config's "constitutive" object `raw`, checked against
-    the rest of the config; `cfg` holds every other key, F to u as text."""
-    kind = raw["kind"]
-    # an absent or null Z0 in the law defers to the top-level one
-    Z0 = cfg.Z0 if raw.get("Z0") is None else raw["Z0"]
-    if kind in ("maxwell-lorentz", "axion"):
-        if raw.get("Z0") is not None:
-            Z0 = _fraction(Z0, "constitutive.Z0", nonzero=True)
-        _expect(Z0 is not None, "constitutive: metric-based laws need Z0")
-    _expect(kind != "axion" or "alpha" in raw,
-            "constitutive: axion law needs an alpha polynomial")
+    the rest of the config in `cfg` and built by its kind's reader."""
+    _expect(isinstance(raw, dict) and "kind" in raw,
+            "constitutive: expected an object with a 'kind'")
+    # a tuple, so that an unhashable kind is refused rather than raising
+    kinds = tuple(_LAWS)
+    _expect(raw["kind"] in kinds, f"constitutive.kind: expected one of {kinds}")
+    keys, reader = _LAWS[raw["kind"]]
+    unknown = set(raw) - keys
+    _expect(not unknown, f"constitutive: unknown keys for kind "
+                         f"{raw['kind']!r}: {sorted(unknown)}")
     _expect(cfg.G is None, "G: give either an explicit excitation or a constitutive law")
-    chart = cfg.chart()
-    if kind == "maxwell-lorentz":
-        return MaxwellLorentz(cfg.metric_spec(), Z0)
-    if kind == "axion":
-        alpha = raw["alpha"]
-        if isinstance(alpha, str):
-            alpha = _keyed("constitutive.alpha", parse_polynomial, alpha, chart)
-        else:
-            alpha = _fraction(alpha, "constitutive.alpha")
-        law = Axion(cfg.metric_spec(), Z0, alpha)
-        _expect(law.alpha.is_zero() or cfg.n == 2 * cfg.p,
-                "constitutive.alpha: axion term needs n = 2p")
-        return law
-    if kind == "linear-local":
-        chi = []
-        for r, row in enumerate(raw["chi"]):
-            if not isinstance(row, list):
-                raise ConfigError(f"constitutive.chi[{r}]: expected a row")
-            chi.append([_chi_entry(e, f"constitutive.chi[{r}][{c}]", chart)
-                        for c, e in enumerate(row)])
-        return _keyed("constitutive.chi", LinearLocal, chart, cfg.p, chi)
-    return Custom(_keyed("constitutive.G", parse_form, raw["G"], chart,
-                         cfg.n - cfg.p, twist=True))
+    return reader(raw, cfg)
 
 
-def _chi_entry(e, path, chart):
-    """A chi entry read once: text goes to the parser, and only text it
-    refuses is tried as a Python rational literal such as "1.5"."""
+def _law_Z0(raw, cfg):
+    # an absent or null Z0 in the law defers to the top-level one
+    Z0 = (cfg.Z0 if raw.get("Z0") is None
+          else _fraction(raw["Z0"], "constitutive.Z0", nonzero=True))
+    _expect(Z0 is not None, "constitutive: metric-based laws need Z0")
+    return Z0
+
+
+def _axion(raw, cfg):
+    Z0 = _law_Z0(raw, cfg)
+    _expect("alpha" in raw, "constitutive: axion law needs an alpha polynomial")
+    alpha = _coefficient(raw["alpha"], "constitutive.alpha", cfg.chart())
+    law = Axion(cfg.metric_spec(), Z0, alpha)
+    _expect(law.alpha.is_zero() or cfg.n == 2 * cfg.p,
+            "constitutive.alpha: axion term needs n = 2p")
+    return law
+
+
+def _linear_local(raw, cfg):
+    rows, chart = raw.get("chi"), cfg.chart()
+    _expect(isinstance(rows, list),
+            "constitutive.chi: expected a matrix of rationals or expressions")
+    chi = []
+    for r, row in enumerate(rows):
+        _expect(isinstance(row, list), f"constitutive.chi[{r}]: expected a row")
+        chi.append([_coefficient(e, f"constitutive.chi[{r}][{c}]", chart)
+                    for c, e in enumerate(row)])
+    return _keyed("constitutive.chi", LinearLocal, chart, cfg.p, chi)
+
+
+def _custom(raw, cfg):
+    _expect(isinstance(raw.get("G"), str),
+            "constitutive.G: custom laws need a fixed excitation expression")
+    return Custom(_keyed("constitutive.G", parse_form, raw["G"], cfg.chart(),
+                         *cfg.shape("G")))
+
+
+# kind -> (the keys its object may hold, the reader that builds the law)
+_LAWS = {
+    MaxwellLorentz.kind: ({"kind", "Z0"}, lambda raw, cfg: MaxwellLorentz(
+        cfg.metric_spec(), _law_Z0(raw, cfg))),
+    Axion.kind: ({"kind", "Z0", "alpha"}, _axion),
+    LinearLocal.kind: ({"kind", "chi"}, _linear_local),
+    Custom.kind: ({"kind", "G"}, _custom),
+}
+
+
+def _coefficient(e, path, chart):
+    """An axion alpha or a chi entry, read once: text goes to the parser, and
+    only text it refuses is tried as a Python rational literal ("1.5")."""
     if not isinstance(e, str):
         return _fraction(e, path)
     try:

@@ -208,8 +208,8 @@ def coordinate_field(chart, k):
 
 def sort_indices(indices):
     """(sorted tuple, (-1)^inversions), or sign 0 on repeats: the one sign
-    rule for reordering dx-words, read by the wedge, d and Hodge tables,
-    the 3+1 split and the parser."""
+    rule for reordering dx-words, read by the wedge table (which d and
+    contraction read too), the Hodge star, the 3+1 split and the parser."""
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         return indices, 0
@@ -239,20 +239,14 @@ def _wedge_table(n, p, q):
 
 
 @lru_cache(maxsize=None)
-def _d_table(n, p):
-    """table[idx] = ((k, merged, sign), ...) for every k not in idx:
-    dx_k ^ dx_idx = sign * dx_merged."""
-    return {idx: tuple((k, *sort_indices((k,) + idx))
-                       for k in range(n) if k not in idx)
-            for idx in combinations(range(n), p)}
-
-
-@lru_cache(maxsize=None)
 def _contract_table(n, p):
-    """table[idx] = ((i, rest, sign), ...): d/dx_i _| dx_idx = sign * dx_rest."""
-    return {idx: tuple((i, idx[:j] + idx[j + 1:], -1 if j % 2 else 1)
-                       for j, i in enumerate(idx))
-            for idx in combinations(range(n), p)}
+    """table[idx] = ((i, rest, sign), ...): d/dx_i _| dx_idx = sign * dx_rest,
+    read off the wedge table's dx_i ^ dx_rest = sign * dx_idx."""
+    table = {idx: [] for idx in combinations(range(n), p)}
+    for (i,), row in _wedge_table(n, 1, p - 1).items():
+        for rest, (idx, sign) in row.items():
+            table[idx].append((i, rest, sign))
+    return table
 
 
 def _components(chart, groups):
@@ -267,10 +261,12 @@ def _components(chart, groups):
 
 
 def _d_terms(groups, m, a):
-    """Add the poly_sum terms of m * d(a) to groups, by output index."""
-    table = _d_table(a.chart.n, a.degree)
+    """Add the poly_sum terms of m * d(a) to groups, by output index; the
+    wedge table gives dx_idx ^ dx_k, and dx_k ^ dx_idx is (-1)^p times it."""
+    table = _wedge_table(a.chart.n, a.degree, 1)
+    m = -m if a.degree % 2 else m
     for idx, poly in a.components.items():
-        for k, merged, sign in table[idx]:
+        for (k,), (merged, sign) in table[idx].items():
             groups.setdefault(merged, []).append((sign * m, poly, k))
     return groups
 

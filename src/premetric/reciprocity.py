@@ -94,6 +94,12 @@ def self_reciprocal_pair(pair, sign):
     return FieldPairZ(F_eig, G_eig, pair.z)
 
 
+def check_double_dual(metric, p):
+    """Raise unless hodge(hodge(A)) = -A on p-forms, as the factorization needs."""
+    if double_hodge_sign(metric, p) != -1:
+        raise MetricError(f"factorization needs double-dual -1 on {p}-forms")
+
+
 def check_factorization(metric, Z0, F, id_prefix=""):
     """With G = hodge(F)/Z0 and z = Z0, the pair map IS the Hodge star.
 
@@ -103,8 +109,7 @@ def check_factorization(metric, Z0, F, id_prefix=""):
     p-forms; as for hodge, F's chart may differ from the metric's in
     complex_mode, and the checks use F's.
     """
-    if double_hodge_sign(metric, F.degree) != -1:
-        raise MetricError(f"factorization needs double-dual -1 on {F.degree}-forms")
+    check_double_dual(metric, F.degree)
     law = MaxwellLorentz(metric, Z0)
     pair = FieldPairZ(F, law.apply(F), law.Z)
     starred = star_z(pair)

@@ -16,11 +16,23 @@ from .electrodynamics import (Axion, FieldConfig, conservation_residual,
 from .errors import ConfigError
 from .forms import coordinate_field
 from .randgen import random_form, random_vector_field
-from .reciprocity import (FieldPairZ, check_factorization, pair_tensor,
-                          self_reciprocal_pair, star_z, tensor)
+from .reciprocity import (FieldPairZ, check_double_dual, check_factorization,
+                          pair_tensor, self_reciprocal_pair, star_z, tensor)
 from .report import CheckResult, residual_check
 
 _DEFAULT_Z = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
+
+
+def _refuse(cfg, suite):
+    """Raise the error that keeps `suite` from running on cfg, if any."""
+    if suite == "split" and (cfg.n, cfg.p) != (4, 2):
+        raise ConfigError("split suite needs n=4, p=2")
+    if suite in ("reciprocity", "factorization") and cfg.n != 2 * cfg.p:
+        raise ConfigError(f"{suite} suite needs n = 2p")
+    if suite == "phi" and cfg.constitutive is None:
+        raise ConfigError("phi suite needs a constitutive law")
+    if suite == "factorization":
+        check_double_dual(cfg.metric_spec(), cfg.p)
 
 
 def _instances(cfg, suite, uses):
@@ -31,12 +43,10 @@ def _instances(cfg, suite, uses):
     drawn from the suite's stream "<seed>:<suite>" in the frozen order of
     docs/conventions.md; G comes from the law when one is configured, and
     a suite that uses J draws u after it without using it.  A suite runs
-    `samples` instances when it draws an input it uses, else one.
+    `samples` instances when it draws an input it uses, else one, and none
+    when _refuse raises.
     """
-    if suite == "split" and (cfg.n, cfg.p) != (4, 2):
-        raise ConfigError("split suite needs n=4, p=2")
-    if suite in ("reciprocity", "factorization") and cfg.n != 2 * cfg.p:
-        raise ConfigError(f"{suite} suite needs n = 2p")
+    _refuse(cfg, suite)
     law = cfg.constitutive if "G" in uses else None
     draws = [name for name in ("FGJu" if "J" in uses else uses)
              if getattr(cfg, name) in (None, "random")
@@ -78,8 +88,6 @@ def phi_suite(cfg):
     conservation identity holds whatever G is.
     """
     law = cfg.constitutive
-    if law is None:
-        raise ConfigError("phi suite needs a constitutive law")
     tag = "ML" if isinstance(law, Axion) else "constit"
 
     if cfg.u == "random":
@@ -188,6 +196,9 @@ SUITE_RUNNERS = {
 
 
 def run_suites(cfg, names):
+    """The rows of each named suite in turn, once no suite is refused."""
+    for name in names:
+        _refuse(cfg, name)
     checks = []
     for name in names:
         checks.extend(SUITE_RUNNERS[name](cfg))

@@ -196,6 +196,21 @@ def test_out_flag_writes_file_not_stdout(tmp_path):
     assert doc["summary"]["failed"] == 0
 
 
+def test_an_empty_out_key_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, "out.json", dict(BASE, samples=1, out=""))
+    assert cli.main(["check", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", "premetric: error: out: expected a path\n")
+
+
+def test_an_empty_out_flag_is_a_path_that_cannot_be_written(tmp_path, capsys):
+    cfg = write_config(tmp_path, "out.json", dict(BASE, samples=1))
+    assert cli.main(["check", "--config", cfg, "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("premetric: error: cannot write report: ")
+    assert err.count("\n") == 1
+
+
 def test_suites_key_overrides_subcommand_default(tmp_path):
     cfg = write_config(tmp_path, "ov.json", dict(BASE, suites=["split"]))
     r = run_cli("check", "--config", cfg)

@@ -188,6 +188,17 @@ def test_chi_entries_read_as_rationals_or_polynomials(entry, value):
     assert law.chi[0][0] == chart.zero_poly()
 
 
+@pytest.mark.parametrize("alpha, value", [
+    ("1.5", Fraction(3, 2)), ("1e2", 100), ("-1/3", Fraction(-1, 3)), (2, 2),
+    ("x1", None),
+])
+def test_alpha_reads_like_a_chi_entry(alpha, value):
+    law = cfg_from({**_ML, "constitutive": {
+        "kind": "axion", "Z0": 1, "alpha": alpha}}).constitutive
+    chart = law.metric.chart
+    assert law.alpha == (chart.variable(1) if value is None else chart.const_poly(value))
+
+
 @pytest.mark.parametrize("entry, error, message", [
     ("(x0", FormSyntaxError, "1:4: expected ')'"),
     ("1/0", FormSyntaxError, "1:1: zero denominator"),
@@ -293,10 +304,11 @@ def test_expression_errors_name_their_key(key, payload):
 
 def test_expression_limits_name_their_key():
     start = time.monotonic()
-    with pytest.raises(FormSyntaxError) as err:
+    with pytest.raises(ConfigError) as err:
         cfg_from({**_ML, "constitutive": {"kind": "axion", "Z0": 1, "alpha": "1e2000000"}})
     assert time.monotonic() - start < 0.1
-    assert str(err.value) == "constitutive.alpha: 1:2: unexpected character 'e'"
+    assert str(err.value) == ("constitutive.alpha: rational literal exceeds the "
+                              "limit of 4300 digits")
     with pytest.raises(StructuralError) as err:
         cfg_from({"F": "x0^100*x0^100*dx0^dx1"})
     assert str(err.value) == "F: product exponent exceeds the limit 127"
@@ -345,6 +357,28 @@ def test_pair_suites_exit_2_naming_the_cause(tmp_path, capsys, payload, message)
                     encoding="utf-8")
     assert cli.main(["reciprocity", "--config", str(path)]) == 2
     assert capsys.readouterr() == ("", f"premetric: error: {message}\n")
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("check", {"n": 6, "p": 3, "suites": ["conservation", "split"]},
+     "split suite needs n=4, p=2"),
+    ("check", {"suites": ["identities", "phi"]}, "phi suite needs a constitutive law"),
+    ("check", {"n": 6, "p": 2, "suites": ["conservation", "factorization"]},
+     "factorization suite needs n = 2p"),
+    ("reciprocity", {"metric": {"diagonal": [1, 1, 1, 1]}},
+     "factorization needs double-dual -1 on 2-forms"),
+])
+def test_a_refused_suite_stops_the_run_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                       command, payload, message):
+    import premetric.suites as suites
+    drawn = []
+    for name in ("random_form", "random_vector_field"):
+        monkeypatch.setattr(suites, name, lambda *args, name=name: drawn.append(name))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**payload, "samples": 400}), encoding="utf-8")
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"premetric: error: {message}\n")
+    assert drawn == []
 
 
 def test_every_suite_passes_on_random_input():
@@ -419,6 +453,26 @@ def test_config_doc_lists_exactly_the_run_config_fields():
     documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
     assert sorted(documented) == sorted(RunConfig._fields)
     assert len(documented) == len(set(documented))
+
+
+def _doc_rows(text):
+    """(first cell, second cell) of each table row in text whose first cell
+    is one backticked name."""
+    return re.findall(r"^\| `([\w-]+)` \| ([^|]*?) \|", text, re.MULTILINE)
+
+
+def test_config_doc_tables_are_the_code_tables():
+    from premetric.config import _LAWS, COMMANDS
+    doc = (ROOT / "docs" / "config.md").read_text(encoding="utf-8")
+    fields, rest = doc.split("## Constitutive laws")
+    laws, defaults = rest.split("## Subcommand defaults")
+    assert [key for key, _ in _doc_rows(fields)] == list(RunConfig._fields)
+    documented = [(kind, set(re.findall(r"`(\w+)`", keys)))
+                  for kind, keys in _doc_rows(laws)]
+    assert documented == [(kind, keys) for kind, (keys, _) in _LAWS.items()]
+    documented = [(command, tuple(suites.split(", ")))
+                  for command, suites in _doc_rows(defaults)]
+    assert documented == [(command, suites) for command, (_, suites) in COMMANDS.items()]
 
 
 def test_every_exported_name_resolves():
