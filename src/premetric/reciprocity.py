@@ -118,11 +118,11 @@ def check_factorization(metric, Z0, F, id_prefix=""):
         residual_check(
             id_prefix + "factor-F", "factor",
             "first slot of the pair map equals hodge(F) componentwise",
-            starred.F - hodge(metric, F).scale(1, pseudo=True)),
+            (starred.F, hodge(metric, F).scale(1, pseudo=True))),
         residual_check(
             id_prefix + "factor-G", "factor",
             "second slot of the pair map equals hodge(G) componentwise",
-            starred.G - hodge(metric, pair.G).scale(1, pseudo=True)),
+            (starred.G, hodge(metric, pair.G).scale(1, pseudo=True))),
     ]
     cpair = pair.to_complex()
     for sign, name in ((1, "plus"), (-1, "minus")):
@@ -131,5 +131,5 @@ def check_factorization(metric, Z0, F, id_prefix=""):
             id_prefix + f"selfdual-{name}", "factor",
             f"eigen field strength is hodge self-dual with eigenvalue "
             f"{'+' if sign > 0 else '-'}i",
-            eig.F.scale((0, sign)) - hodge(metric, eig.F).scale(1, pseudo=True)))
+            (eig.F.scale((0, sign)), hodge(metric, eig.F).scale(1, pseudo=True))))
     return checks

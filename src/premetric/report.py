@@ -83,13 +83,21 @@ class Report(SimpleNamespace):
         return "\n".join(lines) + "\n"
 
 
-def residual_check(check_id, equation, description, *residuals):
-    """The row for a claim that every residual form vanishes: PASS when
-    all are zero, else FAIL with the first nonzero one's witness."""
-    for residual in residuals:
-        if not residual.is_zero():
+def residual_check(check_id, equation, description, *claims):
+    """The row for claims that each hold: a claim is a residual form that
+    must vanish, or a pair (lhs, rhs) of forms that must be equal.  PASS
+    when all hold, else FAIL with the witness of the first failing claim's
+    residual, lhs - rhs for a pair.  Forms are canonical, so a pair is
+    decided by lhs == rhs and its difference is formed only on failure."""
+    for claim in claims:
+        if isinstance(claim, tuple):
+            lhs, rhs = claim
+            if lhs == rhs:
+                continue
+            claim = lhs - rhs
+        if not claim.is_zero():
             return CheckResult(check_id, equation, description, False,
-                               nonzero_witness(residual))
+                               nonzero_witness(claim))
     return CheckResult(check_id, equation, description, True)
 
 

@@ -115,11 +115,11 @@ def split_suite(cfg):
     checks = []
     for k, (F, G, J) in _instances(cfg, "split", "FGJ"):
         F2, G2, J2 = recompose(split_3plus1(F, G, J))
-        rows = [("F", F2 - F, "F", "B + E^dx0 rebuilds F; E, B untwisted and spatial"),
-                ("G", G2 - G, "G", "D - H^dx0 rebuilds G; H, D twisted and spatial"),
-                ("J", J2 - J, "G", "rho - j^dx0 rebuilds J; j, rho twisted and spatial")]
-        for name, residual, eq, desc in rows:
-            checks.append(residual_check(f"split-{k:04d}-{name}", eq, desc, residual))
+        rows = [("F", (F2, F), "F", "B + E^dx0 rebuilds F; E, B untwisted and spatial"),
+                ("G", (G2, G), "G", "D - H^dx0 rebuilds G; H, D twisted and spatial"),
+                ("J", (J2, J), "G", "rho - j^dx0 rebuilds J; j, rho twisted and spatial")]
+        for name, claim, eq, desc in rows:
+            checks.append(residual_check(f"split-{k:04d}-{name}", eq, desc, claim))
     return checks
 
 
@@ -136,7 +136,7 @@ def reciprocity_suite(cfg):
         checks.append(residual_check(
             f"recip-{k:04d}-square", "recip2",
             f"star_z applied twice negates the pair (z={z})",
-            twice.F + F, twice.G + G))
+            (twice.F, -F), (twice.G, -G)))
 
         # star_z multiplies each density by (-1)^p
         before = densities(u, FieldConfig(pair.F, pair.G))
@@ -145,7 +145,7 @@ def reciprocity_suite(cfg):
             f"recip-{k:04d}-densities", "recip2",
             f"Sigma_u, f_u, phi_u {'negated' if odd else 'unchanged'} "
             "by the reciprocity map",
-            *(a + b if odd else a - b for a, b in zip(after, before))))
+            *((a, -b if odd else b) for a, b in zip(after, before))))
 
         scaled = FieldPairZ(F.scale(3), G.scale(Fraction(1, 3)), z)
         ok = pair_tensor(scaled) == pair_tensor(pair)
