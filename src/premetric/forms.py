@@ -121,8 +121,11 @@ class Form:
         (re, im) pair) or by a Polynomial.
 
         pseudo=True marks s as a pseudoscalar and flips the twist parity.
+        Scaling by the int 1 shares the (never mutated) component map.
         """
-        if isinstance(s, Polynomial):
+        if s.__class__ is int and s == 1:
+            comps = self.components
+        elif isinstance(s, Polynomial):
             comps = {}
             for i, p in self.components.items():
                 q = p * s

@@ -22,9 +22,10 @@ from .scalars import nonzero_rational
 
 
 class FieldPairZ:
-    """(F, G) with an impedance-like pseudoscalar z; the unit of reciprocity."""
+    """(F, G) with an impedance-like pseudoscalar z; the unit of reciprocity.
+    _images caches self_reciprocal_pair's izG and iF/z; == and repr skip it."""
 
-    __slots__ = ("chart", "F", "G", "z")
+    __slots__ = ("chart", "F", "G", "z", "_images")
 
     def __init__(self, F, G, z):
         chart, p = F.chart, F.degree
@@ -36,6 +37,7 @@ class FieldPairZ:
         self.F = F
         self.G = G
         self.z = nonzero_rational(z, "z")
+        self._images = None
 
     def to_complex(self):
         if self.chart.complex_mode:
@@ -81,17 +83,21 @@ def pair_tensor(pair):
 def self_reciprocal_pair(pair, sign):
     """Eigenpair (F -+ izG, G +- iF/z) of the pair map, eigenvalue +-i.
 
-    Needs Gaussian-rational (complex) scalar mode; sign is +1 or -1 and
-    picks the eigenvalue +i or -i.  The two components are proportional:
-    F_eig = -+ iz G_eig.
+    Needs Gaussian-rational (complex) scalar mode; sign is the int +1 or
+    -1 and picks the eigenvalue +i or -i.  The two components are
+    proportional: F_eig = -+ iz G_eig.  Both signs share one pair of images.
     """
-    if sign not in (1, -1):
+    if sign.__class__ is not int or sign not in (1, -1):
         raise StructuralError("sign must be +1 or -1")
     if not pair.chart.complex_mode:
         raise StructuralError("eigenpairs need a complex-mode chart")
-    F_eig = pair.F - pair.G.scale((0, sign * pair.z), pseudo=True)
-    G_eig = pair.G + pair.F.scale((0, sign / pair.z), pseudo=True)
-    return FieldPairZ(F_eig, G_eig, pair.z)
+    if pair._images is None:
+        pair._images = (pair.G.scale((0, pair.z), pseudo=True),
+                        pair.F.scale((0, 1 / pair.z), pseudo=True))
+    izG, iF_z = pair._images
+    if sign == 1:
+        return FieldPairZ(pair.F - izG, pair.G + iF_z, pair.z)
+    return FieldPairZ(pair.F + izG, pair.G - iF_z, pair.z)
 
 
 def check_double_dual(metric, p):

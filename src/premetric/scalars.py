@@ -254,11 +254,16 @@ def _multiplier(s, complex_mode):
     gcd(num's parts, d) == 1: s is num/d, num an int in real mode and an
     (re, im) pair in complex mode.  s is an int or a Fraction, or, in
     complex mode only, an (re, im) pair of them.  None when s is zero;
-    the mode is checked first."""
+    the mode is checked first.  Plain ints are read without a Fraction."""
     if isinstance(s, tuple) and len(s) == 2:
         if not complex_mode:
             raise StructuralError("real/complex scalar mode mismatch")
-        re, im = _as_fraction(s[0]), _as_fraction(s[1])
+        re, im = s
+        if re.__class__ is int and im.__class__ is int:
+            return ((re, im), 1) if re or im else None
+        re, im = _as_fraction(re), _as_fraction(im)
+    elif s.__class__ is int:
+        return ((s, 0) if complex_mode else s, 1) if s else None
     else:
         re, im = _as_fraction(s), 0
     if not (re or im):
@@ -273,7 +278,8 @@ def _multiplier(s, complex_mode):
 def _scaled(p, num, d):
     """p * num/d for a nonzero multiplier from `_multiplier`, canonical in
     one pass over p's keys, which stay within the exponent limit; p
-    itself or -p for a real multiplier of +-1.
+    itself or -p for a real multiplier of +-1, and over p's den its parts
+    swapped, one negated, for +-i.
 
     For a real or purely imaginary multiplier s/d no gcd is taken over
     the result: p is canonical, so gcd(den, content(p)) == 1, and
@@ -287,6 +293,9 @@ def _scaled(p, num, d):
     if d == 1 and num in (1, -1, (1, 0), (-1, 0)):
         return p if num in (1, (1, 0)) else -p
     n, mode, nums = p.n, p.complex_mode, p.nums
+    if d == 1 and num in ((0, 1), (0, -1)):
+        s = num[1]
+        return _make(n, True, p.den, {k: (-s * i, s * r) for k, (r, i) in nums.items()})
     if mode:
         sr, si = num
         if sr and si:

@@ -576,7 +576,8 @@ def test_scaling_errors_keep_their_messages():
     real, gauss = Chart(3), Chart(3, complex_mode=True)
     x, z = real.variable(0), gauss.variable(0)
     mismatch = "^real/complex scalar mode mismatch$"
-    for s in ((1, 2), (0, 0)):
+    # however simple its parts, a pair is refused on a real chart
+    for s in ((1, 2), (0, 0), (0, 1), (0, -1), (1, 0)):
         with pytest.raises(StructuralError, match=mismatch):
             x.scale(s)
         with pytest.raises(StructuralError, match=mismatch):
@@ -587,7 +588,87 @@ def test_scaling_errors_keep_their_messages():
                 form.scale(s)
     assert z.scale((0, 1)) == Polynomial(3, {(1, 0, 0): (0, 1)}, True)
     assert z.scale(2) == z.scale((2, 0))
-    with pytest.raises(StructuralError, match="^not an exact rational: 0.5$"):
-        x.scale(0.5)
-    with pytest.raises(StructuralError, match="^cannot scale a form by 0.5$"):
-        Form(real, 1, False, {(0,): x}).scale(0.5)
+    for chart in (real, gauss):
+        p = chart.variable(0)
+        form = Form(chart, 1, False, {(0,): p})
+        # a bool is refused as a number, by both, and never read as 0 or 1
+        for s in (True, False):
+            for obj in (form, p):
+                with pytest.raises(StructuralError, match=f"^not an exact rational: {s}$"):
+                    obj.scale(s)
+        for s, shown in ((0.5, "0.5"), (1.0, "1.0"), ("1", "'1'")):
+            with pytest.raises(StructuralError, match=f"^not an exact rational: {shown}$"):
+                p.scale(s)
+            with pytest.raises(StructuralError, match=f"^cannot scale a form by {shown}$"):
+                form.scale(s)
+    for s, shown in (((True, 0), "True"), ((0, True), "True"), ((0, 1.0), "1.0"),
+                     ((1, "1"), "'1'")):
+        with pytest.raises(StructuralError, match=f"^not an exact rational: {shown}$"):
+            z.scale(s)
+
+
+# The unit multipliers take short paths: an int skips the Fraction, a
+# form scaled by 1 shares its component map, and +-i swaps the parts of
+# each numerator.  Each is compared with a route that takes none of them.
+
+
+@st.composite
+def chart_form(draw, complex_mode=None):
+    chart = draw(charts())
+    if complex_mode is not None:
+        chart = Chart(chart.n, complex_mode=complex_mode)
+    return draw(forms(chart, draw(st.integers(0, chart.n)), draw(st.booleans())))
+
+
+@EXAMPLES
+@given(chart_form())
+def test_scaling_a_form_by_one_shares_its_components(a):
+    for pseudo in (False, True):
+        b = a.scale(1, pseudo=pseudo)
+        assert b.components is a.components
+        assert (b.chart, b.degree) == (a.chart, a.degree)
+        assert b.twist == (a.twist != pseudo)
+    assert a.scale(Fraction(1), pseudo=True).components == a.components
+
+
+@EXAMPLES
+@given(chart_form(complex_mode=True), st.sampled_from((1, -1)), st.booleans())
+def test_scaling_by_plus_or_minus_i_is_the_polynomial_product(a, s, pseudo):
+    # the constant polynomial +-i goes through the product kernel instead
+    b = a.scale((0, s), pseudo=pseudo)
+    assert b == a.scale(a.chart.const_poly((0, s)), pseudo=pseudo)
+    assert b.twist == (a.twist != pseudo)
+    for poly in b.components.values():
+        assert_canonical(poly)
+    for poly in a.components.values():
+        q = poly.scale((0, s))
+        assert q == poly * Polynomial.constant(poly.n, (0, s), True)
+        assert q.scale((0, -s)) == poly
+
+
+@EXAMPLES
+@given(chart_form(), st.integers(-40, 40) | st.sampled_from((10**30, -(10**30))))
+def test_an_int_multiplier_is_its_fraction(a, k):
+    assert a.scale(k) == a.scale(Fraction(k))
+    assert a.scale(k, pseudo=True) == a.scale(Fraction(k), pseudo=True)
+    if a.chart.complex_mode:
+        assert a.scale((k, 0)) == a.scale((Fraction(k), Fraction(0)))
+        assert a.scale((0, k)) == a.scale((Fraction(0), Fraction(k)))
+    for poly in a.components.values():
+        q = poly.scale(k)
+        assert q == poly.scale(Fraction(k))
+        if k:
+            assert_canonical(q)
+        else:
+            assert q.is_zero()
+
+
+@EXAMPLES
+@given(chart_form())
+def test_a_zero_multiplier_gives_the_zero_form(a):
+    zeros = [0, Fraction(0)] + ([(0, 0), (Fraction(0), 0)] if a.chart.complex_mode else [])
+    for s in zeros:
+        for pseudo in (False, True):
+            b = a.scale(s, pseudo=pseudo)
+            assert b.is_zero() and b.twist == (a.twist != pseudo)
+            assert b == Form.zero(a.chart, a.degree, b.twist)

@@ -189,6 +189,71 @@ def test_eigenpair_needs_complex_mode():
         self_reciprocal_pair(_pair(rng).to_complex(), 2)
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, Fraction(1), False, -1.0, Fraction(-1)])
+def test_eigenpair_sign_is_the_int_plus_or_minus_one(sign):
+    # a bool, float or Fraction equal to +-1 is not a sign
+    p = _pair(random.Random(410)).to_complex()
+    with pytest.raises(StructuralError, match=r"^sign must be \+1 or -1$"):
+        self_reciprocal_pair(p, sign)
+    assert p._images is None
+
+
+def _eigenpair_by_formula(pair, sign):
+    """(F -+ izG, G +- iF/z), each image scaled for this sign alone."""
+    z = pair.z
+    return (pair.F - pair.G.scale((0, sign * z), pseudo=True),
+            pair.G + pair.F.scale((0, sign / z), pseudo=True))
+
+
+def _complex_pair(rng, z, chart):
+    p = chart.n // 2
+    chart = chart.to_complex()
+    return FieldPairZ(random_form(rng, chart, p, False, 1),
+                      random_form(rng, chart, p, True, 1), z)
+
+
+def test_shared_images_give_the_eigenpair_formula():
+    rng = random.Random(411)
+    for n in (2, 4, 6, 8):
+        for z in (3, Fraction(2, 7), -2):
+            for make in (lambda: _pair(rng, z, Chart(n), bound=1).to_complex(),
+                         lambda: _complex_pair(rng, z, Chart(n))):
+                for order in ((1, -1), (-1, 1)):
+                    pair = make()
+                    expected = {s: _eigenpair_by_formula(pair, s) for s in order}
+                    for sign in order + order:      # repeated calls reuse the images
+                        eig = self_reciprocal_pair(pair, sign)
+                        assert (eig.F, eig.G) == expected[sign], (n, z, order)
+                        assert eig.z == pair.z
+                        assert not eig.F.twist and eig.G.twist
+
+
+def test_both_eigenpairs_scale_two_images(monkeypatch):
+    calls = []
+    scale = Form.scale
+
+    def counted(self, s, **kw):
+        calls.append(s)
+        return scale(self, s, **kw)
+
+    monkeypatch.setattr(Form, "scale", counted)
+    p = _pair(random.Random(412), Fraction(-3, 5)).to_complex()
+    self_reciprocal_pair(p, 1)
+    self_reciprocal_pair(p, -1)
+    self_reciprocal_pair(p, 1)
+    assert calls == [(0, Fraction(-3, 5)), (0, Fraction(-5, 3))]
+
+
+def test_pair_equality_and_repr_ignore_the_images():
+    rng = random.Random(413)
+    p = _pair(rng, 2).to_complex()
+    fresh = FieldPairZ(p.F, p.G, p.z)
+    self_reciprocal_pair(p, -1)
+    assert p._images is not None and fresh._images is None
+    assert p == fresh and fresh == p
+    assert repr(p) == repr(fresh)
+
+
 # -- factorization through the metric dual ----------------------------------------
 
 
@@ -300,3 +365,32 @@ def test_reflection_flips_z():
         rhs_G = pullback_linear(refl, star_z(p).G)
         assert lhs.F == rhs_F and lhs.G == rhs_G
         assert not lhs.F.twist and lhs.G.twist
+
+
+# -- work per run ------------------------------------------------------------------
+
+
+def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
+    # 4 instances of the reciprocity and factorization suites at seed 1:
+    # 20 and 13 scalings per instance if each eigenpair scaled its own two
+    # images (132); sharing them across the two signs saves 2 of each (116)
+    import json
+    from pathlib import Path
+
+    from premetric import cli
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "reciprocity.json"
+    cfg = dict(json.loads(shipped.read_text()), samples=4, seed=1)
+    path = tmp_path / "reciprocity.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    scale = Form.scale
+
+    def counted(self, s, **kw):
+        calls.append(s)
+        return scale(self, s, **kw)
+
+    monkeypatch.setattr(Form, "scale", counted)
+    assert cli.main(["reciprocity", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 116
