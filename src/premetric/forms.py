@@ -36,9 +36,9 @@ class Chart(namedtuple("Chart", "n orientation complex_mode")):
     __slots__ = ()
 
     def __new__(cls, n, orientation=1, complex_mode=False):
-        if not 2 <= n <= 8:
+        if n.__class__ is not int or not 2 <= n <= 8:
             raise StructuralError(f"chart dimension must be in 2..8, got {n}")
-        if orientation not in (1, -1):
+        if orientation.__class__ is not int or orientation not in (1, -1):
             raise StructuralError(f"orientation must be +1 or -1, got {orientation}")
         return super().__new__(cls, n, orientation, complex_mode)
 
@@ -61,8 +61,8 @@ class Form:
     __slots__ = ("chart", "degree", "twist", "components")
 
     def __init__(self, chart, degree, twist, components=None):
-        if degree < 0:
-            raise StructuralError(f"form degree must be >= 0, got {degree}")
+        if degree.__class__ is not int or degree < 0:
+            raise StructuralError(f"form degree must be an int >= 0, got {degree!r}")
         self.chart = chart
         self.degree = degree
         self.twist = bool(twist)
@@ -71,6 +71,8 @@ class Form:
             idx = tuple(idx)
             if len(idx) != degree:
                 raise StructuralError(f"index tuple {idx} has wrong length for degree {degree}")
+            if any(i.__class__ is not int for i in idx):
+                raise StructuralError(f"index tuple {idx} has a non-int entry")
             if any(not 0 <= i < chart.n for i in idx):
                 raise StructuralError(f"index tuple {idx} out of range for n={chart.n}")
             if any(a >= b for a, b in zip(idx, idx[1:])):

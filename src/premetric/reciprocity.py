@@ -11,7 +11,11 @@ z is a nonzero pseudoscalar stored per pair as a Fraction, so each pair
 carries its own complex structure; orientation reversal sends z to -z and
 the structure transforms along.  Every scaling by z, by 1/z or by i*z
 passes pseudo=True, which is what moves a form between the two slots.
+The pair tensor F (x) G keeps its two factors and is compared by the exact
+rank-one test, so no comparison multiplies out every component product.
 """
+
+from collections.abc import Mapping
 
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
@@ -68,11 +72,47 @@ def star_z(pair):
     return FieldPairZ(new_F, new_G, pair.z)
 
 
+class _Tensor(Mapping):
+    """A (x) B kept as A's and B's component maps: it reads like the dict
+    {(I, J): A_I * B_J}, I over A, then J over B, and multiplies an entry
+    out only when it is read.  Against another _Tensor, == is the rank-one
+    test: both empty, or supp A = supp C, supp B = supp D, A_I B_J0 = C_I D_J0
+    and A_I0 B_J = C_I0 D_J for every I, J, with I0, J0 the first keys of A, B.
+    Exact: (A_I B_J)(A_I0 B_J0) = (A_I B_J0)(A_I0 B_J) = (C_I D_J0)(C_I0 D_J)
+    = (C_I D_J)(A_I0 B_J0), and A_I0 B_J0 cancels, as polynomials over Q and
+    Q(i) have no zero divisors (so no entry is zero either).  That is
+    2(|A| + |B| - 1) products in place of 2|A||B|."""
+
+    def __init__(self, a, b):
+        if a and b:     # raise A_I * B_J's mode or dimension error now
+            next(iter(a.values()))._check_compatible(next(iter(b.values())))
+        self._a, self._b = a, b
+
+    def __getitem__(self, key):
+        if key.__class__ is tuple and len(key) == 2 and key[0] in self._a:
+            return self._a[key[0]] * self._b[key[1]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((I, J) for I in self._a for J in self._b)
+
+    def __len__(self):
+        return len(self._a) * len(self._b)
+
+    def __eq__(self, other):
+        if other.__class__ is not _Tensor:
+            return Mapping.__eq__(self, other)
+        a, b, c, d = self._a, self._b, other._a, other._b
+        if not (a and b and c and d) or a.keys() != c.keys() or b.keys() != d.keys():
+            return not (a and b or c and d)
+        I0, J0 = next(iter(a)), next(iter(b))
+        return (all(a[I] * b[J0] == c[I] * d[J0] for I in a)
+                and all(a[I0] * b[J] == c[I0] * d[J] for J in b if J != J0))
+
+
 def tensor(A, B):
-    """{(I, J): A_I * B_J} over the nonzero components; no entry is zero, as
-    polynomials over Q and Q(i) have no zero divisors."""
-    return {(I, J): a * b for I, a in A.components.items()
-            for J, b in B.components.items()}
+    """{(I, J): A_I * B_J} over the nonzero components, kept factored."""
+    return _Tensor(A.components, B.components)
 
 
 def pair_tensor(pair):

@@ -112,13 +112,13 @@ class Polynomial:
     def __init__(self, n, terms=None, complex_mode=False):
         """Checked constructor from {exponent tuple: coefficient}, e.g.
         {(2, 0, 1): Fraction(3, 4)} is (3/4)*x0^2*x2."""
-        if n < 1:
-            raise StructuralError(f"polynomial dimension must be >= 1, got {n}")
+        if n.__class__ is not int or n < 1:
+            raise StructuralError(f"polynomial dimension must be an int >= 1, got {n!r}")
         complex_mode = bool(complex_mode)
         monomials = []
         for exps, coeff in (terms or {}).items():
             m = _multiplier(coeff, complex_mode)
-            if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
+            if len(exps) != n or any(e.__class__ is not int or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent tuple {exps} for n={n}")
             if m:
                 monomials.append((*m, _pack(exps)))

@@ -98,6 +98,43 @@ def test_component_validation():
         Form(ch, 1, False, {(0,): Chart(2).const_poly(1)})
 
 
+@pytest.mark.parametrize("n", [4.0, True])
+def test_chart_dimension_must_be_an_int(n):
+    # Chart(4.0) used to be accepted, and coordinate_field then raised TypeError
+    with pytest.raises(StructuralError, match=f"^chart dimension must be in 2..8, got {n}$"):
+        Chart(n)
+
+
+@pytest.mark.parametrize("orientation", [-1.0, 1.0, True])
+def test_chart_orientation_must_be_an_int(orientation):
+    # Chart(4, -1.0) used to be accepted, and hodge then raised AttributeError
+    with pytest.raises(StructuralError,
+                       match=f"^orientation must be \\+1 or -1, got {orientation}$"):
+        Chart(4, orientation)
+
+
+@pytest.mark.parametrize("degree", [1.0, True])
+def test_form_degree_must_be_an_int(degree):
+    # a float degree used to be accepted, and ext_d then raised TypeError
+    ch = Chart(4)
+    with pytest.raises(StructuralError,
+                       match=f"^form degree must be an int >= 0, got {degree}$"):
+        Form(ch, degree, False, {(0,): ch.const_poly(1)})
+
+
+def test_form_index_entries_must_be_ints():
+    # {(True,): 1} used to print as dxTrue, which parse_form refuses
+    from premetric.formexpr import parse_form, print_form
+
+    ch = Chart(4)
+    for idx in ((True,), (1.0,), (0, True)):
+        with pytest.raises(StructuralError,
+                           match=r"^index tuple \(.*\) has a non-int entry$"):
+            Form(ch, len(idx), False, {idx: ch.const_poly(1)})
+    f = Form(ch, 1, False, {(1,): ch.const_poly(1)})
+    assert parse_form(print_form(f), ch) == f
+
+
 def test_mismatches_raise():
     ch = _chart(2)
     a = basis_form(ch, (0,))

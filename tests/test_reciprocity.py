@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from premetric.errors import MetricError, StructuralError
 from oracles import pullback_linear
 from premetric.forms import Chart, Form, basis_form
 from premetric.hodge import MetricSpec, hodge
-from premetric.randgen import random_form, random_vector_field
+from premetric.randgen import random_form, random_polynomial, random_vector_field
 from premetric.reciprocity import (
     FieldPairZ,
     check_factorization,
@@ -17,6 +18,12 @@ from premetric.reciprocity import (
     star_z,
     tensor,
 )
+from premetric.scalars import Polynomial
+from test_kernels import forms, polys
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
 
 CH4 = Chart(4)
 MINK = MetricSpec.minkowski(CH4)
@@ -143,6 +150,179 @@ def test_pair_tensor_of_star_is_minus_swapped():
 def test_pair_tensor_zero():
     p = FieldPairZ(Form.zero(CH4, 2), Form.zero(CH4, 2, True), 1)
     assert pair_tensor(p) == {}
+
+
+def _dense(A, B):
+    """A (x) B multiplied out: every nonzero component product, in order."""
+    return {(I, J): a * b for I, a in A.components.items()
+            for J, b in B.components.items()}
+
+
+def _inverse(k):
+    """1/k for an int, a Fraction or a Gaussian (re, im) pair."""
+    if isinstance(k, tuple):
+        norm = Fraction(k[0] ** 2 + k[1] ** 2)
+        return (k[0] / norm, -k[1] / norm)
+    return 1 / Fraction(k)
+
+
+def _multipliers(chart):
+    units = st.one_of(st.integers(-9, 9).filter(bool),
+                      st.fractions(-9, 9, max_denominator=7).filter(bool))
+    if not chart.complex_mode:
+        return units
+    return st.one_of(units, st.tuples(units, units))
+
+
+def _with(form, idx, poly):
+    """form with component idx replaced by poly (dropped when poly is zero)."""
+    return Form(form.chart, form.degree, form.twist, {**form.components, idx: poly})
+
+
+def _nonzero_polys(chart):
+    return polys(chart.n, chart.complex_mode).filter(lambda h: not h.is_zero())
+
+
+def _relate(data, chart, A, B):
+    """Factors (A', B'), (C, D) whose tensors are equal by construction
+    (True), differ by construction (False) or are unrelated (None)."""
+    p, q = A.degree, B.degree
+    kind = data.draw(st.sampled_from(
+        ("fresh", "copy", "scaled", "poly", "empty", "support-A", "support-B")))
+    if kind == "fresh":
+        return (A, B), (data.draw(forms(chart, p, False)),
+                        data.draw(forms(chart, q, True))), None
+    if kind == "copy":
+        return (A, B), (Form(chart, p, False, dict(A.components)),
+                        Form(chart, q, True, dict(B.components))), True
+    if kind == "scaled":        # (kA, B/k)
+        k = data.draw(_multipliers(chart))
+        return (A, B), (A.scale(k), B.scale(_inverse(k))), True
+    if kind == "poly":          # (hA, B) and (A, hB)
+        h = data.draw(_nonzero_polys(chart))
+        return (A.scale(h), B), (A, B.scale(h)), True
+    if kind == "empty":         # an empty factor on either side
+        zA, zB = Form.zero(chart, p), Form.zero(chart, q, True)
+        return (zA, B), data.draw(st.sampled_from(((A, zB), (zA, B), (zA, zB)))), True
+    # supports that differ by one component of one factor
+    X = A if kind == "support-A" else B
+    idx = data.draw(st.sampled_from(list(combinations(range(chart.n), X.degree))))
+    if idx in X.components:
+        Y = Form(chart, X.degree, X.twist,
+                 {i: c for i, c in X.components.items() if i != idx})
+    else:
+        Y = _with(X, idx, data.draw(_nonzero_polys(chart)))
+    other = B if X is A else A
+    right = (Y, B) if X is A else (A, Y)
+    return (A, B), right, False if other.components else True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_tensor_equality_agrees_with_the_dense_tensor(data):
+    # == is the rank-one test; the oracle multiplies every entry out
+    chart = Chart(data.draw(st.sampled_from((2, 4, 6))),
+                  complex_mode=data.draw(st.booleans()))
+    p, q = data.draw(st.integers(0, chart.n)), data.draw(st.integers(0, chart.n))
+    A, B = data.draw(forms(chart, p, False)), data.draw(forms(chart, q, True))
+    (A, B), (C, D), expected = _relate(data, chart, A, B)
+    left, right = tensor(A, B), tensor(C, D)
+    for t, (X, Y) in ((left, (A, B)), (right, (C, D))):
+        dense = _dense(X, Y)
+        assert len(t) == len(dense) and list(t) == list(dense)
+        assert all(t[key] == value for key, value in dense.items())
+        assert dict(t.items()) == dense and t == dense and dense == t
+    equal = _dense(A, B) == _dense(C, D)
+    if expected is not None:
+        assert equal == expected
+    assert (left == right) == (right == left) == equal
+    assert (left != right) == (not equal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_perturbed_in_any_component_is_unequal(data):
+    # (kA, B/k) has A (x) B's tensor with other factors, so the anchor rows
+    # of the rank-one test do not compare a component with itself
+    chart = Chart(data.draw(st.sampled_from((2, 4, 6))),
+                  complex_mode=data.draw(st.booleans()))
+    p, q = data.draw(st.integers(0, chart.n)), data.draw(st.integers(0, chart.n))
+    nonempty = lambda f: bool(f.components)
+    A = data.draw(forms(chart, p, False).filter(nonempty))
+    B = data.draw(forms(chart, q, True).filter(nonempty))
+    k = data.draw(_multipliers(chart))
+    C, D = A.scale(k), B.scale(_inverse(k))
+    assert tensor(A, B) == tensor(C, D)
+    key = data.draw(st.tuples(*[st.integers(0, 3)] * chart.n))
+    coeff = data.draw(_multipliers(chart))
+    delta = Polynomial(chart.n, {key: coeff}, chart.complex_mode)
+    for slot, X in ((0, C), (1, D)):
+        for idx, poly in X.components.items():
+            Y = _with(X, idx, poly + delta)
+            pert = (Y, D) if slot == 0 else (C, Y)
+            assert _dense(A, B) != _dense(*pert)
+            assert tensor(A, B) != tensor(*pert) and tensor(*pert) != tensor(A, B)
+
+
+def _full(chart, p, twist, rng):
+    comps = {}
+    for idx in combinations(range(chart.n), p):
+        while idx not in comps:
+            poly = random_polynomial(rng, chart.n, 2, chart.complex_mode)
+            if not poly.is_zero():
+                comps[idx] = poly
+    return Form(chart, p, twist, comps)
+
+
+def test_tensor_modes_must_match():
+    rng = random.Random(414)
+    A, B = _full(CH4, 2, False, rng), _full(CH4, 2, True, rng)
+    c = FieldPairZ(A, B, 1).to_complex()
+    with pytest.raises(StructuralError, match="^real/complex polynomial mode mismatch$"):
+        tensor(A, B) == tensor(c.F, c.G)
+    with pytest.raises(StructuralError, match="^real/complex polynomial mode mismatch$"):
+        tensor(A, c.G)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+def test_pair_tensor_multiplies_only_what_is_read(monkeypatch):
+    rng = random.Random(415)
+    A, B = _full(CH4, 2, False, rng), _full(CH4, 2, True, rng)
+    dense = _dense(A, B)
+    calls = _count_products(monkeypatch)
+    t = pair_tensor(FieldPairZ(A, B, 3))
+    assert len(t) == 36 and list(t) == list(dense)
+    assert calls == []
+    assert t[(0, 1), (2, 3)] == dense[(0, 1), (2, 3)]
+    assert len(calls) == 1
+    assert ((0, 1), (2, 3)) in t and ((0, 1), (1, 0)) not in t
+    for missing in (((0, 1), (1, 0)), ((1, 0), (0, 1)), (0, 1), "x", 5):
+        with pytest.raises(KeyError):
+            t[missing]
+        assert t.get(missing) is None
+
+
+def test_full_tensor_comparison_takes_twenty_two_products(monkeypatch):
+    # two n = 4 tensors of 6 x 6 nonzero entries: multiplying both out took
+    # 72 products; the rank-one test takes 2 * (6 + 6 - 1)
+    rng = random.Random(416)
+    A, B = _full(CH4, 2, False, rng), _full(CH4, 2, True, rng)
+    left = tensor(A, B)
+    right = tensor(A.scale(Fraction(-2, 3)), B.scale(Fraction(-3, 2)))
+    calls = _count_products(monkeypatch)
+    assert left == right
+    assert len(calls) == 22
 
 
 # -- eigenpairs -------------------------------------------------------------------
@@ -370,10 +550,8 @@ def test_reflection_flips_z():
 # -- work per run ------------------------------------------------------------------
 
 
-def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
-    # 4 instances of the reciprocity and factorization suites at seed 1:
-    # 20 and 13 scalings per instance if each eigenpair scaled its own two
-    # images (132); sharing them across the two signs saves 2 of each (116)
+def _reciprocity_run(tmp_path, capsys):
+    """A seed-1 `reciprocity` CLI run of configs/reciprocity.json, 4 samples."""
     import json
     from pathlib import Path
 
@@ -383,6 +561,14 @@ def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
     cfg = dict(json.loads(shipped.read_text()), samples=4, seed=1)
     path = tmp_path / "reciprocity.json"
     path.write_text(json.dumps(cfg))
+    assert cli.main(["reciprocity", "--config", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
+    # 4 instances of the reciprocity and factorization suites at seed 1:
+    # 20 and 13 scalings per instance if each eigenpair scaled its own two
+    # images (132); sharing them across the two signs saves 2 of each (116)
     calls = []
     scale = Form.scale
 
@@ -391,6 +577,14 @@ def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
         return scale(self, s, **kw)
 
     monkeypatch.setattr(Form, "scale", counted)
-    assert cli.main(["reciprocity", "--config", str(path)]) == 0
-    capsys.readouterr()
+    _reciprocity_run(tmp_path, capsys)
     assert len(calls) == 116
+
+
+def test_reciprocity_run_compares_tensors_by_rank_one(tmp_path, monkeypatch, capsys):
+    # the same run made 230 polynomial products while each pair tensor was
+    # multiplied out, and makes 126 with the rank-one comparisons of the k
+    # and O22 rows
+    calls = _count_products(monkeypatch)
+    _reciprocity_run(tmp_path, capsys)
+    assert len(calls) == 126

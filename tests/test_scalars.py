@@ -87,6 +87,19 @@ def test_polynomial_structural_errors():
         Polynomial(2, {(1, 0): 0.5})
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_polynomial_dimension_must_be_an_int(n):
+    with pytest.raises(StructuralError,
+                       match=f"^polynomial dimension must be an int >= 1, got {n}$"):
+        Polynomial(n, {})
+
+
+@pytest.mark.parametrize("exps", [(True, 0), (1.0, 0), (0, False)])
+def test_polynomial_exponents_must_be_ints(exps):
+    with pytest.raises(StructuralError, match=r"^bad exponent tuple .* for n=2$"):
+        Polynomial(2, {exps: 1})
+
+
 def test_ring_axioms_on_random_polynomials():
     rng = random.Random(20260819)
     for _ in range(60):
