@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, _multiplier, _scaled, poly_sum
+from .scalars import Polynomial, _index, _multiplier, _scaled, poly_sum
 
 
 class Chart(namedtuple("Chart", "n orientation complex_mode")):
@@ -204,8 +204,7 @@ def basis_form(chart, indices, twist=False, coefficient=None):
 
 def coordinate_field(chart, k):
     """The k-th coordinate vector field d/dx_k."""
-    if not 0 <= k < chart.n:
-        raise StructuralError(f"coordinate index {k} out of range for n={chart.n}")
+    _index(k, chart.n, "coordinate")
     comps = [chart.const_poly(1) if i == k else chart.zero_poly()
              for i in range(chart.n)]
     return VectorField(chart, comps)
@@ -260,7 +259,7 @@ def _components(chart, groups):
     comps = {}
     for idx, terms in groups.items():
         poly = poly_sum(n, complex_mode, terms)
-        if poly.nums:
+        if poly._nums:
             comps[idx] = poly
     return comps
 
@@ -282,7 +281,7 @@ def _contract_terms(groups, u, a):
     uc = u.components
     for idx, poly in a.components.items():
         for i, rest, sign in table[idx]:
-            if uc[i].nums:
+            if uc[i]._nums:
                 groups.setdefault(rest, []).append((sign, uc[i], poly))
     return groups
 
@@ -410,8 +409,8 @@ def _rational_constants(u):
     (with no imaginary part), else None."""
     rates = []
     for p in u.components:
-        re, im = p.nums.get(0, (0, 0)) if p.complex_mode else (p.nums.get(0, 0), 0)
-        if im or p.nums.keys() - {0}:
+        re, im = p._nums.get(0, (0, 0)) if p.complex_mode else (p._nums.get(0, 0), 0)
+        if im or p._nums.keys() - {0}:
             return None
-        rates.append(Fraction(re, p.den))
+        rates.append(Fraction(re, p._den))
     return rates

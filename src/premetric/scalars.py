@@ -10,7 +10,8 @@ numbers, and pseudoscalar parity is tracked on forms.  `Polynomial` keeps
 its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
-arithmetic is integer work plus one gcd normalisation per result.  A sum
+arithmetic is integer work; like fmpq_poly's internal sums, a kernel
+leaves its result's common factor for the first read to divide out.  A sum
 of many products, scaled polynomials and partial derivatives (one
 component of a wedge, a derivative or a Hodge dual) is accumulated by
 poly_sum, and one given as loose monomials by monomial_sum, in one pass
@@ -97,8 +98,12 @@ class Polynomial:
     The value is (1/den) * sum over ``nums`` of numerator * monomial.
     ``nums`` maps packed exponent keys (see FIELD_BITS) to nonzero integer
     numerators in real mode and to (re, im) integer pairs, not both zero,
-    in complex mode.  The form is canonical: den > 0 and gcd(den, every
-    numerator part) == 1, so equal polynomials have equal (den, nums).
+    in complex mode.  Every (den, nums) read is canonical: den > 0 and
+    gcd(den, every numerator part) == 1, so equal polynomials read equal.
+    Between kernel calls the slots _den, _nums may carry a factor that
+    divides den and every numerator (_loose set); zeros are dropped at
+    once, the one gcd runs on the first read, and == decides a pair with
+    identical slots without it.
     Coefficients carry no pseudoscalar parity; that lives one level up,
     on forms.
 
@@ -107,7 +112,7 @@ class Polynomial:
     inspection; arithmetic never builds it.
     """
 
-    __slots__ = ("n", "complex_mode", "den", "nums")
+    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose")
 
     def __init__(self, n, terms=None, complex_mode=False):
         """Checked constructor from {exponent tuple: coefficient}, e.g.
@@ -125,8 +130,7 @@ class Polynomial:
         p = monomial_sum(n, complex_mode, monomials)
         self.n = n
         self.complex_mode = complex_mode
-        self.den = p.den
-        self.nums = p.nums
+        self._den, self._nums, self._loose = p._den, p._nums, p._loose
 
     # -- constructors ------------------------------------------------------
 
@@ -140,34 +144,46 @@ class Polynomial:
 
     @classmethod
     def variable(cls, n, i, complex_mode=False):
-        if not 0 <= i < n:
-            raise StructuralError(f"variable index {i} out of range for n={n}")
+        _index(i, n, "variable")
         complex_mode = bool(complex_mode)
         return _make(n, complex_mode, 1,
                      {1 << _shift(n, i): (1, 0) if complex_mode else 1})
 
     # -- views and predicates ----------------------------------------------
 
+    den = property(lambda self: (self._reduce() if self._loose else self)._den)
+    nums = property(lambda self: (self._reduce() if self._loose else self)._nums)
+
+    def _reduce(self):
+        """self, the gcd of den and every numerator part divided out in place."""
+        nums, mode = self._nums, self.complex_mode
+        g = gcd(self._den, *(chain.from_iterable(nums.values()) if mode else nums.values()))
+        if g != 1:
+            self._den //= g
+            self._nums = ({k: (r // g, i // g) for k, (r, i) in nums.items()} if mode
+                          else {k: v // g for k, v in nums.items()})
+        self._loose = False
+        return self
+
     @property
     def terms(self):
         """Read-only map exponent tuple -> nonzero coefficient."""
-        n, den = self.n, self.den
+        n, den, nums = self.n, self.den, self.nums
         if self.complex_mode:
             view = {_unpack(k, n): (Fraction(r, den), Fraction(i, den))
-                    for k, (r, i) in self.nums.items()}
+                    for k, (r, i) in nums.items()}
         else:
-            view = {_unpack(k, n): Fraction(v, den)
-                    for k, v in self.nums.items()}
+            view = {_unpack(k, n): Fraction(v, den) for k, v in nums.items()}
         return MappingProxyType(view)
 
     def is_zero(self):
-        return not self.nums
+        return not self._nums
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.nums:
+        if not self._nums:
             return -1
-        return max(sum(_unpack(k, self.n)) for k in self.nums)
+        return max(sum(_unpack(k, self.n)) for k in self._nums)
 
     def _check_compatible(self, other):
         if not isinstance(other, Polynomial):
@@ -190,14 +206,14 @@ class Polynomial:
 
     def __neg__(self):
         if self.complex_mode:
-            nums = {k: (-r, -i) for k, (r, i) in self.nums.items()}
+            nums = {k: (-r, -i) for k, (r, i) in self._nums.items()}
         else:
-            nums = {k: -v for k, v in self.nums.items()}
-        return _make(self.n, self.complex_mode, self.den, nums)
+            nums = {k: -v for k, v in self._nums.items()}
+        return _make(self.n, self.complex_mode, self._den, nums, self._loose)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        den = self.den * other.den
+        den = self._den * other._den
         return _accumulate(self.n, self.complex_mode, den, ((1, den, self, other),), True)
 
     def scale(self, s):
@@ -207,15 +223,14 @@ class Polynomial:
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
-        if not 0 <= i < self.n:
-            raise StructuralError(f"coordinate index {i} out of range for n={self.n}")
+        _index(i, self.n, "coordinate")
         return poly_sum(self.n, self.complex_mode, ((1, self, i),))
 
     def to_complex(self):
         if self.complex_mode:
             return self
-        return _make(self.n, True, self.den,
-                     {k: (v, 0) for k, v in self.nums.items()})
+        return _make(self.n, True, self._den,
+                     {k: (v, 0) for k, v in self._nums.items()}, self._loose)
 
     # -- identity ----------------------------------------------------------
 
@@ -223,14 +238,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return self.den == other.den and self.nums == other.nums
+        return (self._den == other._den and self._nums == other._nums
+                or ((self._loose or other._loose)
+                    and self.den == other.den and self.nums == other.nums))
 
     def __hash__(self):
         return hash((self.n, self.complex_mode, self.den,
                      frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.nums:
+        if not self._nums:
             return f"Polynomial({self.n}, 0)"
         bits = []
         for exps, c in sorted(self.terms.items()):
@@ -239,14 +256,21 @@ class Polynomial:
         return f"Polynomial({self.n}, {' + '.join(bits)})"
 
 
-def _make(n, complex_mode, den, nums):
-    # unchecked: (den, nums) is canonical already
+def _make(n, complex_mode, den, nums, loose=False):
+    # unchecked: den > 0, no zero entry, and a common factor only if loose
     p = object.__new__(Polynomial)
     p.n = n
     p.complex_mode = complex_mode
-    p.den = den
-    p.nums = nums
+    p._den = den
+    p._nums = nums
+    p._loose = loose
     return p
+
+
+def _index(i, n, what):
+    """Raise unless i is an int in 0 .. n-1; a bool or a float is refused."""
+    if i.__class__ is not int or not 0 <= i < n:
+        raise StructuralError(f"{what} index {i!r} is not an int in 0..{n - 1}")
 
 
 def _multiplier(s, complex_mode):
@@ -276,30 +300,30 @@ def _multiplier(s, complex_mode):
 
 
 def _scaled(p, num, d):
-    """p * num/d for a nonzero multiplier from `_multiplier`, canonical in
-    one pass over p's keys, which stay within the exponent limit; p
-    itself or -p for a real multiplier of +-1, and over p's den its parts
-    swapped, one negated, for +-i.
+    """p * num/d for a nonzero multiplier from `_multiplier`, in one pass
+    over p's keys, which stay within the exponent limit; p itself or -p
+    for a real multiplier of +-1, and over p's den its parts swapped, one
+    negated, for +-i.
 
     For a real or purely imaginary multiplier s/d no gcd is taken over
-    the result: p is canonical, so gcd(den, content(p)) == 1, and
+    the result: if p is canonical, gcd(den, content(p)) == 1, and
     gcd(s, d) == 1, so prime by prime the result's gcd is g * c with
     g = gcd(den, s) and c = gcd(d, content(p)).  Each entry is divided by
     c and multiplied by s/g, and Z and Z[i] have no zero divisors, so no
-    entry becomes zero.  A multiplier with both parts nonzero is
-    multiplied out and ends in _reduced: the content of a Gaussian
-    product is not multiplicative, (1+i)^2 = 2i.
+    entry becomes zero; from a loose p the result keeps p's mark.  A
+    multiplier with both parts nonzero is multiplied out and ends in
+    _reduced: a Gaussian product's content is not multiplicative.
     """
     if d == 1 and num in (1, -1, (1, 0), (-1, 0)):
         return p if num in (1, (1, 0)) else -p
-    n, mode, nums = p.n, p.complex_mode, p.nums
+    n, mode, nums, den, loose = p.n, p.complex_mode, p._nums, p._den, p._loose
     if d == 1 and num in ((0, 1), (0, -1)):
         s = num[1]
-        return _make(n, True, p.den, {k: (-s * i, s * r) for k, (r, i) in nums.items()})
+        return _make(n, True, den, {k: (-s * i, s * r) for k, (r, i) in nums.items()}, loose)
     if mode:
         sr, si = num
         if sr and si:
-            return _reduced(n, True, p.den * d,
+            return _reduced(n, True, den * d,
                             {k: (r * sr - i * si, r * si + i * sr)
                              for k, (r, i) in nums.items()})
         s = sr or si
@@ -307,7 +331,7 @@ def _scaled(p, num, d):
     else:
         s = num
         c = gcd(d, *nums.values()) if d > 1 else 1
-    g = gcd(p.den, s)
+    g = gcd(den, s)
     f = s // g
     if not mode:
         out = {k: v // c * f for k, v in nums.items()}
@@ -315,29 +339,24 @@ def _scaled(p, num, d):
         out = {k: (-i // c * f, r // c * f) for k, (r, i) in nums.items()}
     else:
         out = {k: (r // c * f, i // c * f) for k, (r, i) in nums.items()}
-    return _make(n, mode, p.den // g * (d // c), out)
+    return _make(n, mode, den // g * (d // c), out, loose)
 
 
 def _reduced(n, complex_mode, den, nums):
-    """Canonical polynomial nums/den for den > 0: the gcd of den and every
-    numerator part divided out and the zero entries dropped, in one
-    comprehension that runs only when there is either to do.  Input that
-    cancels completely comes out as den 1 with no entries.  It ends the
-    kernels, `*` and scaling by a Gaussian multiplier with both parts
-    nonzero; other scalings are canonical without it (see _scaled).
+    """The polynomial nums/den for den > 0 with its zero entries dropped,
+    marked loose: the gcd of den and the numerators waits for the first
+    read (see Polynomial), which gives input that cancels completely
+    den 1.  It ends the kernels, `*` and scaling by a
+    Gaussian multiplier with both parts nonzero; other scalings keep
+    their input's mark (see _scaled).
 
     Only products make keys past the exponent limit; the callers that
     multiply run the guard first, so such a key raises even if it cancelled.
     """
-    if complex_mode:
-        g = gcd(den, *chain.from_iterable(nums.values()))
-        if g != 1 or (0, 0) in nums.values():
-            nums = {k: (r // g, i // g) for k, (r, i) in nums.items() if r or i}
-    else:
-        g = gcd(den, *nums.values())
-        if g != 1 or 0 in nums.values():
-            nums = {k: v // g for k, v in nums.items() if v}
-    return _make(n, complex_mode, den // g, nums)
+    zero = (0, 0) if complex_mode else 0
+    if zero in nums.values():
+        nums = {k: v for k, v in nums.items() if v != zero}
+    return _make(n, complex_mode, den, nums, den != 1)
 
 
 # -- accumulation kernels ------------------------------------------------------
@@ -349,10 +368,10 @@ def _reduced(n, complex_mode, den, nums):
 
 
 def monomial_sum(n, complex_mode, monomials):
-    """Canonical sum of num/den * x^key over a sequence of (num, den, key):
+    """Sum of num/den * x^key over a sequence of (num, den, key):
     num an int, or an (re, im) int pair in complex mode, den > 0 not
     necessarily reduced, key packed.  Accumulated over the lcm of the dens
-    into one dict and normalised once, like poly_sum."""
+    into one dict, like poly_sum."""
     den = lcm(*(d for _, d, _ in monomials))
     out = {}
     get = out.get
@@ -369,7 +388,7 @@ def monomial_sum(n, complex_mode, monomials):
 
 
 def poly_sum(n, complex_mode, terms):
-    """Canonical sum over terms (m, a, b) of m * a * b when b is a
+    """Sum over terms (m, a, b) of m * a * b when b is a
     Polynomial, m * a when b is None and m * (d a / d x_b) when b is an int.
 
     m is an int or Fraction, a and b Polynomials in n variables of the
@@ -381,16 +400,16 @@ def poly_sum(n, complex_mode, terms):
     den = 1
     product = False
     for m, a, b in terms:
-        if not (m and a.nums):
+        if not (m and a._nums):
             continue
         if m.__class__ is int:
-            num, d = m, a.den
+            num, d = m, a._den
         else:
-            num, d = m.numerator, m.denominator * a.den
+            num, d = m.numerator, m.denominator * a._den
         if b.__class__ is Polynomial:
-            if not b.nums:
+            if not b._nums:
                 continue
-            d *= b.den
+            d *= b._den
             product = True
         if den % d:
             den = lcm(den, d)
@@ -405,7 +424,7 @@ def poly_sum(n, complex_mode, terms):
 
 def _accumulate(n, complex_mode, den, kept, product):
     """poly_sum's kept terms (num, d, a, b) summed over den into one dict,
-    normalised once; a product folds its multiplier num * (den // d) into
+    zeros dropped; a product folds its multiplier num * (den // d) into
     each row of its shorter factor.  Polynomial.__mul__ is one product."""
     out = {}
     get = out.get
@@ -413,18 +432,18 @@ def _accumulate(n, complex_mode, den, kept, product):
         f = num * (den // d)
         if b is None:
             if complex_mode:
-                for k, (r, i) in a.nums.items():
+                for k, (r, i) in a._nums.items():
                     cur = get(k)
                     out[k] = ((r * f, i * f) if cur is None
                               else (cur[0] + r * f, cur[1] + i * f))
             else:
-                for k, v in a.nums.items():
+                for k, v in a._nums.items():
                     out[k] = get(k, 0) + v * f
         elif b.__class__ is int:
             shift = FIELD_BITS * (n - 1 - b)  # _shift(n, b), inlined
             step = 1 << shift
             if complex_mode:
-                for k, (r, i) in a.nums.items():
+                for k, (r, i) in a._nums.items():
                     e = (k >> shift) & _FIELD_MASK
                     if e:
                         e *= f
@@ -433,13 +452,13 @@ def _accumulate(n, complex_mode, den, kept, product):
                         out[k] = ((r * e, i * e) if cur is None
                                   else (cur[0] + r * e, cur[1] + i * e))
             else:
-                for k, v in a.nums.items():
+                for k, v in a._nums.items():
                     e = (k >> shift) & _FIELD_MASK
                     if e:
                         k -= step
                         out[k] = get(k, 0) + v * e * f
         else:
-            a, b = a.nums, b.nums
+            a, b = a._nums, b._nums
             if len(a) < len(b):
                 a, b = b, a
             a = a.items()

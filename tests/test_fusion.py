@@ -221,6 +221,27 @@ def test_residual_multiplies_no_fractions(monkeypatch):
     assert calls == []
 
 
+def test_arithmetic_leaves_every_gcd_to_the_first_read(monkeypatch):
+    # the kernels drop zeros but divide no common factor out; only an
+    # observer (==, hash, terms, printing) reads den and nums and reduces
+    def refuse(self):
+        raise AssertionError("a kernel reduced a polynomial")
+
+    monkeypatch.setattr(scalars.Polynomial, "_reduce", refuse)
+    chart = Chart(6)
+    rng = random.Random("reduce-on-read")
+    cfg = FieldConfig(random_form(rng, chart, 3, False), random_form(rng, chart, 3, True))
+    u = _polynomial_field(rng, chart)
+    d = densities(u, cfg)
+    # a coordinate field takes lie_derivative's constant-u branch
+    along = densities(forms.coordinate_field(chart, 2), cfg)
+    rows = identity_suite(u, cfg)
+    assert d.residual().is_zero() and along.residual().is_zero()
+    assert [row.passed for row in rows] == [True] * 4
+    loose = [p for x in (d, along) for f in x for p in f.components.values() if p._loose]
+    assert loose  # the patch had values to catch
+
+
 def test_scaling_takes_no_gcd_pass(monkeypatch):
     # a real or purely imaginary multiplier scales each component in one
     # pass: its gcd is read off the inputs, so _reduced is never called

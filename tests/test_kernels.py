@@ -11,7 +11,9 @@ polynomial given as loose monomials, are also compared with folds over
 plain Fractions.  The generated polynomials mix denominators, run in both
 scalar modes, and include inputs that cancel to the zero form.  The
 exponent guard must still fire when the products that reach past the
-limit cancel.
+limit cancel.  A kernel leaves its result's common factor for the first
+read, so values built along routes that leave different factors must
+still compare, hash and read as one canonical value.
 """
 
 import random
@@ -672,3 +674,85 @@ def test_a_zero_multiplier_gives_the_zero_form(a):
             b = a.scale(s, pseudo=pseudo)
             assert b.is_zero() and b.twist == (a.twist != pseudo)
             assert b == Form.zero(a.chart, a.degree, b.twist)
+
+
+# -- reduction on read -----------------------------------------------------------
+#
+# A kernel drops zeros but leaves the common factor of den and the numerators
+# to the first read of den or nums.  Values built along routes that leave
+# different factors must be one value to every observer.
+
+
+def loose_pairs():
+    """Fresh (built, canonical) pairs of one value: the built one carries a
+    common factor of den and numerators in its slots, the other has none."""
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    a, b = x0.scale(2), x1.scale(4) + x0.scale(6)
+    half = Fraction(1, 2)
+    gauss = Polynomial(2, {(1, 0): (half, -half)}, True)
+    return [
+        (x0.scale(half) * x1.scale(2), x0 * x1),
+        (poly_sum(2, False, [(half, a, None), (half, b, None)]),
+         poly_sum(2, False, [(1, a.scale(half), None), (1, b.scale(half), None)])),
+        # (1 + i) * (1 - i)/2 * x0 = x0
+        (gauss.scale((1, 1)), Polynomial.variable(2, 0, True)),
+    ]
+
+
+OBSERVERS = {
+    "eq": lambda p, q: p == q and q == p and not p != q,
+    "hash": lambda p, q: hash(p) == hash(q),
+    "set": lambda p, q: len({p, q}) == 1,
+    "den-nums": lambda p, q: (p.den, p.nums) == (q.den, q.nums),
+    "terms": lambda p, q: dict(p.terms) == dict(q.terms),
+}
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+def test_a_common_factor_is_divided_out_on_read(observer):
+    for built, canonical in loose_pairs():
+        assert built._loose and built._den != canonical._den
+        assert OBSERVERS[observer](built, canonical)
+        assert_canonical(built)
+        assert_canonical(canonical)
+
+
+def test_a_sum_that_cancels_reads_as_the_canonical_zero():
+    for built, canonical in loose_pairs():
+        for zero in (built - canonical, canonical - built):
+            assert zero.is_zero() and zero.den == 1 and zero.nums == {}
+            assert zero == Polynomial.zero(2, canonical.complex_mode)
+
+
+@st.composite
+def routed_polys(draw, n, mode, base):
+    """base along a route that may leave a common factor: unchanged, k*base
+    times the constant 1/k, (1/k) * (k*base) in one poly_sum, or
+    base + r - r for a drawn r."""
+    k = draw(st.integers(2, 12))
+    route = draw(st.integers(0, 3))
+    if route == 1:
+        return base.scale(k) * Polynomial.constant(n, Fraction(1, k), mode)
+    if route == 2:
+        return poly_sum(n, mode, [(Fraction(1, k), base.scale(k), None)])
+    if route == 3:
+        r = draw(polys(n, mode))
+        return poly_sum(n, mode, [(1, base, None), (1, r, None), (-1, r, None)])
+    return base
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equality_is_a_zero_difference_along_every_route(data):
+    chart = data.draw(charts())
+    n, mode = chart.n, chart.complex_mode
+    base = data.draw(polys(n, mode))
+    other = data.draw(st.just(base) | polys(n, mode))
+    p = data.draw(routed_polys(n, mode, base))
+    q = data.draw(routed_polys(n, mode, other))
+    same = (p - q).is_zero()  # before == reduces either of them
+    assert (p == q) is same and (q == p) is same
+    if same:
+        assert hash(p) == hash(q)
+    assert_canonical(p)
+    assert_canonical(q)

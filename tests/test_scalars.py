@@ -7,6 +7,7 @@ import pytest
 
 from oracles import substitute_linear
 from premetric.errors import StructuralError
+from premetric.forms import Chart, coordinate_field
 from premetric.randgen import random_polynomial
 from premetric.scalars import Polynomial
 
@@ -98,6 +99,26 @@ def test_polynomial_dimension_must_be_an_int(n):
 def test_polynomial_exponents_must_be_ints(exps):
     with pytest.raises(StructuralError, match=r"^bad exponent tuple .* for n=2$"):
         Polynomial(2, {exps: 1})
+
+
+X0 = Polynomial.variable(2, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Polynomial.variable(2, True), "variable index True"),
+    (lambda: Polynomial.variable(2, 1.0), "variable index 1.0"),
+    (lambda: X0.partial(True), "coordinate index True"),
+    (lambda: X0.partial(1.0), "coordinate index 1.0"),
+    (lambda: X0.partial(2), "coordinate index 2"),
+    (lambda: Chart(2).variable(True), "variable index True"),
+    (lambda: coordinate_field(Chart(2), 1.0), "coordinate index 1.0"),
+], ids=["variable-bool", "variable-float", "partial-bool", "partial-float",
+        "partial-out-of-range", "chart-variable-bool", "coordinate-field-float"])
+def test_coordinate_indices_must_be_ints_in_range(call, message):
+    # a bool would pass as 0 or 1, and a float index reached poly_sum's
+    # product branch and was reported as "expected Polynomial"
+    with pytest.raises(StructuralError, match=rf"^{message} is not an int in 0\.\.1$"):
+        call()
 
 
 def test_ring_axioms_on_random_polynomials():
