@@ -26,6 +26,7 @@ printing after a parse canonicalizes the input.
 """
 
 import re
+from functools import lru_cache
 from math import gcd
 
 from .errors import FormSyntaxError, StructuralError
@@ -269,8 +270,9 @@ class _Parser:
     # -- coefficients ----------------------------------------------------------
 
     def size(self, c):
-        """Number of terms of c in canonical form."""
-        return (0 if c[0] == self.zero else 1) if type(c) is tuple else len(c.nums)
+        """Number of terms of c; zeros are dropped at once, so the raw keys
+        count them without a gcd."""
+        return (0 if c[0] == self.zero else 1) if type(c) is tuple else len(c._nums)
 
     def neg(self, c):
         if type(c) is not tuple:
@@ -284,15 +286,15 @@ class _Parser:
         return monomial_sum(self.n, self.complex_mode, (c,))
 
     def sum(self, terms):
-        """Canonical sum of coefficients, one monomial_sum over all their
-        monomials."""
+        """Sum of coefficients, one monomial_sum over all their monomials,
+        which takes a Polynomial's raw, possibly unreduced, slots."""
         monomials = []
         for c in terms:
             if type(c) is tuple:
                 monomials.append(c)
             else:
-                den = c.den
-                monomials.extend((v, den, k) for k, v in c.nums.items())
+                den = c._den
+                monomials.extend((v, den, k) for k, v in c._nums.items())
         return monomial_sum(self.n, self.complex_mode, monomials)
 
 
@@ -316,9 +318,10 @@ def parse_vector_field(text, chart):
 
 
 def parse_polynomial(text, chart):
-    """Parse a bare coefficient expression (a 0-form body)."""
-    form = parse_form(text, chart, expected_degree=0)
-    return form.components.get(()) or chart.zero_poly()
+    """Parse a bare coefficient expression (a 0-form body), with no Form
+    built around the parser's component."""
+    p = _Parser(text, chart).parse_form(0)[1].get(())
+    return chart.zero_poly() if p is None or p.is_zero() else p
 
 
 # -- printing -----------------------------------------------------------------
@@ -339,11 +342,9 @@ def _ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _coeff_str(c, den, complex_mode):
-    """(negative, body) for the coefficient c/den, with the sign pulled out
-    to the monomial join; c is a numerator or an (re, im) numerator pair."""
-    if not complex_mode:
-        return c < 0, _ratio(abs(c), den)
+def _coeff_str(c, den):
+    """(negative, body) for the complex coefficient c/den, with the sign
+    pulled out to the monomial join; c is an (re, im) numerator pair."""
     re, im = c
     neg = re < 0 if re else im < 0
     if neg:
@@ -356,19 +357,29 @@ def _coeff_str(c, den, complex_mode):
     return neg, f"({_ratio(re, den)} {'+' if im > 0 else '-'} {unit})"
 
 
+@lru_cache(maxsize=None)
+def _var_text(n):
+    """table[k][e] is the text of x_k^e, "" for e = 0."""
+    return tuple(("", f"x{k}", *(f"x{k}^{e}" for e in range(2, MAX_EXPONENT + 1)))
+                 for k in range(n))
+
+
 def poly_str(p: Polynomial) -> str:
     """Canonical polynomial rendering: monomials in descending exponent order.
 
-    Reads the packed keys directly: numeric key order is exponent-tuple
-    order.
+    Reads den and the packed numerators once per polynomial: numeric key
+    order is exponent-tuple order.
     """
     if p.is_zero():
         return "0"
+    n, den, complex_mode, table = p.n, p.den, p.complex_mode, _var_text(p.n)
     bits = []
-    for key in sorted(p.nums, reverse=True):
-        neg, body = _coeff_str(p.nums[key], p.den, p.complex_mode)
-        vars_part = [f"x{k}" if e == 1 else f"x{k}^{e}"
-                     for k, e in enumerate(_unpack(key, p.n)) if e]
+    for key, c in sorted(p.nums.items(), reverse=True):
+        if complex_mode:
+            neg, body = _coeff_str(c, den)
+        else:
+            neg, body = c < 0, _ratio(abs(c), den)
+        vars_part = [t[e] for t, e in zip(table, _unpack(key, n)) if e]
         if body != "1" or not vars_part:
             vars_part.insert(0, body)
         mono = "*".join(vars_part)

@@ -405,12 +405,13 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
 
 
 def _rational_constants(u):
-    """The components of u as Fractions when each is a rational constant
-    (with no imaginary part), else None."""
+    """The components of u as rationals when each is a rational constant
+    (with no imaginary part), else None; an int when its den is 1, so a
+    coordinate field builds no Fraction."""
     rates = []
     for p in u.components:
         re, im = p._nums.get(0, (0, 0)) if p.complex_mode else (p._nums.get(0, 0), 0)
         if im or p._nums.keys() - {0}:
             return None
-        rates.append(Fraction(re, p._den))
+        rates.append(re if p._den == 1 else Fraction(re, p._den))
     return rates

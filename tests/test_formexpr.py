@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from premetric.formexpr import (
 )
 from premetric.forms import Chart, basis_form
 from premetric.randgen import random_form
-from premetric.scalars import Polynomial
+from premetric.scalars import MAX_EXPONENT, Polynomial
 
 CH4 = Chart(4)
 
@@ -273,3 +275,116 @@ def test_printer_refuses_what_the_parser_cannot_read():
             with pytest.raises(StructuralError) as e:
                 poly_str(poly)
             assert f"more than {MAX_LITERAL_DIGITS} digits" in str(e.value)
+
+
+# -- poly_str against an oracle written from Polynomial.terms -----------------
+
+
+def _oracle_poly_str(p):
+    """poly_str's bytes from the exponent tuples and Fractions of p.terms:
+    monomials in descending exponent order, the sign of each coefficient's
+    first nonzero part pulled out to the join, a unit body dropped before
+    variables, and a mixed complex coefficient in one pair of
+    parentheses."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    out = ""
+    for exps in sorted(terms, reverse=True):
+        re, im = terms[exps] if p.complex_mode else (terms[exps], 0)
+        neg = (re or im) < 0
+        if neg:
+            re, im = -re, -im
+        if not im:
+            body = str(re)
+        else:
+            unit = "i" if abs(im) == 1 else f"{abs(im)}*i"
+            body = unit if not re else f"({re} {'+' if im > 0 else '-'} {unit})"
+        variables = [f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in enumerate(exps) if e]
+        mono = "*".join(variables if body == "1" and variables else [body, *variables])
+        if out:
+            out += f" - {mono}" if neg else f" + {mono}"
+        else:
+            out = f"-{mono}" if neg else mono
+    return out
+
+
+def _grid_coefficient(rng, complex_mode):
+    def rational():
+        return rng.choice((1, -1, rng.randint(-50, 50) or 2,
+                           Fraction(rng.randint(-30, 30) or 1, rng.randint(2, 12))))
+
+    if not complex_mode:
+        return rational()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rational(), 0                  # pure real
+    if kind == 1:
+        return 0, rational()                  # pure imaginary
+    if kind == 2:
+        return 0, rng.choice((1, -1))         # +-i
+    return rational(), rational()             # mixed
+
+
+def test_poly_str_matches_an_oracle_from_terms():
+    rng = random.Random("poly-str-oracle")
+    for n in range(2, 9):
+        for complex_mode in (False, True):
+            assert poly_str(Polynomial.zero(n, complex_mode)) == "0"
+            for _ in range(12):
+                terms = {tuple(rng.choice((0, 0, 1, 2, rng.randint(3, MAX_EXPONENT),
+                                           MAX_EXPONENT)) for _ in range(n)):
+                         _grid_coefficient(rng, complex_mode)
+                         for _ in range(rng.randint(1, 6))}
+                p = Polynomial(n, terms, complex_mode)
+                # a sum and a product leave a common factor for the first read
+                q = p + p.scale(Fraction(rng.randint(1, 5), 6))
+                r = p * Polynomial(n, {(0,) * n: _grid_coefficient(rng, complex_mode)},
+                                   complex_mode)
+                for poly in (p, q, r, p - p):
+                    assert poly_str(poly) == _oracle_poly_str(poly)
+
+
+# -- parse_polynomial against parse_form ---------------------------------------
+
+
+LINEAR_LOCAL_POLY = Path(__file__).parent / "data" / "linear-local-poly.json"
+
+
+def _chi_texts():
+    raw = json.loads(LINEAR_LOCAL_POLY.read_text())
+    return [text for row in raw["constitutive"]["chi"] for text in row]
+
+
+@pytest.mark.parametrize("text", _chi_texts() + ["x0 - x0", "1/2*x1 - 1/2*x1", "0",
+                                                 "(x0 + 1/2)^3 - x0^3"])
+def test_parse_polynomial_is_the_degree_zero_component_of_parse_form(text):
+    expected = parse_form(text, CH4, 0).components.get(()) or CH4.zero_poly()
+    got = parse_polynomial(text, CH4)
+    assert got == expected
+    assert poly_str(got) == poly_str(expected)
+
+
+@pytest.mark.parametrize("text", ["dx0", "x9", "1/0", "x0 +", "2*dx1^dx2"])
+def test_parse_polynomial_refuses_as_parse_form_does(text):
+    with pytest.raises(FormSyntaxError) as by_form:
+        parse_form(text, CH4, 0)
+    with pytest.raises(FormSyntaxError) as by_poly:
+        parse_polynomial(text, CH4)
+    assert ((by_poly.value.message, by_poly.value.line, by_poly.value.column)
+            == (by_form.value.message, by_form.value.line, by_form.value.column))
+
+
+def test_loading_a_polynomial_law_takes_no_gcd(monkeypatch):
+    # the parser counts and sums raw slots, so reading a linear-local chi
+    # of polynomial entries divides no common factor out
+    from premetric import scalars
+    from premetric.config import validate_config
+
+    def refuse(self):
+        raise AssertionError("loading the config reduced a polynomial")
+
+    raw = json.loads(LINEAR_LOCAL_POLY.read_text())
+    monkeypatch.setattr(scalars.Polynomial, "_reduce", refuse)
+    cfg = validate_config(raw)
+    assert any(p._loose for row in cfg.constitutive.chi for p in row)

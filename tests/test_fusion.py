@@ -242,6 +242,16 @@ def test_arithmetic_leaves_every_gcd_to_the_first_read(monkeypatch):
     assert loose  # the patch had values to catch
 
 
+def test_constant_rates_are_ints_unless_fractional():
+    # a coordinate field's rates 0 and 1 reach poly_sum as ints, not Fractions
+    chart, half = Chart(4), Fraction(1, 2)
+    rates = forms._rational_constants(forms.coordinate_field(chart, 2))
+    assert rates == [0, 0, 1, 0] and {type(r) for r in rates} == {int}
+    u = VectorField(chart, [chart.const_poly(c) for c in (half, 0, -3, half * 4)])
+    rates = forms._rational_constants(u)
+    assert rates == [half, 0, -3, 2] and [type(r) for r in rates] == [Fraction, int, int, int]
+
+
 def test_scaling_takes_no_gcd_pass(monkeypatch):
     # a real or purely imaginary multiplier scales each component in one
     # pass: its gcd is read off the inputs, so _reduced is never called

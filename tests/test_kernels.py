@@ -13,7 +13,8 @@ scalar modes, and include inputs that cancel to the zero form.  The
 exponent guard must still fire when the products that reach past the
 limit cancel.  A kernel leaves its result's common factor for the first
 read, so values built along routes that leave different factors must
-still compare, hash and read as one canonical value.
+still compare, hash and read as one canonical value.  A derivative must
+leave key fields above the n coordinate fields alone.
 """
 
 import random
@@ -756,3 +757,17 @@ def test_equality_is_a_zero_difference_along_every_route(data):
         assert hash(p) == hash(q)
     assert_canonical(p)
     assert_canonical(q)
+
+
+def test_derivatives_leave_fields_above_the_coordinates_untouched():
+    # a key field above the n coordinate fields (here bit 24 at n = 3) is a
+    # constant to partial and ext_d: d/dx0 of 3*h*x0^2*x1 is 6*h*x0*x1
+    n, h = 3, 1 << 24
+    x0, x1 = 1 << scalars._shift(n, 0), 1 << scalars._shift(n, 1)
+    p = scalars._make(n, False, 1, {h + 2 * x0 + x1: 3, 2 * h: 5})
+    assert p.partial(0)._nums == {h + x0 + x1: 6} and p.partial(0)._den == 1
+    assert p.partial(1)._nums == {h + 2 * x0: 3}
+    assert p.partial(2).is_zero()
+    d = ext_d(Form(Chart(n), 0, False, {(): p}))
+    assert {idx: c._nums for idx, c in d.components.items()} == {
+        (0,): {h + x0 + x1: 6}, (1,): {h + 2 * x0: 3}}
