@@ -5,15 +5,19 @@ twisted (n-p)-form G (excitation) on the same chart.  From a vector field
 u three densities are built:
 
     sigma_u = (F ^ (u _| G) - (-1)^p (u _| F) ^ G) / 2     (degree n-1)
+            = F ^ (u _| G) - (-1)^p u _| (F ^ G) / 2
     force_u = dF ^ (u _| G) + (u _| F) ^ dG                (degree n)
     phi_u   = (-1)^p (F ^ L_u G - L_u F ^ G) / 2           (degree n)
 
 and d(sigma_u) = force_u + phi_u holds identically, with no assumption
-about how G relates to F.  densities() is the one route to all three: it
-computes u _| F, u _| G, L_u F and L_u G once and builds each density as
-one wedge_sum of them.  The balance residual is computed as a difference
-rather than returned as zero by construction, so a sign error anywhere
-in the exterior-calculus layer would surface as a nonzero residual.
+about how G relates to F.  The second line of sigma_u, the one computed,
+is the first rewritten by the graded Leibniz rule u _| (F ^ G) =
+(u _| F) ^ G + (-1)^p F ^ (u _| G).  densities() is the one route to all
+three: it computes u _| F, u _| G, L_u F and L_u G once, reads the F ^ G
+that FieldConfig builds once per field pair, and sums each component in
+one poly_sum; a field of rational constants contracts by scaling.  The
+residual is a difference, never zero by construction, so a sign error in
+the exterior calculus surfaces as a nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -25,8 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (_components, basis_form, check_shape, combine, contract,
-                    ext_d, lie_derivative, sort_indices, wedge, wedge_sum)
+from .forms import (_components, _contract_terms, _wedge_terms, basis_form, check_shape,
+                    combine, contract, ext_d, lie_derivative, sort_indices, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational
@@ -36,11 +40,11 @@ class FieldConfig:
     """An (F, G) pair: untwisted p-form plus twisted (n-p)-form, one chart.
 
     Degrees are restricted to 1 <= p <= n-1 so that every contraction in
-    the density formulas lands on a form of degree >= 0.  The currents dF
-    and dG are computed once, here, and shared by every density.
+    the density formulas lands on a form of degree >= 0.  The currents dF,
+    dG and the n-form FG = F ^ G of sigma_u's Leibniz form are built once.
     """
 
-    __slots__ = ("chart", "p", "F", "G", "dF", "dG")
+    __slots__ = ("chart", "p", "F", "G", "dF", "dG", "FG")
 
     def __init__(self, F, G):
         chart, p = F.chart, F.degree
@@ -54,6 +58,7 @@ class FieldConfig:
         self.G = G
         self.dF = ext_d(F)
         self.dG = ext_d(G)
+        self.FG = wedge(F, G)
 
     def __repr__(self):
         return f"FieldConfig(n={self.chart.n}, p={self.p})"
@@ -88,14 +93,14 @@ class Densities(namedtuple("Densities", "sigma force phi")):
 
 
 def densities(u, cfg):
-    """The three densities along u, each one wedge_sum over the shared
-    u _| F, u _| G, L_u F and L_u G."""
+    """The three densities along u over the shared u _| F, u _| G, L_u F and
+    L_u G; sigma_u in its Leibniz form F ^ (u _| G) - (-1)^p u _| (F ^ G) / 2
+    over the config's F ^ G.  Constant fields contract by scaling."""
     uF, uG, LuF, LuG = _moved(u, cfg)
     F, G, half = cfg.F, cfg.G, Fraction((-1) ** cfg.p, 2)
-    return Densities(
-        sigma=wedge_sum((Fraction(1, 2), F, uG), (-half, uF, G)),
-        force=_force(cfg, uF, uG),
-        phi=wedge_sum((half, F, LuG), (-half, LuF, G)))
+    sigma = _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG)
+    return Densities(F._raw(F.chart.n - 1, True, _components(F.chart, sigma)),
+                     _force(cfg, uF, uG), wedge_sum((half, F, LuG), (-half, LuF, G)))
 
 
 def sigma_u(u, cfg):
@@ -148,7 +153,7 @@ def identity_suite(u, cfg, id_prefix=""):
             combine((sgn, ext_d, wedge(uF, G)), (-sgn, LuF_G), (1, f))),
         residual_check(
             id_prefix + "a+b", "a+b", "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
-            combine((1, ext_d, contract(u, wedge(F, G))), (-1, LuF_G), (-1, F_LuG))),
+            combine((1, ext_d, contract(u, cfg.FG)), (-1, LuF_G), (-1, F_LuG))),
     ]
 
 

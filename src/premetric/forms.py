@@ -170,7 +170,7 @@ class Form:
 class VectorField:
     """Vector field u = sum_i u^i d/dx_i with polynomial components."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "components", "rates")
 
     def __init__(self, chart, components):
         components = tuple(components)
@@ -181,6 +181,7 @@ class VectorField:
                 raise StructuralError("component polynomial does not match the chart")
         self.chart = chart
         self.components = components
+        self.rates = _rational_constants(self)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
@@ -275,14 +276,29 @@ def _d_terms(groups, m, a):
     return groups
 
 
-def _contract_terms(groups, u, a):
-    """Add the poly_sum terms of u _| a (a of degree >= 1) to groups."""
+def _wedge_terms(groups, m, a, b):
+    """Add the poly_sum terms of m * (a ^ b) to groups, by output index."""
+    table = _wedge_table(a.chart.n, a.degree, b.degree)
+    bc, signed = b.components, {1: m, -1: -m}
+    for ia, pa in a.components.items():
+        for ib, (merged, sign) in table[ia].items():
+            pb = bc.get(ib)
+            if pb is not None:
+                groups.setdefault(merged, []).append((signed[sign], pa, pb))
+    return groups
+
+
+def _contract_terms(groups, m, u, a):
+    """Add the poly_sum terms of m * (u _| a), a of degree >= 1, to groups;
+    along rational constants c_i, a's components scaled by sign * m * c_i."""
     table = _contract_table(a.chart.n, a.degree)
-    uc = u.components
+    rates, signed = u.rates, {1: m, -1: -m}
+    rows = ([c._nums and (signed, c) for c in u.components] if rates is None else
+            [c and (signed if c == 1 else {1: m * c, -1: -m * c}, None) for c in rates])
     for idx, poly in a.components.items():
         for i, rest, sign in table[idx]:
-            if uc[i]._nums:
-                groups.setdefault(rest, []).append((sign, uc[i], poly))
+            if row := rows[i]:
+                groups.setdefault(rest, []).append((row[0][sign], poly, row[1]))
     return groups
 
 
@@ -338,21 +354,12 @@ def wedge_sum(*terms):
     chart, degree and twist; past top degree the sum is the canonical zero
     form (an (n+1)-form has no components), which the identity suites use.
     """
-    groups = {}
-    shape = None
+    groups, shape = {}, None
     for m, a, b in terms:
         if a.chart != b.chart:
             raise StructuralError("chart mismatch")
         shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
-        table = _wedge_table(a.chart.n, a.degree, b.degree)
-        bc = b.components
-        signed = {1: m, -1: -m}
-        # each row lists the disjoint partners of ia only
-        for ia, pa in a.components.items():
-            for ib, (merged, sign) in table[ia].items():
-                pb = bc.get(ib)
-                if pb is not None:
-                    groups.setdefault(merged, []).append((signed[sign], pa, pb))
+        _wedge_terms(groups, m, a, b)
     return a._raw(shape[1], shape[2], _components(a.chart, groups))
 
 
@@ -376,7 +383,7 @@ def contract(u, a):
         raise StructuralError("chart mismatch")
     if a.degree == 0:
         return Form.zero(a.chart, 0, a.twist)
-    return a._raw(a.degree - 1, a.twist, _components(a.chart, _contract_terms({}, u, a)))
+    return a._raw(a.degree - 1, a.twist, _components(a.chart, _contract_terms({}, 1, u, a)))
 
 
 def lie_derivative(u, a, ua=None, da=None, uda=None):
@@ -391,12 +398,12 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
     """
     if u.chart != a.chart:
         raise StructuralError("chart mismatch")
-    rates = _rational_constants(u)
+    rates = u.rates
     if rates is not None:
         groups = {idx: [(c, poly, j) for j, c in enumerate(rates) if c]
                   for idx, poly in a.components.items()}
     elif uda is None:
-        groups = _contract_terms({}, u, ext_d(a) if da is None else da)
+        groups = _contract_terms({}, 1, u, ext_d(a) if da is None else da)
     else:
         groups = {idx: [(1, poly, None)] for idx, poly in uda.components.items()}
     if rates is None and a.degree:
@@ -405,9 +412,9 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
 
 
 def _rational_constants(u):
-    """The components of u as rationals when each is a rational constant
-    (with no imaginary part), else None; an int when its den is 1, so a
-    coordinate field builds no Fraction."""
+    """u.rates, read once per field: its components as rationals when each
+    is a rational constant (with no imaginary part), else None; an int when
+    its den is 1, so a coordinate field builds no Fraction."""
     rates = []
     for p in u.components:
         re, im = p._nums.get(0, (0, 0)) if p.complex_mode else (p._nums.get(0, 0), 0)

@@ -221,6 +221,22 @@ def test_residual_multiplies_no_fractions(monkeypatch):
     assert calls == []
 
 
+def test_coordinate_field_residual_multiplies_no_fractions(monkeypatch):
+    # along d/dx_k the contractions scale by the signed multipliers formed
+    # once per call; a rate of 1 reuses them, so no term takes a product
+    chart = Chart(6)
+    rng = random.Random("no-fraction-products")
+    cfg = FieldConfig(random_form(rng, chart, 3, False), random_form(rng, chart, 3, True))
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name:
+                            calls.append(name) or real(x, y))
+    for k in range(chart.n):
+        assert densities(forms.coordinate_field(chart, k), cfg).residual().is_zero()
+    assert calls == []
+
+
 def test_arithmetic_leaves_every_gcd_to_the_first_read(monkeypatch):
     # the kernels drop zeros but divide no common factor out; only an
     # observer (==, hash, terms, printing) reads den and nums and reduces

@@ -583,8 +583,10 @@ def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
 
 def test_reciprocity_run_compares_tensors_by_rank_one(tmp_path, monkeypatch, capsys):
     # the same run made 230 polynomial products while each pair tensor was
-    # multiplied out, and makes 126 with the rank-one comparisons of the k
-    # and O22 rows
+    # multiplied out, and makes 132 with the rank-one comparisons of the k
+    # and O22 rows.  The count includes density products: the shared F ^ G
+    # added 6, components of F ^ G (2) and of sigma_u (4) whose sum is a
+    # lone product with multiplier 1
     calls = _count_products(monkeypatch)
     _reciprocity_run(tmp_path, capsys)
-    assert len(calls) == 126
+    assert len(calls) == 132

@@ -9,9 +9,12 @@ and `tests/data/check-c5.json` (complex, n = 5, p = 2) pin the form
 operations past n = 4; `tests/data/reciprocity-e6.json` (complex, n = 6,
 p = 3) and `tests/data/reciprocity-e2.json` (real, n = 2, p = 1) pin the
 pair map and the factorization at odd p under a Euclidean metric, where
-the densities are negated.  A change to the arithmetic that alters a single
-report byte fails this test; a deliberate report change must update the
-pins and say so in CHANGES.md.
+the densities are negated.  `tests/data/check-const-u.json` (complex,
+n = 5, p = 2) runs check along the constant field dx0 + 1/2*dx3, so the
+contractions and Lie derivatives take their constant-field paths.  A
+change to the arithmetic that alters a single report byte fails this
+test; a deliberate report change must update the pins and say so in
+CHANGES.md.
 
 `TRAFFIC` pins configs in the shapes the benchmark runs, built here from
 fixed seeds: check at n = 6, p = 3; complex reciprocity with a z list;
@@ -75,6 +78,10 @@ PINNED = [
      "6a312cbe82e18710a17d8d4e2fead083d3bcdaf6bb1cb9d71e4c3c3b635378bd"),
     ("tests/data/reciprocity-e2.json", "reciprocity", "structured", 0,
      "78ea3192af5520f37f605b3643f0a4edcb053e8c7afe4716280e7008d960dff1"),
+    ("tests/data/check-const-u.json", "check", "text", 0,
+     "840c84812583ab31a8f0734725d820f965c516c29910edfb5895c45904ebc23f"),
+    ("tests/data/check-const-u.json", "check", "structured", 0,
+     "dc9376588e4df69cfa78eb47c65c50990d9c3a9c1ccfe82a4277765f63a37fe3"),
 ]
 
 
