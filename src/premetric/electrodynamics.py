@@ -12,12 +12,14 @@ u three densities are built:
 and d(sigma_u) = force_u + phi_u holds identically, with no assumption
 about how G relates to F.  The second line of sigma_u, the one computed,
 is the first rewritten by the graded Leibniz rule u _| (F ^ G) =
-(u _| F) ^ G + (-1)^p F ^ (u _| G).  densities() is the one route to all
+(u _| F) ^ G + (-1)^p F ^ (u _| G).  _densities() is the one route to all
 three: it computes u _| F, u _| G, L_u F and L_u G once, reads the F ^ G
 that FieldConfig builds once per field pair, and sums each component in
-one poly_sum; a field of rational constants contracts by scaling.  The
-residual is a difference, never zero by construction, so a sign error in
-the exterior calculus surfaces as a nonzero residual.
+one poly_sum; a field of rational constants contracts by scaling.
+conservation_residual() and the identity rows a, b and a+b take d of sigma_u,
+F ^ (u _| G), (u _| F) ^ G and u _| (F ^ G) from their unsummed terms, never
+building them.  The residual is a difference, never zero by construction,
+so a sign error in the exterior calculus surfaces as a nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (_components, _contract_terms, _wedge_terms, basis_form, check_shape,
+from .forms import (_components, _contract_terms, _Top, _wedge_terms, basis_form, check_shape,
                     combine, contract, ext_d, lie_derivative, sort_indices, wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
@@ -77,8 +79,17 @@ def _force(cfg, uF, uG):
     return wedge_sum((1, cfg.dF, uG), (1, uF, cfg.dG))
 
 
+def _densities(u, cfg):
+    """(sigma_u as the unsummed terms of F ^ uG - (-1)^p u _| FG / 2, f_u, phi_u)."""
+    uF, uG, LuF, LuG = _moved(u, cfg)
+    F, G, half = cfg.F, cfg.G, Fraction((-1) ** cfg.p, 2)
+    sigma = _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG)
+    return (_Top(F.chart, True, sigma), _force(cfg, uF, uG),
+            wedge_sum((half, F, LuG), (-half, LuF, G)))
+
+
 class Densities(namedtuple("Densities", "sigma force phi")):
-    """Sigma_u, f_u and phi_u of one (u, FieldConfig); each is a Form."""
+    """Sigma_u, f_u and phi_u of one (u, FieldConfig) as Forms; sigma_u may be a _Top."""
 
     __slots__ = ()
 
@@ -93,14 +104,10 @@ class Densities(namedtuple("Densities", "sigma force phi")):
 
 
 def densities(u, cfg):
-    """The three densities along u over the shared u _| F, u _| G, L_u F and
-    L_u G; sigma_u in its Leibniz form F ^ (u _| G) - (-1)^p u _| (F ^ G) / 2
-    over the config's F ^ G.  Constant fields contract by scaling."""
-    uF, uG, LuF, LuG = _moved(u, cfg)
-    F, G, half = cfg.F, cfg.G, Fraction((-1) ** cfg.p, 2)
-    sigma = _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG)
-    return Densities(F._raw(F.chart.n - 1, True, _components(F.chart, sigma)),
-                     _force(cfg, uF, uG), wedge_sum((half, F, LuG), (-half, LuF, G)))
+    """The three densities along u; sigma_u is summed from its terms."""
+    sigma, force, phi = _densities(u, cfg)
+    return Densities(cfg.F._raw(sigma.degree, True, _components(cfg.chart, sigma.groups)),
+                     force, phi)
 
 
 def sigma_u(u, cfg):
@@ -119,8 +126,8 @@ def obstruction_phi_u(u, cfg):
 
 
 def conservation_residual(u, cfg):
-    """d(sigma_u) - force_u - phi_u; see Densities.residual."""
-    return densities(u, cfg).residual()
+    """d(sigma_u) - force_u - phi_u by Densities.residual; sigma_u is never summed."""
+    return Densities(*_densities(u, cfg)).residual()
 
 
 # -- step-by-step identities ----------------------------------------------------
@@ -134,12 +141,15 @@ def identity_suite(u, cfg, id_prefix=""):
     a:   d(F ^ uG) = (-1)^p F ^ L_u G + force_u
     b:   (-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u
     a+b: their sum collapses to d(u _| (F^G)) = L_u F ^ G + F ^ L_u G.
+    F ^ uG, uF ^ G and u _| (F^G) are differentiated from unsummed terms.
     """
     F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
     udG = contract(u, dG)
     uF, uG, LuF, LuG = _moved(u, cfg, udG)
     f = _force(cfg, uF, uG)
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
+    F_uG, uF_G, u_FG = (_Top(cfg.chart, True, terms) for terms in (
+        _wedge_terms({}, 1, F, uG), _wedge_terms({}, 1, uF, G), _contract_terms({}, 1, u, cfg.FG)))
     return [
         residual_check(
             id_prefix + "sym", "sym",
@@ -147,13 +157,13 @@ def identity_suite(u, cfg, id_prefix=""):
             wedge_sum((1, uF, dG), (sgn, F, udG)), contract(u, wedge(F, dG))),
         residual_check(
             id_prefix + "a", "a", "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
-            combine((1, ext_d, wedge(F, uG)), (-sgn, F_LuG), (-1, f))),
+            combine((1, ext_d, F_uG), (-sgn, F_LuG), (-1, f))),
         residual_check(
             id_prefix + "b", "b", "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
-            combine((sgn, ext_d, wedge(uF, G)), (-sgn, LuF_G), (1, f))),
+            combine((sgn, ext_d, uF_G), (-sgn, LuF_G), (1, f))),
         residual_check(
             id_prefix + "a+b", "a+b", "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
-            combine((1, ext_d, contract(u, cfg.FG)), (-1, LuF_G), (-1, F_LuG))),
+            combine((1, ext_d, u_FG), (-1, LuF_G), (-1, F_LuG))),
     ]
 
 

@@ -40,6 +40,8 @@ class Chart(namedtuple("Chart", "n orientation complex_mode")):
             raise StructuralError(f"chart dimension must be in 2..8, got {n}")
         if orientation.__class__ is not int or orientation not in (1, -1):
             raise StructuralError(f"orientation must be +1 or -1, got {orientation}")
+        if complex_mode.__class__ is not bool:
+            raise StructuralError(f"complex_mode must be a bool, got {complex_mode!r}")
         return super().__new__(cls, n, orientation, complex_mode)
 
     def to_complex(self):
@@ -276,6 +278,26 @@ def _d_terms(groups, m, a):
     return groups
 
 
+class _Top(namedtuple("_Top", "chart twist groups")):
+    """An (n-1)-form as its components' unsummed terms, as the adders leave them."""
+
+    __slots__ = ()
+    degree = property(lambda self: self.chart.n - 1)
+
+
+def _top_d_terms(groups, m, a):
+    """Add the poly_sum terms of m * d(a), m = +-1, for a _Top a to groups: a
+    term (c, p, q) of the component without dx_k is c * d(p * q)/dx_k, or c * dp/dx_k."""
+    if m not in (1, -1):
+        raise StructuralError(f"d of unsummed terms takes m = +-1, got {m!r}")
+    n = a.chart.n
+    for idx, terms in a.groups.items():
+        ((k,), (top, sign)), = _wedge_table(n, n - 1, 1)[idx].items()
+        keep = sign == (m if n % 2 else -m)  # dx_k ^ dx_idx = (-1)^(n-1) sign dx_top
+        groups.setdefault(top, []).extend(
+            [(c if keep else -c, p, k if q is None else (q, k)) for c, p, q in terms])
+
+
 def _wedge_terms(groups, m, a, b):
     """Add the poly_sum terms of m * (a ^ b) to groups, by output index."""
     table = _wedge_table(a.chart.n, a.degree, b.degree)
@@ -332,7 +354,7 @@ def combine(*terms):
     """The linear combination sum of m * form over (m, form) terms, m an
     int or Fraction; each component is one poly_sum.  A term (m, ext_d, a)
     stands for m * d(a): its partial derivatives join the same sums, so
-    d(a) is never built.
+    d(a) is never built.  a may also be a _Top, its terms never summed.
 
     The summands must agree in chart, degree and twist, as for +.
     """
@@ -340,12 +362,12 @@ def combine(*terms):
     shape = None
     for m, *op, form in terms:
         if op:
-            _d_terms(groups, m, form)
+            (_d_terms if form.__class__ is Form else _top_d_terms)(groups, m, form)
         else:
             for idx, poly in form.components.items():
                 groups.setdefault(idx, []).append((m, poly, None))
         shape = _like(shape, form.chart, form.degree + len(op), form.twist)
-    return form._raw(shape[1], shape[2], _components(form.chart, groups))
+    return Form._raw(form, shape[1], shape[2], _components(form.chart, groups))
 
 
 def wedge_sum(*terms):

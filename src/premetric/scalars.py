@@ -12,10 +12,10 @@ content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work; like fmpq_poly's internal sums, a kernel
 leaves its result's common factor for the first read to divide out.  A sum
-of many products, scaled polynomials and partial derivatives (one
-component of a wedge, a derivative or a Hodge dual) is accumulated by
-poly_sum, and one given as loose monomials by monomial_sum, in one pass
-without building any partial sum.
+of products, scaled polynomials and partial derivatives of either (one
+component of a wedge, a Hodge dual, or d of a form or of an unsummed
+(n-1)-form of products) is accumulated by poly_sum, and one given as loose
+monomials by monomial_sum, in one pass without building any partial sum.
 """
 
 from fractions import Fraction
@@ -388,8 +388,8 @@ def monomial_sum(n, complex_mode, monomials):
 
 
 def poly_sum(n, complex_mode, terms):
-    """Sum over terms (m, a, b) of m * a * b when b is a
-    Polynomial, m * a when b is None and m * (d a / d x_b) when b is an int.
+    """Sum over terms (m, a, b) of m * a * b, m * a, m * (d a / d x_b) or
+    m * d(a * c) / d x_k as b is a Polynomial, None, an int or a pair (c, k).
 
     m is an int or Fraction, a and b Polynomials in n variables of the
     given mode (the caller has checked that).  One pass drops the zero
@@ -411,13 +411,15 @@ def poly_sum(n, complex_mode, terms):
                 continue
             d *= b._den
             product = True
+        elif b.__class__ is tuple:
+            d, product = d * b[0]._den, True
         if den % d:
             den = lcm(den, d)
         kept.append((num, d, a, b))
         last = m
     if len(kept) == 1 and last == 1:
         _, _, a, b = kept[0]
-        if b.__class__ is not int:
+        if b is None or b.__class__ is Polynomial:
             return a if b is None else a * b
     return _accumulate(n, complex_mode, den, kept, product)
 
@@ -425,9 +427,11 @@ def poly_sum(n, complex_mode, terms):
 def _accumulate(n, complex_mode, den, kept, product):
     """poly_sum's kept terms (num, d, a, b) summed over den into one dict,
     zeros dropped; a product folds its multiplier num * (den // d) into
-    each row of its shorter factor.  Polynomial.__mul__ is one product."""
+    each row of its shorter factor.  Polynomial.__mul__ is one product.
+    A derivative of a product lowers x_k in each ka + kb; the guard sees ka + kb."""
     out = {}
     get = out.get
+    raw = 0  # the OR of every unlowered key ka + kb
     for num, d, a, b in kept:
         f = num * (den // d)
         if b is None:
@@ -457,6 +461,30 @@ def _accumulate(n, complex_mode, den, kept, product):
                     if e:
                         k -= step
                         out[k] = get(k, 0) + v * e * f
+        elif b.__class__ is tuple:  # shift is _shift(n, k), inlined
+            b, step, mask = b[0], 1 << (shift := FIELD_BITS * (n - 1 - b[1])), _FIELD_MASK
+            a, b = a._nums, b._nums
+            if len(a) < len(b):
+                a, b = b, a
+            a = a.items()
+            if complex_mode:
+                for kb, (br, bi) in b.items():
+                    br, bi = br * f, bi * f
+                    for ka, (ar, ai) in a:
+                        raw |= (k := ka + kb)
+                        if e := (k >> shift) & mask:
+                            k -= step
+                            re, im = (ar * br - ai * bi) * e, (ar * bi + ai * br) * e
+                            cur = get(k)
+                            out[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            else:
+                for kb, vb in b.items():
+                    vb *= f
+                    for ka, va in a:
+                        raw |= (k := ka + kb)
+                        if e := (k >> shift) & mask:
+                            k -= step
+                            out[k] = get(k, 0) + va * vb * e
         else:
             a, b = a._nums, b._nums
             if len(a) < len(b):
@@ -478,5 +506,5 @@ def _accumulate(n, complex_mode, den, kept, product):
                         k = ka + kb
                         out[k] = get(k, 0) + va * vb
     if product:
-        _check_guard(out, n)
+        _check_guard(chain(out, (raw,)) if raw else out, n)
     return _reduced(n, complex_mode, den, out)

@@ -113,6 +113,16 @@ def test_chart_orientation_must_be_an_int(orientation):
         Chart(4, orientation)
 
 
+@pytest.mark.parametrize("mode", [None, "yes", 2, 1, 0, 1.0])
+def test_chart_complex_mode_must_be_a_bool(mode):
+    # Chart(4, complex_mode=None) used to be accepted, and the first form on it
+    # failed with "component polynomial does not match the chart"; with 1 it
+    # printed complex_mode=1
+    with pytest.raises(StructuralError, match=f"^complex_mode must be a bool, got {mode!r}$"):
+        Chart(4, complex_mode=mode)
+    assert Chart(4, 1, True).complex_mode is True and Chart(4).complex_mode is False
+
+
 @pytest.mark.parametrize("degree", [1.0, True])
 def test_form_degree_must_be_an_int(degree):
     # a float degree used to be accepted, and ext_d then raised TypeError

@@ -4,9 +4,12 @@
 derivatives into the same per-component sums as its other terms.  Cartan's
 formula in `lie_derivative`, `Densities.residual()` and the `a`, `b` and
 `a+b` rows of `identity_suite` are built that way, so d(a), u _| a and
-u _| da are never formed only to be summed again.  Each fused result must
-equal the same expression built from the public `ext_d`, `contract` and
-`combine`, and each must stay one kernel call per output component.
+u _| da are never formed only to be summed again.  An (n-1)-form of
+products may also be given as its unsummed terms: the `a`, `b` and `a+b`
+rows and `conservation_residual` differentiate F ^ uG, uF ^ G, u _| (F ^ G)
+and sigma_u that way, so those forms are never built.  Each fused result
+must equal the same expression built from the public `ext_d`, `contract`
+and `combine`, and each must stay one kernel call per output component.
 """
 
 import random
@@ -18,7 +21,8 @@ import pytest
 
 import premetric.electrodynamics as electrodynamics
 from premetric import forms, scalars
-from premetric.electrodynamics import Densities, FieldConfig, densities, identity_suite
+from premetric.electrodynamics import (Densities, FieldConfig, conservation_residual,
+                                       densities, identity_suite)
 from premetric.errors import StructuralError
 from premetric.forms import (Chart, Form, VectorField, basis_form, combine, contract,
                              ext_d, lie_derivative, wedge, wedge_sum)
@@ -79,6 +83,18 @@ def test_fused_combine_checks_the_summands_like_plus():
         combine((1, ext_d, a), (1, ext_d, Form(chart, 1, True, {(0,): x})))
     with pytest.raises(StructuralError, match="^chart mismatch$"):
         combine((1, ext_d, a), (1, ext_d, Form(Chart(3, -1), 1, False, {(0,): x})))
+    # a 2-form left as its unsummed terms is checked the same way
+    z = chart.variable(2)
+    terms = forms._Top(chart, False, {(0, 1): [(1, z, z)]})
+    top = ext_d(Form(chart, 2, False, {(0, 1): z * z}))
+    assert combine((1, ext_d, terms), (-1, top)).is_zero() and not top.is_zero()
+    assert combine((1, top), (-1, ext_d, terms)).is_zero()
+    with pytest.raises(StructuralError, match="^degree mismatch: 3 vs 2$"):
+        combine((1, ext_d, terms), (1, ext_d, a))
+    with pytest.raises(StructuralError, match="^twist parity mismatch$"):
+        combine((1, ext_d, terms), (1, top.scale(1, pseudo=True)))
+    with pytest.raises(StructuralError, match="^chart mismatch$"):
+        combine((1, ext_d, forms._Top(Chart(3, -1), False, {})), (1, top))
 
 
 @pytest.mark.parametrize("chart", CHARTS, ids=_id)
@@ -125,6 +141,33 @@ def test_fused_residual_is_the_difference_built_from_forms(chart):
             assert wrong.residual() == _unfused_residual(wrong)
             nonzero += not wrong.residual().is_zero()
     assert nonzero
+
+
+def _fields(chart, rng):
+    """A random field, one that takes Cartan's formula and coordinate fields."""
+    yield random_vector_field(rng, chart)
+    yield _polynomial_field(rng, chart)
+    yield from (forms.coordinate_field(chart, k) for k in (0, chart.n - 1))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["exact", "flipped-sigma"])
+@pytest.mark.parametrize("chart", CHARTS, ids=_id)
+def test_conservation_residual_is_the_residual_of_the_built_densities(chart, flip, monkeypatch):
+    # sigma_u's u _| (F ^ G) half with its sign flipped makes both routes
+    # nonzero; they stay equal because one builder gives both their sigma_u
+    if flip:
+        real = electrodynamics._contract_terms
+        monkeypatch.setattr(electrodynamics, "_contract_terms",
+                            lambda groups, m, u, a: real(groups, -m, u, a))
+    rng = random.Random(f"fused-conservation:{_id(chart)}")
+    nonzero = 0
+    for p in range(1, chart.n):
+        cfg = FieldConfig(_dense(rng, chart, p, False), _dense(rng, chart, chart.n - p, True))
+        for u in _fields(chart, rng):
+            residual = conservation_residual(u, cfg)
+            assert residual == _unfused_residual(densities(u, cfg))
+            nonzero += not residual.is_zero()
+    assert bool(nonzero) is flip
 
 
 def _unfused_identity_rows(u, cfg, lie):
@@ -203,6 +246,11 @@ def test_fused_sums_make_one_kernel_call_per_component(mode, monkeypatch):
     del calls[:]
     d.residual()
     assert len(calls) == comb(6, 6)
+    # u _| F, u _| G, L_u F, L_u G (each given its u _| a and da), f_u, phi_u
+    # and the residual; sigma_u's C(6, 5) components are never summed
+    del calls[:]
+    conservation_residual(u, cfg)
+    assert len(calls) == 15 + 15 + 20 + 20 + 1 + 1 + 1
 
 
 def test_residual_multiplies_no_fractions(monkeypatch):
@@ -218,6 +266,8 @@ def test_residual_multiplies_no_fractions(monkeypatch):
         monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name:
                             calls.append(name) or real(x, y))
     assert densities(u, cfg).residual().is_zero()
+    assert conservation_residual(u, cfg).is_zero()
+    assert all(row.passed for row in identity_suite(u, cfg))
     assert calls == []
 
 
@@ -233,7 +283,10 @@ def test_coordinate_field_residual_multiplies_no_fractions(monkeypatch):
         monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name:
                             calls.append(name) or real(x, y))
     for k in range(chart.n):
-        assert densities(forms.coordinate_field(chart, k), cfg).residual().is_zero()
+        u = forms.coordinate_field(chart, k)
+        assert densities(u, cfg).residual().is_zero()
+        assert conservation_residual(u, cfg).is_zero()
+        assert all(row.passed for row in identity_suite(u, cfg))
     assert calls == []
 
 

@@ -11,8 +11,9 @@ polynomial given as loose monomials, are also compared with folds over
 plain Fractions.  The generated polynomials mix denominators, run in both
 scalar modes, and include inputs that cancel to the zero form.  The
 exponent guard must still fire when the products that reach past the
-limit cancel.  A kernel leaves its result's common factor for the first
-read, so values built along routes that leave different factors must
+limit cancel, and a derivative of a product must see the product's
+exponents before it lowers them.  A kernel leaves its result's common
+factor for the first read, so values built along routes that leave different factors must
 still compare, hash and read as one canonical value.  A derivative must
 leave key fields above the n coordinate fields alone.
 """
@@ -30,8 +31,9 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
-from premetric.forms import (Chart, Form, VectorField, _wedge_table,  # noqa: E402
-                             combine, contract, ext_d, wedge, wedge_sum)
+from premetric.forms import (Chart, Form, VectorField, _contract_terms,  # noqa: E402
+                             _Top, _wedge_table, _wedge_terms, combine, contract,
+                             ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
@@ -326,38 +328,43 @@ def fraction_poly(p):
 
 
 def fraction_term_fold(terms):
-    """The sum of poly_sum's terms over plain Fractions: m*a*b, m*a or
-    m * d(a)/dx_b as b is a Polynomial, None or an int."""
+    """The sum of poly_sum's terms over plain Fractions: m*a*b, m*a,
+    m * d(a)/dx_b or m * d(a*c)/dx_k as b is a Polynomial, None, an int or
+    a pair (c, k)."""
     out = {}
 
-    def add(e, re, im):
+    def add(e, re, im, k=None):
+        if k is not None:
+            if not e[k]:
+                return
+            re, im, e = re * e[k], im * e[k], e[:k] + (e[k] - 1,) + e[k + 1:]
         r, i = out.get(e, (0, 0))
         out[e] = r + re, i + im
 
     for m, a, b in terms:
+        b, k = b if isinstance(b, tuple) else (b, None)
         for ea, (ar, ai) in fraction_poly(a).items():
             if b is None:
                 add(ea, m * ar, m * ai)
             elif isinstance(b, int):
-                if ea[b]:
-                    e = ea[:b] + (ea[b] - 1,) + ea[b + 1:]
-                    add(e, m * ea[b] * ar, m * ea[b] * ai)
+                add(ea, m * ar, m * ai, b)
             else:
                 for eb, (br, bi) in fraction_poly(b).items():
                     add(tuple(x + y for x, y in zip(ea, eb)),
-                        m * (ar * br - ai * bi), m * (ar * bi + ai * br))
+                        m * (ar * br - ai * bi), m * (ar * bi + ai * br), k)
     return {e: c for e, c in out.items() if c != (0, 0)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mixed_poly_sum_is_the_fraction_fold(data):
-    # products, scaled polynomials and partial derivatives in one call,
-    # with zero multipliers, zero polynomials and, sometimes, every term
-    # again with the opposite sign
+    # products, scaled polynomials, partial derivatives and derivatives
+    # of products in one call, with zero multipliers, zero polynomials
+    # and, sometimes, every term again with the opposite sign
     chart = data.draw(charts())
     n, mode = chart.n, chart.complex_mode
-    second = st.none() | polys(n, mode) | st.integers(0, n - 1)
+    second = (st.none() | polys(n, mode) | st.integers(0, n - 1)
+              | st.tuples(polys(n, mode), st.integers(0, n - 1)))
     terms = [(data.draw(st.integers(-3, 3) | COEFF), data.draw(polys(n, mode)),
               data.draw(second)) for _ in range(data.draw(st.integers(0, 6)))]
     if data.draw(st.booleans()):
@@ -388,6 +395,8 @@ def test_poly_sum_lone_term_shortcuts(mode, monkeypatch):
     # any other lone term goes through the accumulator
     del products[:]
     assert poly_sum(3, mode, [(1, a, 1)]) == a.partial(1) != a
+    assert poly_sum(3, mode, [(1, a, (b, 1))]) == real_mul(a, b).partial(1)
+    assert poly_sum(3, mode, [(1, a, (zero, 1)), (0, a, (b, 0))]).is_zero()
     assert poly_sum(3, mode, [(-1, a, None)]) == -a
     assert poly_sum(3, mode, [(Fraction(2, 3), a, b)]) == real_mul(a, b).scale(Fraction(2, 3))
     # the shortcut is keyed on m == 1, not on its numerator
@@ -441,6 +450,56 @@ def test_monomial_sum_that_cancels_is_the_canonical_zero(mode):
                                   (two, 24, 0)])
     assert zero.den == 1 and zero.nums == {}
     assert monomial_sum(2, mode, []).den == 1
+
+
+# -- the derivative of a product -------------------------------------------------
+#
+# d of an (n-1)-form of products is taken from its unsummed terms: the term
+# (m, a, (b, k)) is m * d(a * b)/dx_k, and each product is read once.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derivative_of_a_product_is_the_derivative_of_the_built_product(data):
+    # int, negative and Fraction multipliers, inputs that may carry a common
+    # factor, and all four term kinds in one call
+    n, mode = data.draw(st.integers(2, 6)), data.draw(st.booleans())
+    multiplier = st.integers(-3, 3) | COEFF
+
+    def poly():
+        return data.draw(routed_polys(n, mode, data.draw(polys(n, mode))))
+
+    fused, built = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        m, a, b, k = data.draw(multiplier), poly(), poly(), data.draw(st.integers(0, n - 1))
+        fused.append((m, a, (b, k)))
+        built.append((m, a * b, k))
+    others = [(data.draw(multiplier), poly(),
+               data.draw(st.none() | polys(n, mode) | st.integers(0, n - 1)))
+              for _ in range(data.draw(st.integers(0, 3)))]
+    assert poly_sum(n, mode, fused) == poly_sum(n, mode, built)
+    total = poly_sum(n, mode, others + fused)
+    assert total == poly_sum(n, mode, others + built)
+    assert_canonical(total)
+
+
+@EXAMPLES
+@given(st.data())
+def test_d_of_unsummed_terms_is_d_of_the_built_form(data):
+    # an (n-1)-form of wedge and contraction terms, differentiated from its
+    # terms and from the same form built by wedge, contract and combine
+    chart = data.draw(charts())
+    n, twist = chart.n, data.draw(st.booleans())
+    p = data.draw(st.integers(0, n - 1))
+    a, b = data.draw(forms(chart, p, False)), data.draw(forms(chart, n - 1 - p, twist))
+    c = data.draw(forms(chart, n, twist))
+    u = VectorField(chart, [data.draw(polys(n, chart.complex_mode)) for _ in range(n)])
+    ma, mc, m = data.draw(COEFF), data.draw(COEFF), data.draw(st.sampled_from((1, -1)))
+    top = _Top(chart, twist, _contract_terms(_wedge_terms({}, ma, a, b), mc, u, c))
+    fused = combine((m, ext_d, top))
+    built = combine((ma, wedge(a, b)), (mc, contract(u, c)))
+    assert (fused.degree, fused.twist) == (n, twist)
+    assert fused.components == combine((m, ext_d(built))).components
 
 
 # -- the exponent guard ----------------------------------------------------------
@@ -497,6 +556,40 @@ def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
     assert calls == []
     poly_sum(2, mode, [*others, (1, x_big, low)])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_exponent_guard_sees_a_derivative_of_a_product_before_it_lowers_it(mode):
+    # x0^64 * x0^64 reaches x0^128, which d/dx0 would lower to the valid
+    # x0^127; x1^64 * x1^64 has no x0, so d/dx0 drops it.  Both raise, as
+    # (a * a).partial(0) does, in poly_sum and through d of a 1-form at n = 2
+    one = (1, 0) if mode else 1
+    chart = Chart(2, complex_mode=mode)
+    for exps in ((64, 0), (0, 64)):
+        a = Polynomial(2, {exps: one}, mode)
+        with pytest.raises(StructuralError, match="exceeds the limit"):
+            (a * a).partial(0)
+        with pytest.raises(StructuralError, match="exceeds the limit"):
+            poly_sum(2, mode, [(1, a, (a, 0))])
+        groups = _wedge_terms({}, 1, Form(chart, 0, False, {(): a}),
+                              Form(chart, 1, True, {(1,): a}))
+        with pytest.raises(StructuralError, match="exceeds the limit"):
+            combine((1, ext_d, _Top(chart, True, groups)))
+    # one below the limit the fused term is the derivative of the product
+    a, low = (Polynomial(2, {(e, 0): one}, mode) for e in (64, 63))
+    assert poly_sum(2, mode, [(1, a, (low, 0))]) == (a * low).partial(0) != a
+
+
+def test_unsummed_d_takes_a_unit_multiplier():
+    chart = Chart(3)
+    x = chart.variable(2)
+    top = _Top(chart, False, {(0, 1): [(1, x, x)]})
+    built = Form(chart, 2, False, {(0, 1): x * x})
+    assert top.degree == 2
+    assert combine((-1, ext_d, top)) == -ext_d(built) != Form.zero(chart, 3)
+    for m in (2, Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(StructuralError, match="^d of unsummed terms takes m = \\+-1, got"):
+            combine((m, ext_d, top))
 
 
 # -- scaling by a number -------------------------------------------------------
@@ -768,6 +861,8 @@ def test_derivatives_leave_fields_above_the_coordinates_untouched():
     assert p.partial(0)._nums == {h + x0 + x1: 6} and p.partial(0)._den == 1
     assert p.partial(1)._nums == {h + 2 * x0: 3}
     assert p.partial(2).is_zero()
+    assert poly_sum(n, False, [(1, p, (Polynomial.variable(n, 0), 0))])._nums == {
+        h + 2 * x0 + x1: 9, 2 * h: 5}
     d = ext_d(Form(Chart(n), 0, False, {(): p}))
     assert {idx: c._nums for idx, c in d.components.items()} == {
         (0,): {h + x0 + x1: 6}, (1,): {h + 2 * x0: 3}}
