@@ -14,12 +14,15 @@ about how G relates to F.  The second line of sigma_u, the one computed,
 is the first rewritten by the graded Leibniz rule u _| (F ^ G) =
 (u _| F) ^ G + (-1)^p F ^ (u _| G).  _densities() is the one route to all
 three: it computes u _| F, u _| G, L_u F and L_u G once, reads the F ^ G
-that FieldConfig builds once per field pair, and sums each component in
-one poly_sum; a field of rational constants contracts by scaling.
-conservation_residual() and the identity rows a, b and a+b take d of sigma_u,
-F ^ (u _| G), (u _| F) ^ G and u _| (F ^ G) from their unsummed terms, never
-building them.  The residual is a difference, never zero by construction,
-so a sign error in the exterior calculus surfaces as a nonzero residual.
+that FieldConfig builds once per field pair, and leaves each density as
+the terms of one kernel sum per component; densities() sums them, and a
+field of rational constants contracts by scaling.  conservation_residual()
+puts the derivative terms of sigma_u and the wedge terms of f_u and phi_u
+into one sum per component, building none of the three, and the identity
+rows a, b and a+b take d of F ^ (u _| G), (u _| F) ^ G and u _| (F ^ G)
+from their unsummed terms.  The residual is a difference, never zero by
+construction, so a sign error in the exterior calculus surfaces as a
+nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -31,8 +34,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (_components, _contract_terms, _Top, _wedge_terms, basis_form, check_shape,
-                    combine, contract, ext_d, lie_derivative, sort_indices, wedge, wedge_sum)
+from .forms import (_components, _contract_terms, _top_d_terms, _Top, _wedge_terms, basis_form,
+                    check_shape, combine, contract, ext_d, lie_derivative, sort_indices, wedge,
+                    wedge_sum)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational
@@ -74,27 +78,36 @@ def _moved(u, cfg, udG=None):
             lie_derivative(u, cfg.G, uG, cfg.dG, udG))
 
 
-def _force(cfg, uF, uG):
-    """force_u = dF ^ (u _| G) + (u _| F) ^ dG, the one route to it."""
-    return wedge_sum((1, cfg.dF, uG), (1, uF, cfg.dG))
+def _force_terms(groups, m, cfg, uF, uG):
+    """Add the wedge terms of m * force_u = m * (dF ^ (u _| G) + (u _| F) ^ dG)
+    to groups, m = +-1: the one route to force_u."""
+    return _wedge_terms(_wedge_terms(groups, m, cfg.dF, uG), m, uF, cfg.dG)
 
 
-def _densities(u, cfg):
-    """(sigma_u as the unsummed terms of F ^ uG - (-1)^p u _| FG / 2, f_u, phi_u)."""
+def _summed(cfg, degree, groups):
+    """The twisted degree-form on cfg's chart with each group's terms summed."""
+    return cfg.F._raw(degree, True, _components(cfg.chart, groups))
+
+
+def _densities(u, cfg, m, force, phi):
+    """sigma_u as a _Top of the unsummed terms of F ^ uG - (-1)^p u _| FG / 2;
+    the wedge terms of m * force_u and m * phi_u, m = +-1, are added to the
+    groups force and phi, which may be one dict."""
     uF, uG, LuF, LuG = _moved(u, cfg)
     F, G, half = cfg.F, cfg.G, Fraction((-1) ** cfg.p, 2)
-    sigma = _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG)
-    return (_Top(F.chart, True, sigma), _force(cfg, uF, uG),
-            wedge_sum((half, F, LuG), (-half, LuF, G)))
+    _force_terms(force, m, cfg, uF, uG)
+    mhalf = half if m == 1 else -half
+    _wedge_terms(_wedge_terms(phi, mhalf, F, LuG), -mhalf, LuF, G)
+    return _Top(F.chart, True, _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG))
 
 
 class Densities(namedtuple("Densities", "sigma force phi")):
-    """Sigma_u, f_u and phi_u of one (u, FieldConfig) as Forms; sigma_u may be a _Top."""
+    """Sigma_u, f_u and phi_u of one (u, FieldConfig) as Forms."""
 
     __slots__ = ()
 
     def residual(self):
-        """d(sigma_u) - force_u - phi_u, one poly_sum per component over the
+        """d(sigma_u) - force_u - phi_u, one term_sum per component over the
         derivative terms of sigma_u and the components of force_u and phi_u.
 
         Identically the zero n-form for every (F, G, u); asserting that is
@@ -104,10 +117,11 @@ class Densities(namedtuple("Densities", "sigma force phi")):
 
 
 def densities(u, cfg):
-    """The three densities along u; sigma_u is summed from its terms."""
-    sigma, force, phi = _densities(u, cfg)
-    return Densities(cfg.F._raw(sigma.degree, True, _components(cfg.chart, sigma.groups)),
-                     force, phi)
+    """The three densities along u, each summed from its terms."""
+    force, phi, n = {}, {}, cfg.chart.n
+    sigma = _densities(u, cfg, 1, force, phi)
+    return Densities(_summed(cfg, n - 1, sigma.groups), _summed(cfg, n, force),
+                     _summed(cfg, n, phi))
 
 
 def sigma_u(u, cfg):
@@ -126,8 +140,12 @@ def obstruction_phi_u(u, cfg):
 
 
 def conservation_residual(u, cfg):
-    """d(sigma_u) - force_u - phi_u by Densities.residual; sigma_u is never summed."""
-    return Densities(*_densities(u, cfg)).residual()
+    """d(sigma_u) - force_u - phi_u, one term_sum per component: the derivative
+    terms of sigma_u and the wedge terms of -force_u and -phi_u go into the
+    same groups, so none of the three densities is built."""
+    groups = {}
+    _top_d_terms(groups, 1, _densities(u, cfg, -1, groups, groups))
+    return _summed(cfg, cfg.chart.n, groups)
 
 
 # -- step-by-step identities ----------------------------------------------------
@@ -146,7 +164,7 @@ def identity_suite(u, cfg, id_prefix=""):
     F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
     udG = contract(u, dG)
     uF, uG, LuF, LuG = _moved(u, cfg, udG)
-    f = _force(cfg, uF, uG)
+    f = _summed(cfg, cfg.chart.n, _force_terms({}, 1, cfg, uF, uG))
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
     F_uG, uF_G, u_FG = (_Top(cfg.chart, True, terms) for terms in (
         _wedge_terms({}, 1, F, uG), _wedge_terms({}, 1, uF, G), _contract_terms({}, 1, u, cfg.FG)))
@@ -310,8 +328,8 @@ class LinearLocal:
         comps = F.components
         groups = {}
         for jdx, row in zip(self.rows, self.chi):
-            terms = [(1, entry, comps[idx])
-                     for entry, idx in zip(row, self.cols) if idx in comps]
+            terms = [(1, entry._den * comps[idx]._den, entry, comps[idx])
+                     for entry, idx in zip(row, self.cols) if idx in comps and entry._nums]
             if terms:
                 groups[jdx] = terms
         return F._raw(self.chart.n - self.p, True, _components(self.chart, groups))

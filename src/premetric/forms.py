@@ -14,6 +14,11 @@ Degrees above the chart dimension are permitted but carry no components;
 wedging past top degree therefore yields a canonical zero form rather than
 an error, which is what the vanishing (n+1)-form arguments in the identity
 suites rely on.
+
+Each output component is one scalars.term_sum over finished terms
+(num, d, a, b) that the term adders below append by output index, each
+reading its multiplier once per call; the kernel only takes the lcm of
+the ds and reads every term once.
 """
 
 from collections import namedtuple
@@ -22,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, _index, _multiplier, _scaled, poly_sum
+from .scalars import Polynomial, _index, _multiplier, _scaled, check_mode, term_sum
 
 
 class Chart(namedtuple("Chart", "n orientation complex_mode")):
@@ -40,8 +45,7 @@ class Chart(namedtuple("Chart", "n orientation complex_mode")):
             raise StructuralError(f"chart dimension must be in 2..8, got {n}")
         if orientation.__class__ is not int or orientation not in (1, -1):
             raise StructuralError(f"orientation must be +1 or -1, got {orientation}")
-        if complex_mode.__class__ is not bool:
-            raise StructuralError(f"complex_mode must be a bool, got {complex_mode!r}")
+        check_mode(complex_mode)
         return super().__new__(cls, n, orientation, complex_mode)
 
     def to_complex(self):
@@ -79,6 +83,8 @@ class Form:
                 raise StructuralError(f"index tuple {idx} out of range for n={chart.n}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise StructuralError(f"index tuple {idx} is not strictly increasing")
+            if not isinstance(poly, Polynomial):
+                raise StructuralError(f"component {idx} is not a Polynomial: {poly!r}")
             if poly.n != chart.n or poly.complex_mode != chart.complex_mode:
                 raise StructuralError("component polynomial does not match the chart")
             if not poly.is_zero():
@@ -178,7 +184,9 @@ class VectorField:
         components = tuple(components)
         if len(components) != chart.n:
             raise StructuralError(f"expected {chart.n} components, got {len(components)}")
-        for p in components:
+        for i, p in enumerate(components):
+            if not isinstance(p, Polynomial):
+                raise StructuralError(f"component {i} is not a Polynomial: {p!r}")
             if p.n != chart.n or p.complex_mode != chart.complex_mode:
                 raise StructuralError("component polynomial does not match the chart")
         self.chart = chart
@@ -256,25 +264,44 @@ def _contract_table(n, p):
     return table
 
 
+# -- term adders ------------------------------------------------------------
+#
+# Each adder reads its multiplier m (an int or a Fraction) once per call as
+# integers num/dm and appends finished term_sum terms (num, d, a, b) to
+# groups, by output index: d is dm times the dens of the term's factors.
+
+
 def _components(chart, groups):
-    """Sum each output index's terms with poly_sum; zero sums are dropped."""
+    """Sum each output index's finished terms with term_sum; zero sums are dropped."""
     n, complex_mode = chart.n, chart.complex_mode
     comps = {}
     for idx, terms in groups.items():
-        poly = poly_sum(n, complex_mode, terms)
+        poly = term_sum(n, complex_mode, terms)
         if poly._nums:
             comps[idx] = poly
     return comps
 
 
+def _num_den(m):
+    """m, an int or a Fraction, as integers (num, dm) with m = num/dm."""
+    return (m, 1) if m.__class__ is int else (m.numerator, m.denominator)
+
+
+def _signed(m):
+    """({1: num, -1: -num}, dm) for m = num/dm, num signed by a table sign."""
+    num, dm = _num_den(m)
+    return {1: num, -1: -num}, dm
+
+
 def _d_terms(groups, m, a):
-    """Add the poly_sum terms of m * d(a) to groups, by output index; the
-    wedge table gives dx_idx ^ dx_k, and dx_k ^ dx_idx is (-1)^p times it."""
+    """Add the terms of m * d(a) to groups; the wedge table gives
+    dx_idx ^ dx_k, and dx_k ^ dx_idx is (-1)^p times it."""
     table = _wedge_table(a.chart.n, a.degree, 1)
-    m = -m if a.degree % 2 else m
+    signed, dm = _signed(-m if a.degree % 2 else m)
     for idx, poly in a.components.items():
+        d = dm * poly._den
         for (k,), (merged, sign) in table[idx].items():
-            groups.setdefault(merged, []).append((sign * m, poly, k))
+            groups.setdefault(merged, []).append((signed[sign], d, poly, k))
     return groups
 
 
@@ -286,8 +313,9 @@ class _Top(namedtuple("_Top", "chart twist groups")):
 
 
 def _top_d_terms(groups, m, a):
-    """Add the poly_sum terms of m * d(a), m = +-1, for a _Top a to groups: a
-    term (c, p, q) of the component without dx_k is c * d(p * q)/dx_k, or c * dp/dx_k."""
+    """Add the terms of m * d(a), m = +-1, for a _Top a to groups: a term
+    (c, d, p, q) of the component without dx_k gives c/d * d(p * q)/dx_k,
+    or c/d * dp/dx_k; d stays, since it counts the dens of p and q."""
     if m not in (1, -1):
         raise StructuralError(f"d of unsummed terms takes m = +-1, got {m!r}")
     n = a.chart.n
@@ -295,32 +323,35 @@ def _top_d_terms(groups, m, a):
         ((k,), (top, sign)), = _wedge_table(n, n - 1, 1)[idx].items()
         keep = sign == (m if n % 2 else -m)  # dx_k ^ dx_idx = (-1)^(n-1) sign dx_top
         groups.setdefault(top, []).extend(
-            [(c if keep else -c, p, k if q is None else (q, k)) for c, p, q in terms])
+            [(c if keep else -c, d, p, k if q is None else (q, k)) for c, d, p, q in terms])
+    return groups
 
 
 def _wedge_terms(groups, m, a, b):
-    """Add the poly_sum terms of m * (a ^ b) to groups, by output index."""
+    """Add the terms of m * (a ^ b) to groups."""
     table = _wedge_table(a.chart.n, a.degree, b.degree)
-    bc, signed = b.components, {1: m, -1: -m}
+    bc, (signed, dm) = b.components, _signed(m)
     for ia, pa in a.components.items():
+        da = dm * pa._den
         for ib, (merged, sign) in table[ia].items():
             pb = bc.get(ib)
             if pb is not None:
-                groups.setdefault(merged, []).append((signed[sign], pa, pb))
+                groups.setdefault(merged, []).append((signed[sign], da * pb._den, pa, pb))
     return groups
 
 
 def _contract_terms(groups, m, u, a):
-    """Add the poly_sum terms of m * (u _| a), a of degree >= 1, to groups;
-    along rational constants c_i, a's components scaled by sign * m * c_i."""
+    """Add the terms of m * (u _| a), a of degree >= 1, to groups; along
+    rational constants c_i, a's components scaled by sign * m * c_i."""
     table = _contract_table(a.chart.n, a.degree)
-    rates, signed = u.rates, {1: m, -1: -m}
-    rows = ([c._nums and (signed, c) for c in u.components] if rates is None else
-            [c and (signed if c == 1 else {1: m * c, -1: -m * c}, None) for c in rates])
+    rates, (signed, dm) = u.rates, _signed(m)
+    rows = ([c._nums and (signed, dm * c._den, c) for c in u.components] if rates is None else
+            [c and ((signed, dm) if c == 1 else _signed(m * c)) + (None,) for c in rates])
     for idx, poly in a.components.items():
         for i, rest, sign in table[idx]:
             if row := rows[i]:
-                groups.setdefault(rest, []).append((row[0][sign], poly, row[1]))
+                groups.setdefault(rest, []).append(
+                    (row[0][sign], row[1] * poly._den, poly, row[2]))
     return groups
 
 
@@ -352,7 +383,7 @@ def _like(shape, chart, degree, twist):
 
 def combine(*terms):
     """The linear combination sum of m * form over (m, form) terms, m an
-    int or Fraction; each component is one poly_sum.  A term (m, ext_d, a)
+    int or Fraction; each component is one term_sum.  A term (m, ext_d, a)
     stands for m * d(a): its partial derivatives join the same sums, so
     d(a) is never built.  a may also be a _Top, its terms never summed.
 
@@ -363,16 +394,17 @@ def combine(*terms):
     for m, *op, form in terms:
         if op:
             (_d_terms if form.__class__ is Form else _top_d_terms)(groups, m, form)
-        else:
+        elif m:
+            num, dm = _num_den(m)
             for idx, poly in form.components.items():
-                groups.setdefault(idx, []).append((m, poly, None))
+                groups.setdefault(idx, []).append((num, dm * poly._den, poly, None))
         shape = _like(shape, form.chart, form.degree + len(op), form.twist)
     return Form._raw(form, shape[1], shape[2], _components(form.chart, groups))
 
 
 def wedge_sum(*terms):
     """The sum of m * (a ^ b) over (m, a, b) terms, m an int or Fraction,
-    with one poly_sum per output component.  The products must agree in
+    with one term_sum per output component.  The products must agree in
     chart, degree and twist; past top degree the sum is the canonical zero
     form (an (n+1)-form has no components), which the identity suites use.
     """
@@ -381,7 +413,8 @@ def wedge_sum(*terms):
         if a.chart != b.chart:
             raise StructuralError("chart mismatch")
         shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
-        _wedge_terms(groups, m, a, b)
+        if m:
+            _wedge_terms(groups, m, a, b)
     return a._raw(shape[1], shape[2], _components(a.chart, groups))
 
 
@@ -416,18 +449,19 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
     d(u _| a) + u _| da, reusing the caller's u _| a, da or u _| da when
     given (u _| da alone on 0-forms); the terms of d(u _| a) and u _| da go
     into the same sums, so neither form is built.  Either way each
-    component is one poly_sum.
+    component is one term_sum.
     """
     if u.chart != a.chart:
         raise StructuralError("chart mismatch")
     rates = u.rates
     if rates is not None:
-        groups = {idx: [(c, poly, j) for j, c in enumerate(rates) if c]
+        rows = [(j, *_num_den(c)) for j, c in enumerate(rates) if c]
+        groups = {idx: [(c, d * poly._den, poly, j) for j, c, d in rows]
                   for idx, poly in a.components.items()}
     elif uda is None:
         groups = _contract_terms({}, 1, u, ext_d(a) if da is None else da)
     else:
-        groups = {idx: [(1, poly, None)] for idx, poly in uda.components.items()}
+        groups = {idx: [(1, poly._den, poly, None)] for idx, poly in uda.components.items()}
     if rates is None and a.degree:
         _d_terms(groups, 1, contract(u, a) if ua is None else ua)
     return a._raw(a.degree, a.twist, _components(a.chart, groups))

@@ -185,8 +185,9 @@ def hodge(metric, a):
     groups = {}
     for j_idx, row in metric.star(p).items():
         # J's row raises the indices of its complement K, with the volume
-        # factor and sign(K, J) in each multiplier
-        terms = [(m, comps[i_idx], None) for i_idx, m in row if i_idx in comps]
+        # factor and sign(K, J) in each Fraction multiplier
+        terms = [(m.numerator, m.denominator * comps[i_idx]._den, comps[i_idx], None)
+                 for i_idx, m in row if i_idx in comps]
         if terms:
             groups[j_idx] = terms
     return a._raw(n - p, not a.twist, _components(chart, groups))

@@ -11,11 +11,14 @@ its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work; like fmpq_poly's internal sums, a kernel
-leaves its result's common factor for the first read to divide out.  A sum
-of products, scaled polynomials and partial derivatives of either (one
-component of a wedge, a Hodge dual, or d of a form or of an unsummed
-(n-1)-form of products) is accumulated by poly_sum, and one given as loose
-monomials by monomial_sum, in one pass without building any partial sum.
+leaves its result's common factor for the first read to divide out, which
+keeps the canonical copy beside the raw slots.  A sum of products, scaled
+polynomials and partial derivatives of either (one component of a wedge, a
+Hodge dual, or d of a form or of an unsummed (n-1)-form of products) is
+accumulated by term_sum from finished terms (num, d, a, b), which the form
+adders emit with each multiplier read once per call; poly_sum is the
+checked adapter that forms them from (m, a, b), and monomial_sum sums loose
+monomials.  Each runs in one pass without building any partial sum.
 """
 
 from fractions import Fraction
@@ -35,6 +38,12 @@ def _as_fraction(x) -> Fraction:
     if type(x) is int:
         return Fraction(x)
     raise StructuralError(f"not an exact rational: {x!r}")
+
+
+def check_mode(complex_mode):
+    """Raise unless complex_mode is a bool; 1, None or text are refused."""
+    if complex_mode.__class__ is not bool:
+        raise StructuralError(f"complex_mode must be a bool, got {complex_mode!r}")
 
 
 def nonzero_rational(value, name):
@@ -100,10 +109,12 @@ class Polynomial:
     numerators in real mode and to (re, im) integer pairs, not both zero,
     in complex mode.  Every (den, nums) read is canonical: den > 0 and
     gcd(den, every numerator part) == 1, so equal polynomials read equal.
-    Between kernel calls the slots _den, _nums may carry a factor that
-    divides den and every numerator (_loose set); zeros are dropped at
-    once, the one gcd runs on the first read, and == decides a pair with
-    identical slots without it.
+    The slots _den, _nums may carry a factor that divides den and every
+    numerator (_loose set); zeros are dropped at once, the one gcd runs on
+    the first read, and == decides a pair with identical slots without it.
+    The raw slots never change after a polynomial is made: a kernel term
+    may hold a den read from them before its numerators are read, so the
+    first read keeps the canonical copy beside them in _canon.
     Coefficients carry no pseudoscalar parity; that lives one level up,
     on forms.
 
@@ -112,14 +123,14 @@ class Polynomial:
     inspection; arithmetic never builds it.
     """
 
-    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose")
+    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose", "_canon")
 
     def __init__(self, n, terms=None, complex_mode=False):
         """Checked constructor from {exponent tuple: coefficient}, e.g.
         {(2, 0, 1): Fraction(3, 4)} is (3/4)*x0^2*x2."""
         if n.__class__ is not int or n < 1:
             raise StructuralError(f"polynomial dimension must be an int >= 1, got {n!r}")
-        complex_mode = bool(complex_mode)
+        check_mode(complex_mode)
         monomials = []
         for exps, coeff in (terms or {}).items():
             m = _multiplier(coeff, complex_mode)
@@ -130,7 +141,7 @@ class Polynomial:
         p = monomial_sum(n, complex_mode, monomials)
         self.n = n
         self.complex_mode = complex_mode
-        self._den, self._nums, self._loose = p._den, p._nums, p._loose
+        self._den, self._nums, self._loose, self._canon = p._den, p._nums, p._loose, None
 
     # -- constructors ------------------------------------------------------
 
@@ -145,7 +156,7 @@ class Polynomial:
     @classmethod
     def variable(cls, n, i, complex_mode=False):
         _index(i, n, "variable")
-        complex_mode = bool(complex_mode)
+        check_mode(complex_mode)
         return _make(n, complex_mode, 1,
                      {1 << _shift(n, i): (1, 0) if complex_mode else 1})
 
@@ -155,15 +166,20 @@ class Polynomial:
     nums = property(lambda self: (self._reduce() if self._loose else self)._nums)
 
     def _reduce(self):
-        """self, the gcd of den and every numerator part divided out in place."""
+        """A loose self with the gcd of den and every numerator part divided
+        out: self when it is 1, else a canonical copy, made on the first
+        read and kept in _canon; the raw slots stay as they are."""
+        if self._canon is not None:
+            return self._canon
         nums, mode = self._nums, self.complex_mode
         g = gcd(self._den, *(chain.from_iterable(nums.values()) if mode else nums.values()))
-        if g != 1:
-            self._den //= g
-            self._nums = ({k: (r // g, i // g) for k, (r, i) in nums.items()} if mode
-                          else {k: v // g for k, v in nums.items()})
-        self._loose = False
-        return self
+        if g == 1:
+            self._loose = False
+            return self
+        self._canon = _make(self.n, mode, self._den // g,
+                            {k: (r // g, i // g) for k, (r, i) in nums.items()} if mode
+                            else {k: v // g for k, v in nums.items()})
+        return self._canon
 
     @property
     def terms(self):
@@ -214,7 +230,7 @@ class Polynomial:
     def __mul__(self, other):
         self._check_compatible(other)
         den = self._den * other._den
-        return _accumulate(self.n, self.complex_mode, den, ((1, den, self, other),), True)
+        return _accumulate(self.n, self.complex_mode, den, ((1, den, self, other),))
 
     def scale(self, s):
         """Multiply by a number (see _multiplier)."""
@@ -264,6 +280,7 @@ def _make(n, complex_mode, den, nums, loose=False):
     p._den = den
     p._nums = nums
     p._loose = loose
+    p._canon = None
     return p
 
 
@@ -362,9 +379,9 @@ def _reduced(n, complex_mode, den, nums):
 # -- accumulation kernels ------------------------------------------------------
 #
 # Every sum of several polynomial terms (a form component built from many
-# products, partial derivatives or scaled inputs) goes through poly_sum, as
-# do + and partial themselves; every loose monomial goes through
-# monomial_sum.
+# products, partial derivatives or scaled inputs) goes through term_sum, as
+# finished terms from the form adders or through poly_sum, as do + and
+# partial themselves; every loose monomial goes through monomial_sum.
 
 
 def monomial_sum(n, complex_mode, monomials):
@@ -393,12 +410,9 @@ def poly_sum(n, complex_mode, terms):
 
     m is an int or Fraction, a and b Polynomials in n variables of the
     given mode (the caller has checked that).  One pass drops the zero
-    terms, reads each m once as integers num/dm and builds the lcm of the
-    term denominators; _accumulate sums every term over it.  A lone term
-    with m = 1 and no derivative is the factor or the plain product."""
+    terms and reads each m as integers num/dm into the finished term
+    (num, dm * a's den [* b's or c's den], a, b) that term_sum takes."""
     kept = []
-    den = 1
-    product = False
     for m, a, b in terms:
         if not (m and a._nums):
             continue
@@ -410,29 +424,43 @@ def poly_sum(n, complex_mode, terms):
             if not b._nums:
                 continue
             d *= b._den
-            product = True
         elif b.__class__ is tuple:
-            d, product = d * b[0]._den, True
-        if den % d:
-            den = lcm(den, d)
+            d *= b[0]._den
         kept.append((num, d, a, b))
-        last = m
-    if len(kept) == 1 and last == 1:
-        _, _, a, b = kept[0]
-        if b is None or b.__class__ is Polynomial:
-            return a if b is None else a * b
-    return _accumulate(n, complex_mode, den, kept, product)
+    return term_sum(n, complex_mode, kept)
 
 
-def _accumulate(n, complex_mode, den, kept, product):
-    """poly_sum's kept terms (num, d, a, b) summed over den into one dict,
-    zeros dropped; a product folds its multiplier num * (den // d) into
-    each row of its shorter factor.  Polynomial.__mul__ is one product.
-    A derivative of a product lowers x_k in each ka + kb; the guard sees ka + kb."""
+def term_sum(n, complex_mode, terms):
+    """Sum of finished terms (num, d, a, b): num/d times the raw numerators
+    of a, of a * b or of a derivative, as b reads in poly_sum's terms; num
+    is an int and d the multiplier's den times the raw dens of the term's
+    factors.  The lcm of the ds is the sum's den.  A lone term with
+    multiplier 1 (num 1, d the factors' dens) and no derivative is the
+    factor itself or the plain product a * b."""
+    if len(terms) == 1:
+        num, den, a, b = terms[0]
+        if num == 1:
+            if b is None:
+                if den == a._den:
+                    return a
+            elif b.__class__ is Polynomial and den == a._den * b._den:
+                return a * b
+    else:
+        den = lcm(*[t[1] for t in terms])
+    return _accumulate(n, complex_mode, den, terms)
+
+
+def _accumulate(n, complex_mode, den, terms):
+    """Finished terms (num, d, a, b) summed over den into one dict, zeros
+    dropped; a product folds its multiplier num * (den // d) into each row
+    of its shorter factor.  Polynomial.__mul__ is one product.  The
+    exponent guard runs when a term is a product; a derivative of a
+    product lowers x_k in each ka + kb, and the guard sees ka + kb."""
     out = {}
     get = out.get
     raw = 0  # the OR of every unlowered key ka + kb
-    for num, d, a, b in kept:
+    product = False
+    for num, d, a, b in terms:
         f = num * (den // d)
         if b is None:
             if complex_mode:
@@ -462,6 +490,7 @@ def _accumulate(n, complex_mode, den, kept, product):
                         k -= step
                         out[k] = get(k, 0) + v * e * f
         elif b.__class__ is tuple:  # shift is _shift(n, k), inlined
+            product = True
             b, step, mask = b[0], 1 << (shift := FIELD_BITS * (n - 1 - b[1])), _FIELD_MASK
             a, b = a._nums, b._nums
             if len(a) < len(b):
@@ -486,6 +515,7 @@ def _accumulate(n, complex_mode, den, kept, product):
                             k -= step
                             out[k] = get(k, 0) + va * vb * e
         else:
+            product = True
             a, b = a._nums, b._nums
             if len(a) < len(b):
                 a, b = b, a

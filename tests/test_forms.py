@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -23,6 +24,7 @@ from premetric.forms import (
 )
 from premetric.hodge import _det
 from premetric.randgen import random_form, random_polynomial, random_vector_field
+from premetric.scalars import Polynomial
 
 
 def _chart(n, **kw):
@@ -121,6 +123,33 @@ def test_chart_complex_mode_must_be_a_bool(mode):
     with pytest.raises(StructuralError, match=f"^complex_mode must be a bool, got {mode!r}$"):
         Chart(4, complex_mode=mode)
     assert Chart(4, 1, True).complex_mode is True and Chart(4).complex_mode is False
+
+
+@pytest.mark.parametrize("mode", [None, "yes", 2, 1, 0, 1.0])
+def test_polynomial_complex_mode_must_be_a_bool(mode):
+    # bool() used to turn "yes", 2 and 1.0 into a complex polynomial and
+    # None into a real one
+    message = f"^complex_mode must be a bool, got {mode!r}$"
+    for build in (lambda: Polynomial(4, {(0, 0, 0, 0): 1}, mode),
+                  lambda: Polynomial.zero(4, mode),
+                  lambda: Polynomial.constant(4, 1, mode),
+                  lambda: Polynomial.variable(4, 0, mode)):
+        with pytest.raises(StructuralError, match=message):
+            build()
+    assert Polynomial.variable(4, 0, True).complex_mode is True
+    assert Polynomial.zero(4).complex_mode is False
+
+
+@pytest.mark.parametrize("component", [5, None, Fraction(1, 2), "x0"])
+def test_components_must_be_polynomials(component):
+    # a non-Polynomial component used to raise AttributeError: 'int'
+    # object has no attribute 'n'
+    ch, shown = Chart(4), re.escape(repr(component))
+    with pytest.raises(StructuralError,
+                       match=rf"^component \(0,\) is not a Polynomial: {shown}$"):
+        Form(ch, 1, False, {(0,): component})
+    with pytest.raises(StructuralError, match=rf"^component 2 is not a Polynomial: {shown}$"):
+        VectorField(ch, [ch.const_poly(1), ch.zero_poly(), component, ch.zero_poly()])
 
 
 @pytest.mark.parametrize("degree", [1.0, True])

@@ -7,7 +7,9 @@ formula in `lie_derivative`, `Densities.residual()` and the `a`, `b` and
 u _| da are never formed only to be summed again.  An (n-1)-form of
 products may also be given as its unsummed terms: the `a`, `b` and `a+b`
 rows and `conservation_residual` differentiate F ^ uG, uF ^ G, u _| (F ^ G)
-and sigma_u that way, so those forms are never built.  Each fused result
+and sigma_u that way, so those forms are never built, and
+`conservation_residual` adds the wedge terms of f_u and phi_u to the same
+sums instead of building them.  Each fused result
 must equal the same expression built from the public `ext_d`, `contract`
 and `combine`, and each must stay one kernel call per output component.
 """
@@ -83,9 +85,9 @@ def test_fused_combine_checks_the_summands_like_plus():
         combine((1, ext_d, a), (1, ext_d, Form(chart, 1, True, {(0,): x})))
     with pytest.raises(StructuralError, match="^chart mismatch$"):
         combine((1, ext_d, a), (1, ext_d, Form(Chart(3, -1), 1, False, {(0,): x})))
-    # a 2-form left as its unsummed terms is checked the same way
+    # a 2-form left as its unsummed terms (num, d, a, b) is checked the same way
     z = chart.variable(2)
-    terms = forms._Top(chart, False, {(0, 1): [(1, z, z)]})
+    terms = forms._Top(chart, False, {(0, 1): [(1, 1, z, z)]})
     top = ext_d(Form(chart, 2, False, {(0, 1): z * z}))
     assert combine((1, ext_d, terms), (-1, top)).is_zero() and not top.is_zero()
     assert combine((1, top), (-1, ext_d, terms)).is_zero()
@@ -217,8 +219,8 @@ def _dense(rng, chart, degree, twist):
 
 def _kernel_calls(monkeypatch):
     calls = []
-    real = forms.poly_sum
-    monkeypatch.setattr(forms, "poly_sum",
+    real = forms.term_sum
+    monkeypatch.setattr(forms, "term_sum",
                         lambda *args: calls.append(args[2]) or real(*args))
     return calls
 
@@ -246,16 +248,16 @@ def test_fused_sums_make_one_kernel_call_per_component(mode, monkeypatch):
     del calls[:]
     d.residual()
     assert len(calls) == comb(6, 6)
-    # u _| F, u _| G, L_u F, L_u G (each given its u _| a and da), f_u, phi_u
-    # and the residual; sigma_u's C(6, 5) components are never summed
+    # u _| F, u _| G, L_u F, L_u G (each given its u _| a and da) and the
+    # residual; sigma_u's C(6, 5) components, f_u and phi_u are never summed
     del calls[:]
     conservation_residual(u, cfg)
-    assert len(calls) == 15 + 15 + 20 + 20 + 1 + 1 + 1
+    assert len(calls) == 15 + 15 + 20 + 20 + 1
 
 
 def test_residual_multiplies_no_fractions(monkeypatch):
     # multipliers reach the term loops as integers: wedge_sum signs them
-    # without a product and poly_sum reads each one once
+    # without a product and each adder reads each one once per call
     chart = Chart(6)
     rng = random.Random("no-fraction-products")
     cfg = FieldConfig(random_form(rng, chart, 3, False), random_form(rng, chart, 3, True))
@@ -312,7 +314,7 @@ def test_arithmetic_leaves_every_gcd_to_the_first_read(monkeypatch):
 
 
 def test_constant_rates_are_ints_unless_fractional():
-    # a coordinate field's rates 0 and 1 reach poly_sum as ints, not Fractions
+    # a coordinate field's rates 0 and 1 reach the term adders as ints, not Fractions
     chart, half = Chart(4), Fraction(1, 2)
     rates = forms._rational_constants(forms.coordinate_field(chart, 2))
     assert rates == [0, 0, 1, 0] and {type(r) for r in rates} == {int}

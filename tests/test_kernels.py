@@ -1,9 +1,11 @@
 """The accumulation kernels against a term-by-term fold.
 
 Every form operation builds each output component with one call to
-`scalars.poly_sum`, whose terms are products, scaled polynomials and
-partial derivatives; `wedge_sum` does so for a whole linear combination
-of wedges.  Each is compared here with the fold the kernel replaced,
+`scalars.term_sum`, whose finished terms are products, scaled polynomials
+and partial derivatives, each with its multiplier read by the adder that
+made it; `wedge_sum` does so for a whole linear combination of wedges, and
+`scalars.poly_sum` forms the same terms from `(m, a, b)`.  Each is
+compared here with the fold the kernel replaced,
 written out in this file: one Polynomial product, partial derivative or
 scaling per term, summed with `+`.  `poly_sum` with all three kinds of
 term in one call, and `scalars.monomial_sum`, which builds every
@@ -31,14 +33,14 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
-from premetric.forms import (Chart, Form, VectorField, _contract_terms,  # noqa: E402
-                             _Top, _wedge_table, _wedge_terms, combine, contract,
-                             ext_d, wedge, wedge_sum)
+from premetric.forms import (Chart, Form, VectorField, _components,  # noqa: E402
+                             _contract_terms, _d_terms, _top_d_terms, _Top, _wedge_table,
+                             _wedge_terms, combine, contract, ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
 from premetric.scalars import (MAX_EXPONENT, Polynomial, _pack,  # noqa: E402
-                               monomial_sum, poly_sum)
+                               monomial_sum, poly_sum, term_sum)
 
 EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -583,13 +585,140 @@ def test_exponent_guard_sees_a_derivative_of_a_product_before_it_lowers_it(mode)
 def test_unsummed_d_takes_a_unit_multiplier():
     chart = Chart(3)
     x = chart.variable(2)
-    top = _Top(chart, False, {(0, 1): [(1, x, x)]})
+    top = _Top(chart, False, {(0, 1): [(1, 1, x, x)]})
     built = Form(chart, 2, False, {(0, 1): x * x})
     assert top.degree == 2
     assert combine((-1, ext_d, top)) == -ext_d(built) != Form.zero(chart, 3)
     for m in (2, Fraction(1, 2), Fraction(-3)):
         with pytest.raises(StructuralError, match="^d of unsummed terms takes m = \\+-1, got"):
             combine((m, ext_d, top))
+
+
+# -- finished terms ---------------------------------------------------------------
+#
+# Each form adder reads its multiplier once per call as integers num/dm and
+# emits finished terms (num, d, a, b), d being dm times the raw dens of the
+# term's factors; term_sum sums them as poly_sum sums the (m, a, b) triples
+# they stand for.
+
+
+def sign_of(indices):
+    return -1 if inversions(indices) % 2 else 1
+
+
+def constant_of(poly):
+    """The rational constant term of poly, its real part in complex mode."""
+    if poly.complex_mode:
+        return poly.terms.get((0,) * poly.n, (0, 0))[0]
+    return poly.terms.get((0,) * poly.n, 0)
+
+
+def adder_triples(kind, m, *args):
+    """The poly_sum triples of one adder's terms, by output index, written
+    from the definitions: m * (a ^ b), m * (u _| a), m * d(a), or m * d of
+    the (n-1)-form a ^ b left unsummed."""
+    out = {}
+    if kind in ("wedge", "top-d"):
+        a, b = args
+        n = a.chart.n
+        for ia, pa in a.components.items():
+            for ib, pb in b.components.items():
+                if set(ia) & set(ib):
+                    continue
+                idx, c = tuple(sorted(ia + ib)), sign_of(ia + ib) * m
+                if kind == "wedge":
+                    out.setdefault(idx, []).append((c, pa, pb))
+                else:
+                    k, = set(range(n)) - set(idx)
+                    out.setdefault(tuple(range(n)), []).append(
+                        (sign_of((k,) + idx) * c, pa, (pb, k)))
+    elif kind == "contract":
+        u, a = args
+        for idx, pa in a.components.items():
+            for pos, i in enumerate(idx):
+                rest, c, ui = idx[:pos] + idx[pos + 1:], (-1) ** pos * m, u.components[i]
+                out.setdefault(rest, []).append(
+                    (c, pa, ui) if u.rates is None else (c * constant_of(ui), pa, None))
+    else:
+        a, = args
+        for idx, pa in a.components.items():
+            for k in set(range(a.chart.n)) - set(idx):
+                out.setdefault(tuple(sorted(idx + (k,))), []).append(
+                    (sign_of((k,) + idx) * m, pa, k))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_each_adder_sums_as_poly_sum_of_its_triples(data):
+    # int, negative and Fraction multipliers, factors that may carry a
+    # common factor, a polynomial or a rational-constant field, both modes
+    chart = data.draw(charts())
+    n, mode = chart.n, chart.complex_mode
+    m = data.draw(st.integers(-3, 3) | COEFF)
+
+    def form(p):
+        f = data.draw(forms(chart, p, data.draw(st.booleans())))
+        return Form(chart, p, f.twist, {idx: data.draw(routed_polys(n, mode, c))
+                                        for idx, c in f.components.items()})
+
+    p = data.draw(st.integers(0, n - 1))
+    a, b, c, e = form(p), form(n - 1 - p), form(data.draw(st.integers(1, n))), form(p)
+    if data.draw(st.booleans()):
+        u = VectorField(chart, [data.draw(polys(n, mode)) for _ in range(n)])
+    else:
+        u = VectorField(chart, [chart.const_poly(data.draw(st.integers(-2, 2) | COEFF))
+                                for _ in range(n)])
+    unit = data.draw(st.sampled_from((1, -1)))
+    top = _Top(chart, False, _wedge_terms({}, 1, a, b))
+    for groups, triples in (
+            (_wedge_terms({}, m, a, b), adder_triples("wedge", m, a, b)),
+            (_contract_terms({}, m, u, c), adder_triples("contract", m, u, c)),
+            (_d_terms({}, m, e), adder_triples("d", m, e)),
+            (_top_d_terms({}, unit, top), adder_triples("top-d", unit, a, b))):
+        want = nonzero({idx: poly_sum(n, mode, terms) for idx, terms in triples.items()})
+        assert nonzero({idx: term_sum(n, mode, terms) for idx, terms in groups.items()}) == want
+        assert _components(chart, groups) == want
+    # combine adds the terms of its plain summands itself
+    assert combine((m, e)).components == nonzero(
+        {idx: poly_sum(n, mode, [(m, poly, None)]) for idx, poly in e.components.items()})
+
+
+@pytest.mark.parametrize("mode", [False, True])
+def test_lone_unit_terms_are_the_factor_or_one_product(mode, monkeypatch):
+    chart = Chart(3, complex_mode=mode)
+    rng = random.Random(f"lone-finished:{mode}")
+    x0, x2 = chart.variable(0), chart.variable(2)
+    F = Form(chart, 1, False, {(i,): random_polynomial(rng, 3, 2, mode) + chart.variable(i)
+                               for i in range(3)})
+    loose = x0.scale(Fraction(1, 2)) + x0.scale(Fraction(1, 2))
+    assert loose._loose and loose._den == 2
+    products = []
+    real_mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda p, q: products.append((p, q)) or real_mul(p, q))
+    # a lone linear term with multiplier 1 is the factor object itself
+    assert term_sum(3, mode, [(1, loose._den, loose, None)]) is loose
+    summed = combine((1, F))
+    assert all(summed.components[idx] is poly for idx, poly in F.components.items())
+    assert products == []
+    # a lone product with multiplier 1 goes through Polynomial.__mul__: a
+    # law with one nonzero chi entry per row makes one product per row
+    law = LinearLocal(chart, 1, [[x2, 0, 0], [0, 0, 2], [0, Fraction(1, 3), 0]])
+    G = law.apply(F)
+    assert products == [
+        (law.chi[0][0], F.components[(0,)]), (law.chi[1][2], F.components[(2,)]),
+        (law.chi[2][1], F.components[(1,)])]
+    assert G.components[(0, 1)] == real_mul(x2, F.components[(0,)])
+    # a multiplier other than 1, or a derivative, goes through the accumulator
+    del products[:]
+    half = combine((Fraction(1, 2), F))
+    assert all(half.components[idx] != poly for idx, poly in F.components.items())
+    assert term_sum(3, mode, [(1, 2 * loose._den, loose, None)]) == loose.scale(Fraction(1, 2))
+    assert term_sum(3, mode, [(1, loose._den, loose, 0)]) == loose.partial(0)
+    scaled = wedge_sum((Fraction(1, 2), Form(chart, 0, False, {(): x2}), F))
+    assert scaled.components[(0,)] == real_mul(x2, F.components[(0,)]).scale(Fraction(1, 2))
+    assert products == []
 
 
 # -- scaling by a number -------------------------------------------------------
@@ -816,6 +945,42 @@ def test_a_sum_that_cancels_reads_as_the_canonical_zero():
         for zero in (built - canonical, canonical - built):
             assert zero.is_zero() and zero.den == 1 and zero.nums == {}
             assert zero == Polynomial.zero(2, canonical.complex_mode)
+
+
+def test_a_read_between_adding_and_summing_leaves_the_terms_valid():
+    # a finished term holds its factors' raw dens; a read of .den between
+    # the adders and the sum (==, printing, or a tracer reading .terms)
+    # keeps the canonical copy beside the raw slots, which stay as they are
+    half = Fraction(1, 2)
+
+    def loose(p):
+        q = p.scale(half) + p.scale(half)  # p over twice its den
+        assert q._loose and q._den == 2 * p.den
+        return q
+
+    def terms():
+        """Fresh factors, most of them loose, and the adders' terms over them:
+        d of a _Top of wedge and contraction terms, and d of a 2-form."""
+        chart = Chart(3)
+        x = [chart.variable(i) for i in range(3)]
+        a = Form(chart, 1, False, {(0,): loose(x[1] * x[2] + x[0]), (1,): x[0]})
+        b = Form(chart, 1, True, {(1,): loose(x[2].scale(3)), (2,): loose(x[0] * x[0])})
+        c = Form(chart, 3, True, {(0, 1, 2): loose(x[0] * x[1])})
+        e = Form(chart, 2, True, {(0, 2): loose(x[1] * x[1]), (1, 2): loose(x[0])})
+        u = VectorField(chart, [loose(x[2]), loose(x[0] * x[1]), x[1].scale(5)])
+        top = _Top(chart, True, _contract_terms(_wedge_terms({}, 1, a, b), half, u, c))
+        return top.groups, _d_terms(_top_d_terms({}, -1, top), 3, e)
+
+    unread = [_components(Chart(3), groups) for groups in terms()]
+    read = terms()
+    factors = [f for groups in read for group in groups.values() for _, _, a, b in group
+               for f in (a, b[0] if isinstance(b, tuple) else b) if isinstance(f, Polynomial)]
+    raw = [(f._den, f._nums) for f in factors]
+    reduced = [f.den != den for f, (den, _) in zip(factors, raw)]
+    assert any(reduced) and not all(reduced)
+    assert [_components(Chart(3), groups) for groups in read] == unread
+    assert [(f._den, f._nums) for f in factors] == raw
+    assert all(not p.is_zero() for sums in unread for p in sums.values())
 
 
 @st.composite

@@ -81,4 +81,4 @@ def test_sigma_is_the_paper_form_and_constant_fields_contract_by_scaling(case):
         a = random_form(rng, chart, degree, rng.randrange(2) == 1)
         assert contract(u, a) == dense_contract(u, a)
         terms = [t for group in forms._contract_terms({}, 1, u, a).values() for t in group]
-        assert all((b is None) == scaled for _, _, b in terms)
+        assert all((b is None) == scaled for *_, b in terms)
