@@ -34,9 +34,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (_components, _contract_terms, _top_d_terms, _Top, _wedge_terms, basis_form,
-                    check_shape, combine, contract, ext_d, lie_derivative, sort_indices, wedge,
-                    wedge_sum)
+from .forms import (_built, _contract_terms, _row_terms, _top_d_terms, _Top, _wedge_terms,
+                    basis_form, check_shape, combine, contract, ext_d, lie_derivative, sort_indices,
+                    wedge, wedge_sum)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational
@@ -84,11 +84,6 @@ def _force_terms(groups, m, cfg, uF, uG):
     return _wedge_terms(_wedge_terms(groups, m, cfg.dF, uG), m, uF, cfg.dG)
 
 
-def _summed(cfg, degree, groups):
-    """The twisted degree-form on cfg's chart with each group's terms summed."""
-    return cfg.F._raw(degree, True, _components(cfg.chart, groups))
-
-
 def _densities(u, cfg, m, force, phi):
     """sigma_u as a _Top of the unsummed terms of F ^ uG - (-1)^p u _| FG / 2;
     the wedge terms of m * force_u and m * phi_u, m = +-1, are added to the
@@ -118,10 +113,10 @@ class Densities(namedtuple("Densities", "sigma force phi")):
 
 def densities(u, cfg):
     """The three densities along u, each summed from its terms."""
-    force, phi, n = {}, {}, cfg.chart.n
+    force, phi, chart = {}, {}, cfg.chart
     sigma = _densities(u, cfg, 1, force, phi)
-    return Densities(_summed(cfg, n - 1, sigma.groups), _summed(cfg, n, force),
-                     _summed(cfg, n, phi))
+    return Densities(_built(chart, chart.n - 1, True, sigma.groups),
+                     _built(chart, chart.n, True, force), _built(chart, chart.n, True, phi))
 
 
 def sigma_u(u, cfg):
@@ -145,7 +140,7 @@ def conservation_residual(u, cfg):
     same groups, so none of the three densities is built."""
     groups = {}
     _top_d_terms(groups, 1, _densities(u, cfg, -1, groups, groups))
-    return _summed(cfg, cfg.chart.n, groups)
+    return _built(cfg.chart, cfg.chart.n, True, groups)
 
 
 # -- step-by-step identities ----------------------------------------------------
@@ -164,7 +159,7 @@ def identity_suite(u, cfg, id_prefix=""):
     F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
     udG = contract(u, dG)
     uF, uG, LuF, LuG = _moved(u, cfg, udG)
-    f = _summed(cfg, cfg.chart.n, _force_terms({}, 1, cfg, uF, uG))
+    f = _built(cfg.chart, cfg.chart.n, True, _force_terms({}, 1, cfg, uF, uG))
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
     F_uG, uF_G, u_FG = (_Top(cfg.chart, True, terms) for terms in (
         _wedge_terms({}, 1, F, uG), _wedge_terms({}, 1, uF, G), _contract_terms({}, 1, u, cfg.FG)))
@@ -307,14 +302,19 @@ class LinearLocal:
 
     def __init__(self, chart, p, chi):
         n = chart.n
+        if p.__class__ is not int or not 0 <= p <= n:
+            raise StructuralError(f"linear-local degree must be an int in 0..{n}, got {p!r}")
         self.rows = list(combinations(range(n), n - p))
         self.cols = list(combinations(range(n), p))
-        if len(chi) != len(self.rows) or any(len(r) != len(self.cols) for r in chi):
+        if (chi.__class__ is not list or len(chi) != len(self.rows)
+                or any(r.__class__ is not list or len(r) != len(self.cols) for r in chi)):
             raise StructuralError(
                 f"chi must be {len(self.rows)}x{len(self.cols)} for n={n}, p={p}")
         self.chart = chart
         self.p = p
         self.chi = [[self._entry(e) for e in row] for row in chi]
+        self._sparse = {jdx: [(idx, e) for idx, e in zip(self.cols, row) if not e.is_zero()]
+                        for jdx, row in zip(self.rows, self.chi)}
 
     def _entry(self, e):
         if isinstance(e, Polynomial):
@@ -325,14 +325,7 @@ class LinearLocal:
 
     def apply(self, F):
         check_shape("F", F, self.chart, self.p, False)
-        comps = F.components
-        groups = {}
-        for jdx, row in zip(self.rows, self.chi):
-            terms = [(1, entry._den * comps[idx]._den, entry, comps[idx])
-                     for entry, idx in zip(row, self.cols) if idx in comps and entry._nums]
-            if terms:
-                groups[jdx] = terms
-        return F._raw(self.chart.n - self.p, True, _components(self.chart, groups))
+        return _built(self.chart, self.chart.n - self.p, True, _row_terms({}, self._sparse, F))
 
 
 class Custom:

@@ -17,8 +17,9 @@ suites rely on.
 
 Each output component is one scalars.term_sum over finished terms
 (num, d, a, b) that the term adders below append by output index, each
-reading its multiplier once per call; the kernel only takes the lcm of
-the ds and reads every term once.
+reading its multiplier once per call, and _built sums them; the kernel
+only takes the lcm of the ds and reads every term once.  Only this module
+and scalars write finished terms (hodge and LinearLocal use _row_terms).
 """
 
 from collections import namedtuple
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .scalars import Polynomial, _index, _multiplier, _scaled, check_mode, term_sum
+from .scalars import Polynomial, _index, _multiplier, _scaled, check_flag, term_sum
 
 
 class Chart(namedtuple("Chart", "n orientation complex_mode")):
@@ -45,7 +46,7 @@ class Chart(namedtuple("Chart", "n orientation complex_mode")):
             raise StructuralError(f"chart dimension must be in 2..8, got {n}")
         if orientation.__class__ is not int or orientation not in (1, -1):
             raise StructuralError(f"orientation must be +1 or -1, got {orientation}")
-        check_mode(complex_mode)
+        check_flag("complex_mode", complex_mode)
         return super().__new__(cls, n, orientation, complex_mode)
 
     def to_complex(self):
@@ -69,9 +70,10 @@ class Form:
     def __init__(self, chart, degree, twist, components=None):
         if degree.__class__ is not int or degree < 0:
             raise StructuralError(f"form degree must be an int >= 0, got {degree!r}")
+        check_flag("twist", twist)
         self.chart = chart
         self.degree = degree
-        self.twist = bool(twist)
+        self.twist = twist
         clean = {}
         for idx, poly in (components or {}).items():
             idx = tuple(idx)
@@ -133,6 +135,7 @@ class Form:
         pseudo=True marks s as a pseudoscalar and flips the twist parity.
         Scaling by the int 1 shares the (never mutated) component map.
         """
+        check_flag("pseudo", pseudo)
         if s.__class__ is int and s == 1:
             comps = self.components
         elif isinstance(s, Polynomial):
@@ -148,7 +151,7 @@ class Form:
                      if m else {})
         else:
             raise StructuralError(f"cannot scale a form by {s!r}")
-        return self._raw(self.degree, self.twist != bool(pseudo), comps)
+        return self._raw(self.degree, self.twist != pseudo, comps)
 
     # -- identity ----------------------------------------------------------
 
@@ -271,15 +274,18 @@ def _contract_table(n, p):
 # groups, by output index: d is dm times the dens of the term's factors.
 
 
-def _components(chart, groups):
-    """Sum each output index's finished terms with term_sum; zero sums are dropped."""
+def _built(chart, degree, twist, groups):
+    """The unchecked form on chart with each output index's finished terms
+    summed by term_sum; zero sums are dropped."""
     n, complex_mode = chart.n, chart.complex_mode
     comps = {}
     for idx, terms in groups.items():
         poly = term_sum(n, complex_mode, terms)
         if poly._nums:
             comps[idx] = poly
-    return comps
+    f = object.__new__(Form)
+    f.chart, f.degree, f.twist, f.components = chart, degree, twist, comps
+    return f
 
 
 def _num_den(m):
@@ -355,6 +361,19 @@ def _contract_terms(groups, m, u, a):
     return groups
 
 
+def _row_terms(groups, rows, a):
+    """Add the terms of a sparse matrix acting on a's components, output J
+    the sum of m * a_I over the pairs (I, m) of rows[J], to groups: an int
+    or Fraction m scales a_I, and a Polynomial m multiplies it."""
+    comps = a.components
+    for idx, row in rows.items():
+        if terms := [(1, m._den * p._den, m, p) if m.__class__ is Polynomial
+                     else (m.numerator, m.denominator * p._den, p, None)
+                     for i_idx, m in row if (p := comps.get(i_idx)) is not None]:
+            groups[idx] = terms
+    return groups
+
+
 def check_shape(name, form, chart, degree, twist):
     """Raise unless the form `name` lives on chart as a degree-form of the
     given twist parity."""
@@ -399,7 +418,7 @@ def combine(*terms):
             for idx, poly in form.components.items():
                 groups.setdefault(idx, []).append((num, dm * poly._den, poly, None))
         shape = _like(shape, form.chart, form.degree + len(op), form.twist)
-    return Form._raw(form, shape[1], shape[2], _components(form.chart, groups))
+    return _built(*shape, groups)
 
 
 def wedge_sum(*terms):
@@ -415,7 +434,7 @@ def wedge_sum(*terms):
         shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
         if m:
             _wedge_terms(groups, m, a, b)
-    return a._raw(shape[1], shape[2], _components(a.chart, groups))
+    return _built(*shape, groups)
 
 
 def wedge(a, b):
@@ -425,7 +444,7 @@ def wedge(a, b):
 
 def ext_d(a):
     """Exterior derivative; nilpotent, graded Leibniz, preserves twist."""
-    return a._raw(a.degree + 1, a.twist, _components(a.chart, _d_terms({}, 1, a)))
+    return _built(a.chart, a.degree + 1, a.twist, _d_terms({}, 1, a))
 
 
 def contract(u, a):
@@ -438,7 +457,7 @@ def contract(u, a):
         raise StructuralError("chart mismatch")
     if a.degree == 0:
         return Form.zero(a.chart, 0, a.twist)
-    return a._raw(a.degree - 1, a.twist, _components(a.chart, _contract_terms({}, 1, u, a)))
+    return _built(a.chart, a.degree - 1, a.twist, _contract_terms({}, 1, u, a))
 
 
 def lie_derivative(u, a, ua=None, da=None, uda=None):
@@ -449,10 +468,15 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
     d(u _| a) + u _| da, reusing the caller's u _| a, da or u _| da when
     given (u _| da alone on 0-forms); the terms of d(u _| a) and u _| da go
     into the same sums, so neither form is built.  Either way each
-    component is one term_sum.
+    component is one term_sum.  A given reuse form must have the chart,
+    degree and twist of the one it stands for, whichever way u takes.
     """
-    if u.chart != a.chart:
+    chart, p, twist = a.chart, a.degree, a.twist
+    if u.chart != chart:
         raise StructuralError("chart mismatch")
+    for name, form, degree in (("ua", ua, max(p - 1, 0)), ("da", da, p + 1), ("uda", uda, p)):
+        if form is not None:
+            check_shape(name, form, chart, degree, twist)
     rates = u.rates
     if rates is not None:
         rows = [(j, *_num_den(c)) for j, c in enumerate(rates) if c]
@@ -462,9 +486,9 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
         groups = _contract_terms({}, 1, u, ext_d(a) if da is None else da)
     else:
         groups = {idx: [(1, poly._den, poly, None)] for idx, poly in uda.components.items()}
-    if rates is None and a.degree:
+    if rates is None and p:
         _d_terms(groups, 1, contract(u, a) if ua is None else ua)
-    return a._raw(a.degree, a.twist, _components(a.chart, groups))
+    return _built(chart, p, twist, groups)
 
 
 def _rational_constants(u):

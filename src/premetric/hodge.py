@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import MetricError, StructuralError
-from .forms import _components, _wedge_table
+from .forms import _built, _row_terms, _wedge_table
 from .scalars import _as_fraction
 
 
@@ -181,13 +181,4 @@ def hodge(metric, a):
     n, p = chart.n, a.degree
     if p > n:
         raise StructuralError(f"cannot take the dual of a degree-{p} form on an n={n} chart")
-    comps = a.components
-    groups = {}
-    for j_idx, row in metric.star(p).items():
-        # J's row raises the indices of its complement K, with the volume
-        # factor and sign(K, J) in each Fraction multiplier
-        terms = [(m.numerator, m.denominator * comps[i_idx]._den, comps[i_idx], None)
-                 for i_idx, m in row if i_idx in comps]
-        if terms:
-            groups[j_idx] = terms
-    return a._raw(n - p, not a.twist, _components(chart, groups))
+    return _built(chart, n - p, not a.twist, _row_terms({}, metric.star(p), a))

@@ -12,12 +12,10 @@ content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work; like fmpq_poly's internal sums, a kernel
 leaves its result's common factor for the first read to divide out, which
-keeps the canonical copy beside the raw slots.  A sum of products, scaled
-polynomials and partial derivatives of either (one component of a wedge, a
-Hodge dual, or d of a form or of an unsummed (n-1)-form of products) is
-accumulated by term_sum from finished terms (num, d, a, b), which the form
-adders emit with each multiplier read once per call; poly_sum is the
-checked adapter that forms them from (m, a, b), and monomial_sum sums loose
+keeps the canonical copy beside the raw slots.  Every sum of products,
+scaled polynomials and partial derivatives of either is accumulated by
+term_sum from finished terms (num, d, a, b), which only the form adders
+and Polynomial's own +, - and partial write; monomial_sum sums loose
 monomials.  Each runs in one pass without building any partial sum.
 """
 
@@ -40,10 +38,11 @@ def _as_fraction(x) -> Fraction:
     raise StructuralError(f"not an exact rational: {x!r}")
 
 
-def check_mode(complex_mode):
-    """Raise unless complex_mode is a bool; 1, None or text are refused."""
-    if complex_mode.__class__ is not bool:
-        raise StructuralError(f"complex_mode must be a bool, got {complex_mode!r}")
+def check_flag(name, value):
+    """Raise unless the flag `name` (complex_mode, twist or pseudo) is a
+    bool; 1, None or text are refused."""
+    if value.__class__ is not bool:
+        raise StructuralError(f"{name} must be a bool, got {value!r}")
 
 
 def nonzero_rational(value, name):
@@ -130,7 +129,7 @@ class Polynomial:
         {(2, 0, 1): Fraction(3, 4)} is (3/4)*x0^2*x2."""
         if n.__class__ is not int or n < 1:
             raise StructuralError(f"polynomial dimension must be an int >= 1, got {n!r}")
-        check_mode(complex_mode)
+        check_flag("complex_mode", complex_mode)
         monomials = []
         for exps, coeff in (terms or {}).items():
             m = _multiplier(coeff, complex_mode)
@@ -156,7 +155,7 @@ class Polynomial:
     @classmethod
     def variable(cls, n, i, complex_mode=False):
         _index(i, n, "variable")
-        check_mode(complex_mode)
+        check_flag("complex_mode", complex_mode)
         return _make(n, complex_mode, 1,
                      {1 << _shift(n, i): (1, 0) if complex_mode else 1})
 
@@ -214,8 +213,8 @@ class Polynomial:
     def __add__(self, other, sign=1):
         """self + sign * other for sign in (1, -1); __sub__ passes -1."""
         self._check_compatible(other)
-        return poly_sum(self.n, self.complex_mode,
-                        ((1, self, None), (sign, other, None)))
+        return term_sum(self.n, self.complex_mode,
+                        ((1, self._den, self, None), (sign, other._den, other, None)))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -240,7 +239,7 @@ class Polynomial:
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
         _index(i, self.n, "coordinate")
-        return poly_sum(self.n, self.complex_mode, ((1, self, i),))
+        return term_sum(self.n, self.complex_mode, ((1, self._den, self, i),))
 
     def to_complex(self):
         if self.complex_mode:
@@ -378,17 +377,17 @@ def _reduced(n, complex_mode, den, nums):
 
 # -- accumulation kernels ------------------------------------------------------
 #
-# Every sum of several polynomial terms (a form component built from many
-# products, partial derivatives or scaled inputs) goes through term_sum, as
-# finished terms from the form adders or through poly_sum, as do + and
-# partial themselves; every loose monomial goes through monomial_sum.
+# Every sum of polynomial terms (a form component built from many products,
+# partial derivatives or scaled inputs, and + and partial themselves) goes
+# through term_sum as finished terms; every loose monomial goes through
+# monomial_sum.
 
 
 def monomial_sum(n, complex_mode, monomials):
     """Sum of num/den * x^key over a sequence of (num, den, key):
     num an int, or an (re, im) int pair in complex mode, den > 0 not
     necessarily reduced, key packed.  Accumulated over the lcm of the dens
-    into one dict, like poly_sum."""
+    into one dict, like term_sum."""
     den = lcm(*(d for _, d, _ in monomials))
     out = {}
     get = out.get
@@ -404,39 +403,14 @@ def monomial_sum(n, complex_mode, monomials):
     return _reduced(n, complex_mode, den, out)
 
 
-def poly_sum(n, complex_mode, terms):
-    """Sum over terms (m, a, b) of m * a * b, m * a, m * (d a / d x_b) or
-    m * d(a * c) / d x_k as b is a Polynomial, None, an int or a pair (c, k).
-
-    m is an int or Fraction, a and b Polynomials in n variables of the
-    given mode (the caller has checked that).  One pass drops the zero
-    terms and reads each m as integers num/dm into the finished term
-    (num, dm * a's den [* b's or c's den], a, b) that term_sum takes."""
-    kept = []
-    for m, a, b in terms:
-        if not (m and a._nums):
-            continue
-        if m.__class__ is int:
-            num, d = m, a._den
-        else:
-            num, d = m.numerator, m.denominator * a._den
-        if b.__class__ is Polynomial:
-            if not b._nums:
-                continue
-            d *= b._den
-        elif b.__class__ is tuple:
-            d *= b[0]._den
-        kept.append((num, d, a, b))
-    return term_sum(n, complex_mode, kept)
-
-
 def term_sum(n, complex_mode, terms):
     """Sum of finished terms (num, d, a, b): num/d times the raw numerators
-    of a, of a * b or of a derivative, as b reads in poly_sum's terms; num
-    is an int and d the multiplier's den times the raw dens of the term's
-    factors.  The lcm of the ds is the sum's den.  A lone term with
-    multiplier 1 (num 1, d the factors' dens) and no derivative is the
-    factor itself or the plain product a * b."""
+    of a * b, a, d(a)/dx_b or d(a * c)/dx_k as b is a Polynomial, None, an
+    int or a pair (c, k); num is an int and d the multiplier's den times
+    the raw dens of the term's factors, a and c Polynomials in n variables
+    of the given mode.  The lcm of the ds is the sum's den.  A lone term
+    with multiplier 1 (num 1, d the factors' dens) and no derivative is
+    the factor itself or the plain product a * b."""
     if len(terms) == 1:
         num, den, a, b = terms[0]
         if num == 1:

@@ -330,6 +330,28 @@ def test_linear_local_shape_check():
         LinearLocal(CH4, 2, [[random_polynomial(random.Random(0), 3, 1)] * 6] * 6)
 
 
+@pytest.mark.parametrize("p", [2.0, True, -1, 5, "2", None])
+def test_linear_local_refuses_a_bad_degree(p):
+    # 2.0 and None used to raise TypeError, 5 ValueError, and True was read as 1
+    with pytest.raises(StructuralError,
+                       match=f"^linear-local degree must be an int in 0..4, got {p!r}$"):
+        LinearLocal(CH4, p, [[0] * 4] * 4)
+
+
+def test_linear_local_refuses_rows_that_are_not_lists():
+    # a row that is not a list used to raise TypeError
+    for chi in ([[0] * 6] * 5 + [5], [[0] * 6] * 5 + [None], [(0,) * 6] * 6, None,
+                tuple([[0] * 6] * 6)):
+        with pytest.raises(StructuralError, match="^chi must be 6x6 for n=4, p=2$"):
+            LinearLocal(CH4, 2, chi)
+    # the degree runs over 0..n: at p = 0 chi maps functions to 4-forms
+    law = LinearLocal(CH4, 0, [[CH4.variable(1)]])
+    F = Form(CH4, 0, False, {(): CH4.variable(0)})
+    assert law.apply(F) == basis_form(CH4, (0, 1, 2, 3), True,
+                                      CH4.variable(0) * CH4.variable(1))
+    assert LinearLocal(CH4, 4, [[3]]).apply(Form.zero(CH4, 4)).is_zero()
+
+
 def test_custom_law():
     fixed = basis_form(CH4, (2, 3), twist=True, coefficient=CH4.variable(0))
     law = Custom(fixed)

@@ -140,6 +140,28 @@ def test_polynomial_complex_mode_must_be_a_bool(mode):
     assert Polynomial.zero(4).complex_mode is False
 
 
+@pytest.mark.parametrize("flag", [None, "no", "x", 2, 1, 0, 1.0])
+def test_twist_and_pseudo_must_be_bools(flag):
+    # bool() used to read 'no' and 'x' as True and None as False, so
+    # Form(ch, 1, 'no') was twisted and scale(1, pseudo='no') flipped the
+    # twist; complex_mode follows the same rule (see above)
+    from premetric.formexpr import parse_form
+
+    ch = Chart(4)
+    a = basis_form(ch, (0,))
+    for name, build in (("twist", lambda: Form(ch, 1, flag)),
+                        ("twist", lambda: Form.zero(ch, 1, flag)),
+                        ("twist", lambda: basis_form(ch, (0,), flag)),
+                        ("twist", lambda: parse_form("dx0", ch, 1, twist=flag)),
+                        ("pseudo", lambda: a.scale(1, pseudo=flag)),
+                        ("pseudo", lambda: a.scale(2, pseudo=flag)),
+                        ("pseudo", lambda: a.scale(ch.variable(0), pseudo=flag))):
+        with pytest.raises(StructuralError, match=f"^{name} must be a bool, got {flag!r}$"):
+            build()
+    assert parse_form("dx0", ch, 1, twist=True).twist is True
+    assert Form(ch, 1, False).twist is False and a.scale(1, pseudo=True).twist is True
+
+
 @pytest.mark.parametrize("component", [5, None, Fraction(1, 2), "x0"])
 def test_components_must_be_polynomials(component):
     # a non-Polynomial component used to raise AttributeError: 'int'
@@ -421,6 +443,33 @@ def test_lie_along_an_imaginary_constant_takes_cartans_formula(monkeypatch):
         out = lie_derivative(u, a)
         assert calls
         assert out == _cartan(u, a) == lie_by_components(u, a)
+
+
+def test_lie_derivative_refuses_reuse_forms_that_do_not_fit():
+    # u = x1 d/dx0 and a = x2 dx1 have L_u a = 0; a reuse form of the wrong
+    # degree or twist used to be summed as given, into a "1-form" keyed
+    # (0, 1, 3) or an untwisted x1 dx2
+    ch = _chart(4)
+    u = VectorField(ch, [ch.variable(1)] + [ch.zero_poly()] * 3)
+    a = basis_form(ch, (1,), coefficient=ch.variable(2))
+    assert lie_derivative(u, a).is_zero()
+    ua, da = contract(u, a), ext_d(a)
+    assert lie_derivative(u, a, ua, da, contract(u, da)).is_zero()
+    bad = (("ua", {"ua": basis_form(ch, (0, 1), coefficient=ch.variable(3))},
+            "untwisted 0-form"),
+           ("da", {"da": basis_form(ch, (0, 2), True)}, "untwisted 2-form"),
+           ("ua", {"ua": basis_form(ch, (), True)}, "untwisted 0-form"),
+           ("uda", {"uda": basis_form(ch, (), True)}, "untwisted 1-form"))
+    for field in (u, coordinate_field(ch, 0)):
+        # a field of rational constants reuses nothing, and still checks
+        for name, kwargs, shape in bad:
+            with pytest.raises(StructuralError, match=f"^{name} must be a {shape}$"):
+                lie_derivative(field, a, **kwargs)
+        with pytest.raises(StructuralError, match="^da: chart mismatch$"):
+            lie_derivative(field, a, da=Form.zero(_chart(3), 2))
+    # on a 0-form, u _| a is the zero 0-form
+    f = Form(ch, 0, True, {(): ch.variable(0)})
+    assert lie_derivative(u, f, contract(u, f), ext_d(f)) == lie_derivative(u, f)
 
 
 def test_lie_commutes_with_d():

@@ -240,7 +240,7 @@ def test_complex_form_under_real_metric_matches_rebuilt_metric():
             rebuilt = MetricSpec(cchart, metric.g)
             for p in range(5):
                 for _ in range(3):
-                    a = random_form(rng, cchart, p, rng.randrange(2), 2)
+                    a = random_form(rng, cchart, p, bool(rng.randrange(2)), 2)
                     dual = hodge(metric, a)
                     assert dual.chart == cchart
                     assert dual == hodge(rebuilt, a)

@@ -4,13 +4,14 @@ Every form operation builds each output component with one call to
 `scalars.term_sum`, whose finished terms are products, scaled polynomials
 and partial derivatives, each with its multiplier read by the adder that
 made it; `wedge_sum` does so for a whole linear combination of wedges, and
-`scalars.poly_sum` forms the same terms from `(m, a, b)`.  Each is
+Polynomial's own `+`, `-` and `partial` are term_sum calls too.  Each is
 compared here with the fold the kernel replaced,
 written out in this file: one Polynomial product, partial derivative or
-scaling per term, summed with `+`.  `poly_sum` with all three kinds of
-term in one call, and `scalars.monomial_sum`, which builds every
-polynomial given as loose monomials, are also compared with folds over
-plain Fractions.  The generated polynomials mix denominators, run in both
+scaling per term, summed with `+`.  `term_sum` with every kind of term in
+one call, each adder's terms, `+`, `-`, `partial` and
+`scalars.monomial_sum`, which builds every polynomial given as loose
+monomials, are also compared with folds over plain Fractions, which share
+no code with the kernel.  The generated polynomials mix denominators, run in both
 scalar modes, and include inputs that cancel to the zero form.  The
 exponent guard must still fire when the products that reach past the
 limit cancel, and a derivative of a product must see the product's
@@ -33,14 +34,14 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
-from premetric.forms import (Chart, Form, VectorField, _components,  # noqa: E402
+from premetric.forms import (Chart, Form, VectorField, _built,  # noqa: E402
                              _contract_terms, _d_terms, _top_d_terms, _Top, _wedge_table,
                              _wedge_terms, combine, contract, ext_d, wedge, wedge_sum)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
 from premetric.scalars import (MAX_EXPONENT, Polynomial, _pack,  # noqa: E402
-                               monomial_sum, poly_sum, term_sum)
+                               monomial_sum, term_sum)
 
 EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -114,6 +115,27 @@ def nonzero(out):
 
 def const(chart, m):
     return Polynomial.constant(chart.n, m, chart.complex_mode)
+
+
+def finished(terms):
+    """(m, a, b) triples as term_sum's finished terms (num, d, a, b): m read
+    as num/dm, d = dm times the raw dens of a and of b's Polynomial; b is a
+    Polynomial, None, an int or a pair (c, k) as term_sum reads it."""
+    out = []
+    for m, a, b in terms:
+        m = Fraction(m)
+        d = m.denominator * a._den
+        if isinstance(b, Polynomial):
+            d *= b._den
+        elif isinstance(b, tuple):
+            d *= b[0]._den
+        out.append((m.numerator, d, a, b))
+    return out
+
+
+def summed(n, mode, terms):
+    """term_sum of the (m, a, b) triples."""
+    return term_sum(n, mode, finished(terms))
 
 
 def fold_wedge(a, b):
@@ -298,13 +320,13 @@ def test_polynomial_kernels_are_the_fold(data):
     total = Polynomial.zero(n, mode)
     for m, a, b in terms:
         total = total + const(chart, m) * (a if b is None else a * b)
-    assert poly_sum(n, mode, terms) == total
+    assert summed(n, mode, terms) == total
 
     derivs = [(m, a, data.draw(st.integers(0, n - 1))) for m, a, _ in terms]
     total = Polynomial.zero(n, mode)
     for m, a, i in derivs:
         total = total + const(chart, m) * a.partial(i)
-    assert poly_sum(n, mode, derivs) == total
+    assert summed(n, mode, derivs) == total
 
 
 @EXAMPLES
@@ -319,8 +341,7 @@ def test_full_cancellation_gives_the_canonical_zero(pair):
     n, mode = a.chart.n, a.chart.complex_mode
     for pa in a.components.values():
         for pb in b.components.values():
-            zero = poly_sum(n, mode, [(Fraction(2, 7), pa, pb),
-                                      (Fraction(-2, 7), pb, pa)])
+            zero = summed(n, mode, [(Fraction(2, 7), pa, pb), (Fraction(-2, 7), pb, pa)])
             assert zero.is_zero() and zero.den == 1
 
 
@@ -330,7 +351,7 @@ def fraction_poly(p):
 
 
 def fraction_term_fold(terms):
-    """The sum of poly_sum's terms over plain Fractions: m*a*b, m*a,
+    """The sum of the (m, a, b) triples over plain Fractions: m*a*b, m*a,
     m * d(a)/dx_b or m * d(a*c)/dx_k as b is a Polynomial, None, an int or
     a pair (c, k)."""
     out = {}
@@ -359,7 +380,7 @@ def fraction_term_fold(terms):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_mixed_poly_sum_is_the_fraction_fold(data):
+def test_mixed_term_sum_is_the_fraction_fold(data):
     # products, scaled polynomials, partial derivatives and derivatives
     # of products in one call, with zero multipliers, zero polynomials
     # and, sometimes, every term again with the opposite sign
@@ -371,13 +392,30 @@ def test_mixed_poly_sum_is_the_fraction_fold(data):
               data.draw(second)) for _ in range(data.draw(st.integers(0, 6)))]
     if data.draw(st.booleans()):
         terms += [(-m, a, b) for m, a, b in terms]
-    total = poly_sum(n, mode, terms)
+    total = summed(n, mode, terms)
     assert fraction_poly(total) == fraction_term_fold(terms)
     assert_canonical(total)
 
 
+@EXAMPLES
+@given(st.data())
+def test_add_sub_and_partial_are_the_fraction_fold(data):
+    # +, - and partial are term_sum calls over the operands' raw slots,
+    # which may carry a common factor
+    chart = data.draw(charts())
+    n, mode = chart.n, chart.complex_mode
+    a, b = (data.draw(routed_polys(n, mode, data.draw(polys(n, mode)))) for _ in range(2))
+    i = data.draw(st.integers(0, n - 1))
+    for got, terms in ((a + b, [(1, a, None), (1, b, None)]),
+                       (a - b, [(1, a, None), (-1, b, None)]),
+                       (a - a, [(1, a, None), (-1, a, None)]),
+                       (a.partial(i), [(1, a, i)])):
+        assert fraction_poly(got) == fraction_term_fold(terms)
+        assert_canonical(got)
+
+
 @pytest.mark.parametrize("mode", [False, True])
-def test_poly_sum_lone_term_shortcuts(mode, monkeypatch):
+def test_term_sum_lone_term_shortcuts(mode, monkeypatch):
     rng = random.Random(f"lone:{mode}")
     a, b = (random_polynomial(rng, 3, 3, mode) for _ in range(2))
     a = a + Polynomial.variable(3, 1, mode)
@@ -386,27 +424,26 @@ def test_poly_sum_lone_term_shortcuts(mode, monkeypatch):
     real_mul = Polynomial.__mul__
     monkeypatch.setattr(Polynomial, "__mul__",
                         lambda p, q: products.append(q) or real_mul(p, q))
-    # m = 1 and no derivative: the factor itself, or one plain product;
-    # zero terms are dropped first
-    assert poly_sum(3, mode, [(1, a, None)]) is a
-    assert poly_sum(3, mode, [(0, b, None), (Fraction(1), a, None), (2, zero, b),
-                              (1, b, zero)]) is a
+    # m = 1 and no derivative: the factor itself, or one plain product
+    assert summed(3, mode, [(1, a, None)]) is a
+    assert summed(3, mode, [(Fraction(1), a, None)]) is a
     assert products == []
-    assert poly_sum(3, mode, [(1, a, b), (0, a, 1)]) == real_mul(a, b)
+    assert summed(3, mode, [(1, a, b)]) == real_mul(a, b)
     assert len(products) == 1
-    # any other lone term goes through the accumulator
+    # any other lone term, or more than one term, goes through the accumulator
     del products[:]
-    assert poly_sum(3, mode, [(1, a, 1)]) == a.partial(1) != a
-    assert poly_sum(3, mode, [(1, a, (b, 1))]) == real_mul(a, b).partial(1)
-    assert poly_sum(3, mode, [(1, a, (zero, 1)), (0, a, (b, 0))]).is_zero()
-    assert poly_sum(3, mode, [(-1, a, None)]) == -a
-    assert poly_sum(3, mode, [(Fraction(2, 3), a, b)]) == real_mul(a, b).scale(Fraction(2, 3))
+    assert summed(3, mode, [(1, a, 1)]) == a.partial(1) != a
+    assert summed(3, mode, [(1, a, (b, 1))]) == real_mul(a, b).partial(1)
+    assert summed(3, mode, [(1, a, (zero, 1)), (0, a, (b, 0))]).is_zero()
+    assert summed(3, mode, [(1, a, b), (0, a, 1)]) == real_mul(a, b)
+    assert summed(3, mode, [(-1, a, None)]) == -a
+    assert summed(3, mode, [(Fraction(2, 3), a, b)]) == real_mul(a, b).scale(Fraction(2, 3))
     # the shortcut is keyed on m == 1, not on its numerator
     half = Fraction(1, 2)
-    assert poly_sum(3, mode, [(half, a, None)]) == a.scale(half) != a
-    assert poly_sum(3, mode, [(half, a, b)]) == real_mul(a, b).scale(half)
-    assert poly_sum(3, mode, [(Fraction(-1), a, None)]) == -a
-    assert products == [] and poly_sum(3, mode, []) == zero
+    assert summed(3, mode, [(half, a, None)]) == a.scale(half) != a
+    assert summed(3, mode, [(half, a, b)]) == real_mul(a, b).scale(half)
+    assert summed(3, mode, [(Fraction(-1), a, None)]) == -a
+    assert products == [] and term_sum(3, mode, []) == zero
 
 
 @st.composite
@@ -479,9 +516,9 @@ def test_derivative_of_a_product_is_the_derivative_of_the_built_product(data):
     others = [(data.draw(multiplier), poly(),
                data.draw(st.none() | polys(n, mode) | st.integers(0, n - 1)))
               for _ in range(data.draw(st.integers(0, 3)))]
-    assert poly_sum(n, mode, fused) == poly_sum(n, mode, built)
-    total = poly_sum(n, mode, others + fused)
-    assert total == poly_sum(n, mode, others + built)
+    assert summed(n, mode, fused) == summed(n, mode, built)
+    total = summed(n, mode, others + fused)
+    assert total == summed(n, mode, others + built)
     assert_canonical(total)
 
 
@@ -545,18 +582,18 @@ def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
     x_big, x_rest = (Polynomial(2, {(e, 1): one}, mode) for e in (big, rest))
     others = [(Fraction(1, 3), x_big, None), (2, x_rest, 0), (-1, x_big, 1)]
     with pytest.raises(StructuralError, match="exceeds the limit"):
-        poly_sum(2, mode, [*others, (1, x_big, x_rest), (-1, x_rest, x_big)])
+        summed(2, mode, [*others, (1, x_big, x_rest), (-1, x_rest, x_big)])
     low = Polynomial(2, {(rest - 1, 0): one}, mode)
-    assert (poly_sum(2, mode, [*others, (1, x_big, low), (-1, low, x_big)])
-            == poly_sum(2, mode, others))
+    assert (summed(2, mode, [*others, (1, x_big, low), (-1, low, x_big)])
+            == summed(2, mode, others))
     # no product term: the keys stay in range and the guard is not run
     calls = []
     real = scalars._check_guard
     monkeypatch.setattr(scalars, "_check_guard",
                         lambda *args: calls.append(args) or real(*args))
-    poly_sum(2, mode, others)
+    summed(2, mode, others)
     assert calls == []
-    poly_sum(2, mode, [*others, (1, x_big, low)])
+    summed(2, mode, [*others, (1, x_big, low)])
     assert len(calls) == 1
 
 
@@ -564,7 +601,7 @@ def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
 def test_exponent_guard_sees_a_derivative_of_a_product_before_it_lowers_it(mode):
     # x0^64 * x0^64 reaches x0^128, which d/dx0 would lower to the valid
     # x0^127; x1^64 * x1^64 has no x0, so d/dx0 drops it.  Both raise, as
-    # (a * a).partial(0) does, in poly_sum and through d of a 1-form at n = 2
+    # (a * a).partial(0) does, in term_sum and through d of a 1-form at n = 2
     one = (1, 0) if mode else 1
     chart = Chart(2, complex_mode=mode)
     for exps in ((64, 0), (0, 64)):
@@ -572,14 +609,14 @@ def test_exponent_guard_sees_a_derivative_of_a_product_before_it_lowers_it(mode)
         with pytest.raises(StructuralError, match="exceeds the limit"):
             (a * a).partial(0)
         with pytest.raises(StructuralError, match="exceeds the limit"):
-            poly_sum(2, mode, [(1, a, (a, 0))])
+            summed(2, mode, [(1, a, (a, 0))])
         groups = _wedge_terms({}, 1, Form(chart, 0, False, {(): a}),
                               Form(chart, 1, True, {(1,): a}))
         with pytest.raises(StructuralError, match="exceeds the limit"):
             combine((1, ext_d, _Top(chart, True, groups)))
     # one below the limit the fused term is the derivative of the product
     a, low = (Polynomial(2, {(e, 0): one}, mode) for e in (64, 63))
-    assert poly_sum(2, mode, [(1, a, (low, 0))]) == (a * low).partial(0) != a
+    assert summed(2, mode, [(1, a, (low, 0))]) == (a * low).partial(0) != a
 
 
 def test_unsummed_d_takes_a_unit_multiplier():
@@ -598,8 +635,8 @@ def test_unsummed_d_takes_a_unit_multiplier():
 #
 # Each form adder reads its multiplier once per call as integers num/dm and
 # emits finished terms (num, d, a, b), d being dm times the raw dens of the
-# term's factors; term_sum sums them as poly_sum sums the (m, a, b) triples
-# they stand for.
+# term's factors; term_sum sums them as the Fraction fold sums the (m, a, b)
+# triples they stand for.
 
 
 def sign_of(indices):
@@ -614,7 +651,7 @@ def constant_of(poly):
 
 
 def adder_triples(kind, m, *args):
-    """The poly_sum triples of one adder's terms, by output index, written
+    """The (m, a, b) triples of one adder's terms, by output index, written
     from the definitions: m * (a ^ b), m * (u _| a), m * d(a), or m * d of
     the (n-1)-form a ^ b left unsummed."""
     out = {}
@@ -650,7 +687,7 @@ def adder_triples(kind, m, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_each_adder_sums_as_poly_sum_of_its_triples(data):
+def test_each_adder_sums_as_the_fraction_fold_of_its_triples(data):
     # int, negative and Fraction multipliers, factors that may carry a
     # common factor, a polynomial or a rational-constant field, both modes
     chart = data.draw(charts())
@@ -676,12 +713,15 @@ def test_each_adder_sums_as_poly_sum_of_its_triples(data):
             (_contract_terms({}, m, u, c), adder_triples("contract", m, u, c)),
             (_d_terms({}, m, e), adder_triples("d", m, e)),
             (_top_d_terms({}, unit, top), adder_triples("top-d", unit, a, b))):
-        want = nonzero({idx: poly_sum(n, mode, terms) for idx, terms in triples.items()})
-        assert nonzero({idx: term_sum(n, mode, terms) for idx, terms in groups.items()}) == want
-        assert _components(chart, groups) == want
+        want = {idx: fold for idx, terms in triples.items() if (fold := fraction_term_fold(terms))}
+        got = {idx: fraction_poly(term_sum(n, mode, terms)) for idx, terms in groups.items()}
+        assert {idx: fold for idx, fold in got.items() if fold} == want
+        built = _built(chart, 0, False, groups).components
+        assert {idx: fraction_poly(poly) for idx, poly in built.items()} == want
     # combine adds the terms of its plain summands itself
-    assert combine((m, e)).components == nonzero(
-        {idx: poly_sum(n, mode, [(m, poly, None)]) for idx, poly in e.components.items()})
+    assert {idx: fraction_poly(poly) for idx, poly in combine((m, e)).components.items()} == {
+        idx: fold for idx, poly in e.components.items()
+        if (fold := fraction_term_fold([(m, poly, None)]))}
 
 
 @pytest.mark.parametrize("mode", [False, True])
@@ -915,8 +955,7 @@ def loose_pairs():
     gauss = Polynomial(2, {(1, 0): (half, -half)}, True)
     return [
         (x0.scale(half) * x1.scale(2), x0 * x1),
-        (poly_sum(2, False, [(half, a, None), (half, b, None)]),
-         poly_sum(2, False, [(1, a.scale(half), None), (1, b.scale(half), None)])),
+        (summed(2, False, [(half, a, None), (half, b, None)]), a.scale(half) + b.scale(half)),
         # (1 + i) * (1 - i)/2 * x0 = x0
         (gauss.scale((1, 1)), Polynomial.variable(2, 0, True)),
     ]
@@ -971,14 +1010,17 @@ def test_a_read_between_adding_and_summing_leaves_the_terms_valid():
         top = _Top(chart, True, _contract_terms(_wedge_terms({}, 1, a, b), half, u, c))
         return top.groups, _d_terms(_top_d_terms({}, -1, top), 3, e)
 
-    unread = [_components(Chart(3), groups) for groups in terms()]
+    def built(groups):
+        return [_built(Chart(3), p, True, group).components for p, group in zip((2, 3), groups)]
+
+    unread = built(terms())
     read = terms()
     factors = [f for groups in read for group in groups.values() for _, _, a, b in group
                for f in (a, b[0] if isinstance(b, tuple) else b) if isinstance(f, Polynomial)]
     raw = [(f._den, f._nums) for f in factors]
     reduced = [f.den != den for f, (den, _) in zip(factors, raw)]
     assert any(reduced) and not all(reduced)
-    assert [_components(Chart(3), groups) for groups in read] == unread
+    assert built(read) == unread
     assert [(f._den, f._nums) for f in factors] == raw
     assert all(not p.is_zero() for sums in unread for p in sums.values())
 
@@ -986,17 +1028,17 @@ def test_a_read_between_adding_and_summing_leaves_the_terms_valid():
 @st.composite
 def routed_polys(draw, n, mode, base):
     """base along a route that may leave a common factor: unchanged, k*base
-    times the constant 1/k, (1/k) * (k*base) in one poly_sum, or
-    base + r - r for a drawn r."""
+    times the constant 1/k, (1/k) * (k*base) in one term_sum, or
+    base + r - r in one term_sum for a drawn r."""
     k = draw(st.integers(2, 12))
     route = draw(st.integers(0, 3))
     if route == 1:
         return base.scale(k) * Polynomial.constant(n, Fraction(1, k), mode)
     if route == 2:
-        return poly_sum(n, mode, [(Fraction(1, k), base.scale(k), None)])
+        return summed(n, mode, [(Fraction(1, k), base.scale(k), None)])
     if route == 3:
         r = draw(polys(n, mode))
-        return poly_sum(n, mode, [(1, base, None), (1, r, None), (-1, r, None)])
+        return summed(n, mode, [(1, base, None), (1, r, None), (-1, r, None)])
     return base
 
 
@@ -1026,7 +1068,7 @@ def test_derivatives_leave_fields_above_the_coordinates_untouched():
     assert p.partial(0)._nums == {h + x0 + x1: 6} and p.partial(0)._den == 1
     assert p.partial(1)._nums == {h + 2 * x0: 3}
     assert p.partial(2).is_zero()
-    assert poly_sum(n, False, [(1, p, (Polynomial.variable(n, 0), 0))])._nums == {
+    assert summed(n, False, [(1, p, (Polynomial.variable(n, 0), 0))])._nums == {
         h + 2 * x0 + x1: 9, 2 * h: 5}
     d = ext_d(Form(Chart(n), 0, False, {(): p}))
     assert {idx: c._nums for idx, c in d.components.items()} == {

@@ -115,7 +115,7 @@ X0 = Polynomial.variable(2, 0)
 ], ids=["variable-bool", "variable-float", "partial-bool", "partial-float",
         "partial-out-of-range", "chart-variable-bool", "coordinate-field-float"])
 def test_coordinate_indices_must_be_ints_in_range(call, message):
-    # a bool would pass as 0 or 1, and a float index reached poly_sum's
+    # a bool would pass as 0 or 1, and a float index reached the kernel's
     # product branch and was reported as "expected Polynomial"
     with pytest.raises(StructuralError, match=rf"^{message} is not an int in 0\.\.1$"):
         call()
