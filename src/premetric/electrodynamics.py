@@ -14,8 +14,9 @@ about how G relates to F.  The second line of sigma_u, the one computed,
 is the first rewritten by the graded Leibniz rule u _| (F ^ G) =
 (u _| F) ^ G + (-1)^p F ^ (u _| G).  _densities() is the one route to all
 three: it computes u _| F, u _| G, L_u F and L_u G once, reads the F ^ G
-that FieldConfig builds once per field pair, and leaves each density as
-the terms of one kernel sum per component; densities() sums them, and a
+that FieldConfig builds once per field pair, and adds each density's
+terms, times a multiplier, to one kernel sum per component; densities()
+sums them, or one pair's minus c times another's in the same sums, and a
 field of rational constants contracts by scaling.  conservation_residual()
 puts the derivative terms of sigma_u and the wedge terms of f_u and phi_u
 into one sum per component, building none of the three, and the identity
@@ -80,20 +81,19 @@ def _moved(u, cfg, udG=None):
 
 def _force_terms(groups, m, cfg, uF, uG):
     """Add the wedge terms of m * force_u = m * (dF ^ (u _| G) + (u _| F) ^ dG)
-    to groups, m = +-1: the one route to force_u."""
+    to groups, m an int or a Fraction: the one route to force_u."""
     return _wedge_terms(_wedge_terms(groups, m, cfg.dF, uG), m, uF, cfg.dG)
 
 
-def _densities(u, cfg, m, force, phi):
-    """sigma_u as a _Top of the unsummed terms of F ^ uG - (-1)^p u _| FG / 2;
-    the wedge terms of m * force_u and m * phi_u, m = +-1, are added to the
-    groups force and phi, which may be one dict."""
+def _densities(u, cfg, m, sigma, force, phi):
+    """Add the terms of m * sigma_u, m * force_u and m * phi_u, m an int or
+    a Fraction, to the groups sigma, force and phi (force and phi may be one
+    dict): sigma_u's are those of F ^ uG - (-1)^p u _| FG / 2, unsummed."""
     uF, uG, LuF, LuG = _moved(u, cfg)
-    F, G, half = cfg.F, cfg.G, Fraction((-1) ** cfg.p, 2)
+    F, G, mhalf = cfg.F, cfg.G, Fraction(m * (-1) ** cfg.p, 2)
     _force_terms(force, m, cfg, uF, uG)
-    mhalf = half if m == 1 else -half
     _wedge_terms(_wedge_terms(phi, mhalf, F, LuG), -mhalf, LuF, G)
-    return _Top(F.chart, True, _contract_terms(_wedge_terms({}, 1, F, uG), -half, u, cfg.FG))
+    _contract_terms(_wedge_terms(sigma, m, F, uG), -mhalf, u, cfg.FG)
 
 
 class Densities(namedtuple("Densities", "sigma force phi")):
@@ -111,11 +111,16 @@ class Densities(namedtuple("Densities", "sigma force phi")):
         return combine((1, ext_d, self.sigma), (-1, self.force), (-1, self.phi))
 
 
-def densities(u, cfg):
-    """The three densities along u, each summed from its terms."""
-    force, phi, chart = {}, {}, cfg.chart
-    sigma = _densities(u, cfg, 1, force, phi)
-    return Densities(_built(chart, chart.n - 1, True, sigma.groups),
+def densities(u, cfg, before=None, c=1):
+    """The three densities along u, each summed from its terms; given a
+    FieldConfig `before` on the same chart and a rational c, those of cfg
+    minus c times before's, still one term_sum per component."""
+    sigma, force, phi, chart = {}, {}, {}, cfg.chart
+    _densities(u, cfg, 1, sigma, force, phi)
+    if before is not None:
+        check_shape("before.F", before.F, chart, before.p, False)
+        _densities(u, before, -c, sigma, force, phi)
+    return Densities(_built(chart, chart.n - 1, True, sigma),
                      _built(chart, chart.n, True, force), _built(chart, chart.n, True, phi))
 
 
@@ -138,8 +143,9 @@ def conservation_residual(u, cfg):
     """d(sigma_u) - force_u - phi_u, one term_sum per component: the derivative
     terms of sigma_u and the wedge terms of -force_u and -phi_u go into the
     same groups, so none of the three densities is built."""
-    groups = {}
-    _top_d_terms(groups, 1, _densities(u, cfg, -1, groups, groups))
+    groups, sigma = {}, {}
+    _densities(u, cfg, -1, sigma, groups, groups)
+    _top_d_terms(groups, -1, _Top(cfg.chart, True, sigma))
     return _built(cfg.chart, cfg.chart.n, True, groups)
 
 

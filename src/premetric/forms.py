@@ -406,8 +406,10 @@ def combine(*terms):
     stands for m * d(a): its partial derivatives join the same sums, so
     d(a) is never built.  a may also be a _Top, its terms never summed.
 
-    The summands must agree in chart, degree and twist, as for +.
+    The summands, at least one, must agree in chart, degree and twist.
     """
+    if not terms:
+        raise StructuralError("an empty sum needs at least one term")
     groups = {}
     shape = None
     for m, *op, form in terms:
@@ -427,6 +429,8 @@ def wedge_sum(*terms):
     chart, degree and twist; past top degree the sum is the canonical zero
     form (an (n+1)-form has no components), which the identity suites use.
     """
+    if not terms:
+        raise StructuralError("an empty sum needs at least one term")
     groups, shape = {}, None
     for m, a, b in terms:
         if a.chart != b.chart:

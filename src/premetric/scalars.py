@@ -109,8 +109,10 @@ class Polynomial:
     in complex mode.  Every (den, nums) read is canonical: den > 0 and
     gcd(den, every numerator part) == 1, so equal polynomials read equal.
     The slots _den, _nums may carry a factor that divides den and every
-    numerator (_loose set); zeros are dropped at once, the one gcd runs on
-    the first read, and == decides a pair with identical slots without it.
+    numerator (_loose set); zeros are dropped at once and the one gcd runs
+    on the first read.  == compares raw slots without it: numerators over
+    equal dens, False for two canonical sides, else same keys and
+    a_k * den_b == b_k * den_a part by part; hash reads the canonical form.
     The raw slots never change after a polynomial is made: a kernel term
     may hold a den read from them before its numerators are read, so the
     first read keeps the canonical copy beside them in _canon.
@@ -253,9 +255,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return (self._den == other._den and self._nums == other._nums
-                or ((self._loose or other._loose)
-                    and self.den == other.den and self.nums == other.nums))
+        a, b, da, db = self._nums, other._nums, self._den, other._den
+        if da == db:
+            return a == b
+        if not (self._loose or other._loose) or a.keys() != b.keys():
+            return False
+        if self.complex_mode:
+            return all(r * db == (c := b[k])[0] * da and i * db == c[1] * da
+                       for k, (r, i) in a.items())
+        return all(v * db == b[k] * da for k, v in a.items())
 
     def __hash__(self):
         return hash((self.n, self.complex_mode, self.den,

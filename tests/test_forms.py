@@ -13,6 +13,7 @@ from premetric.forms import (
     Form,
     VectorField,
     basis_form,
+    combine,
     contract,
     coordinate_field,
     ext_d,
@@ -138,6 +139,16 @@ def test_polynomial_complex_mode_must_be_a_bool(mode):
             build()
     assert Polynomial.variable(4, 0, True).complex_mode is True
     assert Polynomial.zero(4).complex_mode is False
+
+
+@pytest.mark.parametrize("empty_sum", [combine, wedge_sum])
+def test_an_empty_sum_is_refused(empty_sum):
+    # with no term there is no chart, degree or twist to build on; this
+    # used to end in a bare TypeError from unpacking the missing shape
+    with pytest.raises(StructuralError, match="^an empty sum needs at least one term$"):
+        empty_sum()
+    a = basis_form(Chart(4), (0,))
+    assert combine((1, a)) == a and wedge_sum((1, a, a)).is_zero()
 
 
 @pytest.mark.parametrize("flag", [None, "no", "x", 2, 1, 0, 1.0])

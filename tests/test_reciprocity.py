@@ -116,6 +116,54 @@ def test_densities_pick_up_the_sign_of_p():
                 assert (a - b).is_zero() == (sign == 1), n
 
 
+@pytest.mark.parametrize("n, mode", [(2, "real"), (4, "complex")])
+def test_densities_row_keeps_its_witness(n, mode, monkeypatch):
+    # the row sums after - (-1)^p before into one term_sum per component of
+    # each density; under a wrong star_z it must FAIL with the witness of
+    # after.X - (-1)^p before.X for the first density X that differs, the
+    # witness it gave when after and before were built and compared
+    from premetric import suites
+    from premetric.config import RunConfig
+    from premetric.report import nonzero_witness
+
+    def wrong(pair):   # twice the right map's F slot
+        return FieldPairZ(pair.G.scale(2 * pair.z, pseudo=True),
+                          pair.F.scale(-1 / pair.z, pseudo=True), pair.z)
+
+    seen, fused = [], suites.densities
+
+    def recorded(u, cfg, before=None, c=1):
+        seen.append((u, cfg, before, c))
+        return fused(u, cfg, before, c)
+
+    monkeypatch.setattr(suites, "star_z", wrong)
+    monkeypatch.setattr(suites, "densities", recorded)
+    cfg = RunConfig(n=n, p=n // 2, mode=mode, seed=5, samples=6)
+    rows = [r for r in suites.reciprocity_suite(cfg) if r.check_id.endswith("-densities")]
+    assert len(rows) == len(seen) == 6
+    failed = 0
+    for row, (u, starred, unstarred, c) in zip(rows, seen):
+        assert c == (-1) ** (n // 2)
+        after, before = densities(u, starred), densities(u, unstarred)
+        diffs = [a - b.scale(c) for a, b in zip(after, before)]
+        assert list(fused(u, starred, unstarred, c)) == diffs
+        # a zero u (or field) leaves every density zero, and the row passes
+        first = next((d for d in diffs if not d.is_zero()), None)
+        assert row.passed is (first is None)
+        assert row.witness == ("" if first is None else nonzero_witness(first))
+        failed += first is not None
+    assert failed >= 3
+
+
+def test_density_difference_needs_one_chart():
+    rng = random.Random(414)
+    pair = _pair(rng)
+    cfg = FieldConfig(pair.F, pair.G)
+    other = pair.to_complex()
+    with pytest.raises(StructuralError, match="chart mismatch"):
+        densities(random_vector_field(rng, CH4), cfg, FieldConfig(other.F, other.G))
+
+
 def test_factorization_at_every_n():
     rng = random.Random(413)
     for n, metric in ((2, MetricSpec.diagonal(Chart(2), [1, 1])),
@@ -568,7 +616,9 @@ def _reciprocity_run(tmp_path, capsys):
 def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
     # 4 instances of the reciprocity and factorization suites at seed 1:
     # 20 and 13 scalings per instance if each eigenpair scaled its own two
-    # images (132); sharing them across the two signs saves 2 of each (116)
+    # images (132); sharing them across the two signs saves 2 of each (116),
+    # and the factorization's selfdual rows build only the eigen field
+    # strengths F -+ izG, so its unread iF/z image goes too (112)
     calls = []
     scale = Form.scale
 
@@ -578,15 +628,17 @@ def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(Form, "scale", counted)
     _reciprocity_run(tmp_path, capsys)
-    assert len(calls) == 116
+    assert len(calls) == 112
 
 
 def test_reciprocity_run_compares_tensors_by_rank_one(tmp_path, monkeypatch, capsys):
     # the same run made 230 polynomial products while each pair tensor was
-    # multiplied out, and makes 132 with the rank-one comparisons of the k
-    # and O22 rows.  The count includes density products: the shared F ^ G
-    # added 6, components of F ^ G (2) and of sigma_u (4) whose sum is a
-    # lone product with multiplier 1
+    # multiplied out, and 132 with the rank-one comparisons of the k and
+    # O22 rows.  It makes 128 now that the densities row sums after - c *
+    # before into one term_sum per component: the 4 components of sigma_u
+    # whose sum was a lone product with multiplier 1 are no longer built
+    # alone.  The count still includes the 2 components of the shared
+    # F ^ G that are such a lone product
     calls = _count_products(monkeypatch)
     _reciprocity_run(tmp_path, capsys)
-    assert len(calls) == 132
+    assert len(calls) == 128
