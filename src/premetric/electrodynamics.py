@@ -8,18 +8,20 @@ u three densities are built:
             = F ^ (u _| G) - (-1)^p u _| (F ^ G) / 2
     force_u = dF ^ (u _| G) + (u _| F) ^ dG                (degree n)
     phi_u   = (-1)^p (F ^ L_u G - L_u F ^ G) / 2           (degree n)
+            = (-1)^p d(u _| (F ^ G)) / 2 - (-1)^p L_u F ^ G
 
 and d(sigma_u) = force_u + phi_u holds identically, with no assumption
-about how G relates to F.  The second line of sigma_u, the one computed,
-is the first rewritten by the graded Leibniz rule u _| (F ^ G) =
-(u _| F) ^ G + (-1)^p F ^ (u _| G).  _densities() is the one route to all
-three: it computes u _| F, u _| G, L_u F and L_u G once, reads the F ^ G
-that FieldConfig builds once per field pair, and adds each density's
-terms, times a multiplier, to one kernel sum per component; densities()
-sums them, or one pair's minus c times another's in the same sums, and a
+about how G relates to F.  The second lines, the ones computed, are the
+first rewritten by the graded Leibniz rule u _| (F ^ G) = (u _| F) ^ G +
+(-1)^p F ^ (u _| G) and by L_u (F ^ G) = L_u F ^ G + F ^ L_u G, where L_u
+is d(u _| .) on the n-form F ^ G.  _densities() is the one route to all
+three: it computes u _| F, u _| G and L_u F once, reads the F ^ G that
+FieldConfig builds once per field pair, and adds each density's terms,
+times a multiplier, to one kernel sum per component; densities() sums
+them, or one pair's minus c times another's in the same sums, and a
 field of rational constants contracts by scaling.  conservation_residual()
-puts the derivative terms of sigma_u and the wedge terms of f_u and phi_u
-into one sum per component, building none of the three, and the identity
+puts the derivative terms of sigma_u and the terms of f_u and phi_u into
+one sum per component, building none of the three, and the identity
 rows a, b and a+b take d of F ^ (u _| G), (u _| F) ^ G and u _| (F ^ G)
 from their unsummed terms.  The residual is a difference, never zero by
 construction, so a sign error in the exterior calculus surfaces as a
@@ -48,7 +50,8 @@ class FieldConfig:
 
     Degrees are restricted to 1 <= p <= n-1 so that every contraction in
     the density formulas lands on a form of degree >= 0.  The currents dF,
-    dG and the n-form FG = F ^ G of sigma_u's Leibniz form are built once.
+    dG and the n-form FG = F ^ G, which sigma_u and phi_u both read, are
+    built once.
     """
 
     __slots__ = ("chart", "p", "F", "G", "dF", "dG", "FG")
@@ -71,14 +74,6 @@ class FieldConfig:
         return f"FieldConfig(n={self.chart.n}, p={self.p})"
 
 
-def _moved(u, cfg, udG=None):
-    """(u _| F, u _| G, L_u F, L_u G); Cartan's formula, where lie_derivative
-    takes it, reuses them, the config's dF and dG and a given u _| dG."""
-    uF, uG = contract(u, cfg.F), contract(u, cfg.G)
-    return (uF, uG, lie_derivative(u, cfg.F, uF, cfg.dF),
-            lie_derivative(u, cfg.G, uG, cfg.dG, udG))
-
-
 def _force_terms(groups, m, cfg, uF, uG):
     """Add the wedge terms of m * force_u = m * (dF ^ (u _| G) + (u _| F) ^ dG)
     to groups, m an int or a Fraction: the one route to force_u."""
@@ -88,12 +83,15 @@ def _force_terms(groups, m, cfg, uF, uG):
 def _densities(u, cfg, m, sigma, force, phi):
     """Add the terms of m * sigma_u, m * force_u and m * phi_u, m an int or
     a Fraction, to the groups sigma, force and phi (force and phi may be one
-    dict): sigma_u's are those of F ^ uG - (-1)^p u _| FG / 2, unsummed."""
-    uF, uG, LuF, LuG = _moved(u, cfg)
-    F, G, mhalf = cfg.F, cfg.G, Fraction(m * (-1) ** cfg.p, 2)
+    dict): sigma_u's are those of F ^ uG - (-1)^p u _| FG / 2, unsummed, and
+    phi_u's those of (-1)^p d(u _| FG) / 2 - (-1)^p L_u F ^ G, with d taken
+    of the unsummed terms of u _| FG, so L_u G is never computed."""
+    F, G, FG, mhalf = cfg.F, cfg.G, cfg.FG, Fraction(m * (-1) ** cfg.p, 2)
+    uF, uG = contract(u, F), contract(u, G)
     _force_terms(force, m, cfg, uF, uG)
-    _wedge_terms(_wedge_terms(phi, mhalf, F, LuG), -mhalf, LuF, G)
-    _contract_terms(_wedge_terms(sigma, m, F, uG), -mhalf, u, cfg.FG)
+    _wedge_terms(phi, m if cfg.p % 2 else -m, lie_derivative(u, F, uF, cfg.dF), G)
+    _top_d_terms(phi, 1, _Top(cfg.chart, True, _contract_terms({}, mhalf, u, FG)))
+    _contract_terms(_wedge_terms(sigma, m, F, uG), -mhalf, u, FG)
 
 
 class Densities(namedtuple("Densities", "sigma force phi")):
@@ -141,8 +139,8 @@ def obstruction_phi_u(u, cfg):
 
 def conservation_residual(u, cfg):
     """d(sigma_u) - force_u - phi_u, one term_sum per component: the derivative
-    terms of sigma_u and the wedge terms of -force_u and -phi_u go into the
-    same groups, so none of the three densities is built."""
+    terms of sigma_u and the terms of -force_u and -phi_u (wedges, and d of
+    u _| FG) go into the same groups, so none of the three densities is built."""
     groups, sigma = {}, {}
     _densities(u, cfg, -1, sigma, groups, groups)
     _top_d_terms(groups, -1, _Top(cfg.chart, True, sigma))
@@ -163,8 +161,9 @@ def identity_suite(u, cfg, id_prefix=""):
     F ^ uG, uF ^ G and u _| (F^G) are differentiated from unsummed terms.
     """
     F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
-    udG = contract(u, dG)
-    uF, uG, LuF, LuG = _moved(u, cfg, udG)
+    uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
+    # Cartan's formula, where lie_derivative takes it, reuses these and dF
+    LuF, LuG = lie_derivative(u, F, uF, cfg.dF), lie_derivative(u, G, uG, dG, udG)
     f = _built(cfg.chart, cfg.chart.n, True, _force_terms({}, 1, cfg, uF, uG))
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
     F_uG, uF_G, u_FG = (_Top(cfg.chart, True, terms) for terms in (

@@ -8,10 +8,11 @@ u _| da are never formed only to be summed again.  An (n-1)-form of
 products may also be given as its unsummed terms: the `a`, `b` and `a+b`
 rows and `conservation_residual` differentiate F ^ uG, uF ^ G, u _| (F ^ G)
 and sigma_u that way, so those forms are never built, and
-`conservation_residual` adds the wedge terms of f_u and phi_u to the same
-sums instead of building them.  Each fused result
-must equal the same expression built from the public `ext_d`, `contract`
-and `combine`, and each must stay one kernel call per output component.
+`conservation_residual` adds the terms of f_u and phi_u (phi_u's half
+d(u _| (F ^ G)) among them) to the same sums instead of building them.
+Each fused result must equal the same expression built from the public
+`ext_d`, `contract` and `combine`, and each must stay one kernel call per
+output component.
 """
 
 import random
@@ -248,11 +249,26 @@ def test_fused_sums_make_one_kernel_call_per_component(mode, monkeypatch):
     del calls[:]
     d.residual()
     assert len(calls) == comb(6, 6)
-    # u _| F, u _| G, L_u F, L_u G (each given its u _| a and da) and the
-    # residual; sigma_u's C(6, 5) components, f_u and phi_u are never summed
+    # u _| F, u _| G, L_u F (given its u _| F and dF) and the residual;
+    # sigma_u's C(6, 5) components, f_u and phi_u are never summed, and
+    # phi_u reads d(u _| FG) in place of L_u G
     del calls[:]
     conservation_residual(u, cfg)
-    assert len(calls) == 15 + 15 + 20 + 20 + 1
+    assert len(calls) == 15 + 15 + 20 + 1
+
+
+@pytest.mark.parametrize("chart", [Chart(4), Chart(4, complex_mode=True)], ids=_id)
+def test_densities_take_one_lie_derivative(chart, monkeypatch):
+    # phi_u takes L_u F alone: its F ^ L_u G half is d(u _| FG) - L_u F ^ G
+    rng = random.Random(f"one-lie:{_id(chart)}")
+    cfg = FieldConfig(_dense(rng, chart, 2, False), _dense(rng, chart, 2, True))
+    calls = []
+    monkeypatch.setattr(electrodynamics, "lie_derivative",
+                        lambda u, a, *args: calls.append(a) or lie_derivative(u, a, *args))
+    for u in _fields(chart, rng):
+        del calls[:]
+        densities(u, cfg)
+        assert calls == [cfg.F]
 
 
 def test_residual_multiplies_no_fractions(monkeypatch):
