@@ -20,12 +20,13 @@ FieldConfig builds once per field pair, and adds each density's terms,
 times a multiplier, to one kernel sum per component; densities() sums
 them, or one pair's minus c times another's in the same sums, and a
 field of rational constants contracts by scaling.  conservation_residual()
-puts the derivative terms of sigma_u and the terms of f_u and phi_u into
-one sum per component, building none of the three, and the identity
-rows a, b and a+b take d of F ^ (u _| G), (u _| F) ^ G and u _| (F ^ G)
-from their unsummed terms.  The residual is a difference, never zero by
-construction, so a sign error in the exterior calculus surfaces as a
-nonzero residual.
+is d(sigma_u) - force_u - phi_u regrouped, one sum per component that
+builds none of the three: d(sigma_u) and -phi_u hold the same half of
+d(u _| (F ^ G)), so it is contracted and differentiated once.  The
+identity rows a, b and a+b take d of F ^ (u _| G), (u _| F) ^ G and
+u _| (F ^ G) from their unsummed terms.  The residual is a difference,
+never zero by construction, so a sign error in the exterior calculus
+surfaces as a nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
 twisted (untwisted wedge twisted), as befits things meant to be
@@ -138,12 +139,17 @@ def obstruction_phi_u(u, cfg):
 
 
 def conservation_residual(u, cfg):
-    """d(sigma_u) - force_u - phi_u, one term_sum per component: the derivative
-    terms of sigma_u and the terms of -force_u and -phi_u (wedges, and d of
-    u _| FG) go into the same groups, so none of the three densities is built."""
-    groups, sigma = {}, {}
-    _densities(u, cfg, -1, sigma, groups, groups)
-    _top_d_terms(groups, -1, _Top(cfg.chart, True, sigma))
+    """d(sigma_u) - force_u - phi_u regrouped, one term_sum per component:
+    -force_u, (-1)^p L_u F ^ G and d of the unsummed terms of
+    F ^ uG - (-1)^p u _| FG.  d(sigma_u) and -phi_u each hold
+    -(-1)^p d(u _| FG) / 2, so that contraction is taken once with the
+    doubled multiplier, and none of the three densities is built."""
+    F, G, sgn = cfg.F, cfg.G, (-1) ** cfg.p
+    uF, uG = contract(u, F), contract(u, G)
+    groups = _force_terms({}, -1, cfg, uF, uG)
+    _wedge_terms(groups, sgn, lie_derivative(u, F, uF, cfg.dF), G)
+    top = _contract_terms(_wedge_terms({}, 1, F, uG), -sgn, u, cfg.FG)
+    _top_d_terms(groups, 1, _Top(cfg.chart, True, top))
     return _built(cfg.chart, cfg.chart.n, True, groups)
 
 

@@ -31,7 +31,7 @@ from math import gcd
 
 from .errors import FormSyntaxError, StructuralError
 from .forms import Form, VectorField, sort_indices
-from .scalars import (MAX_EXPONENT, Polynomial, _check_guard, _guard_mask,
+from .scalars import (MAX_EXPONENT, Polynomial, _check_guard, _high_mask,
                       _shift, _unpack, monomial_sum)
 
 # longest decimal digit run accepted, and printed; Python's int() and str()
@@ -40,6 +40,9 @@ MAX_LITERAL_DIGITS = 4300
 _PRINT_LIMIT = 10 ** MAX_LITERAL_DIGITS
 # most term pairs one product (or one step of a power) may multiply out
 MAX_TERM_PAIRS = 100_000
+# deepest parenthesis nesting accepted; each level is four parser frames,
+# so a deeper input is refused well inside Python's recursion limit
+MAX_NESTING = 100
 
 # One match per token or blank run; the group that matched is the kind:
 # 1 an integer, 2 dx<k>, 3 x<k>, 4 an operator or i, 5 a character that
@@ -94,11 +97,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.n = chart.n
         self.complex_mode = cm = chart.complex_mode
         self.zero = (0, 0) if cm else 0
         self.one = ((1, 0) if cm else 1), 1, 0
-        self.guard = _guard_mask(chart.n)
+        self.high = _high_mask(chart.n)
 
     def fail(self, message, tok=None):
         _fail(self.text, message, (tok or self.tokens[self.pos])[2])
@@ -217,8 +221,8 @@ class _Parser:
                    if self.complex_mode else an * bn)
             if num == self.zero:
                 return num, 1, 0
-            if (ak + bk) & self.guard:
-                _check_guard((ak + bk,), self.n)  # raises
+            if (ak | bk) & self.high:
+                _check_guard((ak,), (bk,), self.n)
             return num, ad * bd, ak + bk
         self.check_pairs(self.size(a), self.size(b), tok)
         return self.as_poly(a) * self.as_poly(b)
@@ -249,7 +253,11 @@ class _Parser:
                 self.fail("imaginary unit needs a complex-mode chart", tok)
             return (0, 1), 1, 0
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
+            self.depth += 1
             p = self.poly()
+            self.depth -= 1
             if self.tokens[self.pos][0] != ")":
                 self.fail("expected ')'")
             self.pos += 1

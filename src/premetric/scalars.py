@@ -17,12 +17,16 @@ scaled polynomials and partial derivatives of either is accumulated by
 term_sum from finished terms (num, d, a, b), which only the form adders
 and Polynomial's own +, - and partial write; monomial_sum sums loose
 monomials.  Each runs in one pass without building any partial sum.
+The exponent limit is checked on the factors of each product, through
+the OR of their keys that a polynomial keeps beside its raw slots, not
+on the keys the product makes.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import or_
 from types import MappingProxyType
 
 from .errors import StructuralError
@@ -58,10 +62,12 @@ def nonzero_rational(value, name):
 # A monomial x0^e0 * ... * x(n-1)^e(n-1) is keyed by one integer holding each
 # exponent in a FIELD_BITS-wide field, variable 0 in the most significant
 # one, so numeric key order is lexicographic exponent-tuple order and the
-# product of two monomials is the sum of their keys.  The top bit of every
-# field is a guard: exponents stay at or below MAX_EXPONENT, so a sum of two
-# keys never carries between fields, and a set guard bit after the sum
-# flags an exponent that left the representable range.
+# product of two monomials is the sum of their keys.  Exponents stay at or
+# below MAX_EXPONENT, so the top bit of every field is clear and a sum of two
+# keys never carries between fields.  A product is guarded before it is
+# multiplied out: when neither factor has an exponent of 64 or more (bits 6
+# and 7 of every field of the OR of its keys clear), no sum of two keys can
+# leave the range; otherwise _check_guard compares the largest exponents.
 
 FIELD_BITS = 8
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -69,9 +75,10 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 @lru_cache(maxsize=None)
-def _guard_mask(n):
-    """The guard bit of every one of the n fields."""
-    return sum(1 << (FIELD_BITS * j + FIELD_BITS - 1) for j in range(n))
+def _high_mask(n):
+    """Bits 6 and 7 of every one of the n fields: set in a key exactly when
+    one of its exponents is 64 or more."""
+    return sum(0xC0 << (FIELD_BITS * j) for j in range(n))
 
 
 def _shift(n, i):
@@ -93,11 +100,22 @@ def _unpack(key, n):
     return tuple(key.to_bytes(n, "big"))
 
 
-def _check_guard(keys, n):
-    guard = _guard_mask(n)
-    if any(map(guard.__and__, keys)):
+def _check_guard(ka, kb, n):
+    """Raise if some key of ka plus some key of kb leaves the exponent range:
+    in some field the largest exponents of the two sides sum past the limit."""
+    tops = [map(max, zip(*[_unpack(k, n) for k in keys])) for keys in (ka, kb)]
+    if any(x + y > MAX_EXPONENT for x, y in zip(*tops)):
         raise StructuralError(
             f"product exponent exceeds the limit {MAX_EXPONENT}")
+
+
+def _key_bits(p):
+    """The OR of p's raw keys, kept in _bits from the first time p is a
+    product factor; the raw keys never change, so neither does it."""
+    bits = p._bits
+    if bits is None:
+        bits = p._bits = reduce(or_, p._nums, 0)
+    return bits
 
 
 class Polynomial:
@@ -115,7 +133,8 @@ class Polynomial:
     a_k * den_b == b_k * den_a part by part; hash reads the canonical form.
     The raw slots never change after a polynomial is made: a kernel term
     may hold a den read from them before its numerators are read, so the
-    first read keeps the canonical copy beside them in _canon.
+    first read keeps the canonical copy beside them in _canon, and the OR
+    of the raw keys, which the exponent guard reads, is kept in _bits.
     Coefficients carry no pseudoscalar parity; that lives one level up,
     on forms.
 
@@ -124,7 +143,7 @@ class Polynomial:
     inspection; arithmetic never builds it.
     """
 
-    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose", "_canon")
+    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose", "_canon", "_bits")
 
     def __init__(self, n, terms=None, complex_mode=False):
         """Checked constructor from {exponent tuple: coefficient}, e.g.
@@ -142,7 +161,8 @@ class Polynomial:
         p = monomial_sum(n, complex_mode, monomials)
         self.n = n
         self.complex_mode = complex_mode
-        self._den, self._nums, self._loose, self._canon = p._den, p._nums, p._loose, None
+        self._den, self._nums, self._loose, self._canon, self._bits = (
+            p._den, p._nums, p._loose, None, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -287,7 +307,7 @@ def _make(n, complex_mode, den, nums, loose=False):
     p._den = den
     p._nums = nums
     p._loose = loose
-    p._canon = None
+    p._canon = p._bits = None
     return p
 
 
@@ -374,8 +394,9 @@ def _reduced(n, complex_mode, den, nums):
     Gaussian multiplier with both parts nonzero; other scalings keep
     their input's mark (see _scaled).
 
-    Only products make keys past the exponent limit; the callers that
-    multiply run the guard first, so such a key raises even if it cancelled.
+    No key here is past the exponent limit: _accumulate guards each
+    product before it multiplies, so such a product raises even where its
+    terms would cancel.
     """
     zero = (0, 0) if complex_mode else 0
     if zero in nums.values():
@@ -435,13 +456,13 @@ def term_sum(n, complex_mode, terms):
 def _accumulate(n, complex_mode, den, terms):
     """Finished terms (num, d, a, b) summed over den into one dict, zeros
     dropped; a product folds its multiplier num * (den // d) into each row
-    of its shorter factor.  Polynomial.__mul__ is one product.  The
-    exponent guard runs when a term is a product; a derivative of a
-    product lowers x_k in each ka + kb, and the guard sees ka + kb."""
+    of its shorter factor.  Polynomial.__mul__ is one product.  Each
+    product and derivative of a product is guarded on its factors'
+    _key_bits before its loop, so a key ka + kb past the limit raises
+    where d/dx_k would lower or drop it."""
     out = {}
     get = out.get
-    raw = 0  # the OR of every unlowered key ka + kb
-    product = False
+    high = _high_mask(n)
     for num, d, a, b in terms:
         f = num * (den // d)
         if b is None:
@@ -472,8 +493,9 @@ def _accumulate(n, complex_mode, den, terms):
                         k -= step
                         out[k] = get(k, 0) + v * e * f
         elif b.__class__ is tuple:  # shift is _shift(n, k), inlined
-            product = True
             b, step, mask = b[0], 1 << (shift := FIELD_BITS * (n - 1 - b[1])), _FIELD_MASK
+            if ((a._bits or _key_bits(a)) | (b._bits or _key_bits(b))) & high:
+                _check_guard(a._nums, b._nums, n)
             a, b = a._nums, b._nums
             if len(a) < len(b):
                 a, b = b, a
@@ -482,8 +504,7 @@ def _accumulate(n, complex_mode, den, terms):
                 for kb, (br, bi) in b.items():
                     br, bi = br * f, bi * f
                     for ka, (ar, ai) in a:
-                        raw |= (k := ka + kb)
-                        if e := (k >> shift) & mask:
+                        if e := ((k := ka + kb) >> shift) & mask:
                             k -= step
                             re, im = (ar * br - ai * bi) * e, (ar * bi + ai * br) * e
                             cur = get(k)
@@ -492,12 +513,12 @@ def _accumulate(n, complex_mode, den, terms):
                 for kb, vb in b.items():
                     vb *= f
                     for ka, va in a:
-                        raw |= (k := ka + kb)
-                        if e := (k >> shift) & mask:
+                        if e := ((k := ka + kb) >> shift) & mask:
                             k -= step
                             out[k] = get(k, 0) + va * vb * e
         else:
-            product = True
+            if ((a._bits or _key_bits(a)) | (b._bits or _key_bits(b))) & high:
+                _check_guard(a._nums, b._nums, n)
             a, b = a._nums, b._nums
             if len(a) < len(b):
                 a, b = b, a
@@ -517,6 +538,4 @@ def _accumulate(n, complex_mode, den, terms):
                     for ka, va in a:
                         k = ka + kb
                         out[k] = get(k, 0) + va * vb
-    if product:
-        _check_guard(chain(out, (raw,)) if raw else out, n)
     return _reduced(n, complex_mode, den, out)

@@ -3,8 +3,10 @@
 Each example takes a config from configs/ or tests/data/ and one of the
 four commands, sets or deletes one to three keys (top-level, or of the
 `constitutive` or `metric` object) with values from a fixed pool of wrong
-types, out-of-range numbers, malformed expressions and valid
-alternatives, and runs `cli.main` on it.  Whatever the input, the run
+types, out-of-range numbers, malformed expressions (among them
+parentheses nested past the parser's limit, and far past Python's
+recursion limit) and valid alternatives (among them nesting at the
+limit), and runs `cli.main` on it.  Whatever the input, the run
 ends with status 0, 1 or 2 and no exception: on 2 stdout is empty and
 stderr is one `premetric: error:` line; on 0 or 1 the report is complete
 and its verdict agrees with the status.  `samples` is clamped to 1 and
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from premetric import cli
+from premetric.formexpr import MAX_NESTING
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -32,9 +35,16 @@ SHIPPED = {path.name: json.loads(path.read_text(encoding="utf-8"))
 COMMANDS = ("check", "split", "constitutive", "reciprocity")
 
 OFFDIAG = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+
+def nested(depth, body):
+    return "(" * depth + body + ")" * depth
+
+
 WRONG = [None, True, False, 0, -1, -7, 10 ** 30, 0.5, -2.0, "", [], {},
          [1, "x"], {"a": 1}, "((", "x9", "dx0^dx0", "x0^200", "1e999", "i",
-         "random"]
+         "random", nested(MAX_NESTING + 1, "x1"), nested(300, "x0") + "*dx0^dx1",
+         "(" * 1000]
 VALID = {
     "n": [2, 3, 4, 5], "p": [1, 2, 3], "mode": ["real", "complex"],
     "orientation": [1, -1], "seed": [0, 7], "degree_bound": [0, 1, 2],
@@ -46,13 +56,15 @@ VALID = {
     "constitutive": [{"kind": "maxwell-lorentz", "Z0": 1},
                      {"kind": "axion", "Z0": 1, "alpha": "x1"},
                      {"kind": "custom", "G": "(x1)*dx2^dx3"}],
-    "F": ["random", "dx0^dx1", "dx0^dx2 + (x2)*dx1^dx3"],
+    "F": ["random", "dx0^dx1", "dx0^dx2 + (x2)*dx1^dx3",
+          nested(MAX_NESTING, "x2") + "*dx1^dx3"],
     "G": ["random", "dx2^dx3", "(x0)*dx0^dx1"],
     "J": ["random", "dx0^dx1^dx2", "(1 + 2*i)*dx1^dx2^dx3"],
     "u": ["random", "dx0", "dx0 + (x1)*dx2"],
     "out": ["report.txt"],
     "kind": ["maxwell-lorentz", "axion", "linear-local", "custom"],
-    "alpha": ["x1", "x0^2 - 1/3", 2], "chi": [[[1] * 6] * 6],
+    "alpha": ["x1", "x0^2 - 1/3", 2, nested(MAX_NESTING, "x1")],
+    "chi": [[[1] * 6] * 6, [[nested(MAX_NESTING, "x2")] * 6] * 6],
     "diagonal": [[1, -1, -1, -1], [1, 1, 1, 1], [4, -1, -1, -1]],
     "matrix": [OFFDIAG],
 }

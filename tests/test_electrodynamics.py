@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import force_u_4d, linear_local_from, phi_u_4d, sigma_u_4d
+from premetric import electrodynamics
 from premetric.electrodynamics import (
     Axion,
     Custom,
@@ -20,7 +21,8 @@ from premetric.electrodynamics import (
     split_3plus1,
 )
 from premetric.errors import StructuralError
-from premetric.forms import Chart, Form, basis_form, coordinate_field, ext_d
+from premetric.forms import (Chart, Form, basis_form, contract, coordinate_field, ext_d,
+                             lie_derivative, wedge)
 from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
 
@@ -109,6 +111,57 @@ def test_conservation_residual_is_computed_not_assumed():
     u = coordinate_field(CH4, 1)
     mixed = ext_d(sigma_u(u, cfg)) - force_u(u, other) - obstruction_phi_u(u, cfg)
     assert not mixed.is_zero()
+
+
+# conservation_residual regroups d(sigma_u) - f_u - phi_u as four groups of
+# terms; each is picked out by the adder call that makes it
+RESIDUAL_GROUPS = {
+    "-f_u": ("_force_terms", lambda cfg, *args: True),
+    "(-1)^p L_u F ^ G": ("_wedge_terms", lambda cfg, a, b: b is cfg.G),
+    "d(F ^ uG)": ("_wedge_terms", lambda cfg, a, b: a is cfg.F),
+    "-(-1)^p d(u _| FG)": ("_contract_terms", lambda cfg, *args: True),
+}
+
+
+def _residual_groups(u, cfg):
+    """The four groups as forms, from the public operations."""
+    sgn = (-1) ** cfg.p
+    return {
+        "-f_u": -force_u(u, cfg),
+        "(-1)^p L_u F ^ G": wedge(lie_derivative(u, cfg.F), cfg.G).scale(sgn),
+        "d(F ^ uG)": ext_d(wedge(cfg.F, contract(u, cfg.G))),
+        "-(-1)^p d(u _| FG)": ext_d(contract(u, wedge(cfg.F, cfg.G))).scale(-sgn),
+    }
+
+
+@pytest.mark.parametrize("mode", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("field", ["polynomial", "coordinate"])
+def test_every_group_of_the_regrouped_residual_counts(monkeypatch, n, mode, field):
+    # negating or dropping any one group's terms leaves a nonzero residual,
+    # -2 or -1 times that group as the public operations build it
+    chart = Chart(n, complex_mode=mode)
+    rng = random.Random(f"regrouped:{n}:{mode}:{field}")
+    cfg = _random_cfg(rng, chart, n // 2)
+    u = (random_vector_field(rng, chart) if field == "polynomial"
+         else coordinate_field(chart, 1))
+    expected = _residual_groups(u, cfg)
+    assert conservation_residual(u, cfg).is_zero()
+    assert sum(expected.values(), Form.zero(chart, n, True)).is_zero()
+    for group, (name, picks) in RESIDUAL_GROUPS.items():
+        for m in (-1, 0):
+            with monkeypatch.context() as patch:
+                real = getattr(electrodynamics, name)
+
+                def adder(groups, mult, *args, real=real, picks=picks, m=m):
+                    if not picks(cfg, *args):
+                        return real(groups, mult, *args)
+                    return real(groups, -mult, *args) if m else groups
+
+                patch.setattr(electrodynamics, name, adder)
+                residual = conservation_residual(u, cfg)
+            assert not residual.is_zero(), (group, m)
+            assert residual == expected[group].scale(m - 1), (group, m)
 
 
 def test_identity_suite_random():

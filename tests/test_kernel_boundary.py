@@ -6,6 +6,8 @@ polynomial's `_den` and `_nums` slots.  Only `scalars` and `forms` write
 such terms, so only they import `term_sum`; `formexpr` also reads the raw
 slots, to feed `monomial_sum`.  Every other module reaches the kernel
 through a form operation or through `forms._built` and the form adders.
+The OR of a polynomial's raw keys, kept in `_bits` for the exponent
+guard, is `scalars`' own: no other module reads or writes it.
 """
 
 import ast
@@ -49,7 +51,18 @@ def test_only_scalars_and_forms_reach_term_sum():
     assert "forms.py" in importers
 
 
+def test_only_scalars_touches_the_key_bits():
+    # an attribute read or write, a getattr/setattr by name, or the helper
+    touchers = {name for name, tree in modules() for node in ast.walk(tree)
+                if (isinstance(node, ast.Attribute) and node.attr == "_bits")
+                or (isinstance(node, ast.Constant) and node.value == "_bits")
+                or (isinstance(node, ast.Name) and node.id == "_key_bits")
+                or (isinstance(node, ast.alias) and node.name == "_key_bits")}
+    assert touchers == {"scalars.py"}
+
+
 def test_the_retired_entry_points_are_gone():
     assert not hasattr(scalars, "poly_sum")
     assert not hasattr(forms, "_components")
     assert not hasattr(electrodynamics, "_summed")
+    assert not hasattr(scalars, "_guard_mask")

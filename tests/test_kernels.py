@@ -15,7 +15,9 @@ no code with the kernel.  The generated polynomials mix denominators, run in bot
 scalar modes, and include inputs that cancel to the zero form.  The
 exponent guard must still fire when the products that reach past the
 limit cancel, and a derivative of a product must see the product's
-exponents before it lowers them.  A kernel leaves its result's common
+exponents before it lowers them; it reads a product's factors, and raises
+exactly when a brute-force look at every pair of their keys finds an
+exponent past the limit.  A kernel leaves its result's common
 factor for the first read, so values built along routes that leave different factors must
 still compare, hash and read as one canonical value.  A derivative must
 leave key fields above the n coordinate fields alone.
@@ -586,15 +588,23 @@ def test_exponent_guard_fires_in_a_mixed_sum(mode, monkeypatch):
     low = Polynomial(2, {(rest - 1, 0): one}, mode)
     assert (summed(2, mode, [*others, (1, x_big, low), (-1, low, x_big)])
             == summed(2, mode, others))
-    # no product term: the keys stay in range and the guard is not run
+    # the guard reads each product's factors: the exact check runs once for
+    # each product or derivative-of-a-product term with an exponent of 64
+    # or more in a factor, and for no other term, whatever its keys sum to
     calls = []
     real = scalars._check_guard
     monkeypatch.setattr(scalars, "_check_guard",
                         lambda *args: calls.append(args) or real(*args))
     summed(2, mode, others)
     assert calls == []
+    small = Polynomial(2, {(63, 1): one}, mode)
+    summed(2, mode, [*others, (1, small, small), (1, small, (small, 0))])
+    assert calls == []
     summed(2, mode, [*others, (1, x_big, low)])
-    assert len(calls) == 1
+    assert calls == [(x_big._nums, low._nums, 2)]
+    calls.clear()
+    summed(2, mode, [*others, (1, low, x_big), (1, small, low), (-1, low, (x_big, 1))])
+    assert calls == [(low._nums, x_big._nums, 2)] * 2
 
 
 @pytest.mark.parametrize("mode", [False, True])
@@ -617,6 +627,105 @@ def test_exponent_guard_sees_a_derivative_of_a_product_before_it_lowers_it(mode)
     # one below the limit the fused term is the derivative of the product
     a, low = (Polynomial(2, {(e, 0): one}, mode) for e in (64, 63))
     assert summed(2, mode, [(1, a, (low, 0))]) == (a * low).partial(0) != a
+
+
+# Exponents that leave some fields of a key at 64 or more without passing
+# the limit in a product, and ones that pass it: 63 + 64 and 100 + 27
+# stay at 127, 64 + 64 and 100 + 28 reach 128.
+GUARD_EXPONENTS = (0, 1, 2, 27, 28, 63, 64, 100, 127)
+
+
+def guard_polys(n, mode):
+    coeff = st.tuples(COEFF, COEFF) if mode else COEFF
+    exps = st.tuples(*[st.sampled_from(GUARD_EXPONENTS)] * n)
+    return st.builds(lambda terms: Polynomial(n, terms, mode),
+                     st.dictionaries(exps, coeff, max_size=3))
+
+
+def overflows(a, b):
+    """Brute force: does some key of a plus some key of b have an exponent
+    past the limit in some field?"""
+    return any(x + y > MAX_EXPONENT for ea in a.terms for eb in b.terms
+               for x, y in zip(ea, eb))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exponent_guard_is_the_brute_force_pair_check(data):
+    # products and derivatives of products beside scaled and differentiated
+    # terms: the sum raises exactly when some pair of a product's keys
+    # passes the limit in some field, whether or not the pair cancels, a
+    # zero multiplier drops it or d/dx_k would lower or drop it
+    n, mode = data.draw(st.integers(2, 3)), data.draw(st.booleans())
+    multiplier = st.integers(-2, 2) | COEFF
+    second = (st.none() | st.integers(0, n - 1) | guard_polys(n, mode)
+              | st.tuples(guard_polys(n, mode), st.integers(0, n - 1)))
+    terms = [(data.draw(multiplier), data.draw(guard_polys(n, mode)), data.draw(second))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):
+        terms += [(-m, a, b) for m, a, b in terms]
+    factors = [(a, b[0] if isinstance(b, tuple) else b) for _, a, b in terms
+               if isinstance(b, (Polynomial, tuple))]
+    if any(overflows(a, c) for a, c in factors):
+        with pytest.raises(StructuralError) as err:
+            summed(n, mode, terms)
+        assert str(err.value) == f"product exponent exceeds the limit {MAX_EXPONENT}"
+    else:
+        assert fraction_poly(summed(n, mode, terms)) == fraction_term_fold(terms)
+    for a, c in factors:
+        if overflows(a, c):
+            with pytest.raises(StructuralError, match="^product exponent exceeds"):
+                a * c
+        else:
+            assert fraction_poly(a * c) == fraction_term_fold([(1, a, c)])
+
+
+@pytest.mark.parametrize("mode", [False, True])
+@pytest.mark.parametrize("ea,eb,raises", [
+    ((100, 0), (0, 100), False),   # x0^100 * x1^100: high fields, apart
+    ((64, 0), (63, 0), False),     # x0^127
+    ((100, 127), (27, 0), False),  # x0^127 * x1^127
+    ((64, 0), (64, 0), True),
+    ((100, 3), (28, 0), True),
+    ((0, 127), (5, 1), True),
+])
+def test_exponent_guard_on_named_factors(mode, ea, eb, raises):
+    one = (1, 0) if mode else 1
+    a, b = Polynomial(2, {ea: one, (1, 1): one}, mode), Polynomial(2, {eb: one}, mode)
+    for terms in ([(1, a, b)], [(1, b, (a, 0))], [(3, a, None), (1, a, (b, 1)), (-1, b, 0)]):
+        if raises:
+            with pytest.raises(StructuralError, match="^product exponent exceeds the limit 127$"):
+                summed(2, mode, terms)
+        else:
+            assert fraction_poly(summed(2, mode, terms)) == fraction_term_fold(terms)
+    if raises:
+        with pytest.raises(StructuralError, match="^product exponent exceeds the limit 127$"):
+            a * b
+    else:
+        assert fraction_poly(a * b) == fraction_term_fold([(1, a, b)])
+
+
+@EXAMPLES
+@given(st.data())
+def test_key_bits_are_the_or_of_the_raw_keys_and_touch_no_raw_slot(data):
+    # a factor, canonical or loose, keeps the OR of its raw keys from the
+    # first product it is in; reading it changes no raw slot
+    n, mode = data.draw(st.integers(2, 4)), data.draw(st.booleans())
+    a, b = (data.draw(routed_polys(n, mode, data.draw(guard_polys(n, mode))))
+            for _ in range(2))
+    assert a._bits is None and b._bits is None
+    raw = [(p._den, p._nums, dict(p._nums), p._loose, p._canon) for p in (a, b)]
+    try:
+        summed(n, mode, [(1, a, (b, 0))])
+    except StructuralError:
+        pass
+    for p, (den, nums, copy, loose, canon) in zip((a, b), raw):
+        ored = 0
+        for k in nums:
+            ored |= k
+        assert p._bits == ored
+        assert (p._den, p._nums, p._loose, p._canon) == (den, nums, loose, canon)
+        assert p._nums is nums and p._nums == copy
 
 
 def test_unsummed_d_takes_a_unit_multiplier():

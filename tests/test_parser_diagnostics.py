@@ -10,14 +10,26 @@ denominators, `i` on real charts, out-of-range indices, exponents over
 limit through a zero factor), the term-pair limit at `*` and at `^`
 (counted on canonical operands, so summands that cancel do not count),
 degree mismatches, multi-line input and trailing input, and the order in
-which errors win when an input has several.  A second list pins the
+which errors win when an input has several, and parentheses nested past
+MAX_NESTING, which are refused at the `(` that passes the limit, before
+the parser could recurse past Python's limit.  A second list pins the
 canonical result of accepted inputs at the same edges.
 """
 
+import io
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 
+from premetric import cli
+from premetric.config import validate_config
 from premetric.errors import FormSyntaxError, StructuralError
-from premetric.formexpr import MAX_LITERAL_DIGITS, parse_form, print_form
+from premetric.formexpr import MAX_LITERAL_DIGITS, MAX_NESTING, parse_form, print_form
 from premetric.forms import Chart
 
 OVER = "1" * (MAX_LITERAL_DIGITS + 1)
@@ -25,6 +37,13 @@ FAR = "9" * (MAX_LITERAL_DIGITS + 899)
 S8 = "(x0+x1+x2+x3+x4+x5+x6+x7+1)"
 A = S8 + "^5"                                  # 1287 terms
 A0 = "(" + S8 + "^5 + x0^9 - x0^9)"           # the same 1287 terms
+
+
+def nested(depth, body="x0"):
+    return "(" * depth + body + ")" * depth
+
+
+DEEP = nested(300)                             # past Python's recursion limit
 
 # (text, n, complex_mode, expected_degree, error kind, message, line, column)
 MALFORMED = [
@@ -290,6 +309,16 @@ MALFORMED = [
      'syntax', 'degree mismatch: term has degree 0, expected 1', 1, 9),
     ("(i - i)*dx0 + dx1^dx2", 4, True, None,
      'syntax', 'degree mismatch: term has degree 2, expected 1', 1, 15),
+    (nested(MAX_NESTING + 1), 4, False, 0,
+     'syntax', 'parentheses nested deeper than 100', 1, 101),
+    (DEEP + "*dx0^dx1", 4, False, 2,
+     'syntax', 'parentheses nested deeper than 100', 1, 101),
+    ("dx0 + x1*" + "(" * 300 + "x0", 4, False, 1,
+     'syntax', 'parentheses nested deeper than 100', 1, 110),
+    ("(x0 + " * 101 + ")" * 101, 4, False, 0,
+     'syntax', 'parentheses nested deeper than 100', 1, 601),
+    (nested(150, "x0 + x9"), 4, False, 0,
+     'syntax', 'parentheses nested deeper than 100', 1, 101),
 ]
 
 # (text, n, complex_mode, expected_degree, degree, print_form of the result)
@@ -330,6 +359,10 @@ ACCEPTED = [
      1, '0'),
     ("((((x1))))^2*dx0", 4, False, None,
      1, '(x1^2)*dx0'),
+    (nested(MAX_NESTING) + "*dx1", 4, False, 1,
+     1, '(x0)*dx1'),
+    ("(" * MAX_NESTING + "x0" + ")" * MAX_NESTING + "*" + nested(MAX_NESTING, "x1 - 1"),
+     4, False, 0, 0, 'x0*x1 - x0'),
 ]
 
 
@@ -355,3 +388,54 @@ def test_corpus_size():
 def test_accepted_edge_input(text, n, cm, degree, parsed_degree, printed):
     form = parse_form(text, Chart(n, complex_mode=cm), degree)
     assert (form.degree, print_form(form)) == (parsed_degree, printed)
+
+
+def test_nesting_past_the_limit_names_its_config_key():
+    # a chi entry goes through parse_polynomial; the key leads the message
+    chi = [[0] * 6 for _ in range(6)]
+    chi[1][2] = DEEP
+    with pytest.raises(FormSyntaxError) as err:
+        validate_config({"n": 4, "p": 2,
+                         "constitutive": {"kind": "linear-local", "chi": chi}})
+    assert str(err.value) == ("constitutive.chi[1][2]: 1:101: "
+                              "parentheses nested deeper than 100")
+    assert (err.value.line, err.value.column) == (1, 101)
+
+
+@pytest.mark.parametrize("key", ["F", "G", "J", "u", "alpha", "chi"])
+@pytest.mark.parametrize("command", ["check", "split", "constitutive", "reciprocity"])
+def test_nesting_past_the_limit_exits_two_from_every_command(tmp_path, key, command):
+    raw = {"n": 4, "p": 2, "seed": 1, "samples": 1}
+    if key == "alpha":
+        raw["constitutive"] = {"kind": "axion", "Z0": 1, "alpha": DEEP}
+        prefix = "constitutive.alpha"
+    elif key == "chi":
+        chi = [[0] * 6 for _ in range(6)]
+        chi[0][0] = DEEP
+        raw["constitutive"] = {"kind": "linear-local", "chi": chi}
+        prefix = "constitutive.chi[0][0]"
+    else:
+        raw[key] = DEEP + ("*dx0" if key == "u" else "*dx0^dx1^dx2" if key == "J"
+                           else "*dx0^dx1")
+        prefix = key
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = cli.main([command, "--config", str(path)])
+    assert (status, stdout.getvalue()) == (2, "")
+    assert stderr.getvalue() == (f"premetric: error: {prefix}: 1:101: "
+                                 "parentheses nested deeper than 100\n")
+
+
+def test_nesting_past_the_limit_exits_two_without_a_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n": 4, "p": 2, "F": DEEP + "*dx0^dx1"}), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    r = subprocess.run([sys.executable, "-m", "premetric.cli", "check", "--config", str(path)],
+                       capture_output=True, text=True, timeout=120, env=env)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "premetric: error: F: 1:101: parentheses nested deeper than 100\n"
+    assert "Traceback" not in r.stderr
