@@ -14,18 +14,17 @@ and d(sigma_u) = force_u + phi_u holds identically, with no assumption
 about how G relates to F.  The second lines, the ones computed, are the
 first rewritten by the graded Leibniz rule u _| (F ^ G) = (u _| F) ^ G +
 (-1)^p F ^ (u _| G) and by L_u (F ^ G) = L_u F ^ G + F ^ L_u G, where L_u
-is d(u _| .) on the n-form F ^ G.  _densities() is the one route to all
-three: it computes u _| F, u _| G and L_u F once, reads the F ^ G that
-FieldConfig builds once per field pair, and adds each density's terms,
-times a multiplier, to one kernel sum per component; densities() sums
-them, or one pair's minus c times another's in the same sums, and a
-field of rational constants contracts by scaling.  conservation_residual()
-is d(sigma_u) - force_u - phi_u regrouped, one sum per component that
-builds none of the three: d(sigma_u) and -phi_u hold the same half of
-d(u _| (F ^ G)), so it is contracted and differentiated once.  The
-identity rows a, b and a+b take d of F ^ (u _| G), (u _| F) ^ G and
-u _| (F ^ G) from their unsummed terms.  The residual is a difference,
-never zero by construction, so a sign error in the exterior calculus
+is d(u _| .) on the n-form F ^ G.  _densities() is the one writer of
+their terms: given u _| F and u _| G, it adds those of force_u, F ^ uG
+and -(-1)^p L_u F ^ G, times a multiplier, to the caller's groups and
+returns the unsummed terms of -(-1)^p u _| (F ^ G), contracted from the
+F ^ G that FieldConfig builds once per field pair.  Its readers assemble
+them: densities() puts half of that return into sigma_u and d of minus
+the half into phi_u; conservation_residual(), d(sigma_u) - force_u -
+phi_u regrouped, puts all of it beside F ^ uG and takes d once; and the
+identity rows a, b and a+b read F ^ uG, force_u, L_u F ^ G and
+u _| (F ^ G) from the same call.  The residual is a difference, never
+zero by construction, so a sign error in the exterior calculus
 surfaces as a nonzero residual.
 
 All six operations keep exact twist parity: the three densities are
@@ -34,7 +33,6 @@ integrated.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import StructuralError
@@ -75,24 +73,17 @@ class FieldConfig:
         return f"FieldConfig(n={self.chart.n}, p={self.p})"
 
 
-def _force_terms(groups, m, cfg, uF, uG):
-    """Add the wedge terms of m * force_u = m * (dF ^ (u _| G) + (u _| F) ^ dG)
-    to groups, m an int or a Fraction: the one route to force_u."""
-    return _wedge_terms(_wedge_terms(groups, m, cfg.dF, uG), m, uF, cfg.dG)
-
-
-def _densities(u, cfg, m, sigma, force, phi):
-    """Add the terms of m * sigma_u, m * force_u and m * phi_u, m an int or
-    a Fraction, to the groups sigma, force and phi (force and phi may be one
-    dict): sigma_u's are those of F ^ uG - (-1)^p u _| FG / 2, unsummed, and
-    phi_u's those of (-1)^p d(u _| FG) / 2 - (-1)^p L_u F ^ G, with d taken
-    of the unsummed terms of u _| FG, so L_u G is never computed."""
-    F, G, FG, mhalf = cfg.F, cfg.G, cfg.FG, Fraction(m * (-1) ** cfg.p, 2)
-    uF, uG = contract(u, F), contract(u, G)
-    _force_terms(force, m, cfg, uF, uG)
-    _wedge_terms(phi, m if cfg.p % 2 else -m, lie_derivative(u, F, uF, cfg.dF), G)
-    _top_d_terms(phi, 1, _Top(cfg.chart, True, _contract_terms({}, mhalf, u, FG)))
-    _contract_terms(_wedge_terms(sigma, m, F, uG), -mhalf, u, FG)
+def _densities(u, cfg, m, uF, uG, sigma, force, phi):
+    """The one writer of energy-momentum terms: add those of m * force_u,
+    m * F ^ uG and -(-1)^p m L_u F ^ G, m an int or a Fraction, to the
+    groups force, sigma and phi (any two may be one dict), given uF and uG,
+    and return the unsummed terms of -(-1)^p m u _| FG: sigma_u holds half
+    of them and phi_u d of minus that half, so L_u G is never computed."""
+    mp = m if cfg.p % 2 else -m
+    _wedge_terms(_wedge_terms(force, m, cfg.dF, uG), m, uF, cfg.dG)
+    _wedge_terms(sigma, m, cfg.F, uG)
+    _wedge_terms(phi, mp, lie_derivative(u, cfg.F, uF, cfg.dF), cfg.G)
+    return _contract_terms({}, mp, u, cfg.FG)
 
 
 class Densities(namedtuple("Densities", "sigma force phi")):
@@ -111,14 +102,20 @@ class Densities(namedtuple("Densities", "sigma force phi")):
 
 
 def densities(u, cfg, before=None, c=1):
-    """The three densities along u, each summed from its terms; given a
-    FieldConfig `before` on the same chart and a rational c, those of cfg
-    minus c times before's, still one term_sum per component."""
+    """The three densities along u, each summed from _densities' terms, with
+    half of its u _| FG terms in sigma_u and d of minus that half in phi_u;
+    given a FieldConfig `before` on the same chart and a rational c, those
+    of cfg minus c times before's, still one term_sum per component."""
     sigma, force, phi, chart = {}, {}, {}, cfg.chart
-    _densities(u, cfg, 1, sigma, force, phi)
     if before is not None:
         check_shape("before.F", before.F, chart, before.p, False)
-        _densities(u, before, -c, sigma, force, phi)
+    for m, fc in ((1, cfg), (-c, before)) if before is not None else ((1, cfg),):
+        top = _densities(u, fc, m, contract(u, fc.F), contract(u, fc.G), sigma, force, phi)
+        for idx, terms in top.items():  # halved as a multiplier m / 2 would be
+            top[idx] = [(k // 2, d, a, b) if k % 2 == 0 else (k, 2 * d, a, b)
+                        for k, d, a, b in terms]
+            sigma.setdefault(idx, []).extend(top[idx])
+        _top_d_terms(phi, -1, _Top(chart, True, top))
     return Densities(_built(chart, chart.n - 1, True, sigma),
                      _built(chart, chart.n, True, force), _built(chart, chart.n, True, phi))
 
@@ -140,16 +137,15 @@ def obstruction_phi_u(u, cfg):
 
 def conservation_residual(u, cfg):
     """d(sigma_u) - force_u - phi_u regrouped, one term_sum per component:
-    -force_u, (-1)^p L_u F ^ G and d of the unsummed terms of
-    F ^ uG - (-1)^p u _| FG.  d(sigma_u) and -phi_u each hold
-    -(-1)^p d(u _| FG) / 2, so that contraction is taken once with the
-    doubled multiplier, and none of the three densities is built."""
-    F, G, sgn = cfg.F, cfg.G, (-1) ** cfg.p
-    uF, uG = contract(u, F), contract(u, G)
-    groups = _force_terms({}, -1, cfg, uF, uG)
-    _wedge_terms(groups, sgn, lie_derivative(u, F, uF, cfg.dF), G)
-    top = _contract_terms(_wedge_terms({}, 1, F, uG), -sgn, u, cfg.FG)
-    _top_d_terms(groups, 1, _Top(cfg.chart, True, top))
+    _densities' terms times -1, with all of its u _| FG terms beside
+    -F ^ uG and d taken of both.  d(sigma_u) and -phi_u each hold
+    -(-1)^p d(u _| FG) / 2, so that contraction is taken once, and none of
+    the three densities is built."""
+    groups, top = {}, {}
+    for idx, terms in _densities(u, cfg, -1, contract(u, cfg.F), contract(u, cfg.G),
+                                 top, groups, groups).items():
+        top.setdefault(idx, []).extend(terms)
+    _top_d_terms(groups, -1, _Top(cfg.chart, True, top))
     return _built(cfg.chart, cfg.chart.n, True, groups)
 
 
@@ -164,16 +160,18 @@ def identity_suite(u, cfg, id_prefix=""):
     a:   d(F ^ uG) = (-1)^p F ^ L_u G + force_u
     b:   (-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u
     a+b: their sum collapses to d(u _| (F^G)) = L_u F ^ G + F ^ L_u G.
-    F ^ uG, uF ^ G and u _| (F^G) are differentiated from unsummed terms.
+    F ^ uG, force_u, L_u F ^ G and u _| (F^G) are _densities' terms, the
+    last two with its sign -(-1)^p; F ^ uG, uF ^ G and u _| (F^G) are
+    differentiated from unsummed terms.
     """
-    F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
+    F, G, dG, sgn, chart = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p, cfg.chart
     uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
-    # Cartan's formula, where lie_derivative takes it, reuses these and dF
-    LuF, LuG = lie_derivative(u, F, uF, cfg.dF), lie_derivative(u, G, uG, dG, udG)
-    f = _built(cfg.chart, cfg.chart.n, True, _force_terms({}, 1, cfg, uF, uG))
-    F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
-    F_uG, uF_G, u_FG = (_Top(cfg.chart, True, terms) for terms in (
-        _wedge_terms({}, 1, F, uG), _wedge_terms({}, 1, uF, G), _contract_terms({}, 1, u, cfg.FG)))
+    F_uG, f, LuF_G = {}, {}, {}
+    u_FG = _Top(chart, True, _densities(u, cfg, 1, uF, uG, F_uG, f, LuF_G))
+    f, LuF_G = (_built(chart, chart.n, True, groups) for groups in (f, LuF_G))
+    F_uG, uF_G = _Top(chart, True, F_uG), _Top(chart, True, _wedge_terms({}, 1, uF, G))
+    # Cartan's formula, where lie_derivative takes it, reuses uG, dG and u _| dG
+    F_LuG = wedge(F, lie_derivative(u, G, uG, dG, udG))
     return [
         residual_check(
             id_prefix + "sym", "sym",
@@ -184,10 +182,10 @@ def identity_suite(u, cfg, id_prefix=""):
             combine((1, ext_d, F_uG), (-sgn, F_LuG), (-1, f))),
         residual_check(
             id_prefix + "b", "b", "(-1)^p d(uF ^ G) = (-1)^p L_u F ^ G - force_u",
-            combine((sgn, ext_d, uF_G), (-sgn, LuF_G), (1, f))),
+            combine((sgn, ext_d, uF_G), (1, LuF_G), (1, f))),
         residual_check(
             id_prefix + "a+b", "a+b", "d(u _| (F^G)) = L_u F ^ G + F ^ L_u G",
-            combine((1, ext_d, u_FG), (-1, LuF_G), (-1, F_LuG))),
+            combine((-sgn, ext_d, u_FG), (sgn, LuF_G), (-1, F_LuG))),
     ]
 
 
@@ -275,6 +273,8 @@ class Axion:
         self.Z = nonzero_rational(Z, "impedance")
         self.alpha = (alpha if isinstance(alpha, Polynomial)
                       else metric.chart.const_poly(alpha))
+        if self.alpha.n != metric.chart.n:
+            raise StructuralError("axion alpha does not match the metric's chart")
 
     def apply(self, F):
         # any degree; hodge checks the chart against the metric's

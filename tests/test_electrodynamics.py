@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import force_u_4d, linear_local_from, phi_u_4d, sigma_u_4d
 from premetric import electrodynamics
+from premetric.config import load_config
 from premetric.electrodynamics import (
     Axion,
     Custom,
@@ -25,7 +27,9 @@ from premetric.forms import (Chart, Form, basis_form, contract, coordinate_field
                              lie_derivative, wedge)
 from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
+from premetric.suites import run_suites
 
+ROOT = Path(__file__).resolve().parent.parent
 CH4 = Chart(4)
 MINK = MetricSpec.minkowski(CH4)
 
@@ -116,7 +120,7 @@ def test_conservation_residual_is_computed_not_assumed():
 # conservation_residual regroups d(sigma_u) - f_u - phi_u as four groups of
 # terms; each is picked out by the adder call that makes it
 RESIDUAL_GROUPS = {
-    "-f_u": ("_force_terms", lambda cfg, *args: True),
+    "-f_u": ("_wedge_terms", lambda cfg, a, b: a is cfg.dF or b is cfg.dG),
     "(-1)^p L_u F ^ G": ("_wedge_terms", lambda cfg, a, b: b is cfg.G),
     "d(F ^ uG)": ("_wedge_terms", lambda cfg, a, b: a is cfg.F),
     "-(-1)^p d(u _| FG)": ("_contract_terms", lambda cfg, *args: True),
@@ -162,6 +166,46 @@ def test_every_group_of_the_regrouped_residual_counts(monkeypatch, n, mode, fiel
                 residual = conservation_residual(u, cfg)
             assert not residual.is_zero(), (group, m)
             assert residual == expected[group].scale(m - 1), (group, m)
+
+
+# check reads every write of _densities: negating one of them, picked by
+# the adder call that makes it inside _densities, FAILs the conservation
+# suite and the identity rows alike
+DENSITY_WRITES = {
+    "force_u": lambda cfg, a, b: a is cfg.dF or b is cfg.dG,
+    "F ^ uG": lambda cfg, a, b: a is cfg.F,
+    "L_u F ^ G": lambda cfg, a, b: b is cfg.G,
+    "u _| FG": None,  # the returned terms
+}
+
+
+@pytest.mark.parametrize("write", DENSITY_WRITES)
+def test_every_write_of_densities_fails_check(monkeypatch, write):
+    picks, inside = DENSITY_WRITES[write], []
+    real_densities, real_wedge = electrodynamics._densities, electrodynamics._wedge_terms
+
+    def densities_spy(u, cfg, *args):
+        inside.append(cfg)
+        try:
+            terms = real_densities(u, cfg, *args)
+        finally:
+            inside.pop()
+        if picks is None:
+            terms = {idx: [(-k, *rest) for k, *rest in ts] for idx, ts in terms.items()}
+        return terms
+
+    def wedge_spy(groups, m, a, b):
+        flip = picks is not None and inside and picks(inside[-1], a, b)
+        return real_wedge(groups, -m if flip else m, a, b)
+
+    monkeypatch.setattr(electrodynamics, "_densities", densities_spy)
+    monkeypatch.setattr(electrodynamics, "_wedge_terms", wedge_spy)
+    conservation = load_config(str(ROOT / "configs/conservation.json"))
+    vacuum = load_config(str(ROOT / "configs/vacuum.json"))
+    assert vacuum.suites_for("check") == ("conservation", "identities")
+    for cfg, suite in ((conservation, "conservation"), (vacuum, "conservation"),
+                       (vacuum, "identities")):
+        assert not all(row.passed for row in run_suites(cfg, [suite])), (write, suite)
 
 
 def test_identity_suite_random():
@@ -417,6 +461,16 @@ def test_custom_law():
     assert conservation_residual(coordinate_field(CH4, 0), cfg).is_zero()
     with pytest.raises(StructuralError):
         Custom(basis_form(CH4, (2, 3))).apply(F)   # G must be twisted
+
+
+def test_axion_alpha_must_match_the_metric_chart():
+    # refused when the law is built, as a chi entry is: a zero alpha used to
+    # pass unseen and a nonzero one to fail only in apply
+    for alpha in (Chart(3).variable(0), Chart(3).zero_poly(), Chart(5).const_poly(2)):
+        with pytest.raises(StructuralError, match="axion alpha does not match"):
+            Axion(MINK, 1, alpha)
+    F = basis_form(CH4, (0, 1))
+    assert Axion(MINK, 1, CH4.zero_poly()).apply(F) == MaxwellLorentz(MINK, 1).apply(F)
 
 
 def test_axion_needs_middle_degree():

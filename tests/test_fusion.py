@@ -7,9 +7,10 @@ formula in `lie_derivative`, `Densities.residual()` and the `a`, `b` and
 u _| da are never formed only to be summed again.  An (n-1)-form of
 products may also be given as its unsummed terms: the `a`, `b` and `a+b`
 rows and `conservation_residual` differentiate F ^ uG, uF ^ G, u _| (F ^ G)
-and sigma_u that way, so those forms are never built, and
-`conservation_residual` adds the terms of f_u and phi_u (phi_u's half
-d(u _| (F ^ G)) among them) to the same sums instead of building them.
+and sigma_u that way, so those forms are never built.  `_densities` writes
+the terms of f_u, F ^ uG and L_u F ^ G and returns those of u _| (F ^ G);
+`densities`, `conservation_residual` and `identity_suite` each call it
+once per field config and assemble its terms in their own sums.
 Each fused result must equal the same expression built from the public
 `ext_d`, `contract` and `combine`, and each must stay one kernel call per
 output component.
@@ -156,8 +157,8 @@ def _fields(chart, rng):
 @pytest.mark.parametrize("flip", [False, True], ids=["exact", "flipped-sigma"])
 @pytest.mark.parametrize("chart", CHARTS, ids=_id)
 def test_conservation_residual_is_the_residual_of_the_built_densities(chart, flip, monkeypatch):
-    # sigma_u's u _| (F ^ G) half with its sign flipped makes both routes
-    # nonzero; they stay equal because one builder gives both their sigma_u
+    # the u _| (F ^ G) terms with their sign flipped make both routes
+    # nonzero; they stay equal because one writer gives both their terms
     if flip:
         real = electrodynamics._contract_terms
         monkeypatch.setattr(electrodynamics, "_contract_terms",
@@ -269,6 +270,27 @@ def test_densities_take_one_lie_derivative(chart, monkeypatch):
         del calls[:]
         densities(u, cfg)
         assert calls == [cfg.F]
+
+
+@pytest.mark.parametrize("chart", [Chart(4), Chart(5, complex_mode=True)], ids=_id)
+def test_every_reader_takes_one_densities_call(chart, monkeypatch):
+    # _densities writes every energy-momentum term; each reader calls it
+    # once per field config and writes none of those terms itself
+    rng = random.Random(f"one-writer:{_id(chart)}")
+    cfg = FieldConfig(_dense(rng, chart, 2, False), _dense(rng, chart, chart.n - 2, True))
+    before = FieldConfig(_dense(rng, chart, 2, False), _dense(rng, chart, chart.n - 2, True))
+    calls = []
+    real = electrodynamics._densities
+    monkeypatch.setattr(electrodynamics, "_densities",
+                        lambda u, fc, *args: calls.append(fc) or real(u, fc, *args))
+    for u in _fields(chart, rng):
+        for run, expected in ((lambda: conservation_residual(u, cfg), [cfg]),
+                              (lambda: identity_suite(u, cfg), [cfg]),
+                              (lambda: densities(u, cfg), [cfg]),
+                              (lambda: densities(u, cfg, before, Fraction(2, 3)), [cfg, before])):
+            del calls[:]
+            run()
+            assert calls == expected
 
 
 def test_residual_multiplies_no_fractions(monkeypatch):

@@ -7,7 +7,9 @@ such terms, so only they import `term_sum`; `formexpr` also reads the raw
 slots, to feed `monomial_sum`.  Every other module reaches the kernel
 through a form operation or through `forms._built` and the form adders.
 The OR of a polynomial's raw keys, kept in `_bits` for the exponent
-guard, is `scalars`' own: no other module reads or writes it.
+guard, is `scalars`' own: no other module reads or writes it.  Inside
+`electrodynamics`, `_densities` is the one writer of energy-momentum
+terms: only it reads a config's F ^ G or calls `_contract_terms`.
 """
 
 import ast
@@ -61,8 +63,26 @@ def test_only_scalars_touches_the_key_bits():
     assert touchers == {"scalars.py"}
 
 
+def test_only_densities_contracts_or_reads_FG_in_electrodynamics():
+    # the one writer of energy-momentum terms is the only code there that
+    # reads the config's F ^ G or contracts terms
+    tree = ast.parse((SRC / "electrodynamics.py").read_text())
+
+    def reads(root):
+        return {id(node) for node in ast.walk(root)
+                if (isinstance(node, ast.Attribute) and node.attr == "FG"
+                    and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Name) and node.id == "_contract_terms")}
+
+    writer, = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_densities"]
+    assert reads(writer)
+    assert reads(tree) == reads(writer)
+
+
 def test_the_retired_entry_points_are_gone():
     assert not hasattr(scalars, "poly_sum")
     assert not hasattr(forms, "_components")
     assert not hasattr(electrodynamics, "_summed")
     assert not hasattr(scalars, "_guard_mask")
+    assert not hasattr(electrodynamics, "_force_terms")
