@@ -55,11 +55,6 @@ def build_parser():
     return parser
 
 
-def run(command, cfg):
-    """Build the full report for one command; raises on any setup error."""
-    return Report(command, cfg.seed, run_suites(cfg, cfg.suites_for(command)))
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -70,7 +65,7 @@ def main(argv=None):
             cfg.out = args.out
         if args.format is not None:
             cfg.format = args.format
-        report = run(args.command, cfg)
+        report = Report(args.command, cfg.seed, run_suites(cfg, cfg.suites_for(args.command)))
         rendered = (report.render_structured() if cfg.format == "structured"
                     else report.render_text())
     except (ConfigError, FormSyntaxError, MetricError, StructuralError) as e:

@@ -261,7 +261,7 @@ def _axion(raw, cfg):
     Z0 = _law_Z0(raw, cfg)
     _expect("alpha" in raw, "constitutive: axion law needs an alpha polynomial")
     alpha = _coefficient(raw["alpha"], "constitutive.alpha", cfg.chart())
-    law = Axion(cfg.metric_spec(), Z0, alpha)
+    law = _keyed("constitutive.alpha", Axion, cfg.metric_spec(), Z0, alpha)
     _expect(law.alpha.is_zero() or cfg.n == 2 * cfg.p,
             "constitutive.alpha: axion term needs n = 2p")
     return law

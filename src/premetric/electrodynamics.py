@@ -36,9 +36,9 @@ from collections import namedtuple
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import (_built, _contract_terms, _row_terms, _top_d_terms, _Top, _wedge_terms,
+from .forms import (_built, _contract_terms, _form, _row_terms, _top_d_terms, _Top, _wedge_terms,
                     basis_form, check_shape, combine, contract, ext_d, lie_derivative, sort_indices,
-                    wedge, wedge_sum)
+                    wedge)
 from .hodge import hodge
 from .report import residual_check
 from .scalars import Polynomial, nonzero_rational
@@ -176,7 +176,7 @@ def identity_suite(u, cfg, id_prefix=""):
         residual_check(
             id_prefix + "sym", "sym",
             "contraction of the vanishing (n+1)-form F^dG expands to zero",
-            wedge_sum((1, uF, dG), (sgn, F, udG)), contract(u, wedge(F, dG))),
+            combine((1, wedge, uF, dG), (sgn, wedge, F, udG)), contract(u, wedge(F, dG))),
         residual_check(
             id_prefix + "a", "a", "d(F ^ uG) = (-1)^p F ^ L_u G + force_u",
             combine((1, ext_d, F_uG), (-sgn, F_LuG), (-1, f))),
@@ -227,8 +227,8 @@ def _split(form, sign):
             time[rest] = poly.scale(sign * sort_indices(rest + (0,))[1])
         else:
             space[idx] = poly
-    return (form._raw(form.degree - 1, form.twist, time),
-            form._raw(form.degree, form.twist, space))
+    return (_form(form.chart, form.degree - 1, form.twist, time),
+            _form(form.chart, form.degree, form.twist, space))
 
 
 def split_3plus1(F, G, J):
@@ -259,11 +259,12 @@ class Axion:
     pseudoscalar coefficient alpha.
 
     Z is stored as a nonzero Fraction.  1/Z scales the dual, which already
-    carries the twist the excitation needs, as a plain number.  alpha
-    multiplies F as a pseudoscalar, so the alpha term comes out twisted
-    like the dual does; that requires n = 2p for the degrees to line up.
-    With alpha = 0 the term is skipped and the law is the Maxwell-Lorentz
-    vacuum at every degree.
+    carries the twist the excitation needs, as a plain number.  alpha is a
+    real pseudoscalar, kept in real mode (an imaginary coefficient is
+    refused); it multiplies F with pseudo=True, so the alpha term comes out
+    twisted like the dual does; that requires n = 2p for the degrees to
+    line up.  With alpha = 0 the term is skipped and the law is the
+    Maxwell-Lorentz vacuum at every degree.
     """
 
     kind = "axion"
@@ -271,10 +272,14 @@ class Axion:
     def __init__(self, metric, Z, alpha):
         self.metric = metric
         self.Z = nonzero_rational(Z, "impedance")
-        self.alpha = (alpha if isinstance(alpha, Polynomial)
-                      else metric.chart.const_poly(alpha))
-        if self.alpha.n != metric.chart.n:
+        n = metric.chart.n
+        alpha = alpha if isinstance(alpha, Polynomial) else Polynomial.constant(n, alpha)
+        if alpha.n != n:
             raise StructuralError("axion alpha does not match the metric's chart")
+        if alpha.complex_mode and any(im for _, im in alpha.terms.values()):
+            raise StructuralError("axion alpha must be real, got an imaginary coefficient")
+        self.alpha = (Polynomial(n, {e: re for e, (re, _) in alpha.terms.items()})
+                      if alpha.complex_mode else alpha)
 
     def apply(self, F):
         # any degree; hodge checks the chart against the metric's

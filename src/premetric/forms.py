@@ -104,14 +104,6 @@ class Form:
     def is_zero(self):
         return not self.components
 
-    def _raw(self, degree, twist, components):
-        f = object.__new__(Form)
-        f.chart = self.chart
-        f.degree = degree
-        f.twist = twist
-        f.components = components
-        return f
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -120,8 +112,8 @@ class Form:
         return combine((1, self), (1, other))
 
     def __neg__(self):
-        return self._raw(self.degree, self.twist,
-                         {i: -p for i, p in self.components.items()})
+        return _form(self.chart, self.degree, self.twist,
+                     {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -151,7 +143,7 @@ class Form:
                      if m else {})
         else:
             raise StructuralError(f"cannot scale a form by {s!r}")
-        return self._raw(self.degree, self.twist != pseudo, comps)
+        return _form(self.chart, self.degree, self.twist != pseudo, comps)
 
     # -- identity ----------------------------------------------------------
 
@@ -274,6 +266,14 @@ def _contract_table(n, p):
 # groups, by output index: d is dm times the dens of the term's factors.
 
 
+def _form(chart, degree, twist, components):
+    """The Form with these slots, unchecked: for components valid by
+    construction (nonzero Polynomials of the chart's mode, increasing keys)."""
+    f = object.__new__(Form)
+    f.chart, f.degree, f.twist, f.components = chart, degree, twist, components
+    return f
+
+
 def _built(chart, degree, twist, groups):
     """The unchecked form on chart with each output index's finished terms
     summed by term_sum; zero sums are dropped."""
@@ -283,9 +283,7 @@ def _built(chart, degree, twist, groups):
         poly = term_sum(n, complex_mode, terms)
         if poly._nums:
             comps[idx] = poly
-    f = object.__new__(Form)
-    f.chart, f.degree, f.twist, f.components = chart, degree, twist, comps
-    return f
+    return _form(chart, degree, twist, comps)
 
 
 def _num_den(m):
@@ -401,49 +399,41 @@ def _like(shape, chart, degree, twist):
 
 
 def combine(*terms):
-    """The linear combination sum of m * form over (m, form) terms, m an
-    int or Fraction; each component is one term_sum.  A term (m, ext_d, a)
-    stands for m * d(a): its partial derivatives join the same sums, so
-    d(a) is never built.  a may also be a _Top, its terms never summed.
+    """The linear combination of the summands, m an int or Fraction, with
+    one term_sum per component.  A summand (m, b) is m * b, (m, ext_d, b)
+    is m * d(b), b a Form or a _Top (its terms never summed), and
+    (m, wedge, a, b) is m * (a ^ b), told apart by length: derivatives and
+    products join the same sums, so neither d(b) nor a ^ b is built.
 
-    The summands, at least one, must agree in chart, degree and twist.
-    """
-    if not terms:
-        raise StructuralError("an empty sum needs at least one term")
-    groups = {}
-    shape = None
-    for m, *op, form in terms:
-        if op:
-            (_d_terms if form.__class__ is Form else _top_d_terms)(groups, m, form)
-        elif m:
-            num, dm = _num_den(m)
-            for idx, poly in form.components.items():
-                groups.setdefault(idx, []).append((num, dm * poly._den, poly, None))
-        shape = _like(shape, form.chart, form.degree + len(op), form.twist)
-    return _built(*shape, groups)
-
-
-def wedge_sum(*terms):
-    """The sum of m * (a ^ b) over (m, a, b) terms, m an int or Fraction,
-    with one term_sum per output component.  The products must agree in
-    chart, degree and twist; past top degree the sum is the canonical zero
-    form (an (n+1)-form has no components), which the identity suites use.
+    The summands, at least one, must agree in chart, degree and twist; past
+    top degree a wedge has no components, so the sum is the canonical zero.
     """
     if not terms:
         raise StructuralError("an empty sum needs at least one term")
     groups, shape = {}, None
-    for m, a, b in terms:
-        if a.chart != b.chart:
-            raise StructuralError("chart mismatch")
-        shape = _like(shape, a.chart, a.degree + b.degree, a.twist != b.twist)
-        if m:
-            _wedge_terms(groups, m, a, b)
+    for m, *op, b in terms:
+        degree, twist = b.degree, b.twist
+        if len(op) == 2:
+            a = op[1]
+            if a.chart != b.chart:
+                raise StructuralError("chart mismatch")
+            degree, twist = a.degree + degree, a.twist != twist
+            if m:
+                _wedge_terms(groups, m, a, b)
+        elif op:
+            degree += 1
+            (_d_terms if b.__class__ is Form else _top_d_terms)(groups, m, b)
+        elif m:
+            num, dm = _num_den(m)
+            for idx, poly in b.components.items():
+                groups.setdefault(idx, []).append((num, dm * poly._den, poly, None))
+        shape = _like(shape, b.chart, degree, twist)
     return _built(*shape, groups)
 
 
 def wedge(a, b):
-    """Exterior product; twist parities XOR, degrees add (see wedge_sum)."""
-    return wedge_sum((1, a, b))
+    """Exterior product; twist parities XOR, degrees add (see combine)."""
+    return combine((1, wedge, a, b))
 
 
 def ext_d(a):

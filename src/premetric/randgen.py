@@ -12,8 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import StructuralError
-from .forms import Form, VectorField
-from .scalars import _pack, monomial_sum
+from .forms import VectorField, _form
+from .scalars import _pack, check_flag, monomial_sum
 
 
 @lru_cache(maxsize=None)
@@ -57,14 +57,16 @@ def random_polynomial(rng, n, degree_bound, complex_mode=False):
 
 def random_form(rng, chart, degree, twist, degree_bound=2):
     """Each increasing component included with probability 1/2."""
+    if degree.__class__ is not int or degree < 0:
+        raise StructuralError(f"form degree must be an int >= 0, got {degree!r}")
+    check_flag("twist", twist)
     comps = {}
     for idx in combinations(range(chart.n), degree):
         if rng.randrange(2):
             poly = random_polynomial(rng, chart.n, degree_bound, chart.complex_mode)
             if not poly.is_zero():
                 comps[idx] = poly
-    # the components are valid by construction: skip re-checking them
-    return Form(chart, degree, twist)._raw(degree, twist, comps)
+    return _form(chart, degree, twist, comps)
 
 
 def random_vector_field(rng, chart, degree_bound=2):

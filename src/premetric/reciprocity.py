@@ -15,11 +15,9 @@ The pair tensor F (x) G keeps its two factors and is compared by the exact
 rank-one test, so no comparison multiplies out every component product.
 """
 
-from collections.abc import Mapping
-
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
-from .forms import Form, check_shape
+from .forms import _form, check_shape
 from .hodge import double_hodge_sign, hodge
 from .report import residual_check
 from .scalars import nonzero_rational
@@ -47,8 +45,8 @@ class FieldPairZ:
         if self.chart.complex_mode:
             return self
         chart = self.chart.to_complex()
-        conv = lambda f: Form(chart, f.degree, f.twist,
-                              {i: p.to_complex() for i, p in f.components.items()})
+        conv = lambda f: _form(chart, f.degree, f.twist,
+                               {i: p.to_complex() for i, p in f.components.items()})
         return FieldPairZ(conv(self.F), conv(self.G), self.z)
 
     def __eq__(self, other):
@@ -72,12 +70,11 @@ def star_z(pair):
     return FieldPairZ(new_F, new_G, pair.z)
 
 
-class _Tensor(Mapping):
-    """A (x) B kept as A's and B's component maps: it reads like the dict
-    {(I, J): A_I * B_J}, I over A, then J over B, and multiplies an entry
-    out only when it is read.  Against another _Tensor, == is the rank-one
-    test: both empty, or supp A = supp C, supp B = supp D, A_I B_J0 = C_I D_J0
-    and A_I0 B_J = C_I0 D_J for every I, J, with I0, J0 the first keys of A, B.
+class _Tensor:
+    """A (x) B, the tensor {(I, J): A_I * B_J}, kept as A's and B's component
+    maps and never multiplied out.  == is the rank-one test: both empty, or
+    supp A = supp C, supp B = supp D, A_I B_J0 = C_I D_J0 and
+    A_I0 B_J = C_I0 D_J for every I, J, with I0, J0 the first keys of A, B.
     Exact: (A_I B_J)(A_I0 B_J0) = (A_I B_J0)(A_I0 B_J) = (C_I D_J0)(C_I0 D_J)
     = (C_I D_J)(A_I0 B_J0), and A_I0 B_J0 cancels, as polynomials over Q and
     Q(i) have no zero divisors (so no entry is zero either).  That is
@@ -88,20 +85,9 @@ class _Tensor(Mapping):
             next(iter(a.values()))._check_compatible(next(iter(b.values())))
         self._a, self._b = a, b
 
-    def __getitem__(self, key):
-        if key.__class__ is tuple and len(key) == 2 and key[0] in self._a:
-            return self._a[key[0]] * self._b[key[1]]
-        raise KeyError(key)
-
-    def __iter__(self):
-        return ((I, J) for I in self._a for J in self._b)
-
-    def __len__(self):
-        return len(self._a) * len(self._b)
-
     def __eq__(self, other):
         if other.__class__ is not _Tensor:
-            return Mapping.__eq__(self, other)
+            return NotImplemented
         a, b, c, d = self._a, self._b, other._a, other._b
         if not (a and b and c and d) or a.keys() != c.keys() or b.keys() != d.keys():
             return not (a and b or c and d)
@@ -111,7 +97,7 @@ class _Tensor(Mapping):
 
 
 def tensor(A, B):
-    """{(I, J): A_I * B_J} over the nonzero components, kept factored."""
+    """A (x) B over the nonzero components, kept factored (see _Tensor)."""
     return _Tensor(A.components, B.components)
 
 

@@ -64,6 +64,13 @@ def dense_wedge(a, b):
     return Form(chart, p + q, a.twist != b.twist, comps)
 
 
+def dense_tensor(a, b):
+    """A (x) B multiplied out: {(I, J): A_I * B_J} over every pair of
+    nonzero components, I in A's order, then J in B's."""
+    return {(I, J): pa * pb for I, pa in a.components.items()
+            for J, pb in b.components.items()}
+
+
 def dense_inner_product(metric, a, b):
     """<a, b> = (1/p!) a_{i...} b^{i...}, raising with nested metric sums.
 

@@ -113,6 +113,9 @@ def test_malformed_form_exits_two_with_position(tmp_path):
     # law shapes are refused at validation, before any suite runs
     ({"n": 5, "constitutive": {"kind": "axion", "Z0": 1, "alpha": "x0"}},
      "constitutive.alpha: axion term needs n = 2p"),
+    # the axion alpha is a real pseudoscalar, in either scalar mode
+    ({"mode": "complex", "constitutive": {"kind": "axion", "Z0": 1, "alpha": "i"}},
+     "constitutive.alpha: axion alpha must be real, got an imaginary coefficient"),
     ({"constitutive": {"kind": "linear-local", "chi": [[1, 0], [0, 1]]}},
      "constitutive.chi: chi must be 6x6 for n=4, p=2"),
     # an empty list does not fall back to the default suites

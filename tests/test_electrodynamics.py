@@ -473,6 +473,27 @@ def test_axion_alpha_must_match_the_metric_chart():
     assert Axion(MINK, 1, CH4.zero_poly()).apply(F) == MaxwellLorentz(MINK, 1).apply(F)
 
 
+def test_axion_alpha_is_a_real_pseudoscalar():
+    # alpha is kept in real mode whatever the mode it comes in, and an
+    # imaginary coefficient is refused; a complex-mode alpha used to fail
+    # on a real F with a mode mismatch in apply
+    cplx = Chart(4, complex_mode=True)
+    m_c = MetricSpec.minkowski(cplx)
+    x1, third = CH4.variable(1), Fraction(1, 3)
+    for metric in (MINK, m_c):
+        for alpha, real in ((cplx.variable(1), x1), (x1, x1), (third, CH4.const_poly(third)),
+                            (cplx.variable(1).scale(third), x1.scale(third))):
+            law = Axion(metric, 1, alpha)
+            assert law.alpha.complex_mode is False and law.alpha == real
+        for alpha in (cplx.const_poly((0, 1)), cplx.variable(0) + cplx.const_poly((2, -1))):
+            with pytest.raises(StructuralError,
+                               match="^axion alpha must be real, got an imaginary coefficient$"):
+                Axion(metric, 1, alpha)
+    F, Fc = basis_form(CH4, (0, 1)), basis_form(cplx, (0, 1))
+    assert Axion(MINK, 1, cplx.variable(1)).apply(F) == Axion(MINK, 1, x1).apply(F)
+    assert Axion(MINK, 1, cplx.variable(1)).apply(Fc) == Axion(m_c, 1, x1).apply(Fc)
+
+
 def test_axion_needs_middle_degree():
     ch3 = Chart(3)
     m3 = MetricSpec.diagonal(ch3, [1, -1, -1])

@@ -21,7 +21,6 @@ from premetric.forms import (
     lie_derivative,
     sort_indices,
     wedge,
-    wedge_sum,
 )
 from premetric.hodge import _det
 from premetric.randgen import random_form, random_polynomial, random_vector_field
@@ -141,14 +140,13 @@ def test_polynomial_complex_mode_must_be_a_bool(mode):
     assert Polynomial.zero(4).complex_mode is False
 
 
-@pytest.mark.parametrize("empty_sum", [combine, wedge_sum])
-def test_an_empty_sum_is_refused(empty_sum):
+def test_an_empty_sum_is_refused():
     # with no term there is no chart, degree or twist to build on; this
     # used to end in a bare TypeError from unpacking the missing shape
     with pytest.raises(StructuralError, match="^an empty sum needs at least one term$"):
-        empty_sum()
+        combine()
     a = basis_form(Chart(4), (0,))
-    assert combine((1, a)) == a and wedge_sum((1, a, a)).is_zero()
+    assert combine((1, a)) == a and combine((1, wedge, a, a)).is_zero()
 
 
 @pytest.mark.parametrize("flag", [None, "no", "x", 2, 1, 0, 1.0])
@@ -164,6 +162,7 @@ def test_twist_and_pseudo_must_be_bools(flag):
                         ("twist", lambda: Form.zero(ch, 1, flag)),
                         ("twist", lambda: basis_form(ch, (0,), flag)),
                         ("twist", lambda: parse_form("dx0", ch, 1, twist=flag)),
+                        ("twist", lambda: random_form(random.Random(0), ch, 1, flag)),
                         ("pseudo", lambda: a.scale(1, pseudo=flag)),
                         ("pseudo", lambda: a.scale(2, pseudo=flag)),
                         ("pseudo", lambda: a.scale(ch.variable(0), pseudo=flag))):
@@ -185,13 +184,16 @@ def test_components_must_be_polynomials(component):
         VectorField(ch, [ch.const_poly(1), ch.zero_poly(), component, ch.zero_poly()])
 
 
-@pytest.mark.parametrize("degree", [1.0, True])
+@pytest.mark.parametrize("degree", [1.0, True, -1])
 def test_form_degree_must_be_an_int(degree):
     # a float degree used to be accepted, and ext_d then raised TypeError
     ch = Chart(4)
     with pytest.raises(StructuralError,
                        match=f"^form degree must be an int >= 0, got {degree}$"):
         Form(ch, degree, False, {(0,): ch.const_poly(1)})
+    with pytest.raises(StructuralError,
+                       match=f"^form degree must be an int >= 0, got {degree}$"):
+        random_form(random.Random(0), ch, degree, False)
 
 
 def test_form_index_entries_must_be_ints():
@@ -222,20 +224,46 @@ def test_mismatches_raise():
         pullback_linear([[1, 1], [1, 1]], a)
 
 
-def test_wedge_sum_keeps_the_errors_of_wedge_and_combine():
+@pytest.mark.parametrize("n, mode", [(2, False), (3, True), (4, False), (5, False)])
+def test_one_combine_mixes_every_kind_of_summand(n, mode):
+    # plain, ext_d, _Top and wedge summands in one call equal the same
+    # twisted n-form built form by form and summed with +
+    ch = _chart(n, complex_mode=mode)
+    rng = random.Random(f"mixed-combine:{n}:{mode}")
+    for _ in range(4):
+        X = random_form(rng, ch, n, True)
+        Y = random_form(rng, ch, n - 1, True)
+        a, b = random_form(rng, ch, 1, False), random_form(rng, ch, n - 2, True)
+        p = rng.randrange(n + 1)
+        c, d = random_form(rng, ch, p, False), random_form(rng, ch, n - p, True)
+        top = forms._Top(ch, True, forms._wedge_terms({}, 1, a, b))
+        total = combine((Fraction(2, 3), X), (-3, ext_d, Y), (-1, ext_d, top),
+                        (Fraction(-5, 7), wedge, c, d), (0, X), (0, wedge, d, c))
+        expect = (X.scale(Fraction(2, 3)) + ext_d(Y).scale(-3) - ext_d(wedge(a, b))
+                  + wedge(c, d).scale(Fraction(-5, 7)))
+        assert (total.chart, total.degree, total.twist) == (ch, n, True)
+        assert total == expect
+    # past top degree every wedge is the canonical zero form
+    e, f = random_form(rng, ch, n, False), random_form(rng, ch, 1, True)
+    for total in (combine((1, wedge, e, f)),
+                  combine((2, wedge, e, f), (Fraction(1, 2), wedge, f, e))):
+        assert total == Form.zero(ch, n + 1, True) and total.components == {}
+
+
+def test_wedge_summands_keep_the_errors_of_wedge_and_combine():
     ch = _chart(3)
     a, b = basis_form(ch, (0,)), basis_form(ch, (1,), twist=True)
     other = basis_form(_chart(2), (0,))
-    for terms in [((1, a, other),), ((1, a, b), (1, other, other)),
-                  ((1, a, b), (1, other, b))]:
+    for terms in [((1, wedge, a, other),), ((1, wedge, a, b), (1, wedge, other, other)),
+                  ((1, wedge, a, b), (1, wedge, other, b))]:
         with pytest.raises(StructuralError, match="^chart mismatch$"):
-            wedge_sum(*terms)
+            combine(*terms)
     with pytest.raises(StructuralError, match="^degree mismatch: 2 vs 1$"):
-        wedge_sum((1, a, b), (1, a, basis_form(ch, (), twist=True)))
+        combine((1, wedge, a, b), (1, wedge, a, basis_form(ch, (), twist=True)))
     with pytest.raises(StructuralError, match="^twist parity mismatch$"):
-        wedge_sum((1, a, b), (1, a, basis_form(ch, (2,))))
+        combine((1, wedge, a, b), (1, wedge, a, basis_form(ch, (2,))))
     # twists XOR per product, as for wedge
-    assert wedge_sum((1, b, a), (2, a, b)).twist is True
+    assert combine((1, wedge, b, a), (2, wedge, a, b)).twist is True
 
 
 def test_scale_routes_parity():

@@ -29,7 +29,7 @@ from premetric.electrodynamics import (Densities, FieldConfig, conservation_resi
                                        densities, identity_suite)
 from premetric.errors import StructuralError
 from premetric.forms import (Chart, Form, VectorField, basis_form, combine, contract,
-                             ext_d, lie_derivative, wedge, wedge_sum)
+                             ext_d, lie_derivative, wedge)
 from premetric.randgen import random_form, random_polynomial, random_vector_field
 from premetric.reciprocity import FieldPairZ, star_z
 from premetric.report import residual_check
@@ -179,10 +179,10 @@ def _unfused_identity_rows(u, cfg, lie):
     F, G, dG, sgn = cfg.F, cfg.G, cfg.dG, (-1) ** cfg.p
     uF, uG, udG = contract(u, F), contract(u, G), contract(u, dG)
     LuF, LuG = lie(u, F), lie(u, G)
-    f = wedge_sum((1, cfg.dF, uG), (1, uF, dG))
+    f = combine((1, wedge, cfg.dF, uG), (1, wedge, uF, dG))
     F_LuG, LuF_G = wedge(F, LuG), wedge(LuF, G)
     rows = [
-        ("sym", wedge_sum((1, uF, dG), (sgn, F, udG)), contract(u, wedge(F, dG))),
+        ("sym", combine((1, wedge, uF, dG), (sgn, wedge, F, udG)), contract(u, wedge(F, dG))),
         ("a", combine((1, ext_d(wedge(F, uG))), (-sgn, F_LuG), (-1, f))),
         ("b", combine((sgn, ext_d(wedge(uF, G))), (-sgn, LuF_G), (1, f))),
         ("a+b", combine((1, ext_d(contract(u, wedge(F, G)))), (-1, LuF_G), (-1, F_LuG))),
@@ -294,7 +294,7 @@ def test_every_reader_takes_one_densities_call(chart, monkeypatch):
 
 
 def test_residual_multiplies_no_fractions(monkeypatch):
-    # multipliers reach the term loops as integers: wedge_sum signs them
+    # multipliers reach the term loops as integers: a wedge summand is signed
     # without a product and each adder reads each one once per call
     chart = Chart(6)
     rng = random.Random("no-fraction-products")

@@ -5,18 +5,21 @@ finished terms `(num, d, a, b)` carry raw denominators read from a
 polynomial's `_den` and `_nums` slots.  Only `scalars` and `forms` write
 such terms, so only they import `term_sum`; `formexpr` also reads the raw
 slots, to feed `monomial_sum`.  Every other module reaches the kernel
-through a form operation or through `forms._built` and the form adders.
+through a form operation or through `forms._built` and the form adders;
+`forms._form` is the one unchecked Form constructor.
 The OR of a polynomial's raw keys, kept in `_bits` for the exponent
 guard, is `scalars`' own: no other module reads or writes it.  Inside
 `electrodynamics`, `_densities` is the one writer of energy-momentum
-terms: only it reads a config's F ^ G or calls `_contract_terms`.
+terms: only it reads a config's F ^ G or calls `_contract_terms`.  Its
+readers only regroup what it returns: `densities()` halves the
+u _| (F ^ G) terms before they join sigma_u, and phi_u's d of minus them.
 """
 
 import ast
 from pathlib import Path
 
 import premetric
-from premetric import electrodynamics, forms, scalars
+from premetric import cli, electrodynamics, forms, reciprocity, scalars
 
 SRC = Path(premetric.__file__).parent
 RAW_READERS = {"scalars.py", "forms.py", "formexpr.py"}
@@ -86,3 +89,7 @@ def test_the_retired_entry_points_are_gone():
     assert not hasattr(electrodynamics, "_summed")
     assert not hasattr(scalars, "_guard_mask")
     assert not hasattr(electrodynamics, "_force_terms")
+    assert not hasattr(forms, "wedge_sum")
+    assert not hasattr(forms.Form, "_raw")
+    assert not hasattr(cli, "run")
+    assert not hasattr(reciprocity._Tensor, "__getitem__")

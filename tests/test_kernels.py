@@ -3,7 +3,7 @@
 Every form operation builds each output component with one call to
 `scalars.term_sum`, whose finished terms are products, scaled polynomials
 and partial derivatives, each with its multiplier read by the adder that
-made it; `wedge_sum` does so for a whole linear combination of wedges, and
+made it; `combine` does so for a whole linear combination of wedges, and
 Polynomial's own `+`, `-` and `partial` are term_sum calls too.  Each is
 compared here with the fold the kernel replaced,
 written out in this file: one Polynomial product, partial derivative or
@@ -38,7 +38,7 @@ from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, _built,  # noqa: E402
                              _contract_terms, _d_terms, _top_d_terms, _Top, _wedge_table,
-                             _wedge_terms, combine, contract, ext_d, wedge, wedge_sum)
+                             _wedge_terms, combine, contract, ext_d, wedge)
 from premetric.hodge import MetricSpec, hodge  # noqa: E402
 from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
@@ -205,7 +205,7 @@ def test_wedge_is_the_fold(pair):
 
 
 @pytest.mark.parametrize("mode", [False, True])
-def test_wedge_sum_walks_disjoint_partners_like_the_fold(mode):
+def test_wedge_summands_walk_disjoint_partners_like_the_fold(mode):
     # each component of a walks its row of disjoint partners and looks
     # them up in b: a sparse b against full rows, a full b against
     # one-entry rows and rows past top degree; at n = 4 a 1-form's row
@@ -237,16 +237,16 @@ def test_wedge_sum_walks_disjoint_partners_like_the_fold(mode):
     past = [(half, dense(2, False), dense(3, True)),
             (-half, dense(2, False), dense(3, True))]
     for terms in (one, full):
-        total = wedge_sum(*terms)
+        total = combine(*[(m, wedge, a, b) for m, a, b in terms])
         assert total.components == fold_sum(terms) != {}
         assert (total.degree, total.twist) == (terms[0][1].degree + terms[0][2].degree, True)
-    total = wedge_sum(*past)
+    total = combine(*[(m, wedge, a, b) for m, a, b in past])
     assert (total.degree, total.twist, total.components) == (5, True, {})
 
 
 @EXAMPLES
 @given(st.data())
-def test_wedge_sum_is_the_combination_of_its_wedges(data):
+def test_wedge_summands_are_the_combination_of_their_wedges(data):
     # total degrees run past n, where every wedge is the zero form
     chart = data.draw(charts())
     degree = data.draw(st.integers(0, 2 * chart.n))
@@ -257,7 +257,7 @@ def test_wedge_sum_is_the_combination_of_its_wedges(data):
         ta = data.draw(st.booleans())
         terms.append((data.draw(COEFF), data.draw(forms(chart, p, ta)),
                       data.draw(forms(chart, degree - p, ta != twist))))
-    total = wedge_sum(*terms)
+    total = combine(*[(m, wedge, a, b) for m, a, b in terms])
     expect = combine(*[(m, wedge(a, b)) for m, a, b in terms])
     assert (total.degree, total.twist) == (degree, twist)
     assert total.components == expect.components
@@ -560,7 +560,7 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     # a ^ b reaches x0^128 in the dx0^dx1 slot twice; the sum of the two
     # wedges cancels but still raises
     with pytest.raises(StructuralError, match="exceeds the limit"):
-        wedge_sum((1, a, b), (-1, a, b))
+        combine((1, wedge, a, b), (-1, wedge, a, b))
     # u _| (x^rest dx0^dx1 + x^rest dx1^dx2) with u = (x^big, 0, x^big):
     # the dx1 slot gets x^128 - x^128
     u = VectorField(chart, [x_big, chart.zero_poly(), x_big])
@@ -572,7 +572,7 @@ def test_exponent_guard_fires_even_when_the_terms_cancel():
     assert wedge(a, Form(chart, 1, False, {(0,): x_low, (1,): x_low})).is_zero()
     assert contract(u, Form(chart, 2, False, {(0, 1): x_low, (1, 2): x_low})).is_zero()
     low = Form(chart, 1, False, {(0,): x_low, (1,): x_low})
-    assert wedge_sum((1, a, low), (-1, a, low)).is_zero()
+    assert combine((1, wedge, a, low), (-1, wedge, a, low)).is_zero()
 
 
 @pytest.mark.parametrize("mode", [False, True])
@@ -865,7 +865,7 @@ def test_lone_unit_terms_are_the_factor_or_one_product(mode, monkeypatch):
     assert all(half.components[idx] != poly for idx, poly in F.components.items())
     assert term_sum(3, mode, [(1, 2 * loose._den, loose, None)]) == loose.scale(Fraction(1, 2))
     assert term_sum(3, mode, [(1, loose._den, loose, 0)]) == loose.partial(0)
-    scaled = wedge_sum((Fraction(1, 2), Form(chart, 0, False, {(): x2}), F))
+    scaled = combine((Fraction(1, 2), wedge, Form(chart, 0, False, {(): x2}), F))
     assert scaled.components[(0,)] == real_mul(x2, F.components[(0,)]).scale(Fraction(1, 2))
     assert products == []
 

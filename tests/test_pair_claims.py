@@ -247,7 +247,7 @@ def test_claims_are_never_differences_formed_to_be_tested():
     ("residual_check(i, e, d, starred.F - hodge(m, F))", 1),
     ("residual_check(i, e, d, *(a + b if odd else a - b for a, b in zip(x, y)))", 2),
     ("report.residual_check(i, e, d, *[a - b for a, b in z])", 1),
-    ("residual_check(p + 'sym', e, d, wedge_sum((1, a, b), (s, c, d)), f(a - b))", 0),
+    ("residual_check(p + 'sym', e, d, combine((1, w, a, b), (s, w, c, d)), f(a - b))", 0),
     ("residual_check(p + 'x', e, d, (a, -b), (twice.F, -F), r)", 0),
 ])
 def test_the_claim_scan_finds_sums_and_differences(source, found):

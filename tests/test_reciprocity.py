@@ -6,7 +6,7 @@ import pytest
 
 from premetric.electrodynamics import FieldConfig, MaxwellLorentz, densities
 from premetric.errors import MetricError, StructuralError
-from oracles import pullback_linear
+from oracles import dense_tensor, pullback_linear
 from premetric.forms import Chart, Form, basis_form
 from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
@@ -197,13 +197,10 @@ def test_pair_tensor_of_star_is_minus_swapped():
 
 def test_pair_tensor_zero():
     p = FieldPairZ(Form.zero(CH4, 2), Form.zero(CH4, 2, True), 1)
-    assert pair_tensor(p) == {}
-
-
-def _dense(A, B):
-    """A (x) B multiplied out: every nonzero component product, in order."""
-    return {(I, J): a * b for I, a in A.components.items()
-            for J, b in B.components.items()}
+    assert dense_tensor(p.F, p.G) == {}
+    # an empty factor on either side gives the one empty tensor
+    assert pair_tensor(p) == tensor(basis_form(CH4, (0, 1)), p.G)
+    assert pair_tensor(p) == tensor(p.F, basis_form(CH4, (2, 3), True))
 
 
 def _inverse(k):
@@ -276,11 +273,9 @@ def test_tensor_equality_agrees_with_the_dense_tensor(data):
     (A, B), (C, D), expected = _relate(data, chart, A, B)
     left, right = tensor(A, B), tensor(C, D)
     for t, (X, Y) in ((left, (A, B)), (right, (C, D))):
-        dense = _dense(X, Y)
-        assert len(t) == len(dense) and list(t) == list(dense)
-        assert all(t[key] == value for key, value in dense.items())
-        assert dict(t.items()) == dense and t == dense and dense == t
-    equal = _dense(A, B) == _dense(C, D)
+        # a tensor is compared with tensors only, never with a mapping
+        assert t.__eq__(dense_tensor(X, Y)) is NotImplemented and t != dense_tensor(X, Y)
+    equal = dense_tensor(A, B) == dense_tensor(C, D)
     if expected is not None:
         assert equal == expected
     assert (left == right) == (right == left) == equal
@@ -308,7 +303,7 @@ def test_tensor_perturbed_in_any_component_is_unequal(data):
         for idx, poly in X.components.items():
             Y = _with(X, idx, poly + delta)
             pert = (Y, D) if slot == 0 else (C, Y)
-            assert _dense(A, B) != _dense(*pert)
+            assert dense_tensor(A, B) != dense_tensor(*pert)
             assert tensor(A, B) != tensor(*pert) and tensor(*pert) != tensor(A, B)
 
 
@@ -342,23 +337,6 @@ def _count_products(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     return calls
-
-
-def test_pair_tensor_multiplies_only_what_is_read(monkeypatch):
-    rng = random.Random(415)
-    A, B = _full(CH4, 2, False, rng), _full(CH4, 2, True, rng)
-    dense = _dense(A, B)
-    calls = _count_products(monkeypatch)
-    t = pair_tensor(FieldPairZ(A, B, 3))
-    assert len(t) == 36 and list(t) == list(dense)
-    assert calls == []
-    assert t[(0, 1), (2, 3)] == dense[(0, 1), (2, 3)]
-    assert len(calls) == 1
-    assert ((0, 1), (2, 3)) in t and ((0, 1), (1, 0)) not in t
-    for missing in (((0, 1), (1, 0)), ((1, 0), (0, 1)), (0, 1), "x", 5):
-        with pytest.raises(KeyError):
-            t[missing]
-        assert t.get(missing) is None
 
 
 def test_full_tensor_comparison_takes_twenty_two_products(monkeypatch):

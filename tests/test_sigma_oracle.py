@@ -6,7 +6,7 @@ computes once; the graded Leibniz rule equates that with the paper's
 (F ^ u _| G - (-1)^p u _| F ^ G) / 2.  A field of rational constants
 contracts by scaling each component instead of multiplying it by a
 constant polynomial.  Both routes are checked here against oracles that
-share neither: the paper's form built with wedge_sum from the dense
+share neither: the paper's form built with combine's wedge summands from the dense
 contraction of tests/oracles.py, which multiplies every component out.
 """
 
@@ -18,8 +18,8 @@ import pytest
 from oracles import dense_contract
 from premetric import forms
 from premetric.electrodynamics import FieldConfig, densities
-from premetric.forms import (Chart, VectorField, contract, coordinate_field, wedge,
-                             wedge_sum)
+from premetric.forms import (Chart, VectorField, combine, contract, coordinate_field,
+                             wedge)
 from premetric.randgen import random_form, random_vector_field
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,8 +65,8 @@ def test_sigma_is_the_paper_form_and_constant_fields_contract_by_scaling(case):
     assert cfg.FG == wedge(F, G)
 
     half = Fraction(1, 2)
-    paper = wedge_sum((half, F, dense_contract(u, G)),
-                      (-half * (-1) ** p, dense_contract(u, F), G))
+    paper = combine((half, wedge, F, dense_contract(u, G)),
+                    (-half * (-1) ** p, wedge, dense_contract(u, F), G))
     d = densities(u, cfg)
     assert d.sigma == paper
     assert (d.sigma.degree, d.sigma.twist) == (chart.n - 1, True)
