@@ -170,8 +170,8 @@ def identity_suite(u, cfg, id_prefix=""):
     u_FG = _Top(chart, True, _densities(u, cfg, 1, uF, uG, F_uG, f, LuF_G))
     f, LuF_G = (_built(chart, chart.n, True, groups) for groups in (f, LuF_G))
     F_uG, uF_G = _Top(chart, True, F_uG), _Top(chart, True, _wedge_terms({}, 1, uF, G))
-    # Cartan's formula, where lie_derivative takes it, reuses uG, dG and u _| dG
-    F_LuG = wedge(F, lie_derivative(u, G, uG, dG, udG))
+    # Cartan's formula, where lie_derivative takes it, reuses uG and u _| dG
+    F_LuG = wedge(F, lie_derivative(u, G, uG, None, udG))
     return [
         residual_check(
             id_prefix + "sym", "sym",

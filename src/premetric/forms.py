@@ -379,7 +379,7 @@ def check_shape(name, form, chart, degree, twist):
         raise StructuralError(f"{name}: chart mismatch")
     if form.degree != degree or form.twist != twist:
         raise StructuralError(
-            f"{name} must be a {'twisted' if twist else 'untwisted'} {degree}-form")
+            f"{name} must be {'a twisted' if twist else 'an untwisted'} {degree}-form")
 
 
 def _like(shape, chart, degree, twist):

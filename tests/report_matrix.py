@@ -1,15 +1,16 @@
 """Digest every shipped config under every command and format.
 
-    python3 tests/report_matrix.py > matrix.txt
+    python3 tests/report_matrix.py > tests/data/report_matrix.txt
 
 Runs `premetric.cli.main` in process on each config in configs/ and
 tests/data/, for each command and each report format, and prints one line
 per run: the config, the command, the format, the exit status and the
 SHA-256 of what the run wrote to stdout and to stderr.  Two checkouts that
 print the same lines produce the same reports, byte for byte, on every
-shipped config, so diffing this output before and after a change checks the
-report contract of docs/report.md end to end.  pytest does not collect this
-file; the package is imported from the src/ directory beside it.
+shipped config.  tests/test_report_digests.py pins these lines against
+tests/data/report_matrix.txt, and the command above re-pins them after a
+deliberate report change.  pytest does not collect this file; the package
+is imported from the src/ directory beside it.
 """
 
 import contextlib
@@ -48,14 +49,21 @@ def run(config, command, fmt):
     return status, out.getvalue(), err.getvalue()
 
 
-def main():
-    os.chdir(ROOT)  # config paths, and so any message naming one, stay relative
+def lines():
+    """The matrix, one line per run; the checkout is the working directory."""
+    result = []
     for config in configs():
         for command in COMMANDS:
             for fmt in FORMATS:
                 status, out, err = run(config, command, fmt)
-                print(f"{config} {command} {fmt} exit={status} "
-                      f"stdout={digest(out)} stderr={digest(err)}", flush=True)
+                result.append(f"{config} {command} {fmt} exit={status} "
+                              f"stdout={digest(out)} stderr={digest(err)}")
+    return result
+
+
+def main():
+    os.chdir(ROOT)  # config paths, and so any message naming one, stay relative
+    print("\n".join(lines()))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
-def run_cli(*args):
+def run_cli(*args, text=True):
     return subprocess.run([sys.executable, "-m", "premetric.cli", *args],
-                          capture_output=True, text=True, timeout=300,
+                          capture_output=True, text=text, timeout=300,
                           env=child_env())
 
 
@@ -188,12 +188,16 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path):
+    # the file holds exactly the bytes the same run prints without --out
     cfg = write_config(tmp_path, "out.json", BASE)
-    dest = tmp_path / "report.json"
-    r = run_cli("split", "--config", cfg, "--format", "structured",
-                "--out", str(dest))
-    assert r.returncode == 0
-    assert r.stdout == ""
+    dest = tmp_path / "report"
+    for fmt in ("text", "structured"):
+        args = ("split", "--config", cfg, "--format", fmt)
+        to_file = run_cli(*args, "--out", str(dest), text=False)
+        to_stdout = run_cli(*args, text=False)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == to_file.stderr == to_stdout.stderr == b""
+        assert dest.read_bytes() == to_stdout.stdout
     doc = json.loads(dest.read_text(encoding="utf-8"))
     assert doc["command"] == "split"
     assert doc["summary"]["failed"] == 0

@@ -495,14 +495,14 @@ def test_lie_derivative_refuses_reuse_forms_that_do_not_fit():
     ua, da = contract(u, a), ext_d(a)
     assert lie_derivative(u, a, ua, da, contract(u, da)).is_zero()
     bad = (("ua", {"ua": basis_form(ch, (0, 1), coefficient=ch.variable(3))},
-            "untwisted 0-form"),
-           ("da", {"da": basis_form(ch, (0, 2), True)}, "untwisted 2-form"),
-           ("ua", {"ua": basis_form(ch, (), True)}, "untwisted 0-form"),
-           ("uda", {"uda": basis_form(ch, (), True)}, "untwisted 1-form"))
+            "an untwisted 0-form"),
+           ("da", {"da": basis_form(ch, (0, 2), True)}, "an untwisted 2-form"),
+           ("ua", {"ua": basis_form(ch, (), True)}, "an untwisted 0-form"),
+           ("uda", {"uda": basis_form(ch, (), True)}, "an untwisted 1-form"))
     for field in (u, coordinate_field(ch, 0)):
         # a field of rational constants reuses nothing, and still checks
         for name, kwargs, shape in bad:
-            with pytest.raises(StructuralError, match=f"^{name} must be a {shape}$"):
+            with pytest.raises(StructuralError, match=f"^{name} must be {shape}$"):
                 lie_derivative(field, a, **kwargs)
         with pytest.raises(StructuralError, match="^da: chart mismatch$"):
             lie_derivative(field, a, da=Form.zero(_chart(3), 2))
