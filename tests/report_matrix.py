@@ -49,16 +49,22 @@ def run(config, command, fmt):
     return status, out.getvalue(), err.getvalue()
 
 
+def runs():
+    """The (config, command, format) of every run, in matrix order."""
+    return [(config, command, fmt) for config in configs()
+            for command in COMMANDS for fmt in FORMATS]
+
+
+def line(config, command, fmt):
+    """The matrix line of one run; the checkout is the working directory."""
+    status, out, err = run(config, command, fmt)
+    return (f"{config} {command} {fmt} exit={status} "
+            f"stdout={digest(out)} stderr={digest(err)}")
+
+
 def lines():
     """The matrix, one line per run; the checkout is the working directory."""
-    result = []
-    for config in configs():
-        for command in COMMANDS:
-            for fmt in FORMATS:
-                status, out, err = run(config, command, fmt)
-                result.append(f"{config} {command} {fmt} exit={status} "
-                              f"stdout={digest(out)} stderr={digest(err)}")
-    return result
+    return [line(*key) for key in runs()]
 
 
 def main():

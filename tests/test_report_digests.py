@@ -3,7 +3,9 @@
 Two pins hold it.  The first is the report matrix of
 tests/report_matrix.py: the exit status and the SHA-256 of stdout and
 stderr of every config in configs/ and tests/data/ under every command
-and format, against tests/data/report_matrix.txt.  Besides the shipped
+and format, against tests/data/report_matrix.txt, one test per line, so
+a failure names the run whose report changed; one more test checks that
+the pinned lines name exactly the runs the matrix makes, in order.  Besides the shipped
 examples, tests/data holds `linear-local-poly.json`, a linear-local chi
 with polynomial entries whose FAIL witnesses print non-trivial rational
 coefficients; `check-n6.json` (real, n = 6, p = 3) and `check-c5.json`
@@ -25,7 +27,6 @@ them.  A deliberate report change re-pins the matrix with
 RUN_DIGESTS, and says so in CHANGES.md.
 """
 
-import difflib
 import json
 import subprocess
 import sys
@@ -37,13 +38,24 @@ import report_matrix
 ROOT = report_matrix.ROOT
 
 
-def test_report_matrix_is_pinned(monkeypatch):
+PINNED = (ROOT / "tests" / "data" / "report_matrix.txt").read_text(
+    encoding="utf-8").splitlines()
+
+
+def _run_of(line):
+    """The (config, command, format) that a matrix line names."""
+    return tuple(line.split()[:3])
+
+
+def test_report_matrix_runs_are_pinned():
+    assert [_run_of(line) for line in PINNED] == report_matrix.runs()
+
+
+@pytest.mark.parametrize("pinned", PINNED,
+                         ids=lambda line: "-".join(_run_of(line)))
+def test_report_matrix_line_is_pinned(pinned, monkeypatch):
     monkeypatch.chdir(ROOT)
-    pinned = (ROOT / "tests" / "data" / "report_matrix.txt").read_text(
-        encoding="utf-8").splitlines()
-    lines = report_matrix.lines()
-    assert lines == pinned, "\n".join(
-        difflib.unified_diff(pinned, lines, "pinned", "now", lineterm="", n=0))
+    assert report_matrix.line(*_run_of(pinned)) == pinned
 
 
 RUN_DIGESTS = {
