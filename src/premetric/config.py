@@ -10,6 +10,7 @@ so nothing about the run starts until the whole document is sound.
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -128,20 +129,25 @@ class RunConfig(SimpleNamespace):
         return self.suites or COMMANDS[command][1]
 
 
-_KNOWN_KEYS = frozenset(RunConfig._fields)
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     # ValueError: bytes that are not UTF-8, or an integer over the int digit
-    # limit; RecursionError: arrays or objects nested past the decoder's depth
+    # limit, and _object's ConfigError, passed on as it is; RecursionError:
+    # arrays or objects nested past the decoder's depth
     except (OSError, ValueError, RecursionError) as e:
-        raise ConfigError(f"cannot read config: {e}")
+        raise e if isinstance(e, ConfigError) else ConfigError(f"cannot read config: {e}")
     return validate_config(raw)
+
+
+def _object(pairs):
+    """A JSON object at any depth, refusing a key given twice (json keeps the last)."""
+    twice = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    _expect(not twice, f"duplicate config keys: {twice}")
+    return dict(pairs)
 
 
 def _choice(raw, cfg, key, allowed, expected):
@@ -155,7 +161,7 @@ def _choice(raw, cfg, key, allowed, expected):
 
 def validate_config(raw):
     _expect(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(RunConfig._fields)
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     cfg = RunConfig()

@@ -121,17 +121,20 @@ def densities(u, cfg, before=None, c=1):
 
 
 def sigma_u(u, cfg):
-    """Energy-momentum density along u; twisted (n-1)-form."""
+    """Energy-momentum density along u, a twisted (n-1)-form: densities(u, cfg)
+    with two results dropped, kept only as bench/spans.py traces it (ROADMAP 4b)."""
     return densities(u, cfg).sigma
 
 
 def force_u(u, cfg):
-    """Force density along u; twisted n-form built from the currents dF, dG."""
+    """Force density along u, a twisted n-form from the currents dF, dG: densities(u,
+    cfg) with two results dropped, kept only as bench/spans.py traces it (ROADMAP 4b)."""
     return densities(u, cfg).force
 
 
 def obstruction_phi_u(u, cfg):
-    """The twisted n-form standing between d(sigma_u) and force_u."""
+    """The twisted n-form standing between d(sigma_u) and force_u: densities(u,
+    cfg) with two results dropped, kept only as bench/spans.py traces it (ROADMAP 4b)."""
     return densities(u, cfg).phi
 
 

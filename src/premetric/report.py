@@ -53,17 +53,14 @@ class Report(SimpleNamespace):
         return passed, len(self.checks) - passed
 
     def to_json_dict(self):
+        passed, failed = self.counts()
         return {
             "schema": SCHEMA_VERSION,
             "command": self.command,
             "seed": self.seed,
             "checks": [c.to_json_dict() for c in self.sorted_checks()],
-            "summary": {
-                "total": len(self.checks),
-                "passed": self.counts()[0],
-                "failed": self.counts()[1],
-                "status": "PASS" if self.all_passed() else "FAIL",
-            },
+            "summary": {"total": passed + failed, "passed": passed, "failed": failed,
+                        "status": "FAIL" if failed else "PASS"},
         }
 
     def render_structured(self):
@@ -78,8 +75,7 @@ class Report(SimpleNamespace):
             if not c.passed and c.witness:
                 lines.append(f"         witness: {c.witness}")
         passed, failed = self.counts()
-        verdict = "PASS" if self.all_passed() else "FAIL"
-        lines.append(f"{verdict}: {passed} passed, {failed} failed")
+        lines.append(f"{'FAIL' if failed else 'PASS'}: {passed} passed, {failed} failed")
         return "\n".join(lines) + "\n"
 
 

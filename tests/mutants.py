@@ -1,25 +1,29 @@
 """Run sign mutants of the package against the pinned report matrix.
 
-    python3 tests/mutants.py [--src DIR] [NAME ...]
+    python3 tests/mutants.py > tests/data/mutant_matrix.txt
 
 A mutant is a list of (module, old text, new text) edits to the package;
 each old text must occur exactly once in its module, so a refactor that
 moves or rewrites a line fails here loudly instead of testing nothing.
-For each mutant (all of MUTANTS, or the NAMEs given) the package in DIR
-(default: src/ beside this directory) is copied to a temporary directory,
-the edits are applied, and a fresh interpreter runs
-`report_matrix.lines()` against the copy.  A run catches the mutant when
-its line differs from tests/data/report_matrix.txt.  The tool prints those
-pinned lines, then one table row per mutant: the runs that catch it, in
-all and per command.  The unmutated copy comes first, as `clean`, and
-must catch nothing.  pytest does not collect this file.
+For each mutant the package in src/ beside this directory is copied to a
+temporary directory, the edits are applied, and a fresh interpreter runs
+`report_matrix.lines()` against the copy; os.cpu_count() interpreters run
+at a time.  A run catches the mutant when its line differs from
+tests/data/report_matrix.txt.  The tool prints one line per catch,
+`<mutant> | <config> <command> <format> exit=<pinned>-><mutated>`, or
+`<mutant> | none` for a mutant that no run catches: first the unmutated
+copy, as `clean`, then MUTANTS in order, each with its runs in matrix
+order.  tests/test_mutants.py pins these lines against
+tests/data/mutant_matrix.txt, and the command above re-pins them.
+pytest does not collect this file.
 """
 
-import argparse
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,12 +111,12 @@ def mutate(package, edits):
         path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def caught(src, edits, pinned):
-    """(pinned line, mutant's line) of each run that reports differently
-    under the mutant."""
+def caught(name, edits, pinned):
+    """The mutant's lines: one per run whose line differs from its pinned
+    line, or `none`."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
-        shutil.copytree(src / "premetric", copy / "premetric",
+        shutil.copytree(ROOT / "src" / "premetric", copy / "premetric",
                         ignore=shutil.ignore_patterns("__pycache__"))
         mutate(copy / "premetric", edits)
         proc = subprocess.run(
@@ -123,36 +127,18 @@ def caught(src, edits, pinned):
     lines = proc.stdout.splitlines()
     if [line.split()[:3] for line in lines] != [line.split()[:3] for line in pinned]:
         raise SystemExit("the matrix runs differ from the pinned runs")
-    return [(old, line) for old, line in zip(pinned, lines) if old != line]
+    return [f"{name} | {' '.join(old.split()[:4])}->{new.split()[3][5:]}"
+            for old, new in zip(pinned, lines) if old != new] or [f"{name} | none"]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the premetric package to mutate")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - set(MUTANTS)
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
+def lines():
+    """The mutant matrix: clean first, then MUTANTS in order."""
     pinned = PINNED.read_text(encoding="utf-8").splitlines()
-    table = []
-    for name, edits in [("clean", [])] + [(name, MUTANTS[name])
-                                          for name in args.names or MUTANTS]:
-        lines = caught(args.src.resolve(), edits, pinned)
-        print(f"## {name}: {len(lines)} of {len(pinned)} runs",
-              *(old for old, _ in lines), sep="\n", flush=True)
-        table.append((name, lines))
-        if name == "clean" and lines:
-            raise SystemExit("the unmutated package does not match the pinned matrix")
-    commands = list(dict.fromkeys(line.split()[1] for line in pinned))
-    print(f"\n| mutant | runs | exit changed | {' | '.join(commands)} |\n"
-          f"|---|---|---|{'---|' * len(commands)}")
-    for name, lines in table:
-        exits = sum(old.split()[3] != new.split()[3] for old, new in lines)
-        per = [sum(old.split()[1] == command for old, _ in lines) for command in commands]
-        print(f"| {name} | {len(lines)} | {exits} | {' | '.join(map(str, per))} |")
+    mutants = {"clean": [], **MUTANTS}
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        found = pool.map(lambda name: caught(name, mutants[name], pinned), mutants)
+        return [line for mutant_lines in found for line in mutant_lines]
 
 
 if __name__ == "__main__":
-    main()
+    print("\n".join(lines()))

@@ -42,10 +42,14 @@ def digest(text):
 
 def run(config, command, fmt):
     """(exit status, stdout, stderr) of one in-process CLI run; config is
-    relative to the checkout, which is the working directory."""
+    relative to the checkout, which is the working directory.  A run that
+    raises has the status `raised:<exception type>`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.main([command, "--config", config, "--format", fmt])
+        try:
+            status = cli.main([command, "--config", config, "--format", fmt])
+        except Exception as e:
+            status = f"raised:{type(e).__name__}"
     return status, out.getvalue(), err.getvalue()
 
 

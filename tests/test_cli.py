@@ -146,6 +146,19 @@ def test_unreadable_config_exits_two(tmp_path, capsys, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, keys", [
+    # json.load alone would keep the last of each and run n = 6, p = 3
+    ('{"n": 4, "p": 2, "samples": 1, "n": 6, "p": 3}', "['n', 'p']"),
+    ('{"metric": {"diagonal": [1, -1, -1, -1], "diagonal": [1, 1, 1, 1]}}', "['diagonal']"),
+    ('{"constitutive": {"kind": "custom", "G": "dx2^dx3", "G": "dx0^dx1"}}', "['G']"),
+])
+def test_duplicate_config_key_exits_two(tmp_path, capsys, content, keys):
+    path = tmp_path / "duplicate.json"
+    path.write_text(content, encoding="utf-8")
+    assert cli.main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"premetric: error: duplicate config keys: {keys}\n")
+
+
 def test_bad_config_value_exits_two(tmp_path):
     cfg = write_config(tmp_path, "bad2.json", dict(BASE, p=9))
     r = run_cli("check", "--config", cfg)

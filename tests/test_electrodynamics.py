@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from oracles import force_u_4d, linear_local_from, phi_u_4d, sigma_u_4d
 from premetric import electrodynamics
-from premetric.config import load_config
 from premetric.electrodynamics import (
     Axion,
     Custom,
@@ -27,9 +25,7 @@ from premetric.forms import (Chart, Form, basis_form, contract, coordinate_field
                              lie_derivative, wedge)
 from premetric.hodge import MetricSpec, hodge
 from premetric.randgen import random_form, random_polynomial, random_vector_field
-from premetric.suites import run_suites
 
-ROOT = Path(__file__).resolve().parent.parent
 CH4 = Chart(4)
 MINK = MetricSpec.minkowski(CH4)
 
@@ -166,46 +162,6 @@ def test_every_group_of_the_regrouped_residual_counts(monkeypatch, n, mode, fiel
                 residual = conservation_residual(u, cfg)
             assert not residual.is_zero(), (group, m)
             assert residual == expected[group].scale(m - 1), (group, m)
-
-
-# check reads every write of _densities: negating one of them, picked by
-# the adder call that makes it inside _densities, FAILs the conservation
-# suite and the identity rows alike
-DENSITY_WRITES = {
-    "force_u": lambda cfg, a, b: a is cfg.dF or b is cfg.dG,
-    "F ^ uG": lambda cfg, a, b: a is cfg.F,
-    "L_u F ^ G": lambda cfg, a, b: b is cfg.G,
-    "u _| FG": None,  # the returned terms
-}
-
-
-@pytest.mark.parametrize("write", DENSITY_WRITES)
-def test_every_write_of_densities_fails_check(monkeypatch, write):
-    picks, inside = DENSITY_WRITES[write], []
-    real_densities, real_wedge = electrodynamics._densities, electrodynamics._wedge_terms
-
-    def densities_spy(u, cfg, *args):
-        inside.append(cfg)
-        try:
-            terms = real_densities(u, cfg, *args)
-        finally:
-            inside.pop()
-        if picks is None:
-            terms = {idx: [(-k, *rest) for k, *rest in ts] for idx, ts in terms.items()}
-        return terms
-
-    def wedge_spy(groups, m, a, b):
-        flip = picks is not None and inside and picks(inside[-1], a, b)
-        return real_wedge(groups, -m if flip else m, a, b)
-
-    monkeypatch.setattr(electrodynamics, "_densities", densities_spy)
-    monkeypatch.setattr(electrodynamics, "_wedge_terms", wedge_spy)
-    conservation = load_config(str(ROOT / "configs/conservation.json"))
-    vacuum = load_config(str(ROOT / "configs/vacuum.json"))
-    assert vacuum.suites_for("check") == ("conservation", "identities")
-    for cfg, suite in ((conservation, "conservation"), (vacuum, "conservation"),
-                       (vacuum, "identities")):
-        assert not all(row.passed for row in run_suites(cfg, [suite])), (write, suite)
 
 
 def test_identity_suite_random():

@@ -58,6 +58,15 @@ def test_report_matrix_line_is_pinned(pinned, monkeypatch):
     assert report_matrix.line(*_run_of(pinned)) == pinned
 
 
+def test_report_matrix_line_records_a_crash(monkeypatch):
+    def crash(argv):
+        raise TypeError("mutated")
+
+    monkeypatch.setattr(report_matrix.cli, "main", crash)
+    line = report_matrix.line("configs/vacuum.json", "check", "text")
+    assert line.split()[:4] == ["configs/vacuum.json", "check", "text", "exit=raised:TypeError"]
+
+
 RUN_DIGESTS = {
     "check-n6": "97e6f7d90a2e8fa6f49edd19f0ec271374e178b99269c6649d955e68104e2502",
     "reciprocity-c4": "9374ee816f6da0a6cc7ad071f80de40a3e8c3ec54eea681c8430a13db27cbf99",
