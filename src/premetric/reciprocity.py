@@ -7,13 +7,18 @@ equal -identity lives on the pair.  Accordingly this module exposes no
 single-form operation, and the test suite demonstrates why (two pairs
 sharing the same F map to different images).
 
-z is a nonzero pseudoscalar stored per pair as a Fraction, so each pair
-carries its own complex structure; orientation reversal sends z to -z and
-the structure transforms along.  Every scaling by z, by 1/z or by i*z
-passes pseudo=True, which is what moves a form between the two slots.
+A pair is an immutable FieldPairZ record (F, G, z) with z a nonzero
+pseudoscalar Fraction, so each pair carries its own complex structure;
+orientation reversal sends z to -z and the structure transforms along.
+Pairs compare as their fields (on different charts, Form's chart
+mismatch raises), and one self_reciprocal_pair call gives both
+eigenpairs.  Every scaling by z, by 1/z or by i*z passes pseudo=True,
+which is what moves a form between the two slots.
 The pair tensor F (x) G keeps its two factors and is compared by the exact
 rank-one test, so no comparison multiplies out every component product.
 """
+
+from collections import namedtuple
 
 from .electrodynamics import MaxwellLorentz
 from .errors import MetricError, StructuralError
@@ -23,23 +28,20 @@ from .report import residual_check
 from .scalars import nonzero_rational
 
 
-class FieldPairZ:
+class FieldPairZ(namedtuple("FieldPairZ", "F G z")):
     """(F, G) with an impedance-like pseudoscalar z; the unit of reciprocity.
-    _images caches self_reciprocal_pair's izG and iF/z; == and repr skip it."""
+    A record: it compares, hashes and prints as its fields, and chart is F's."""
 
-    __slots__ = ("chart", "F", "G", "z", "_images")
+    __slots__ = ()
+    chart = property(lambda self: self.F.chart)
 
-    def __init__(self, F, G, z):
+    def __new__(cls, F, G, z):
         chart, p = F.chart, F.degree
         if chart.n != 2 * p:
             raise StructuralError(f"field pairs need n = 2p, got n={chart.n}, p={p}")
         check_shape("F", F, chart, p, False)
         check_shape("G", G, chart, p, True)
-        self.chart = chart
-        self.F = F
-        self.G = G
-        self.z = nonzero_rational(z, "z")
-        self._images = None
+        return super().__new__(cls, F, G, nonzero_rational(z, "z"))
 
     def to_complex(self):
         if self.chart.complex_mode:
@@ -48,15 +50,6 @@ class FieldPairZ:
         conv = lambda f: _form(chart, f.degree, f.twist,
                                {i: p.to_complex() for i, p in f.components.items()})
         return FieldPairZ(conv(self.F), conv(self.G), self.z)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldPairZ):
-            return NotImplemented
-        return (self.chart == other.chart and self.z == other.z
-                and self.F == other.F and self.G == other.G)
-
-    def __repr__(self):
-        return f"FieldPairZ(z={self.z!r}, F={self.F!r}, G={self.G!r})"
 
 
 def star_z(pair):
@@ -106,24 +99,18 @@ def pair_tensor(pair):
     return tensor(pair.F, pair.G)
 
 
-def self_reciprocal_pair(pair, sign):
-    """Eigenpair (F -+ izG, G +- iF/z) of the pair map, eigenvalue +-i.
-
-    Needs Gaussian-rational (complex) scalar mode; sign is the int +1 or
-    -1 and picks the eigenvalue +i or -i.  The two components are
-    proportional: F_eig = -+ iz G_eig.  Both signs share one pair of images.
+def self_reciprocal_pair(pair):
+    """The eigenpairs (F -+ izG, G +- iF/z) of the pair map for +i and -i,
+    as (plus, minus); they add up to twice the pair, and in each the slots
+    are proportional: F_eig = -+ iz G_eig.  Needs Gaussian-rational
+    (complex) scalar mode.  Two image scalings, izG and iF/z, serve both.
     """
-    if sign.__class__ is not int or sign not in (1, -1):
-        raise StructuralError("sign must be +1 or -1")
     if not pair.chart.complex_mode:
         raise StructuralError("eigenpairs need a complex-mode chart")
-    if pair._images is None:
-        pair._images = (pair.G.scale((0, pair.z), pseudo=True),
-                        pair.F.scale((0, 1 / pair.z), pseudo=True))
-    izG, iF_z = pair._images
-    if sign == 1:
-        return FieldPairZ(pair.F - izG, pair.G + iF_z, pair.z)
-    return FieldPairZ(pair.F + izG, pair.G - iF_z, pair.z)
+    izG = pair.G.scale((0, pair.z), pseudo=True)
+    iF_z = pair.F.scale((0, 1 / pair.z), pseudo=True)
+    return (FieldPairZ(pair.F - izG, pair.G + iF_z, pair.z),
+            FieldPairZ(pair.F + izG, pair.G - iF_z, pair.z))
 
 
 def check_double_dual(metric, p):
@@ -137,8 +124,8 @@ def check_factorization(metric, Z0, F, id_prefix=""):
 
     Verifies componentwise that star_z(F, G) = (hodge F, hodge G), and that
     the induced eigenpairs are Hodge self-dual: hodge(F_eig) = +-i F_eig.
-    Only the eigenpairs' field strengths F_eig = F -+ izG are read, so they
-    are built from one izG, without self_reciprocal_pair's G slots.
+    Only the eigen field strengths F_eig = F -+ izG are read, so one izG
+    builds them, without self_reciprocal_pair's iF/z and G slots.
     Needs n = 2p for F's degree p and a metric whose double dual is -1 on
     p-forms; as for hodge, F's chart may differ from the metric's in
     complex_mode, and the checks use F's.

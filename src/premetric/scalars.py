@@ -294,7 +294,7 @@ class Polynomial:
             return f"Polynomial({self.n}, 0)"
         bits = []
         for exps, c in sorted(self.terms.items()):
-            mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e)
+            mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e)
             bits.append(f"{c!r}*{mono}" if mono else repr(c))
         return f"Polynomial({self.n}, {' + '.join(bits)})"
 

@@ -160,8 +160,8 @@ def reciprocity_suite(cfg):
             "" if ok else "starred tensor is not -G (x) F"))
 
         cpair = pair.to_complex()
-        for sign, label in ((1, "plus"), (-1, "minus")):
-            eig = self_reciprocal_pair(cpair, sign)
+        for (sign, label), eig in zip(((1, "plus"), (-1, "minus")),
+                                      self_reciprocal_pair(cpair)):
             seig = star_z(eig)
             lam = (0, sign)
             ok = (seig.F == eig.F.scale(lam) and seig.G == eig.G.scale(lam)

@@ -89,6 +89,9 @@ MUTANTS = {
     "star_z: -F/z": [
         ("reciprocity.py", "pair.F.scale(-1 / pair.z, pseudo=True)",
          "pair.F.scale(1 / pair.z, pseudo=True)")],
+    "self_reciprocal_pair: +i eigenpair's iF/z": [
+        ("reciprocity.py", "FieldPairZ(pair.F - izG, pair.G + iF_z, pair.z)",
+         "FieldPairZ(pair.F - izG, pair.G - iF_z, pair.z)")],
     "MetricSpec.star: one multiplier": [
         ("hodge.py", "(comp[rows][0], sign * root * minor)",
          "(comp[rows][0], (-1 if cols == tuple(range(n - p)) else 1) * sign * root * minor)")],

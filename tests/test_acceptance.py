@@ -189,14 +189,12 @@ def test_criterion_06_reciprocity_suite():
     eigens = 0
     for k in range(25):
         pair = _random_pair(rng, chart, Z_VALUES[k % 4]).to_complex()
-        for sign in (1, -1):
-            eig = self_reciprocal_pair(pair, sign)
+        plus, minus = self_reciprocal_pair(pair)
+        for sign, eig in ((1, plus), (-1, minus)):
             lam = (0, sign)
             st = star_z(eig)
             assert st.F == eig.F.scale(lam) and st.G == eig.G.scale(lam)
             assert eig.F == eig.G.scale((0, -sign * pair.z), pseudo=True)
-        plus = self_reciprocal_pair(pair, 1)
-        minus = self_reciprocal_pair(pair, -1)
         assert plus.F + minus.F == pair.F.scale(2)
         assert plus.G + minus.G == pair.G.scale(2)
         eigens += 1

@@ -137,8 +137,8 @@ def _difference_rows(cfg, suite):
             rows.append((f"factor-{k:04d}-factor-G",
                          (starred.G - hod(metric, pair.G).scale(1, pseudo=True),)))
             cpair = pair.to_complex()
-            for sign, name in ((1, "plus"), (-1, "minus")):
-                eig = reciprocity.self_reciprocal_pair(cpair, sign)
+            for (sign, name), eig in zip(((1, "plus"), (-1, "minus")),
+                                         reciprocity.self_reciprocal_pair(cpair)):
                 rows.append((f"factor-{k:04d}-selfdual-{name}",
                              (eig.F.scale((0, sign))
                               - hod(metric, eig.F).scale(1, pseudo=True),)))

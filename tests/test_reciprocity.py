@@ -357,7 +357,7 @@ def test_full_tensor_comparison_takes_twenty_two_products(monkeypatch):
 def test_eigenpair_example():
     p = FieldPairZ(basis_form(CH4, (0, 1)),
                    basis_form(CH4, (2, 3), twist=True), 1).to_complex()
-    eig = self_reciprocal_pair(p, 1)
+    eig, _ = self_reciprocal_pair(p)
     ch = p.chart
     i = (0, 1)
     assert eig.F.components == (
@@ -373,35 +373,22 @@ def test_eigenpair_relations():
     for z in Z_VALUES:
         for _ in range(7):
             p = _pair(rng, z).to_complex()
-            for sign in (1, -1):
-                eig = self_reciprocal_pair(p, sign)
+            plus, minus = self_reciprocal_pair(p)
+            for sign, eig in ((1, plus), (-1, minus)):
                 ev = (0, sign)
                 s = star_z(eig)
                 assert s.F == eig.F.scale(ev)
                 assert s.G == eig.G.scale(ev)
                 # the two slots are proportional: F = -+ iz G
                 assert eig.F == eig.G.scale((0, -sign * p.z), pseudo=True)
-            plus = self_reciprocal_pair(p, 1)
-            minus = self_reciprocal_pair(p, -1)
             assert plus.F + minus.F == p.F.scale(2)
             assert plus.G + minus.G == p.G.scale(2)
 
 
 def test_eigenpair_needs_complex_mode():
     rng = random.Random(405)
-    with pytest.raises(StructuralError):
-        self_reciprocal_pair(_pair(rng), 1)
-    with pytest.raises(StructuralError):
-        self_reciprocal_pair(_pair(rng).to_complex(), 2)
-
-
-@pytest.mark.parametrize("sign", [True, 1.0, Fraction(1), False, -1.0, Fraction(-1)])
-def test_eigenpair_sign_is_the_int_plus_or_minus_one(sign):
-    # a bool, float or Fraction equal to +-1 is not a sign
-    p = _pair(random.Random(410)).to_complex()
-    with pytest.raises(StructuralError, match=r"^sign must be \+1 or -1$"):
-        self_reciprocal_pair(p, sign)
-    assert p._images is None
+    with pytest.raises(StructuralError, match="^eigenpairs need a complex-mode chart$"):
+        self_reciprocal_pair(_pair(rng))
 
 
 def _eigenpair_by_formula(pair, sign):
@@ -424,14 +411,11 @@ def test_shared_images_give_the_eigenpair_formula():
         for z in (3, Fraction(2, 7), -2):
             for make in (lambda: _pair(rng, z, Chart(n), bound=1).to_complex(),
                          lambda: _complex_pair(rng, z, Chart(n))):
-                for order in ((1, -1), (-1, 1)):
-                    pair = make()
-                    expected = {s: _eigenpair_by_formula(pair, s) for s in order}
-                    for sign in order + order:      # repeated calls reuse the images
-                        eig = self_reciprocal_pair(pair, sign)
-                        assert (eig.F, eig.G) == expected[sign], (n, z, order)
-                        assert eig.z == pair.z
-                        assert not eig.F.twist and eig.G.twist
+                pair = make()
+                for sign, eig in zip((1, -1), self_reciprocal_pair(pair)):
+                    assert (eig.F, eig.G) == _eigenpair_by_formula(pair, sign), (n, z)
+                    assert eig.z == pair.z
+                    assert not eig.F.twist and eig.G.twist
 
 
 def test_both_eigenpairs_scale_two_images(monkeypatch):
@@ -444,20 +428,8 @@ def test_both_eigenpairs_scale_two_images(monkeypatch):
 
     monkeypatch.setattr(Form, "scale", counted)
     p = _pair(random.Random(412), Fraction(-3, 5)).to_complex()
-    self_reciprocal_pair(p, 1)
-    self_reciprocal_pair(p, -1)
-    self_reciprocal_pair(p, 1)
+    self_reciprocal_pair(p)
     assert calls == [(0, Fraction(-3, 5)), (0, Fraction(-5, 3))]
-
-
-def test_pair_equality_and_repr_ignore_the_images():
-    rng = random.Random(413)
-    p = _pair(rng, 2).to_complex()
-    fresh = FieldPairZ(p.F, p.G, p.z)
-    self_reciprocal_pair(p, -1)
-    assert p._images is not None and fresh._images is None
-    assert p == fresh and fresh == p
-    assert repr(p) == repr(fresh)
 
 
 # -- factorization through the metric dual ----------------------------------------
@@ -594,7 +566,7 @@ def _reciprocity_run(tmp_path, capsys):
 def test_reciprocity_run_scales_each_image_once(tmp_path, monkeypatch, capsys):
     # 4 instances of the reciprocity and factorization suites at seed 1:
     # 20 and 13 scalings per instance if each eigenpair scaled its own two
-    # images (132); sharing them across the two signs saves 2 of each (116),
+    # images (132); sharing them across the two eigenpairs saves 2 of each (116),
     # and the factorization's selfdual rows build only the eigen field
     # strengths F -+ izG, so its unread iF/z image goes too (112)
     calls = []

@@ -1,10 +1,12 @@
 """The record classes keep their constructors, repr, equality, hashing,
-immutability and validation messages: Chart, CheckResult, Densities and
-SplitFields are immutable; Report and RunConfig are mutable and unhashable."""
+immutability and validation messages: Chart, CheckResult, Densities,
+FieldPairZ and SplitFields are immutable; Report and RunConfig are mutable
+and unhashable."""
 
 import pytest
 
-from premetric import Chart, CheckResult, Form, Report, StructuralError, basis_form
+from premetric import (Chart, CheckResult, FieldPairZ, Form, Report, StructuralError,
+                       basis_form)
 from premetric.config import RunConfig
 from premetric.electrodynamics import Densities, SplitFields
 
@@ -18,6 +20,13 @@ def _split(**replaced):
     fields = {name: Form.zero(CH, degree, twist)
               for name, (degree, twist) in SPLIT_KINDS.items()}
     return SplitFields(**{**fields, **replaced})
+
+
+PAIR_F, PAIR_G = basis_form(CH, (0, 1)), basis_form(CH, (2, 3), twist=True)
+
+
+def _pair(F=PAIR_F, G=PAIR_G, z=2):
+    return FieldPairZ(F, G, z)
 
 
 def _densities(top):
@@ -47,6 +56,8 @@ CASES = {
     "report-repr": lambda: repr(Report("check", 1))
     == "Report(command='check', seed=1, checks=[])",
     "report-fresh-checks": lambda: Report("check", 1).checks is not Report("check", 1).checks,
+    "pair-repr": lambda: repr(_pair())
+    == f"FieldPairZ(F={PAIR_F!r}, G={PAIR_G!r}, z=Fraction(2, 1))",
     "run-config-fields": lambda: tuple(vars(RunConfig())) == RunConfig._fields,
     "run-config-keywords": lambda: RunConfig(seed=3) == RunConfig(4, seed=3) != RunConfig(),
     "chart-eq-hash": lambda: _equal_and_hash_alike(lambda: Chart(5, -1)),
@@ -55,17 +66,32 @@ CASES = {
     "check-differs": lambda: CheckResult(*ROW) != CheckResult(*ROW, "w"),
     "densities-eq-hash": lambda: _equal_and_hash_alike(
         lambda: _densities(basis_form(CH, (0, 1, 2, 3), twist=True))),
+    "pair-eq-hash": lambda: _equal_and_hash_alike(_pair),
+    "pair-differs": lambda: _pair() != _pair(z=3),
     "split-eq-hash": lambda: _equal_and_hash_alike(_split),
     "report-unhashable": lambda: _raises(TypeError, lambda: hash(Report("check", 1))),
     "run-config-unhashable": lambda: _raises(TypeError, lambda: hash(RunConfig())),
     "chart-immutable": lambda: _immutable(CH, "n"),
     "check-immutable": lambda: _immutable(CheckResult(*ROW), "passed"),
     "densities-immutable": lambda: _immutable(_densities(Form.zero(CH, 4, True)), "sigma"),
+    "pair-immutable": lambda: _immutable(_pair(), "F"),
+    "pair-chart-read-only": lambda: _immutable(_pair(), "chart"),
     "split-immutable": lambda: _immutable(_split(), "E"),
     "chart-dimension": lambda: _raises(
         StructuralError, lambda: Chart(9), "chart dimension must be in 2..8, got 9"),
     "chart-orientation": lambda: _raises(
         StructuralError, lambda: Chart(4, 0), "orientation must be +1 or -1, got 0"),
+    "pair-dimension": lambda: _raises(
+        StructuralError, lambda: _pair(F=basis_form(Chart(3), (0, 1))),
+        "field pairs need n = 2p, got n=3, p=2"),
+    "pair-twist": lambda: _raises(
+        StructuralError, lambda: _pair(F=PAIR_G, G=PAIR_F),
+        "F must be an untwisted 2-form"),
+    "pair-zero-z": lambda: _raises(StructuralError, lambda: _pair(z=0), "z must be nonzero"),
+    "pair-chart-mismatch": lambda: _raises(
+        StructuralError, lambda: _pair() == _pair(F=basis_form(Chart(4, -1), (0, 1)),
+                                                  G=Form.zero(Chart(4, -1), 2, True)),
+        "chart mismatch"),
     "split-dimension": lambda: _raises(
         StructuralError, lambda: SplitFields(*[Form.zero(Chart(3), 1)] * 6),
         "3+1 split needs a 4-dimensional chart"),

@@ -67,6 +67,13 @@ def test_polynomial_examples():
     assert (Polynomial.zero(2) * x0).is_zero()
 
 
+def test_repr_prints_a_first_power_bare():
+    # as the grammar and poly_str do: x0, never x0^1
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert repr(x0) == "Polynomial(2, Fraction(1, 1)*x0)"
+    assert repr(x0 * x0 * x1) == "Polynomial(2, Fraction(1, 1)*x0^2*x1)"
+
+
 def test_polynomial_partials():
     x0 = Polynomial.variable(3, 0)
     x1 = Polynomial.variable(3, 1)
