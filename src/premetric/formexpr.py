@@ -375,14 +375,14 @@ def _var_text(n):
 def poly_str(p: Polynomial) -> str:
     """Canonical polynomial rendering: monomials in descending exponent order.
 
-    Reads den and the packed numerators once per polynomial: numeric key
-    order is exponent-tuple order.
+    Reads the raw slots with no gcd: _ratio reduces each coefficient, and
+    numeric key order is exponent-tuple order.
     """
     if p.is_zero():
         return "0"
-    n, den, complex_mode, table = p.n, p.den, p.complex_mode, _var_text(p.n)
+    n, den, complex_mode, table = p.n, p._den, p.complex_mode, _var_text(p.n)
     bits = []
-    for key, c in sorted(p.nums.items(), reverse=True):
+    for key, c in sorted(p._nums.items(), reverse=True):
         if complex_mode:
             neg, body = _coeff_str(c, den)
         else:

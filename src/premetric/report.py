@@ -11,6 +11,7 @@ import json
 from collections import namedtuple
 from types import SimpleNamespace
 
+from .errors import StructuralError
 from .formexpr import poly_str
 
 SCHEMA_VERSION = 1
@@ -84,7 +85,8 @@ def residual_check(check_id, equation, description, *claims):
     must vanish, or a pair (lhs, rhs) of forms that must be equal.  PASS
     when all hold, else FAIL with the witness of the first failing claim's
     residual, lhs - rhs for a pair.  Forms are canonical, so a pair is
-    decided by lhs == rhs and its difference is formed only on failure."""
+    decided by lhs == rhs and its difference is formed only on failure.
+    The error of an unprintable witness names check_id."""
     for claim in claims:
         if isinstance(claim, tuple):
             lhs, rhs = claim
@@ -92,8 +94,12 @@ def residual_check(check_id, equation, description, *claims):
                 continue
             claim = lhs - rhs
         if not claim.is_zero():
-            return CheckResult(check_id, equation, description, False,
-                               nonzero_witness(claim))
+            try:
+                witness = nonzero_witness(claim)
+            except StructuralError as e:
+                e.args = (f"{check_id}: {e}",)
+                raise
+            return CheckResult(check_id, equation, description, False, witness)
     return CheckResult(check_id, equation, description, True)
 
 

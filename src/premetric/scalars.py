@@ -11,8 +11,8 @@ its coefficients as integer numerators over one shared denominator (the
 content/primitive split of FLINT's fmpq_poly) and keys its monomials by
 packed exponent integers (Monagan & Pearce, CASC 2007), so polynomial
 arithmetic is integer work; like fmpq_poly's internal sums, a kernel
-leaves its result's common factor for the first read to divide out, which
-keeps the canonical copy beside the raw slots.  Every sum of products,
+leaves its result's common factor in the raw slots for a read of den,
+nums or the hash to divide out.  Every sum of products,
 scaled polynomials and partial derivatives of either is accumulated by
 term_sum from finished terms (num, d, a, b), which only the form adders
 and Polynomial's own +, - and partial write; monomial_sum sums loose
@@ -126,15 +126,14 @@ class Polynomial:
     numerators in real mode and to (re, im) integer pairs, not both zero,
     in complex mode.  Every (den, nums) read is canonical: den > 0 and
     gcd(den, every numerator part) == 1, so equal polynomials read equal.
-    The slots _den, _nums may carry a factor that divides den and every
-    numerator (_loose set); zeros are dropped at once and the one gcd runs
-    on the first read.  == compares raw slots without it: numerators over
-    equal dens, False for two canonical sides, else same keys and
-    a_k * den_b == b_k * den_a part by part; hash reads the canonical form.
-    The raw slots never change after a polynomial is made: a kernel term
-    may hold a den read from them before its numerators are read, so the
-    first read keeps the canonical copy beside them in _canon, and the OR
-    of the raw keys, which the exponent guard reads, is kept in _bits.
+    The raw slots _den, _nums may carry a factor that divides den and
+    every numerator; zeros are dropped at once, and each read of den or
+    nums, and each hash, divides it out into a new copy.  == compares raw
+    slots without it: numerators over equal dens, else same keys and
+    a_k * den_b == b_k * den_a part by part.  The raw slots never change
+    after a polynomial is made (a kernel term may hold a den read from
+    them before its numerators are read); only the OR of the raw keys,
+    which the exponent guard reads, is filled in later, in _bits.
     Coefficients carry no pseudoscalar parity; that lives one level up,
     on forms.
 
@@ -143,7 +142,7 @@ class Polynomial:
     inspection; arithmetic never builds it.
     """
 
-    __slots__ = ("n", "complex_mode", "_den", "_nums", "_loose", "_canon", "_bits")
+    __slots__ = ("n", "complex_mode", "_den", "_nums", "_bits")
 
     def __init__(self, n, terms=None, complex_mode=False):
         """Checked constructor from {exponent tuple: coefficient}, e.g.
@@ -161,8 +160,7 @@ class Polynomial:
         p = monomial_sum(n, complex_mode, monomials)
         self.n = n
         self.complex_mode = complex_mode
-        self._den, self._nums, self._loose, self._canon, self._bits = (
-            p._den, p._nums, p._loose, None, None)
+        self._den, self._nums, self._bits = p._den, p._nums, None
 
     # -- constructors ------------------------------------------------------
 
@@ -183,29 +181,25 @@ class Polynomial:
 
     # -- views and predicates ----------------------------------------------
 
-    den = property(lambda self: (self._reduce() if self._loose else self)._den)
-    nums = property(lambda self: (self._reduce() if self._loose else self)._nums)
+    den = property(lambda self: self._reduce()._den)
+    nums = property(lambda self: self._reduce()._nums)
 
     def _reduce(self):
-        """A loose self with the gcd of den and every numerator part divided
-        out: self when it is 1, else a canonical copy, made on the first
-        read and kept in _canon; the raw slots stay as they are."""
-        if self._canon is not None:
-            return self._canon
+        """self with the gcd of den and every numerator part divided out:
+        self when it is 1, else a new canonical copy.  Nothing is kept."""
         nums, mode = self._nums, self.complex_mode
         g = gcd(self._den, *(chain.from_iterable(nums.values()) if mode else nums.values()))
         if g == 1:
-            self._loose = False
             return self
-        self._canon = _make(self.n, mode, self._den // g,
-                            {k: (r // g, i // g) for k, (r, i) in nums.items()} if mode
-                            else {k: v // g for k, v in nums.items()})
-        return self._canon
+        return _make(self.n, mode, self._den // g,
+                     {k: (r // g, i // g) for k, (r, i) in nums.items()} if mode
+                     else {k: v // g for k, v in nums.items()})
 
     @property
     def terms(self):
-        """Read-only map exponent tuple -> nonzero coefficient."""
-        n, den, nums = self.n, self.den, self.nums
+        """Read-only map exponent tuple -> nonzero coefficient, read from
+        the raw slots: each Fraction is reduced on its own."""
+        n, den, nums = self.n, self._den, self._nums
         if self.complex_mode:
             view = {_unpack(k, n): (Fraction(r, den), Fraction(i, den))
                     for k, (r, i) in nums.items()}
@@ -246,7 +240,7 @@ class Polynomial:
             nums = {k: (-r, -i) for k, (r, i) in self._nums.items()}
         else:
             nums = {k: -v for k, v in self._nums.items()}
-        return _make(self.n, self.complex_mode, self._den, nums, self._loose)
+        return _make(self.n, self.complex_mode, self._den, nums)
 
     def __mul__(self, other):
         self._check_compatible(other)
@@ -267,7 +261,7 @@ class Polynomial:
         if self.complex_mode:
             return self
         return _make(self.n, True, self._den,
-                     {k: (v, 0) for k, v in self._nums.items()}, self._loose)
+                     {k: (v, 0) for k, v in self._nums.items()})
 
     # -- identity ----------------------------------------------------------
 
@@ -278,7 +272,7 @@ class Polynomial:
         a, b, da, db = self._nums, other._nums, self._den, other._den
         if da == db:
             return a == b
-        if not (self._loose or other._loose) or a.keys() != b.keys():
+        if a.keys() != b.keys():
             return False
         if self.complex_mode:
             return all(r * db == (c := b[k])[0] * da and i * db == c[1] * da
@@ -286,8 +280,8 @@ class Polynomial:
         return all(v * db == b[k] * da for k, v in a.items())
 
     def __hash__(self):
-        return hash((self.n, self.complex_mode, self.den,
-                     frozenset(self.nums.items())))
+        p = self._reduce()
+        return hash((self.n, self.complex_mode, p._den, frozenset(p._nums.items())))
 
     def __repr__(self):
         if not self._nums:
@@ -299,15 +293,14 @@ class Polynomial:
         return f"Polynomial({self.n}, {' + '.join(bits)})"
 
 
-def _make(n, complex_mode, den, nums, loose=False):
-    # unchecked: den > 0, no zero entry, and a common factor only if loose
+def _make(n, complex_mode, den, nums):
+    # unchecked: den > 0 and no zero entry; den and nums may share a factor
     p = object.__new__(Polynomial)
     p.n = n
     p.complex_mode = complex_mode
     p._den = den
     p._nums = nums
-    p._loose = loose
-    p._canon = p._bits = None
+    p._bits = None
     return p
 
 
@@ -354,16 +347,16 @@ def _scaled(p, num, d):
     gcd(s, d) == 1, so prime by prime the result's gcd is g * c with
     g = gcd(den, s) and c = gcd(d, content(p)).  Each entry is divided by
     c and multiplied by s/g, and Z and Z[i] have no zero divisors, so no
-    entry becomes zero; from a loose p the result keeps p's mark.  A
+    entry becomes zero; a factor in p's raw slots stays in the result's.  A
     multiplier with both parts nonzero is multiplied out and ends in
     _reduced: a Gaussian product's content is not multiplicative.
     """
     if d == 1 and num in (1, -1, (1, 0), (-1, 0)):
         return p if num in (1, (1, 0)) else -p
-    n, mode, nums, den, loose = p.n, p.complex_mode, p._nums, p._den, p._loose
+    n, mode, nums, den = p.n, p.complex_mode, p._nums, p._den
     if d == 1 and num in ((0, 1), (0, -1)):
         s = num[1]
-        return _make(n, True, den, {k: (-s * i, s * r) for k, (r, i) in nums.items()}, loose)
+        return _make(n, True, den, {k: (-s * i, s * r) for k, (r, i) in nums.items()})
     if mode:
         sr, si = num
         if sr and si:
@@ -383,16 +376,14 @@ def _scaled(p, num, d):
         out = {k: (-i // c * f, r // c * f) for k, (r, i) in nums.items()}
     else:
         out = {k: (r // c * f, i // c * f) for k, (r, i) in nums.items()}
-    return _make(n, mode, den // g * (d // c), out, loose)
+    return _make(n, mode, den // g * (d // c), out)
 
 
 def _reduced(n, complex_mode, den, nums):
-    """The polynomial nums/den for den > 0 with its zero entries dropped,
-    marked loose: the gcd of den and the numerators waits for the first
-    read (see Polynomial), which gives input that cancels completely
-    den 1.  It ends the kernels, `*` and scaling by a
-    Gaussian multiplier with both parts nonzero; other scalings keep
-    their input's mark (see _scaled).
+    """The polynomial nums/den for den > 0 with its zero entries dropped
+    and its common factor left to the reads (see Polynomial), which give
+    input that cancels completely den 1.  It ends the kernels, `*` and
+    scaling by a Gaussian multiplier with both parts nonzero (see _scaled).
 
     No key here is past the exponent limit: _accumulate guards each
     product before it multiplies, so such a product raises even where its
@@ -401,7 +392,7 @@ def _reduced(n, complex_mode, den, nums):
     zero = (0, 0) if complex_mode else 0
     if zero in nums.values():
         nums = {k: v for k, v in nums.items() if v != zero}
-    return _make(n, complex_mode, den, nums, den != 1)
+    return _make(n, complex_mode, den, nums)
 
 
 # -- accumulation kernels ------------------------------------------------------

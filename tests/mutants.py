@@ -1,4 +1,4 @@
-"""Run sign mutants of the package against the pinned report matrix.
+"""Run mutants of the package against the pinned report matrix.
 
     python3 tests/mutants.py > tests/data/mutant_matrix.txt
 
@@ -99,6 +99,10 @@ MUTANTS = {
         ("electrodynamics.py", "poly.scale(sign * sort_indices(rest + (0,))[1])",
          "poly.scale(-sign * sort_indices(rest + (0,))[1])")],
     "d negated everywhere": [D_TERMS, TOP_D_TERMS, CONSTANT_LIE],
+    "_ratio: no gcd": [("formexpr.py", "g = gcd(num, den)", "g = 1")],
+    "Polynomial.__eq__: real cross-den True": [
+        ("scalars.py", "return all(v * db == b[k] * da for k, v in a.items())",
+         "return True")],
 }
 
 

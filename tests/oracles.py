@@ -8,11 +8,12 @@ module-docstring formulas of premetric.electrodynamics written out with
 the public form operations and no shared pieces, and the *_4d ones are
 their closed forms for n=4, p=2.  The test helpers at the end (linear
 pullbacks and a law's matrix) are built on the package's operations and
-its minor tower.
+its minor tower; `raw_factor` reads a polynomial's raw slots.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import gcd
 
 from premetric.electrodynamics import LinearLocal
 from premetric.errors import StructuralError
@@ -292,3 +293,11 @@ def linear_local_from(law, chart, p):
             if poly is not None:
                 chi[r][c] = poly
     return LinearLocal(chart, p, chi)
+
+
+def raw_factor(p):
+    """The gcd of p's raw den and every raw numerator part, with no read
+    of den or nums: above 1 exactly when p's raw slots carry a common
+    factor."""
+    parts = chain.from_iterable(p._nums.values()) if p.complex_mode else p._nums.values()
+    return gcd(p._den, *parts)

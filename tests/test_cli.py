@@ -300,14 +300,16 @@ def test_oversized_integer_literal_exits_two_with_position(tmp_path):
 
 def test_unprintable_witness_coefficient_exits_two(tmp_path, capsys):
     # the axion-witness config with a coefficient squared past the printable
-    # digit limit: the first FAIL witness cannot be printed as parseable text
+    # digit limit: the first FAIL witness cannot be printed as parseable
+    # text, and the error names that row
     payload = json.loads((ROOT / "configs" / "axion-witness.json").read_text())
     payload["constitutive"]["alpha"] = "(" + "9" * 3000 + ")^2*x1"
     cfg = write_config(tmp_path, "big-witness.json", payload)
     assert cli.main(["constitutive", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("premetric: error: coefficient with more than 4300 digits")
+    assert err == ("premetric: error: phi-0000-u1: coefficient with more than 4300 "
+                   "digits cannot be printed\n")
 
 
 def test_term_pair_limit_exits_two_quickly(tmp_path, capsys):

@@ -4,7 +4,7 @@
 finished terms `(num, d, a, b)` carry raw denominators read from a
 polynomial's `_den` and `_nums` slots.  Only `scalars` and `forms` write
 such terms, so only they import `term_sum`; `formexpr` also reads the raw
-slots, to feed `monomial_sum`.  Every other module reaches the kernel
+slots, to feed `monomial_sum` and to print.  Every other module reaches the kernel
 through a form operation or through `forms._built` and the form adders;
 `forms._form` is the one unchecked Form constructor.
 The OR of a polynomial's raw keys, kept in `_bits` for the exponent
@@ -16,6 +16,7 @@ u _| (F ^ G) terms before they join sigma_u, and phi_u's d of minus them.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import premetric
@@ -93,3 +94,8 @@ def test_the_retired_entry_points_are_gone():
     assert not hasattr(forms.Form, "_raw")
     assert not hasattr(cli, "run")
     assert not hasattr(reciprocity._Tensor, "__getitem__")
+    # a polynomial is its raw slots: no mark of a common factor and no
+    # kept canonical copy
+    assert not {"_loose", "_canon"} & set(scalars.Polynomial.__slots__)
+    assert list(inspect.signature(scalars._make).parameters) == [
+        "n", "complex_mode", "den", "nums"]

@@ -18,8 +18,8 @@ limit cancel, and a derivative of a product must see the product's
 exponents before it lowers them; it reads a product's factors, and raises
 exactly when a brute-force look at every pair of their keys finds an
 exponent past the limit.  A kernel leaves its result's common
-factor for the first read, so values built along routes that leave different factors must
-still compare, hash and read as one canonical value.  A derivative must
+factor in the raw slots, so values built along routes that leave different factors must
+still compare, hash, print and read as one canonical value.  A derivative must
 leave key fields above the n coordinate fields alone.
 """
 
@@ -36,6 +36,7 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from premetric.electrodynamics import LinearLocal  # noqa: E402
 from premetric.errors import StructuralError  # noqa: E402
+from premetric.formexpr import poly_str  # noqa: E402
 from premetric.forms import (Chart, Form, VectorField, _built,  # noqa: E402
                              _contract_terms, _d_terms, _top_d_terms, _Top, _wedge_table,
                              _wedge_terms, combine, contract, ext_d, wedge)
@@ -44,6 +45,7 @@ from premetric.randgen import random_polynomial  # noqa: E402
 from premetric import scalars  # noqa: E402
 from premetric.scalars import (MAX_EXPONENT, Polynomial, _pack,  # noqa: E402
                                monomial_sum, term_sum)
+from oracles import raw_factor  # noqa: E402
 
 EXAMPLES = settings(max_examples=30, deadline=None)
 COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -708,23 +710,24 @@ def test_exponent_guard_on_named_factors(mode, ea, eb, raises):
 @EXAMPLES
 @given(st.data())
 def test_key_bits_are_the_or_of_the_raw_keys_and_touch_no_raw_slot(data):
-    # a factor, canonical or loose, keeps the OR of its raw keys from the
-    # first product it is in; reading it changes no raw slot
+    # a factor, with or without a common factor in its raw slots, keeps the
+    # OR of its raw keys from the first product it is in; reading it
+    # changes no raw slot
     n, mode = data.draw(st.integers(2, 4)), data.draw(st.booleans())
     a, b = (data.draw(routed_polys(n, mode, data.draw(guard_polys(n, mode))))
             for _ in range(2))
     assert a._bits is None and b._bits is None
-    raw = [(p._den, p._nums, dict(p._nums), p._loose, p._canon) for p in (a, b)]
+    raw = [(p._den, p._nums, dict(p._nums), raw_factor(p)) for p in (a, b)]
     try:
         summed(n, mode, [(1, a, (b, 0))])
     except StructuralError:
         pass
-    for p, (den, nums, copy, loose, canon) in zip((a, b), raw):
+    for p, (den, nums, copy, factor) in zip((a, b), raw):
         ored = 0
         for k in nums:
             ored |= k
         assert p._bits == ored
-        assert (p._den, p._nums, p._loose, p._canon) == (den, nums, loose, canon)
+        assert (p._den, p._nums, raw_factor(p)) == (den, nums, factor)
         assert p._nums is nums and p._nums == copy
 
 
@@ -841,7 +844,7 @@ def test_lone_unit_terms_are_the_factor_or_one_product(mode, monkeypatch):
     F = Form(chart, 1, False, {(i,): random_polynomial(rng, 3, 2, mode) + chart.variable(i)
                                for i in range(3)})
     loose = x0.scale(Fraction(1, 2)) + x0.scale(Fraction(1, 2))
-    assert loose._loose and loose._den == 2
+    assert raw_factor(loose) == 2 and loose._den == 2
     products = []
     real_mul = Polynomial.__mul__
     monkeypatch.setattr(Polynomial, "__mul__",
@@ -1051,8 +1054,9 @@ def test_a_zero_multiplier_gives_the_zero_form(a):
 # -- reduction on read -----------------------------------------------------------
 #
 # A kernel drops zeros but leaves the common factor of den and the numerators
-# to the first read of den or nums.  Values built along routes that leave
-# different factors must be one value to every observer.
+# in the raw slots, for each read of den or nums to divide out.  Values built
+# along routes that leave different factors must be one value to every
+# observer, and no observer may change the raw slots.
 
 
 def loose_pairs():
@@ -1076,14 +1080,17 @@ OBSERVERS = {
     "set": lambda p, q: len({p, q}) == 1,
     "den-nums": lambda p, q: (p.den, p.nums) == (q.den, q.nums),
     "terms": lambda p, q: dict(p.terms) == dict(q.terms),
+    "print": lambda p, q: poly_str(p) == poly_str(q),
 }
 
 
 @pytest.mark.parametrize("observer", OBSERVERS)
 def test_a_common_factor_is_divided_out_on_read(observer):
     for built, canonical in loose_pairs():
-        assert built._loose and built._den != canonical._den
+        den, nums = built._den, built._nums
+        assert raw_factor(built) > 1 and den != canonical._den
         assert OBSERVERS[observer](built, canonical)
+        assert built._den is den and built._nums is nums and raw_factor(built) > 1
         assert_canonical(built)
         assert_canonical(canonical)
 
@@ -1097,17 +1104,18 @@ def test_a_sum_that_cancels_reads_as_the_canonical_zero():
 
 def test_a_read_between_adding_and_summing_leaves_the_terms_valid():
     # a finished term holds its factors' raw dens; a read of .den between
-    # the adders and the sum (==, printing, or a tracer reading .terms)
-    # keeps the canonical copy beside the raw slots, which stay as they are
+    # the adders and the sum (a hash, or a caller reading den or nums)
+    # divides out into a new copy and leaves the raw slots as they are
     half = Fraction(1, 2)
 
     def loose(p):
         q = p.scale(half) + p.scale(half)  # p over twice its den
-        assert q._loose and q._den == 2 * p.den
+        assert raw_factor(q) > 1 and q._den == 2 * p.den
         return q
 
     def terms():
-        """Fresh factors, most of them loose, and the adders' terms over them:
+        """Fresh factors, most of them with a common factor in their raw
+        slots, and the adders' terms over them:
         d of a _Top of wedge and contraction terms, and d of a 2-form."""
         chart = Chart(3)
         x = [chart.variable(i) for i in range(3)]

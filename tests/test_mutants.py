@@ -1,5 +1,5 @@
 """The pinned mutant matrix: tests/mutants.py's lines, which runs catch
-each sign mutant, against tests/data/mutant_matrix.txt.  A lost catch
+each mutant, against tests/data/mutant_matrix.txt.  A lost catch
 fails here, and so does a new one until the file is re-pinned with
 `python3 tests/mutants.py > tests/data/mutant_matrix.txt`."""
 
