@@ -94,7 +94,7 @@ class RunConfig(SimpleNamespace):
     """One attribute per config key, in _fields.
 
     metric is a MetricSpec or None (until metric_spec() needs one), Z0 a
-    Fraction or None, z a tuple of Fractions or None, constitutive the
+    Fraction or None, z a nonempty tuple of Fractions, constitutive the
     built law or None; F and J are a Form or "random", G a Form, "random"
     or None (from the law if any), and u a VectorField or "random".
     """
@@ -103,10 +103,10 @@ class RunConfig(SimpleNamespace):
                "constitutive", "F", "G", "J", "u", "seed", "degree_bound",
                "samples", "suites", "out", "format")
 
-    def __init__(self, n=4, p=2, mode="real", orientation=1, metric=None,
-                 Z0=None, z=None, constitutive=None, F="random", G=None,
-                 J="random", u="random", seed=0, degree_bound=2, samples=25,
-                 suites=(), out=None, format="text"):
+    def __init__(self, n=4, p=2, mode="real", orientation=1, metric=None, Z0=None,
+                 z=(Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5)),
+                 constitutive=None, F="random", G=None, J="random", u="random", seed=0,
+                 degree_bound=2, samples=25, suites=(), out=None, format="text"):
         args = locals()
         super().__init__(**{name: args[name] for name in self._fields})
 

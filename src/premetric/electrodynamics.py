@@ -44,33 +44,28 @@ from .report import residual_check
 from .scalars import Polynomial, nonzero_rational
 
 
-class FieldConfig:
+class FieldConfig(namedtuple("FieldConfig", "chart p F G dF dG FG")):
     """An (F, G) pair: untwisted p-form plus twisted (n-p)-form, one chart.
+    A record made from (F, G): it compares, hashes and prints as its fields.
 
     Degrees are restricted to 1 <= p <= n-1 so that every contraction in
     the density formulas lands on a form of degree >= 0.  The currents dF,
     dG and the n-form FG = F ^ G, which sigma_u and phi_u both read, are
-    built once.
+    built once, when the record is made.
     """
 
-    __slots__ = ("chart", "p", "F", "G", "dF", "dG", "FG")
+    __slots__ = ()
 
-    def __init__(self, F, G):
+    def __new__(cls, F, G):
         chart, p = F.chart, F.degree
         if not 1 <= p <= chart.n - 1:
             raise StructuralError(f"field degree must satisfy 1 <= p <= n-1, got p={p}")
         check_shape("F", F, chart, p, False)
         check_shape("G", G, chart, chart.n - p, True)
-        self.chart = chart
-        self.p = p
-        self.F = F
-        self.G = G
-        self.dF = ext_d(F)
-        self.dG = ext_d(G)
-        self.FG = wedge(F, G)
+        return super().__new__(cls, chart, p, F, G, ext_d(F), ext_d(G), wedge(F, G))
 
-    def __repr__(self):
-        return f"FieldConfig(n={self.chart.n}, p={self.p})"
+    def __getnewargs__(self):
+        return self.F, self.G
 
 
 def _densities(u, cfg, m, uF, uG, sigma, force, phi):
@@ -323,17 +318,16 @@ class LinearLocal:
         n = chart.n
         if p.__class__ is not int or not 0 <= p <= n:
             raise StructuralError(f"linear-local degree must be an int in 0..{n}, got {p!r}")
-        self.rows = list(combinations(range(n), n - p))
-        self.cols = list(combinations(range(n), p))
-        if (chi.__class__ is not list or len(chi) != len(self.rows)
-                or any(r.__class__ is not list or len(r) != len(self.cols) for r in chi)):
-            raise StructuralError(
-                f"chi must be {len(self.rows)}x{len(self.cols)} for n={n}, p={p}")
+        rows = list(combinations(range(n), n - p))
+        cols = list(combinations(range(n), p))
+        if (chi.__class__ is not list or len(chi) != len(rows)
+                or any(r.__class__ is not list or len(r) != len(cols) for r in chi)):
+            raise StructuralError(f"chi must be {len(rows)}x{len(cols)} for n={n}, p={p}")
         self.chart = chart
         self.p = p
-        self.chi = [[self._entry(e) for e in row] for row in chi]
-        self._sparse = {jdx: [(idx, e) for idx, e in zip(self.cols, row) if not e.is_zero()]
-                        for jdx, row in zip(self.rows, self.chi)}
+        self._sparse = {jdx: [(idx, e) for idx, e in zip(cols, map(self._entry, row))
+                              if not e.is_zero()]
+                        for jdx, row in zip(rows, chi)}
 
     def _entry(self, e):
         if isinstance(e, Polynomial):

@@ -170,12 +170,14 @@ class Form:
         return f"Form({kind} {self.degree}-form, {' + '.join(bits)})"
 
 
-class VectorField:
-    """Vector field u = sum_i u^i d/dx_i with polynomial components."""
+class VectorField(namedtuple("VectorField", "chart components rates")):
+    """Vector field u = sum_i u^i d/dx_i with polynomial components.  A
+    record made from (chart, components): rates, which the constant-u
+    branches read, is _rational_constants(components), fixed here."""
 
-    __slots__ = ("chart", "components", "rates")
+    __slots__ = ()
 
-    def __init__(self, chart, components):
+    def __new__(cls, chart, components):
         components = tuple(components)
         if len(components) != chart.n:
             raise StructuralError(f"expected {chart.n} components, got {len(components)}")
@@ -184,17 +186,10 @@ class VectorField:
                 raise StructuralError(f"component {i} is not a Polynomial: {p!r}")
             if p.n != chart.n or p.complex_mode != chart.complex_mode:
                 raise StructuralError("component polynomial does not match the chart")
-        self.chart = chart
-        self.components = components
-        self.rates = _rational_constants(self)
+        return super().__new__(cls, chart, components, _rational_constants(components))
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-    def __repr__(self):
-        return f"VectorField({', '.join(repr(p) for p in self.components)})"
+    def __getnewargs__(self):
+        return self.chart, self.components
 
 
 # -- basis helpers ----------------------------------------------------------
@@ -485,14 +480,14 @@ def lie_derivative(u, a, ua=None, da=None, uda=None):
     return _built(chart, p, twist, groups)
 
 
-def _rational_constants(u):
-    """u.rates, read once per field: its components as rationals when each
-    is a rational constant (with no imaginary part), else None; an int when
-    its den is 1, so a coordinate field builds no Fraction."""
+def _rational_constants(components):
+    """A VectorField's rates: its components as a tuple of rationals when
+    each is a rational constant (with no imaginary part), else None; an int
+    when its den is 1, so a coordinate field builds no Fraction."""
     rates = []
-    for p in u.components:
+    for p in components:
         re, im = p._nums.get(0, (0, 0)) if p.complex_mode else (p._nums.get(0, 0), 0)
         if im or p._nums.keys() - {0}:
             return None
         rates.append(re if p._den == 1 else Fraction(re, p._den))
-    return rates
+    return tuple(rates)

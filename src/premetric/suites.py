@@ -20,8 +20,6 @@ from .reciprocity import (FieldPairZ, check_double_dual, check_factorization,
                           pair_tensor, self_reciprocal_pair, star_z, tensor)
 from .report import CheckResult, residual_check
 
-_DEFAULT_Z = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
-
 
 def _refuse(cfg, suite):
     """Raise the error that keeps `suite` from running on cfg, if any."""
@@ -124,11 +122,10 @@ def split_suite(cfg):
 
 
 def reciprocity_suite(cfg):
-    zs = cfg.z if cfg.z else _DEFAULT_Z
     odd = cfg.p % 2
     checks = []
     for k, (F, G, u) in _instances(cfg, "reciprocity", "FGu"):
-        z = zs[k % len(zs)]
+        z = cfg.z[k % len(cfg.z)]
         pair = FieldPairZ(F, G, z)
 
         st = star_z(pair)

@@ -62,7 +62,7 @@ MUTANTS = {
     "_d_terms sign": [D_TERMS],
     "_top_d_terms sign": [TOP_D_TERMS],
     "FG = G^F": [
-        ("electrodynamics.py", "self.FG = wedge(F, G)", "self.FG = wedge(G, F)")],
+        ("electrodynamics.py", "ext_d(G), wedge(F, G))", "ext_d(G), wedge(G, F))")],
     "constant-u Lie sign": [CONSTANT_LIE],
     "_densities: force_u": [
         ("electrodynamics.py",

@@ -4,6 +4,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ def test_defaults():
     cfg = cfg_from({})
     assert (cfg.n, cfg.p, cfg.mode, cfg.orientation) == (4, 2, "real", 1)
     assert cfg.F == "random" and cfg.seed == 0 and cfg.format == "text"
+    assert cfg.z == (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5))
+    assert [type(z) for z in cfg.z] == [Fraction] * 4
     assert cfg.suites_for("check") == ("conservation", "identities")
     assert cfg.suites_for("reciprocity") == ("reciprocity", "factorization")
 
@@ -181,11 +184,13 @@ def _chi_with(entry):
     ("3_0", 30), ("+3", 3), (7, 7), ("x0", None),
 ])
 def test_chi_entries_read_as_rationals_or_polynomials(entry, value):
+    # the sparse rows apply reads: chi[1][2] at row (0, 2), column (0, 3),
+    # and every zero entry dropped
     law = cfg_from(_chi_with(entry)).constitutive
     chart = law.chart
     expect = chart.variable(0) if value is None else chart.const_poly(value)
-    assert law.chi[1][2] == expect
-    assert law.chi[0][0] == chart.zero_poly()
+    rows = list(combinations(range(4), 2))
+    assert law._sparse == {jdx: [((0, 3), expect)] if jdx == rows[1] else [] for jdx in rows}
 
 
 @pytest.mark.parametrize("alpha, value", [

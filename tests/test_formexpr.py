@@ -388,4 +388,4 @@ def test_loading_a_polynomial_law_takes_no_gcd(monkeypatch):
     raw = json.loads(LINEAR_LOCAL_POLY.read_text())
     monkeypatch.setattr(scalars.Polynomial, "_reduce", refuse)
     cfg = validate_config(raw)
-    assert any(raw_factor(p) > 1 for row in cfg.constitutive.chi for p in row)
+    assert any(raw_factor(p) > 1 for row in cfg.constitutive._sparse.values() for _, p in row)

@@ -50,7 +50,7 @@ def _polynomial_field(rng, chart, dense=False):
              else list(random_vector_field(rng, chart).components))
     x0 = chart.variable(0)
     u = VectorField(chart, [comps[0] + x0 * x0, *comps[1:]])
-    assert forms._rational_constants(u) is None
+    assert u.rates is None
     assert not dense or all(c.nums for c in u.components)
     return u
 
@@ -356,11 +356,10 @@ def test_arithmetic_leaves_every_gcd_to_the_reads(monkeypatch):
 def test_constant_rates_are_ints_unless_fractional():
     # a coordinate field's rates 0 and 1 reach the term adders as ints, not Fractions
     chart, half = Chart(4), Fraction(1, 2)
-    rates = forms._rational_constants(forms.coordinate_field(chart, 2))
-    assert rates == [0, 0, 1, 0] and {type(r) for r in rates} == {int}
+    rates = forms.coordinate_field(chart, 2).rates
+    assert rates == (0, 0, 1, 0) and {type(r) for r in rates} == {int}
     u = VectorField(chart, [chart.const_poly(c) for c in (half, 0, -3, half * 4)])
-    rates = forms._rational_constants(u)
-    assert rates == [half, 0, -3, 2] and [type(r) for r in rates] == [Fraction, int, int, int]
+    assert u.rates == (half, 0, -3, 2) and [type(r) for r in u.rates] == [Fraction, int, int, int]
 
 
 def test_scaling_takes_no_gcd_pass(monkeypatch):

@@ -302,12 +302,13 @@ def test_combine_and_linear_local_are_the_fold(data):
     if 1 <= p <= chart.n - 1:
         F = terms[0][1]
         F = Form(chart, p, False, F.components)
-        law = LinearLocal(chart, p, [[data.draw(polys(chart.n, chart.complex_mode))
-                                      for _ in combinations(range(chart.n), p)]
-                                     for _ in combinations(range(chart.n), chart.n - p)])
+        rows = list(combinations(range(chart.n), chart.n - p))
+        cols = list(combinations(range(chart.n), p))
+        chi = [[data.draw(polys(chart.n, chart.complex_mode)) for _ in cols] for _ in rows]
+        law = LinearLocal(chart, p, chi)
         out = {}
-        for jdx, row in zip(law.rows, law.chi):
-            for entry, idx in zip(row, law.cols):
+        for jdx, row in zip(rows, chi):
+            for entry, idx in zip(row, cols):
                 if idx in F.components:
                     fold_into(out, jdx, entry * F.components[idx])
         assert law.apply(F).components == nonzero(out)
@@ -859,8 +860,8 @@ def test_lone_unit_terms_are_the_factor_or_one_product(mode, monkeypatch):
     law = LinearLocal(chart, 1, [[x2, 0, 0], [0, 0, 2], [0, Fraction(1, 3), 0]])
     G = law.apply(F)
     assert products == [
-        (law.chi[0][0], F.components[(0,)]), (law.chi[1][2], F.components[(2,)]),
-        (law.chi[2][1], F.components[(1,)])]
+        (x2, F.components[(0,)]), (chart.const_poly(2), F.components[(2,)]),
+        (chart.const_poly(Fraction(1, 3)), F.components[(1,)])]
     assert G.components[(0, 1)] == real_mul(x2, F.components[(0,)])
     # a multiplier other than 1, or a derivative, goes through the accumulator
     del products[:]

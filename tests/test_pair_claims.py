@@ -115,9 +115,8 @@ def _difference_rows(cfg, suite):
     star, hod = suites.star_z, reciprocity.hodge
     rows = []
     if suite == "reciprocity":
-        zs = cfg.z if cfg.z else suites._DEFAULT_Z
         for k, (F, G, u) in suites._instances(cfg, suite, "FGu"):
-            pair = FieldPairZ(F, G, zs[k % len(zs)])
+            pair = FieldPairZ(F, G, cfg.z[k % len(cfg.z)])
             starred = star(pair)
             twice = star(starred)
             before = densities(u, FieldConfig(pair.F, pair.G))

@@ -1,12 +1,16 @@
 """The record classes keep their constructors, repr, equality, hashing,
 immutability and validation messages: Chart, CheckResult, Densities,
-FieldPairZ and SplitFields are immutable; Report and RunConfig are mutable
-and unhashable."""
+FieldConfig, FieldPairZ, SplitFields and VectorField are immutable, and
+copy, deepcopy and pickle give each an equal value; Report and RunConfig
+are mutable and unhashable."""
+
+import copy
+import pickle
 
 import pytest
 
-from premetric import (Chart, CheckResult, FieldPairZ, Form, Report, StructuralError,
-                       basis_form)
+from premetric import (Chart, CheckResult, FieldConfig, FieldPairZ, Form, Report,
+                       StructuralError, VectorField, basis_form)
 from premetric.config import RunConfig
 from premetric.electrodynamics import Densities, SplitFields
 
@@ -33,6 +37,27 @@ def _densities(top):
     return Densities(Form.zero(CH, 3, True), top, top)
 
 
+def _config(chart=CH, F=None):
+    F = basis_form(chart, (0, 1), coefficient=chart.variable(2)) if F is None else F
+    return FieldConfig(F, basis_form(chart, (2, 3), twist=True, coefficient=chart.variable(0)))
+
+
+def _field(chart=CH, components=None):
+    return VectorField(chart, [chart.variable(1), chart.const_poly(2), chart.zero_poly(),
+                               chart.zero_poly()] if components is None else components)
+
+
+RECORDS = {
+    "chart": lambda: Chart(5, -1, True),
+    "check": lambda: CheckResult(*ROW, "w"),
+    "densities": lambda: _densities(basis_form(CH, (0, 1, 2, 3), twist=True)),
+    "pair": _pair,
+    "split": _split,
+    "config": _config,
+    "field": _field,
+}
+
+
 def _raises(error, make, message=None):
     with pytest.raises(error) as err:
         make()
@@ -46,6 +71,13 @@ def _immutable(record, name):
 def _equal_and_hash_alike(make):
     a, b = make(), make()
     return a is not b and a == b and hash(a) == hash(b)
+
+
+def _copies_equal(make):
+    value = make()
+    return all(type(c) is type(value) and c == value
+               for c in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))))
 
 
 CASES = {
@@ -68,6 +100,10 @@ CASES = {
         lambda: _densities(basis_form(CH, (0, 1, 2, 3), twist=True))),
     "pair-eq-hash": lambda: _equal_and_hash_alike(_pair),
     "pair-differs": lambda: _pair() != _pair(z=3),
+    "config-eq-hash": lambda: _equal_and_hash_alike(_config),
+    "config-other-chart": lambda: _config() != _config(Chart(4, -1)),
+    "field-eq-hash": lambda: _equal_and_hash_alike(_field),
+    "field-other-chart": lambda: _field() != _field(Chart(4, -1)),
     "split-eq-hash": lambda: _equal_and_hash_alike(_split),
     "report-unhashable": lambda: _raises(TypeError, lambda: hash(Report("check", 1))),
     "run-config-unhashable": lambda: _raises(TypeError, lambda: hash(RunConfig())),
@@ -77,6 +113,10 @@ CASES = {
     "pair-immutable": lambda: _immutable(_pair(), "F"),
     "pair-chart-read-only": lambda: _immutable(_pair(), "chart"),
     "split-immutable": lambda: _immutable(_split(), "E"),
+    "config-immutable": lambda: _immutable(_config(), "F"),
+    "config-derived-immutable": lambda: _immutable(_config(), "dF"),
+    "field-immutable": lambda: _immutable(_field(), "components"),
+    "field-rates-immutable": lambda: _immutable(_field(), "rates"),
     "chart-dimension": lambda: _raises(
         StructuralError, lambda: Chart(9), "chart dimension must be in 2..8, got 9"),
     "chart-orientation": lambda: _raises(
@@ -103,6 +143,18 @@ CASES = {
     "split-spatial": lambda: _raises(
         StructuralError, lambda: _split(j=basis_form(CH, (0, 1), twist=True)),
         "j must be spatial (no dx0 factor)"),
+    "config-degree": lambda: _raises(
+        StructuralError, lambda: FieldConfig(basis_form(CH, (0, 1, 2, 3)), Form.zero(CH, 0, True)),
+        "field degree must satisfy 1 <= p <= n-1, got p=4"),
+    "config-twist": lambda: _raises(
+        StructuralError, lambda: _config(F=PAIR_G), "F must be an untwisted 2-form"),
+    "field-length": lambda: _raises(
+        StructuralError, lambda: _field(components=[CH.zero_poly()] * 3),
+        "expected 4 components, got 3"),
+    "field-component": lambda: _raises(
+        StructuralError, lambda: _field(components=[1] + [CH.zero_poly()] * 3),
+        "component 0 is not a Polynomial: 1"),
+    **{f"{name}-copies": lambda make=make: _copies_equal(make) for name, make in RECORDS.items()},
 }
 
 
